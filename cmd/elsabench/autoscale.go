@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"elsa"
@@ -16,17 +14,17 @@ import (
 	"elsa/serve/client"
 )
 
-// AutoscaleRow is one autoscale-loop measurement. Three scenario
-// families share the row shape:
+// AutoscaleRow is one autoscale-loop measurement. Two scenarios share
+// the row shape:
 //
 //   - "rebalance": a joiner arrives in a loaded fleet and the controller
 //     migrates sessions toward it — Migrations counts the moved
 //     sessions, ConvergeMS the wall time from the joiner activating to
 //     the policy going quiet (fleet balanced).
-//   - "mirror-sync" / "mirror-batched": the steady-state cost of the
-//     frontend's shadow mirror on the session append path, inline vs
-//     batched+async — MirrorNsPerToken is replay nanoseconds per
-//     appended token, the number DESIGN.md §14 bounds.
+//   - "mirror-batched": the steady-state cost of the frontend's
+//     batched, async shadow mirror on the session append path —
+//     MirrorNsPerToken is replay nanoseconds per appended token, the
+//     number DESIGN.md §14 bounds.
 type AutoscaleRow struct {
 	Scenario   string  `json:"scenario"`
 	Sessions   int     `json:"sessions"`
@@ -38,19 +36,16 @@ type AutoscaleRow struct {
 	MirrorNsPerToken float64 `json:"mirror_ns_per_token,omitempty"`
 }
 
-func autoscaleFront(syncMirror bool) serve.Config {
-	return serve.Config{
-		BatchWindow:         time.Millisecond,
-		Replicas:            -1, // dispatch-only: sessions pin to workers
-		WorkerProbeInterval: 25 * time.Millisecond,
-		RequestTimeout:      10 * time.Second,
-		SyncMirror:          syncMirror,
-	}
+// autoscaleFront is the frontend config both scenarios run.
+var autoscaleFront = serve.Config{
+	BatchWindow:         time.Millisecond,
+	Replicas:            -1, // dispatch-only: sessions pin to workers
+	WorkerProbeInterval: 25 * time.Millisecond,
+	RequestTimeout:      10 * time.Second,
 }
 
 // autoscaleRows measures the closed autoscale loop: rebalance
-// convergence after a joiner, and the shadow-mirror append overhead in
-// both replay modes.
+// convergence after a joiner, and the shadow-mirror append overhead.
 func autoscaleRows(opt experiments.Options) ([]AutoscaleRow, error) {
 	sessions := 4 * opt.Instances
 	if sessions > 48 {
@@ -60,21 +55,17 @@ func autoscaleRows(opt experiments.Options) ([]AutoscaleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []AutoscaleRow{reb}
-	for _, sync := range []bool{true, false} {
-		row, err := mirrorRow(opt, 8, 16*opt.Instances, sync)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+	mir, err := mirrorRow(opt, 8, 16*opt.Instances)
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return []AutoscaleRow{reb, mir}, nil
 }
 
 // rebalanceRow loads a one-worker fleet with pinned sessions, joins a
 // second worker, and lets the autoscale controller settle the fleet.
 func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
-	cl := servetest.NewDynamicCluster(autoscaleFront(false))
+	cl := servetest.NewDynamicCluster(autoscaleFront)
 	defer cl.Close()
 	if _, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
 		return AutoscaleRow{}, err
@@ -147,8 +138,8 @@ func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 
 // mirrorRow measures the frontend's shadow-mirror replay cost per
 // appended token with sessions pinned to a remote worker.
-func mirrorRow(opt experiments.Options, sessions, tokensPer int, syncMirror bool) (AutoscaleRow, error) {
-	cl := servetest.NewDynamicCluster(autoscaleFront(syncMirror))
+func mirrorRow(opt experiments.Options, sessions, tokensPer int) (AutoscaleRow, error) {
+	cl := servetest.NewDynamicCluster(autoscaleFront)
 	defer cl.Close()
 	if _, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
 		return AutoscaleRow{}, err
@@ -179,7 +170,7 @@ func mirrorRow(opt experiments.Options, sessions, tokensPer int, syncMirror bool
 		}
 	}
 	// Exporting forces every pending batched replay to flush, so the
-	// counters cover all appended tokens in both modes.
+	// counters cover all appended tokens.
 	for _, sess := range handles {
 		if _, err := sess.Export(ctx); err != nil {
 			return AutoscaleRow{}, fmt.Errorf("mirror flush export: %w", err)
@@ -187,12 +178,8 @@ func mirrorRow(opt experiments.Options, sessions, tokensPer int, syncMirror bool
 	}
 
 	replayed, nanos := cl.Frontend.Metrics().MirrorReplay()
-	scenario := "mirror-batched"
-	if syncMirror {
-		scenario = "mirror-sync"
-	}
 	row := AutoscaleRow{
-		Scenario: scenario,
+		Scenario: "mirror-batched",
 		Sessions: sessions,
 		Tokens:   int(replayed),
 	}
@@ -200,74 +187,6 @@ func mirrorRow(opt experiments.Options, sessions, tokensPer int, syncMirror bool
 		row.MirrorNsPerToken = float64(nanos) / float64(replayed)
 	}
 	return row, nil
-}
-
-// loadAutoscaleRows reads the "autoscale" family from a committed serving
-// snapshot; snapshots predating the family simply lack the key.
-func loadAutoscaleRows(path string) ([]AutoscaleRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload servingSnapshot
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return payload.Autoscale, nil
-}
-
-// compareAutoscalePerf gates the autoscale trajectory: per scenario,
-// rebalance convergence must not slow by more than maxRegress, and the
-// batched mirror's ns/token must not grow by more than maxRegress. A
-// snapshot without autoscale rows (predating the family) skips the gate.
-func compareAutoscalePerf(newPath, baselinePath string, maxRegress float64) error {
-	rows, err := loadAutoscaleRows(newPath)
-	if err != nil {
-		return err
-	}
-	base, err := loadAutoscaleRows(baselinePath)
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 || len(base) == 0 {
-		fmt.Printf("autoscale rows absent from %s or %s; skipping autoscale gate\n", newPath, baselinePath)
-		return nil
-	}
-	old := make(map[string]AutoscaleRow, len(base))
-	for _, r := range base {
-		old[r.Scenario] = r
-	}
-	var regressions []string
-	for _, r := range rows {
-		prev, ok := old[r.Scenario]
-		if !ok {
-			continue
-		}
-		switch {
-		case r.ConvergeMS > 0 && prev.ConvergeMS > 0:
-			ratio := r.ConvergeMS / prev.ConvergeMS
-			fmt.Printf("autoscale %-14s: converge %8.1fms vs baseline %8.1fms (%.2fx)\n",
-				r.Scenario, r.ConvergeMS, prev.ConvergeMS, ratio)
-			if ratio > 1+maxRegress {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: converge_ms %.1f -> %.1f (+%.0f%%)", r.Scenario, prev.ConvergeMS, r.ConvergeMS, 100*(ratio-1)))
-			}
-		case r.MirrorNsPerToken > 0 && prev.MirrorNsPerToken > 0:
-			ratio := r.MirrorNsPerToken / prev.MirrorNsPerToken
-			fmt.Printf("autoscale %-14s: mirror %8.0fns/token vs baseline %8.0fns/token (%.2fx)\n",
-				r.Scenario, r.MirrorNsPerToken, prev.MirrorNsPerToken, ratio)
-			if r.Scenario == "mirror-batched" && ratio > 1+maxRegress {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: mirror_ns_per_token %.0f -> %.0f (+%.0f%%)", r.Scenario, prev.MirrorNsPerToken, r.MirrorNsPerToken, 100*(ratio-1)))
-			}
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("autoscale loop regressed >%.0f%% vs %s:\n  %s",
-			100*maxRegress, baselinePath, joinLines(regressions))
-	}
-	fmt.Printf("autoscale OK: convergence and mirror cost within %.0f%% of %s\n", 100*maxRegress, baselinePath)
-	return nil
 }
 
 func runAutoscale(opt experiments.Options) error {
@@ -283,7 +202,7 @@ func runAutoscale(opt experiments.Options) error {
 			r.Scenario, r.Sessions, r.Tokens, r.ConvergeMS, r.Migrations, r.MirrorNsPerToken)
 	}
 	fmt.Println("(rebalance: sessions migrate toward a fresh joiner until the policy goes")
-	fmt.Println(" quiet; mirror rows compare inline vs batched/async shadow-mirror replay")
-	fmt.Println(" on the append path — the batched mode is the serving default)")
+	fmt.Println(" quiet; the mirror row times batched/async shadow-mirror replay on the")
+	fmt.Println(" append path)")
 	return nil
 }

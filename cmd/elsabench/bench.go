@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"elsa"
@@ -201,77 +199,6 @@ func benchRowsAt(opt experiments.Options, n, d, iters int) ([]BenchRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// loadBenchRows reads a previously written -json bench file (the
-// {"bench": [...]} shape emitJSON produces).
-func loadBenchRows(path string) ([]BenchRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload struct {
-		Bench []BenchRow `json:"bench"`
-	}
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(payload.Bench) == 0 {
-		return nil, fmt.Errorf("%s holds no bench rows", path)
-	}
-	return payload.Bench, nil
-}
-
-// comparePerf checks the measured rows against a committed baseline file
-// and returns an error listing every operating point whose ns/op regressed
-// by more than maxRegress (e.g. 0.15 = 15%). Points present in only one
-// file are skipped: the trajectory only gates comparable measurements.
-func comparePerf(rows []BenchRow, baselinePath string, maxRegress float64) error {
-	base, err := loadBenchRows(baselinePath)
-	if err != nil {
-		return err
-	}
-	type point struct {
-		Dataset string
-		N, D    int
-		P       float64
-	}
-	old := make(map[point]float64, len(base))
-	for _, r := range base {
-		old[point{r.Dataset, r.N, r.D, r.P}] = r.NsPerOp
-	}
-	var regressions []string
-	for _, r := range rows {
-		prev, ok := old[point{r.Dataset, r.N, r.D, r.P}]
-		if !ok || prev <= 0 {
-			continue
-		}
-		ratio := r.NsPerOp / prev
-		fmt.Printf("perf %-14s n=%-4d p=%.1f: %12.0f ns/op vs baseline %12.0f (%.2fx)\n",
-			r.Dataset, r.N, r.P, r.NsPerOp, prev, ratio)
-		if ratio > 1+maxRegress {
-			regressions = append(regressions,
-				fmt.Sprintf("%s n=%d d=%d p=%.1f: %.0f -> %.0f ns/op (+%.0f%%)",
-					r.Dataset, r.N, r.D, r.P, prev, r.NsPerOp, 100*(ratio-1)))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("ns/op regressed >%.0f%% vs %s:\n  %s",
-			100*maxRegress, baselinePath, joinLines(regressions))
-	}
-	fmt.Printf("perf OK: no operating point regressed >%.0f%% vs %s\n", 100*maxRegress, baselinePath)
-	return nil
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }
 
 func runBench(opt experiments.Options) error {

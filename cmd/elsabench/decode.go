@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -18,19 +16,14 @@ import (
 	"elsa/serve/client"
 )
 
-// Decode bench modes. "serialized" is the pre-decode-loop status quo:
-// a SerialDecode server (queries attend inline under the session gate)
-// driven one query at a time — serialized execution, the order the
-// fidelity test pins batched output against. "concurrent" drives the
-// same per-query HTTP API with every session in flight at once against
-// the continuous decode loop, showing how much coalescing independent
-// per-query clients get. "step" submits the whole wave through
+// Decode bench modes. "concurrent" drives the per-query HTTP API with
+// every session in flight at once against the continuous decode loop,
+// showing how much coalescing independent per-query clients get. "step" submits the whole wave through
 // POST /v1/sessions/step — one request per decode wave — so the fixed
 // per-request cost is paid once per wave and the loop dispatches the
 // wave as shared batches; this is how a model runner drives N
 // sequences, and where the aggregate-throughput win lives.
 const (
-	decodeSerialized = "serialized"
 	decodeConcurrent = "concurrent"
 	decodeStep       = "step"
 )
@@ -38,7 +31,7 @@ const (
 // DecodeRow is one continuous-decode-batching measurement: N live decode
 // sessions — each with its own pinned threshold, so every batch is a
 // mixed-operating-point batch — stepped over HTTP against a real
-// serve.Server in one of the three modes above.
+// serve.Server in one of the modes above.
 type DecodeRow struct {
 	Sessions    int    `json:"sessions"`
 	Concurrency int    `json:"concurrency"`
@@ -52,13 +45,12 @@ type DecodeRow struct {
 	P50Ms float64 `json:"p50_ms"`
 	P99Ms float64 `json:"p99_ms"`
 	// MeanBatch is the server's mean decode dispatch size — how many
-	// cross-session queries each continuous-loop harvest coalesced
-	// (exactly 1 on the serialized path, by construction).
+	// cross-session queries each continuous-loop harvest coalesced.
 	MeanBatch float64 `json:"mean_batch"`
 }
 
-// decodeRows measures the continuous decode loop against the serialized
-// path at increasing session counts. Thresholds are pinned per session
+// decodeRows measures the continuous decode loop at increasing session
+// counts. Thresholds are pinned per session
 // (no lazy calibration) so the rows isolate decode scheduling cost, and
 // the prefix is fixed during the timed phase so every step does the
 // same attention work in every mode.
@@ -71,7 +63,7 @@ func decodeRows(opt experiments.Options) ([]DecodeRow, error) {
 
 	var rows []DecodeRow
 	for _, sessions := range []int{4, 16, 64} {
-		for _, mode := range []string{decodeSerialized, decodeConcurrent, decodeStep} {
+		for _, mode := range []string{decodeConcurrent, decodeStep} {
 			row, err := decodeLoad(opt, sessions, steps, dim, prefix, mode)
 			if err != nil {
 				return nil, err
@@ -86,10 +78,9 @@ func decodeRows(opt experiments.Options) ([]DecodeRow, error) {
 // HTTP.
 func decodeLoad(opt experiments.Options, sessions, steps, dim, prefix int, mode string) (DecodeRow, error) {
 	srv := serve.New(serve.Config{
-		MaxBatch:     64,
-		MaxQueue:     2048,
-		Replicas:     1,
-		SerialDecode: mode == decodeSerialized,
+		MaxBatch: 64,
+		MaxQueue: 2048,
+		Replicas: 1,
 	})
 	ts := httptest.NewServer(srv)
 	defer srv.Close()
@@ -140,14 +131,11 @@ func decodeLoad(opt experiments.Options, sessions, steps, dim, prefix int, mode 
 
 	tokens := sessions * steps
 	var latencies []float64
-	concurrency := 1
 	start := time.Now()
-	switch mode {
-	case decodeStep:
+	if mode == decodeStep {
 		// One request per decode wave, every session in it — so server-side
 		// concurrency is the wave width even though the client pipeline is
 		// one wave at a time, exactly a model runner's decode loop.
-		concurrency = sessions
 		latencies = make([]float64, steps)
 		wave := make([]client.StepQuery, sessions)
 		for s := 0; s < steps; s++ {
@@ -166,8 +154,7 @@ func decodeLoad(opt experiments.Options, sessions, steps, dim, prefix int, mode 
 				}
 			}
 		}
-	case decodeConcurrent:
-		concurrency = sessions
+	} else {
 		latencies = make([]float64, tokens)
 		errs := make([]error, sessions)
 		var wg sync.WaitGroup
@@ -191,37 +178,19 @@ func decodeLoad(opt experiments.Options, sessions, steps, dim, prefix int, mode 
 				return DecodeRow{}, fmt.Errorf("decode load (sessions=%d): %w", sessions, err)
 			}
 		}
-	default: // decodeSerialized
-		latencies = make([]float64, tokens)
-		for s := 0; s < steps; s++ {
-			for i := 0; i < sessions; i++ {
-				t0 := time.Now()
-				_, err := handles[i].Query(ctx, queries[i][s], elsa.Overrides{})
-				latencies[i*steps+s] = float64(time.Since(t0).Microseconds()) / 1e3
-				if err != nil {
-					return DecodeRow{}, fmt.Errorf("serialized decode step: %w", err)
-				}
-			}
-		}
 	}
 	wall := time.Since(start)
 
-	// On the serialized path the server never dispatches a decode batch
-	// (queries attend inline), so its batch size is 1 by construction.
-	mean := 1.0
-	if mode != decodeSerialized {
-		mean = srv.Metrics().MeanDecodeBatchSize()
-	}
 	sort.Float64s(latencies)
 	return DecodeRow{
 		Sessions:     sessions,
-		Concurrency:  concurrency,
+		Concurrency:  sessions,
 		Mode:         mode,
 		Tokens:       tokens,
 		TokensPerSec: float64(tokens) / wall.Seconds(),
 		P50Ms:        percentile(latencies, 0.50),
 		P99Ms:        percentile(latencies, 0.99),
-		MeanBatch:    mean,
+		MeanBatch:    srv.Metrics().MeanDecodeBatchSize(),
 	}, nil
 }
 
@@ -235,9 +204,8 @@ func benchVec(rng *rand.Rand, dim int) []float32 {
 }
 
 // servingSnapshot is the combined BENCH_*_serving.json shape: the
-// original top-level "serve" rows (older gates and ci.sh parse that key
-// directly) plus the decode-batching and session-migration families
-// added alongside.
+// one-shot "serve" rows plus the decode-batching, session-migration,
+// autoscale and exact-backend families, each under its own key.
 type servingSnapshot struct {
 	Serve     []ServingRow   `json:"serve"`
 	Decode    []DecodeRow    `json:"decode,omitempty"`
@@ -246,110 +214,21 @@ type servingSnapshot struct {
 	Exact     []ExactRow     `json:"exact,omitempty"`
 }
 
-// loadDecodeRows reads the "decode" family from a committed serving
-// snapshot. Snapshots from before decode batching simply lack the key;
-// that is not an error — the caller skips the comparison.
-func loadDecodeRows(path string) ([]DecodeRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload servingSnapshot
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return payload.Decode, nil
-}
-
-// compareDecodePerf gates the decode-batching trajectory: for every
-// operating point — keyed by {sessions, mode} — present in both
-// committed snapshots, mean_batch must not have dropped by more than
-// maxRegress. A snapshot without decode rows (predating the family)
-// skips the gate rather than failing it.
-func compareDecodePerf(newPath, baselinePath string, maxRegress float64) error {
-	rows, err := loadDecodeRows(newPath)
-	if err != nil {
-		return err
-	}
-	base, err := loadDecodeRows(baselinePath)
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 || len(base) == 0 {
-		fmt.Printf("decode batching rows absent from %s or %s; skipping mean_batch gate\n", newPath, baselinePath)
-		return nil
-	}
-	type point struct {
-		Sessions int
-		Mode     string
-	}
-	old := make(map[point]float64, len(base))
-	for _, r := range base {
-		old[point{r.Sessions, r.Mode}] = r.MeanBatch
-	}
-	var regressions []string
-	for _, r := range rows {
-		prev, ok := old[point{r.Sessions, r.Mode}]
-		if !ok || prev <= 1 {
-			// Unmatched points and serialized rows (mean_batch pinned at 1)
-			// carry no coalescing signal to gate.
-			continue
-		}
-		ratio := r.MeanBatch / prev
-		fmt.Printf("decode sessions=%-3d mode=%-10s: mean_batch %6.2f vs baseline %6.2f (%.2fx)\n",
-			r.Sessions, r.Mode, r.MeanBatch, prev, ratio)
-		if ratio < 1-maxRegress {
-			regressions = append(regressions,
-				fmt.Sprintf("sessions=%d mode=%s: mean_batch %.2f -> %.2f (-%.0f%%)",
-					r.Sessions, r.Mode, prev, r.MeanBatch, 100*(1-ratio)))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("decode mean_batch dropped >%.0f%% vs %s:\n  %s",
-			100*maxRegress, baselinePath, joinLines(regressions))
-	}
-	fmt.Printf("decode batching OK: no operating point lost >%.0f%% mean_batch vs %s\n", 100*maxRegress, baselinePath)
-	return nil
-}
-
 func runDecode(opt experiments.Options) error {
 	rows, err := decodeRows(opt)
 	if err != nil {
 		return err
 	}
-	header("decode: continuous cross-session batching vs serialized decode")
+	header("decode: continuous cross-session batching")
 	fmt.Printf("%9s %12s %11s %7s %10s %9s %9s %11s\n",
 		"sessions", "concurrency", "mode", "tokens", "tokens/s", "p50(ms)", "p99(ms)", "mean-batch")
 	for _, r := range rows {
 		fmt.Printf("%9d %12d %11s %7d %10.0f %9.2f %9.2f %11.2f\n",
 			r.Sessions, r.Concurrency, r.Mode, r.Tokens, r.TokensPerSec, r.P50Ms, r.P99Ms, r.MeanBatch)
 	}
-	printDecodeSpeedups(rows)
 	fmt.Println("(each session holds a distinct pinned threshold, so every harvested batch")
-	fmt.Println(" is a mixed-operating-point dispatch; serialized rows drive the pre-decode-")
-	fmt.Println(" loop inline path one query at a time — the order the fidelity test pins —")
-	fmt.Println(" and step rows submit each wave as one POST /v1/sessions/step request)")
+	fmt.Println(" is a mixed-operating-point dispatch; concurrent rows keep every session's")
+	fmt.Println(" per-query request in flight at once, and step rows submit each wave as one")
+	fmt.Println(" POST /v1/sessions/step request)")
 	return nil
-}
-
-// printDecodeSpeedups pairs each batched-mode row with its serialized
-// counterpart and prints the aggregate-throughput ratio.
-func printDecodeSpeedups(rows []DecodeRow) {
-	serial := make(map[int]DecodeRow, len(rows))
-	for _, r := range rows {
-		if r.Mode == decodeSerialized {
-			serial[r.Sessions] = r
-		}
-	}
-	for _, r := range rows {
-		if r.Mode == decodeSerialized {
-			continue
-		}
-		base, ok := serial[r.Sessions]
-		if !ok || base.TokensPerSec <= 0 {
-			continue
-		}
-		fmt.Printf("sessions=%-3d %-10s: %.2fx aggregate decode tokens/s over serialized (mean batch %.2f)\n",
-			r.Sessions, r.Mode, r.TokensPerSec/base.TokensPerSec, r.MeanBatch)
-	}
 }

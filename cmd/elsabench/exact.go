@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -167,88 +165,6 @@ func exactStreamRate(opt experiments.Options, inst workload.Instance, d int, bac
 		}
 	}
 	return float64(inst.RealLen) / time.Since(start).Seconds(), nil
-}
-
-// loadExactRows reads the "exact" family from a committed serving
-// snapshot; snapshots predating the family simply lack the key.
-func loadExactRows(path string) ([]ExactRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload servingSnapshot
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return payload.Exact, nil
-}
-
-// compareExactPerf gates the exact-backend trajectory between two
-// committed snapshots: per {workload, backend}, streaming tokens/s must
-// not regress past maxRegress, the memory ceiling must hold (a
-// linear-scan row may never allocate as much as its scores counterpart
-// on long instances), and every row must still sit inside the pinned
-// differential bound. Snapshots without the family skip the gate.
-func compareExactPerf(newPath, baselinePath string, maxRegress float64) error {
-	rows, err := loadExactRows(newPath)
-	if err != nil {
-		return err
-	}
-	base, err := loadExactRows(baselinePath)
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 || len(base) == 0 {
-		fmt.Printf("exact backend rows absent from %s or %s; skipping exact gate\n", newPath, baselinePath)
-		return nil
-	}
-	type point struct {
-		Workload string
-		Backend  string
-	}
-	old := make(map[point]ExactRow, len(base))
-	for _, r := range base {
-		old[point{r.Workload, r.Backend}] = r
-	}
-	scoresBytes := make(map[string]uint64, len(rows))
-	for _, r := range rows {
-		if r.Backend == "scores" {
-			scoresBytes[r.Workload] = r.BytesPerOp
-		}
-	}
-	var failures []string
-	for _, r := range rows {
-		if !r.BoundOK {
-			failures = append(failures,
-				fmt.Sprintf("%s/%s: backends disagree beyond the pinned differential bound (max %d ULP)",
-					r.Workload, r.Backend, r.MaxULP))
-		}
-		if r.Backend == "linear-scan" {
-			if sb, ok := scoresBytes[r.Workload]; ok && r.BytesPerOp >= sb {
-				failures = append(failures,
-					fmt.Sprintf("%s: linear-scan bytes/op %d >= scores %d — memory ceiling lost",
-						r.Workload, r.BytesPerOp, sb))
-			}
-		}
-		prev, ok := old[point{r.Workload, r.Backend}]
-		if !ok || prev.StreamTokensPerSec <= 0 {
-			continue
-		}
-		ratio := r.StreamTokensPerSec / prev.StreamTokensPerSec
-		fmt.Printf("exact %-12s %-12s: %8.0f tokens/s vs baseline %8.0f (%.2fx)\n",
-			r.Workload, r.Backend, r.StreamTokensPerSec, prev.StreamTokensPerSec, ratio)
-		if ratio < 1-maxRegress {
-			failures = append(failures,
-				fmt.Sprintf("%s/%s: tokens/s %.0f -> %.0f (-%.0f%%)",
-					r.Workload, r.Backend, prev.StreamTokensPerSec, r.StreamTokensPerSec, 100*(1-ratio)))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("exact backend gate failed vs %s:\n  %s", baselinePath, joinLines(failures))
-	}
-	fmt.Printf("exact backends OK: bound holds, memory ceiling holds, no >%.0f%% tokens/s regression vs %s\n",
-		100*maxRegress, baselinePath)
-	return nil
 }
 
 func runExact(opt experiments.Options) error {

@@ -15,29 +15,32 @@
 // speedup measurements — to a file ("-" writes to stdout), so successive
 // changes can be tracked as a BENCH_*.json perf trajectory. The "serve"
 // experiment measures the HTTP serving stack (ops/s, p50/p99 latency, mean
-// micro-batch size, 1 vs 2 in-process replicas) and writes the separate
-// BENCH_*_serving.json trajectory; with -experiment serve, -baseline and
-// -compare gate that trajectory on ops/s — and, when both snapshots carry
-// the "decode" family, on decode mean_batch — instead of ns/op. The
-// "decode" experiment measures the continuous decode-batching loop
-// (aggregate tokens/s and mean coalesced batch size, batched vs the
-// serialized baseline, across session counts), and the "migrate"
-// experiment measures portable session state (resident bytes/session hot
-// vs cold, whole-session moves/s over the HTTP export/import path,
-// rehydrate latency), and the "autoscale" experiment measures the closed
-// autoscale loop (rebalance convergence time and migrations toward a
-// fresh joiner, plus shadow-mirror replay ns/token inline vs
-// batched/async). The "exact" experiment measures the two exact attention
-// backends (the scores reference vs the linear-scan oracle) on the ViT
-// patch-grid and long-document workload families: batch ns/op, allocated
-// bytes/op (the memory ceiling — linear scan must not materialize n×n),
-// streaming decode tokens/s, and the cross-backend ULP agreement, plus
-// the cheap-softmax-exponential ablation. -experiment serve -json writes
-// all five families into the serving snapshot, and -compare additionally
-// gates decode mean_batch, migration moves/s and resident bytes,
-// rebalance convergence, batched-mirror ns/token, and the exact family's
-// tokens/s, memory ceiling, and differential bound when both snapshots
-// carry those families.
+// micro-batch size, 1 vs 2 in-process replicas). The "decode" experiment
+// measures the continuous decode-batching loop (aggregate tokens/s and
+// mean coalesced batch size, per-query concurrent vs step waves, across
+// session counts); the "migrate" experiment measures portable session
+// state (resident bytes/session hot vs cold, whole-session moves/s over
+// the HTTP export/import path, rehydrate latency); the "autoscale"
+// experiment measures the closed autoscale loop (rebalance convergence
+// time and migrations toward a fresh joiner, plus batched shadow-mirror
+// replay ns/token); and the "exact" experiment measures the two exact
+// attention backends (the scores reference vs the linear-scan oracle) on
+// the ViT patch-grid and long-document workload families: batch ns/op,
+// allocated bytes/op (the memory ceiling — linear scan must not
+// materialize n×n), streaming decode tokens/s, and the cross-backend ULP
+// agreement, plus the cheap-softmax-exponential ablation. -experiment
+// serve -json writes all five serving families into the separate
+// BENCH_*_serving.json trajectory.
+//
+// -baseline gates a trajectory: -experiment bench against ns/op, and
+// -experiment serve against every serving family the two snapshots share
+// (ops/s, decode mean_batch, migration moves/s and resident bytes,
+// rebalance convergence, mirror ns/token, exact tokens/s). One keyed
+// comparator, driven by the table in gate.go, matches rows by their key
+// fields; the exact family's absolute checks (differential bound, memory
+// ceiling) run on the new snapshot alone. Without -compare the new side
+// is a fresh measurement; with it, a second committed snapshot. Exit
+// status 2 reports a regression beyond -maxregress.
 package main
 
 import (
@@ -103,77 +106,8 @@ func main() {
 		fatal(fmt.Errorf("-compare requires -baseline to compare against"))
 	}
 	if *baseline != "" {
-		if *experiment == "serve" {
-			// The serving-trajectory gate: ops/s keyed {replicas, concurrency}.
-			var rows []ServingRow
-			var err error
-			if *compare != "" {
-				// Two committed trajectory files: no measurement, just the gate.
-				rows, err = loadServingRows(*compare)
-			} else {
-				rows, err = servingRows(opt)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			if *jsonOut != "" && *compare == "" {
-				if err := writeJSONPayload(map[string]any{"serve": rows}, *jsonOut); err != nil {
-					fatal(err)
-				}
-			}
-			failed := false
-			if err := compareServingPerf(rows, *baseline, *maxRegress); err != nil {
-				fmt.Fprintln(os.Stderr, "elsabench:", err)
-				failed = true
-			}
-			// The decode mean_batch and migration gates read their families
-			// out of both committed snapshots, so they only apply in
-			// -compare mode; a fresh measurement keeps the ops/s-only gate.
-			if *compare != "" {
-				if err := compareDecodePerf(*compare, *baseline, *maxRegress); err != nil {
-					fmt.Fprintln(os.Stderr, "elsabench:", err)
-					failed = true
-				}
-				if err := compareMigratePerf(*compare, *baseline, *maxRegress); err != nil {
-					fmt.Fprintln(os.Stderr, "elsabench:", err)
-					failed = true
-				}
-				if err := compareAutoscalePerf(*compare, *baseline, *maxRegress); err != nil {
-					fmt.Fprintln(os.Stderr, "elsabench:", err)
-					failed = true
-				}
-				if err := compareExactPerf(*compare, *baseline, *maxRegress); err != nil {
-					fmt.Fprintln(os.Stderr, "elsabench:", err)
-					failed = true
-				}
-			}
-			if failed {
-				os.Exit(2)
-			}
-			return
-		}
-		if *experiment != "bench" && *experiment != "all" {
-			fatal(fmt.Errorf("-baseline requires -experiment bench or serve"))
-		}
-		var rows []BenchRow
-		var err error
-		if *compare != "" {
-			// Two committed trajectory files: no measurement, just the gate.
-			rows, err = loadBenchRows(*compare)
-		} else {
-			rows, err = benchRows(opt)
-		}
-		if err != nil {
+		if err := runGate(*experiment, opt, *baseline, *compare, *jsonOut, *maxRegress); err != nil {
 			fatal(err)
-		}
-		if *jsonOut != "" && *compare == "" {
-			if err := writeJSONPayload(map[string]any{"bench": rows}, *jsonOut); err != nil {
-				fatal(err)
-			}
-		}
-		if err := comparePerf(rows, *baseline, *maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "elsabench:", err)
-			os.Exit(2)
 		}
 		return
 	}

@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"time"
 
@@ -196,77 +194,6 @@ func sameVec(a, b []float32) bool {
 		}
 	}
 	return true
-}
-
-// loadMigrateRows reads the "migrate" family from a committed serving
-// snapshot. Snapshots from before portable session state simply lack
-// the key; that is not an error — the caller skips the comparison.
-func loadMigrateRows(path string) ([]MigrateRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload servingSnapshot
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return payload.Migrate, nil
-}
-
-// compareMigratePerf gates the migration trajectory: for every operating
-// point — keyed by {tokens, cold_watermark} — present in both committed
-// snapshots, migrations/s must not have dropped by more than maxRegress,
-// and resident bytes/session must not have grown by more than the same
-// margin. Snapshots without migrate rows skip the gate.
-func compareMigratePerf(newPath, baselinePath string, maxRegress float64) error {
-	rows, err := loadMigrateRows(newPath)
-	if err != nil {
-		return err
-	}
-	base, err := loadMigrateRows(baselinePath)
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 || len(base) == 0 {
-		fmt.Printf("migrate rows absent from %s or %s; skipping migration gate\n", newPath, baselinePath)
-		return nil
-	}
-	type point struct {
-		Tokens    int
-		Watermark int
-	}
-	old := make(map[point]MigrateRow, len(base))
-	for _, r := range base {
-		old[point{r.Tokens, r.ColdWatermark}] = r
-	}
-	var regressions []string
-	for _, r := range rows {
-		prev, ok := old[point{r.Tokens, r.ColdWatermark}]
-		if !ok || prev.MigrationsPerSec <= 0 {
-			continue
-		}
-		ratio := r.MigrationsPerSec / prev.MigrationsPerSec
-		fmt.Printf("migrate tokens=%-5d watermark=%-4d: %7.1f moves/s vs baseline %7.1f (%.2fx), resident %s vs %s\n",
-			r.Tokens, r.ColdWatermark, r.MigrationsPerSec, prev.MigrationsPerSec, ratio,
-			kib(r.ResidentBytes), kib(prev.ResidentBytes))
-		if ratio < 1-maxRegress {
-			regressions = append(regressions,
-				fmt.Sprintf("tokens=%d watermark=%d: %.1f -> %.1f moves/s (-%.0f%%)",
-					r.Tokens, r.ColdWatermark, prev.MigrationsPerSec, r.MigrationsPerSec, 100*(1-ratio)))
-		}
-		if prev.ResidentBytes > 0 && float64(r.ResidentBytes) > float64(prev.ResidentBytes)*(1+maxRegress) {
-			regressions = append(regressions,
-				fmt.Sprintf("tokens=%d watermark=%d: resident bytes/session %s -> %s (+%.0f%%)",
-					r.Tokens, r.ColdWatermark, kib(prev.ResidentBytes), kib(r.ResidentBytes),
-					100*(float64(r.ResidentBytes)/float64(prev.ResidentBytes)-1)))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("migration perf regressed >%.0f%% vs %s:\n  %s",
-			100*maxRegress, baselinePath, joinLines(regressions))
-	}
-	fmt.Printf("migration OK: no operating point regressed >%.0f%% vs %s\n", 100*maxRegress, baselinePath)
-	return nil
 }
 
 // kib renders a byte count as KiB with one decimal.

@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -141,63 +139,6 @@ func servingRows(opt experiments.Options) ([]ServingRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// loadServingRows reads a previously written -json serving file (the
-// {"serve": [...]} shape emitJSON produces for -experiment serve).
-func loadServingRows(path string) ([]ServingRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload struct {
-		Serve []ServingRow `json:"serve"`
-	}
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(payload.Serve) == 0 {
-		return nil, fmt.Errorf("%s holds no serving rows", path)
-	}
-	return payload.Serve, nil
-}
-
-// compareServingPerf checks measured serving rows against a committed
-// BENCH_*_serving.json baseline and returns an error listing every
-// operating point — keyed by {replicas, concurrency} — whose throughput
-// dropped by more than maxRegress (e.g. 0.15 = 15% fewer ops/s). Points
-// present in only one file are skipped, mirroring the bench-row gate.
-func compareServingPerf(rows []ServingRow, baselinePath string, maxRegress float64) error {
-	base, err := loadServingRows(baselinePath)
-	if err != nil {
-		return err
-	}
-	type point struct{ Replicas, Concurrency int }
-	old := make(map[point]float64, len(base))
-	for _, r := range base {
-		old[point{r.Replicas, r.Concurrency}] = r.OpsPerSec
-	}
-	var regressions []string
-	for _, r := range rows {
-		prev, ok := old[point{r.Replicas, r.Concurrency}]
-		if !ok || prev <= 0 {
-			continue
-		}
-		ratio := r.OpsPerSec / prev
-		fmt.Printf("serve replicas=%d conc=%-3d: %9.0f ops/s vs baseline %9.0f (%.2fx)\n",
-			r.Replicas, r.Concurrency, r.OpsPerSec, prev, ratio)
-		if ratio < 1-maxRegress {
-			regressions = append(regressions,
-				fmt.Sprintf("replicas=%d concurrency=%d: %.0f -> %.0f ops/s (-%.0f%%)",
-					r.Replicas, r.Concurrency, prev, r.OpsPerSec, 100*(1-ratio)))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("serving throughput dropped >%.0f%% vs %s:\n  %s",
-			100*maxRegress, baselinePath, joinLines(regressions))
-	}
-	fmt.Printf("serving perf OK: no operating point dropped >%.0f%% vs %s\n", 100*maxRegress, baselinePath)
-	return nil
 }
 
 // percentile reads the q-quantile from an ascending-sorted sample.

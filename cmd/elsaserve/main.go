@@ -20,8 +20,8 @@
 //	          [-worker-fail-limit 3] [-dispatch-retries 2]
 //	          [-join http://frontend:8080 -advertise host:port]
 //	          [-heartbeat-interval 5s] [-weight 1] [-drain-timeout 1m]
-//	          [-autoscale] [-autoscale-interval 2s] [-compat-legacy]
-//	          [-sync-mirror] [-exact-backend scores|linear-scan]
+//	          [-autoscale] [-autoscale-interval 2s]
+//	          [-exact-backend scores|linear-scan]
 //
 // Cross-host sharding: `-workers host:port,...` makes this server a fleet
 // frontend — micro-batch ops route to the listed elsaserve workers
@@ -60,10 +60,9 @@
 // capacity is outside the process. Run `elsactl` as a sidecar instead
 // when the controller should survive frontend restarts.
 //
-// Envelope sunset: bare pre-envelope POST bodies are rejected with a 400
-// migration hint by default. `-compat-legacy` restores them during
-// migration; the flag is deprecated from day one and will be removed two
-// releases after its introduction (see README).
+// Request envelope: every POST body is the v1 envelope {"op": <payload>}
+// (plus optional client_id / priority / deadline_ms); a bare payload is
+// rejected with a 400 hint to wrap it.
 //
 // Endpoints:
 //
@@ -137,8 +136,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat-interval", 5*time.Second, "re-join cadence when joined via -join (floor 1s)")
 	weight := flag.Int("weight", 1, "this worker's share of session keyspace on the frontend's hash ring")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", time.Minute, "force-expire sessions still pinned this long after POST /v1/drain (negative waits forever)")
-	flag.BoolVar(&cfg.CompatLegacy, "compat-legacy", false, "accept deprecated bare (pre-envelope) POST bodies; to be removed two releases after 0.9")
-	flag.BoolVar(&cfg.SyncMirror, "sync-mirror", false, "replay session shadow-mirror appends inline on the request path instead of batched/async")
 	flag.StringVar(&cfg.ExactBackend, "exact-backend", "", "default backend for exact ops (p=0) that don't pin one: 'scores' or 'linear-scan' (empty = scores pipeline)")
 	autoscaleOn := flag.Bool("autoscale", false, "run the autoscale controller in-process: drain idle members, rebalance toward joiners, log scale-out advice")
 	autoscaleInterval := flag.Duration("autoscale-interval", 2*time.Second, "in-process autoscale polling cadence")

@@ -16,8 +16,7 @@ type Class int
 
 const (
 	// ClassInteractive is latency-sensitive traffic; it is also the
-	// default when a request names no class, so pre-envelope payloads
-	// keep their historical behaviour.
+	// default when a request names no class.
 	ClassInteractive Class = iota
 	// ClassBatch is throughput-oriented offline traffic.
 	ClassBatch
@@ -43,7 +42,7 @@ func (c Class) String() string {
 }
 
 // parseClass maps the envelope's priority field (or header) onto a
-// Class. Empty selects interactive — the pre-envelope default.
+// Class. Empty selects interactive, the default class.
 func parseClass(s string) (Class, error) {
 	switch s {
 	case "", "interactive":

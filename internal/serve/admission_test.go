@@ -17,64 +17,6 @@ import (
 	"elsa/serve/client"
 )
 
-// TestEnvelopeAndLegacyPayloadsMatch verifies the v1 envelope and a bare
-// pre-envelope payload produce byte-identical responses on a server with
-// legacy compat enabled: the envelope is pure metadata around the same
-// op. (Without -compat-legacy the bare form is rejected outright; see
-// envelope_compat_test.go.)
-func TestEnvelopeAndLegacyPayloadsMatch(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond, CompatLegacy: true})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	rng := rand.New(rand.NewSource(testSeed))
-	q, k, v := genOp(rng, 4, 8)
-	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
-
-	bareBody, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyResp, err := ts.Client().Post(ts.URL+"/v1/attend", "application/json", bytes.NewReader(bareBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacyBuf bytes.Buffer
-	if _, err := legacyBuf.ReadFrom(legacyResp.Body); err != nil {
-		t.Fatal(err)
-	}
-	legacyResp.Body.Close()
-	legacyBody := legacyBuf.Bytes()
-	if legacyResp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy payload: %d: %s", legacyResp.StatusCode, legacyBody)
-	}
-
-	op, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := json.Marshal(Envelope{ClientID: "tester", Priority: "interactive", Op: op})
-	if err != nil {
-		t.Fatal(err)
-	}
-	envResp, err := ts.Client().Post(ts.URL+"/v1/attend", "application/json", bytes.NewReader(env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer envResp.Body.Close()
-	var envBody bytes.Buffer
-	if _, err := envBody.ReadFrom(envResp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if envResp.StatusCode != http.StatusOK {
-		t.Fatalf("enveloped payload: %d: %s", envResp.StatusCode, envBody.String())
-	}
-	if !bytes.Equal(legacyBody, envBody.Bytes()) {
-		t.Errorf("envelope changed the response:\nlegacy: %s\nenvelope: %s", legacyBody, envBody.String())
-	}
-}
-
 // TestBadPriorityRejected verifies an unknown priority class is a 400,
 // not a silent default.
 func TestBadPriorityRejected(t *testing.T) {
@@ -303,9 +245,8 @@ func TestWeightedDequeueDefersBackground(t *testing.T) {
 // follow-up requests carry no client_id themselves.
 func TestSessionsInheritCreatorQuota(t *testing.T) {
 	srv := New(Config{
-		QuotaRPS:     0.001, // effectively no refill within the test
-		QuotaBurst:   3,
-		CompatLegacy: true, // the bare appends below are the legacy path under test
+		QuotaRPS:   0.001, // effectively no refill within the test
+		QuotaBurst: 3,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -333,12 +274,16 @@ func TestSessionsInheritCreatorQuota(t *testing.T) {
 
 	key := make([]float32, testDim)
 	key[0] = 1
-	appendBody, err := json.Marshal(SessionAppendRequest{Key: key, Value: key})
+	op, err := json.Marshal(SessionAppendRequest{Key: key, Value: key})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Burst 3: create consumed 1, so two bare appends pass and the third
-	// must be shed against the creator's bucket.
+	appendBody, err := json.Marshal(Envelope{Op: op})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Burst 3: create consumed 1, so two appends without a client_id pass
+	// and the third must be shed against the creator's bucket.
 	codes := make([]int, 3)
 	for i := range codes {
 		resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+created.ID+"/append",

@@ -12,11 +12,8 @@ import (
 
 // Envelope is the versioned v1 request envelope shared by every POST
 // endpoint: admission metadata (who is asking, at what priority, with how
-// much latency budget) wraps the op payload in `op`. Bare pre-envelope
-// payloads — bodies without an `op` key — are sunset: they answer 400
-// with a migration hint unless the server runs with Config.CompatLegacy
-// (elsaserve -compat-legacy), in which case they behave exactly as
-// before: anonymous client, interactive priority, no deadline.
+// much latency budget) wraps the op payload in `op`. A body without an
+// `op` key answers 400 with a hint to wrap it.
 type Envelope struct {
 	// ClientID keys the per-client quota bucket. Empty means anonymous;
 	// all anonymous requests share one bucket, so naming yourself is how
@@ -43,17 +40,15 @@ type requestMeta struct {
 	deadline time.Duration // remaining budget; 0 = none
 }
 
-// legacyEnvelopeHint is the 400 body a bare pre-envelope payload earns
-// now that the legacy format is sunset. It names both the fix and the
-// escape hatch so old clients can self-serve the migration.
-const legacyEnvelopeHint = `bare legacy payload rejected: wrap the request body in the v1 envelope {"op": <payload>} (optionally with client_id / priority / deadline_ms); run elsaserve with -compat-legacy to restore the deprecated bare format during migration`
+// bareBodyHint is the 400 body a payload sent without the v1 envelope
+// earns: it names the fix so old clients can self-serve the migration.
+const bareBodyHint = `bare payload rejected: wrap the request body in the v1 envelope {"op": <payload>} (optionally with client_id / priority / deadline_ms)`
 
-// decodeEnvelope decodes a size-bounded request body into payload and
-// resolves the admission metadata (falling back to the X-Elsa-Client /
-// X-Elsa-Priority headers). Only the v1 envelope is accepted unless
-// legacyOK (Config.CompatLegacy) also admits bare pre-envelope payloads.
-// It answers 400 itself on failure.
-func decodeEnvelope(w http.ResponseWriter, r *http.Request, maxBytes int64, legacyOK bool, payload any) (requestMeta, bool) {
+// decodeEnvelope decodes a size-bounded v1 envelope body, its op into
+// payload, and resolves the admission metadata (falling back to the
+// X-Elsa-Client / X-Elsa-Priority headers). It answers 400 itself on
+// failure.
+func decodeEnvelope(w http.ResponseWriter, r *http.Request, maxBytes int64, payload any) (requestMeta, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
@@ -61,21 +56,14 @@ func decodeEnvelope(w http.ResponseWriter, r *http.Request, maxBytes int64, lega
 	}
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		if !legacyOK {
-			fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-			return requestMeta{}, false
-		}
-		env = Envelope{}
+		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		return requestMeta{}, false
 	}
-	raw := env.Op
-	if raw == nil {
-		if !legacyOK {
-			fail(w, http.StatusBadRequest, legacyEnvelopeHint)
-			return requestMeta{}, false
-		}
-		raw = body
+	if env.Op == nil {
+		fail(w, http.StatusBadRequest, bareBodyHint)
+		return requestMeta{}, false
 	}
-	if err := json.Unmarshal(raw, payload); err != nil {
+	if err := json.Unmarshal(env.Op, payload); err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false
 	}
@@ -389,27 +377,9 @@ type JoinResponse struct {
 }
 
 // ClusterSchemaVersion is the current GET /v1/cluster schema version.
-// Version 1 introduced the explicit `signals` and `targets` blocks; the
-// legacy top-level `members` / `queue_depth_by_class` / `sheds_by_class`
-// fields are still emitted for pre-v1 clients but are deprecated and
-// leave with the -compat-legacy envelope flag.
+// Version 1 introduced the explicit `signals` and `targets` blocks, which
+// are the whole reply.
 const ClusterSchemaVersion = 1
-
-// ClusterMemberJSON is one member in the legacy GET /v1/cluster
-// `members` listing (deprecated in favor of ClusterTargetJSON).
-type ClusterMemberJSON struct {
-	Addr        string `json:"addr"`
-	State       string `json:"state"`
-	Static      bool   `json:"static,omitempty"`
-	Weight      int    `json:"weight,omitempty"`
-	MaxSessions int    `json:"max_sessions,omitempty"`
-	// HeartbeatAgeMS is how long ago the member last joined or
-	// heartbeated; -1 when it never has (static seeds before any probe).
-	HeartbeatAgeMS int64 `json:"heartbeat_age_ms"`
-	// PinnedSessions counts live sessions this frontend holds pinned to
-	// the member — the number an operator watches drain to zero.
-	PinnedSessions int `json:"pinned_sessions"`
-}
 
 // ClusterSignalsJSON is the GET /v1/cluster `signals` block: the
 // frontend-wide load signals an autoscale controller acts on, in one
@@ -457,7 +427,6 @@ type ClusterTargetJSON struct {
 // view driving elsactl and the serve/client typed accessors.
 type ClusterResponse struct {
 	// SchemaVersion identifies this schema (ClusterSchemaVersion).
-	// Clients must treat an absent/zero value as the pre-v1 legacy shape.
 	SchemaVersion int `json:"schema_version"`
 	// Version is the membership table version (bumps on every change).
 	Version uint64 `json:"version"`
@@ -465,13 +434,6 @@ type ClusterResponse struct {
 	// per-member placement state.
 	Signals ClusterSignalsJSON  `json:"signals"`
 	Targets []ClusterTargetJSON `json:"targets"`
-
-	// Members, QueueDepthByClass, and ShedsByClass are the deprecated
-	// pre-v1 fields, still emitted for old clients; they duplicate
-	// Targets and Signals and will be removed with -compat-legacy.
-	Members           []ClusterMemberJSON `json:"members"`
-	QueueDepthByClass map[string]int64    `json:"queue_depth_by_class,omitempty"`
-	ShedsByClass      map[string]int64    `json:"sheds_by_class,omitempty"`
 }
 
 // ClusterRebalanceRequest is the POST /v1/cluster/rebalance body: migrate

@@ -11,20 +11,29 @@ import (
 )
 
 // decodeFixture holds one registry-level session with a deterministic
-// per-session operating point and prefix, mirrored across two servers so
-// their decode trajectories can be compared step for step.
+// per-session operating point and prefix, plus a plain elsa.Stream
+// reference built from the same options and appends, so the server's
+// decode trajectory can be compared step for step against the library.
 type decodeFixture struct {
 	id  string
 	p   float64
 	t   *float64
 	rng *rand.Rand
+
+	ref *elsa.Stream
+	eng *elsa.Engine
+	// thr is the reference's resolved operating point; calibrated is false
+	// until the first query calibrates a lazy p over the prefix.
+	thr        elsa.Threshold
+	calibrated bool
 }
 
 // buildDecodeSessions creates n sessions on srv with a spread of
 // operating points: explicitly pinned thresholds, p values that
 // calibrate lazily over each session's own prefix (unique per session so
 // the threshold registry's dedup cannot couple them), and p = 0 exact.
-// Each session gets a deterministic prefix seeded by its index.
+// Each session gets a deterministic prefix seeded by its index, appended
+// to both the session and its reference stream.
 func buildDecodeSessions(t *testing.T, srv *Server, opts elsa.Options, n, prefix int) []*decodeFixture {
 	t.Helper()
 	set, err := srv.pool.get(opts)
@@ -39,20 +48,29 @@ func buildDecodeSessions(t *testing.T, srv *Server, opts elsa.Options, n, prefix
 		case 0: // pinned threshold, varying per session
 			tv := 0.3 + 0.07*float64(i)
 			f.t, f.p = &tv, 1
+			f.thr, f.calibrated = elsa.Threshold{P: f.p, T: tv}, true
 		case 1: // lazily calibrated p, unique per session
 			f.p = 0.5 + 0.25*float64(i)
 		default: // exact
 			f.p = 0
+			f.thr, f.calibrated = elsa.Exact(), true
 		}
 		sess, err := srv.sessions.create(ctx, set, opts, f.p, f.t, "", prefix, requestMeta{})
 		if err != nil {
 			t.Fatalf("session %d create: %v", i, err)
 		}
 		f.id = sess.id
+		if f.eng, err = elsa.New(opts); err != nil {
+			t.Fatalf("reference engine: %v", err)
+		}
+		f.ref = f.eng.NewStream(prefix)
 		keys := make([][]float32, prefix)
 		vals := make([][]float32, prefix)
 		for j := range keys {
 			keys[j], vals[j] = genVec(f.rng), genVec(f.rng)
+			if err := f.ref.Append(keys[j], vals[j]); err != nil {
+				t.Fatalf("session %d reference append: %v", i, err)
+			}
 		}
 		if _, err := srv.sessions.append(ctx, f.id, keys, vals); err != nil {
 			t.Fatalf("session %d append: %v", i, err)
@@ -62,12 +80,28 @@ func buildDecodeSessions(t *testing.T, srv *Server, opts elsa.Options, n, prefix
 	return fixtures
 }
 
+// query answers one decode step on the reference stream the way a
+// session does: a lazy p calibrates once over the prefix so far, then
+// the query runs QueryOverrides against the pinned operating point.
+func (f *decodeFixture) query(q []float32, ov elsa.Overrides) ([]float32, elsa.StreamStats, error) {
+	if !f.calibrated && ov.Thr == nil {
+		keys := f.ref.Keys()
+		thr, err := f.eng.Calibrate(f.p, []elsa.Sample{{Q: keys, K: keys}})
+		if err != nil {
+			return nil, elsa.StreamStats{}, err
+		}
+		f.thr, f.calibrated = thr, true
+	}
+	return f.ref.QueryOverrides(nil, q, ov, f.thr)
+}
+
 // TestDecodeContinuousMatchesSerial pins the tentpole fidelity contract:
 // N sessions with different pinned thresholds and p values, decoded
 // concurrently through the continuous decode loop, must produce
-// bit-identical context vectors to the same sessions decoded one at a
-// time through the serialized path. Run under -race this also exercises
-// the submit/complete handoff against concurrent appends-after-query.
+// bit-identical context vectors and equal stream stats to one plain
+// elsa.Stream per session queried serially through the library. Run
+// under -race this also exercises the submit/complete handoff against
+// concurrent appends-after-query.
 func TestDecodeContinuousMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -80,18 +114,16 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 			opts := normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed, Quantized: tc.quantized}, testDim)
 			batched := New(Config{Replicas: 2})
 			defer batched.Close()
-			serial := New(Config{Replicas: 2, SerialDecode: true})
-			defer serial.Close()
 
 			const sessions, prefix, steps = 8, 24, 10
 			bf := buildDecodeSessions(t, batched, opts, sessions, prefix)
-			sf := buildDecodeSessions(t, serial, opts, sessions, prefix)
 
 			ctx := context.Background()
 			override := 0.85
 			for step := 0; step < steps; step++ {
 				// One query per session per step, pre-generated so the
-				// concurrent and serial drivers consume identical inputs.
+				// concurrent driver and the reference consume identical
+				// inputs.
 				qs := make([][]float32, sessions)
 				ovs := make([]elsa.Overrides, sessions)
 				for i, f := range bf {
@@ -121,30 +153,30 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 					t.FailNow()
 				}
 
-				for i := range sf {
-					want, wantStats, _, _, bs, err := serial.sessions.query(ctx, sf[i].id, qs[i], ovs[i], time.Time{})
+				for i, f := range bf {
+					want, wantStats, err := f.query(qs[i], ovs[i])
 					if err != nil {
-						t.Fatalf("step %d session %d serial query: %v", step, i, err)
-					}
-					if bs != 1 {
-						t.Fatalf("serialized path reported batch size %d, want 1", bs)
+						t.Fatalf("step %d session %d reference query: %v", step, i, err)
 					}
 					if gotStats[i] != wantStats {
-						t.Fatalf("step %d session %d: stats %+v batched, %+v serial", step, i, gotStats[i], wantStats)
+						t.Fatalf("step %d session %d: stats %+v batched, %+v reference", step, i, gotStats[i], wantStats)
+					}
+					if len(got[i]) != len(want) {
+						t.Fatalf("step %d session %d: context length %d batched, %d reference", step, i, len(got[i]), len(want))
 					}
 					for j := range want {
 						if got[i][j] != want[j] {
-							t.Fatalf("step %d session %d: context[%d] = %v batched, %v serial (not bit-identical)",
+							t.Fatalf("step %d session %d: context[%d] = %v batched, %v reference (not bit-identical)",
 								step, i, j, got[i][j], want[j])
 						}
 					}
 					// Feed the step's context back as the next token on both
 					// sides, so any divergence compounds and cannot hide.
-					if _, err := batched.sessions.append(ctx, bf[i].id, [][]float32{got[i]}, [][]float32{got[i]}); err != nil {
+					if _, err := batched.sessions.append(ctx, f.id, [][]float32{got[i]}, [][]float32{got[i]}); err != nil {
 						t.Fatalf("batched feedback append: %v", err)
 					}
-					if _, err := serial.sessions.append(ctx, sf[i].id, [][]float32{want}, [][]float32{want}); err != nil {
-						t.Fatalf("serial feedback append: %v", err)
+					if err := f.ref.Append(want, want); err != nil {
+						t.Fatalf("reference feedback append: %v", err)
 					}
 				}
 			}
@@ -157,9 +189,6 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 			}
 			if b := batched.Metrics().DecodeBatches(); b == 0 {
 				t.Errorf("no decode batches recorded")
-			}
-			if c := serial.Metrics().DecodeCoalesced(); c != 0 {
-				t.Errorf("serialized server reported %d coalesced queries, want 0", c)
 			}
 		})
 	}

@@ -12,27 +12,22 @@ import (
 )
 
 // The golden bodies below are pinned literals, not round-tripped through
-// json.Marshal: the bare pre-envelope wire format is a compatibility
-// contract with deployed clients, and these tests exist to break loudly if
-// a field rename or type change on any POST payload would strand them.
-//
-// Since the envelope sunset, the bare format is opt-in: the golden
-// behavior now carries a compat switch. With legacy compat on (the
-// -compat-legacy elsaserve flag), the bare bodies must decode exactly as
-// they always did; with it off (the default), they must be rejected with
-// a 400 that tells the client how to migrate.
+// json.Marshal: the op payload wire format is a compatibility contract
+// with deployed clients, and these tests exist to break loudly if a field
+// rename or type change on any POST payload would strand them. Every
+// payload travels inside the v1 envelope {"op": <payload>}; a bare body
+// is rejected with a 400 that tells the client how to wrap it.
 
 // decodeVia runs one body through decodeEnvelope exactly as the handlers
-// do — legacy honours the CompatLegacy switch — and returns the resolved
-// meta. payload must be a pointer.
-func decodeVia(t *testing.T, body string, headers map[string]string, legacy bool, payload any) requestMeta {
+// do and returns the resolved meta. payload must be a pointer.
+func decodeVia(t *testing.T, body string, headers map[string]string, payload any) requestMeta {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/v1/test", strings.NewReader(body))
 	for k, v := range headers {
 		r.Header.Set(k, v)
 	}
 	w := httptest.NewRecorder()
-	meta, ok := decodeEnvelope(w, r, 1<<20, legacy, payload)
+	meta, ok := decodeEnvelope(w, r, 1<<20, payload)
 	if !ok {
 		t.Fatalf("decodeEnvelope rejected %q: %s", body, w.Body.String())
 	}
@@ -41,11 +36,11 @@ func decodeVia(t *testing.T, body string, headers map[string]string, legacy bool
 
 // rejectVia runs one body through decodeEnvelope expecting rejection and
 // returns the error body written.
-func rejectVia(t *testing.T, body string, legacy bool, payload any) string {
+func rejectVia(t *testing.T, body string, payload any) string {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/v1/test", strings.NewReader(body))
 	w := httptest.NewRecorder()
-	if _, ok := decodeEnvelope(w, r, 1<<20, legacy, payload); ok {
+	if _, ok := decodeEnvelope(w, r, 1<<20, payload); ok {
 		t.Fatalf("decodeEnvelope accepted %q, want rejection", body)
 	}
 	if w.Code != 400 {
@@ -56,7 +51,7 @@ func rejectVia(t *testing.T, body string, legacy bool, payload any) string {
 
 var envelopeGolden = []struct {
 	name    string
-	bare    string // pinned legacy golden body
+	bare    string // pinned golden payload body
 	payload func() any
 }{
 	{
@@ -91,51 +86,52 @@ var envelopeGolden = []struct {
 	},
 }
 
-// TestEnvelopeBareCompat pins, for every POST endpoint payload, that with
-// legacy compat ON a bare legacy body and the same payload wrapped in a
-// v1 envelope decode to deeply equal structs — and that the bare form
-// resolves to the legacy admission defaults (anonymous client,
-// interactive class, no deadline).
+// TestEnvelopeBareCompat pins, for every POST endpoint payload, that the
+// golden body wrapped as an envelope's op decodes deeply equal to
+// json.Unmarshal of the golden literal itself — the envelope adds
+// metadata and nothing else — and that the envelope's admission fields
+// resolve.
 func TestEnvelopeBareCompat(t *testing.T) {
 	for _, tc := range envelopeGolden {
 		t.Run(tc.name, func(t *testing.T) {
-			bare := tc.payload()
-			meta := decodeVia(t, tc.bare, nil, true, bare)
-			if meta.clientID != "" || meta.class != ClassInteractive || meta.deadline != 0 {
-				t.Errorf("bare body must resolve to legacy defaults, got %+v", meta)
+			want := tc.payload()
+			if err := json.Unmarshal([]byte(tc.bare), want); err != nil {
+				t.Fatalf("golden body does not parse: %v", err)
 			}
 
 			wrapped := tc.payload()
 			envBody := fmt.Sprintf(`{"client_id":"tenant-a","priority":"batch","deadline_ms":250,"op":%s}`, tc.bare)
-			emeta := decodeVia(t, envBody, nil, true, wrapped)
-			if !reflect.DeepEqual(bare, wrapped) {
-				t.Errorf("enveloped op decoded differently from bare body:\nbare:    %+v\nwrapped: %+v", bare, wrapped)
+			meta := decodeVia(t, envBody, nil, wrapped)
+			if !reflect.DeepEqual(want, wrapped) {
+				t.Errorf("enveloped op decoded differently from the golden body:\ngolden:  %+v\nwrapped: %+v", want, wrapped)
 			}
-			if emeta.clientID != "tenant-a" || emeta.class != ClassBatch || emeta.deadline != 250*time.Millisecond {
-				t.Errorf("envelope meta not resolved: %+v", emeta)
+			if meta.clientID != "tenant-a" || meta.class != ClassBatch || meta.deadline != 250*time.Millisecond {
+				t.Errorf("envelope meta not resolved: %+v", meta)
 			}
 		})
 	}
 }
 
-// TestEnvelopeBareSunset pins the flag-off half of the contract: every
-// golden bare body is rejected with a 400 carrying the migration hint,
-// while the same payload in a v1 envelope still decodes identically.
+// TestEnvelopeBareSunset pins the rejection half of the contract: every
+// golden body sent bare is rejected with a 400 carrying the wrap hint,
+// while the same payload in a minimal v1 envelope decodes under the
+// default admission metadata (anonymous, interactive, no deadline).
 func TestEnvelopeBareSunset(t *testing.T) {
 	for _, tc := range envelopeGolden {
 		t.Run(tc.name, func(t *testing.T) {
-			errBody := rejectVia(t, tc.bare, false, tc.payload())
-			if !strings.Contains(errBody, "-compat-legacy") || !strings.Contains(errBody, "envelope") {
-				t.Errorf("bare rejection must carry the migration hint, got %s", errBody)
+			errBody := rejectVia(t, tc.bare, tc.payload())
+			if !strings.Contains(errBody, "wrap the request body") || !strings.Contains(errBody, "envelope") {
+				t.Errorf("bare rejection must carry the wrap hint, got %s", errBody)
 			}
 
-			viaCompat := tc.payload()
-			decodeVia(t, tc.bare, nil, true, viaCompat)
+			want := tc.payload()
+			if err := json.Unmarshal([]byte(tc.bare), want); err != nil {
+				t.Fatalf("golden body does not parse: %v", err)
+			}
 			wrapped := tc.payload()
-			envBody := fmt.Sprintf(`{"op":%s}`, tc.bare)
-			meta := decodeVia(t, envBody, nil, false, wrapped)
-			if !reflect.DeepEqual(viaCompat, wrapped) {
-				t.Errorf("enveloped decode drifted from the golden bare decode:\ncompat:  %+v\nwrapped: %+v", viaCompat, wrapped)
+			meta := decodeVia(t, fmt.Sprintf(`{"op":%s}`, tc.bare), nil, wrapped)
+			if !reflect.DeepEqual(want, wrapped) {
+				t.Errorf("enveloped decode drifted from the golden body:\ngolden:  %+v\nwrapped: %+v", want, wrapped)
 			}
 			if meta.clientID != "" || meta.class != ClassInteractive || meta.deadline != 0 {
 				t.Errorf("minimal envelope must resolve to defaults, got %+v", meta)
@@ -143,15 +139,11 @@ func TestEnvelopeBareSunset(t *testing.T) {
 		})
 	}
 
-	// Malformed JSON stays a plain parse error on both settings — the
-	// migration hint is only for well-formed bodies missing the envelope.
-	errBody := rejectVia(t, `{"q":`, false, &SessionQueryRequest{})
+	// Malformed JSON stays a plain parse error — the wrap hint is only for
+	// well-formed bodies missing the envelope.
+	errBody := rejectVia(t, `{"q":`, &SessionQueryRequest{})
 	if !strings.Contains(errBody, "invalid JSON body") {
 		t.Errorf("malformed body must be a parse error, got %s", errBody)
-	}
-	errBody = rejectVia(t, `{"q":`, true, &SessionQueryRequest{})
-	if !strings.Contains(errBody, "invalid JSON body") {
-		t.Errorf("malformed body must be a parse error under compat, got %s", errBody)
 	}
 }
 
@@ -161,35 +153,36 @@ func TestEnvelopeHeaderFallback(t *testing.T) {
 	headers := map[string]string{"X-Elsa-Client": "hdr-client", "X-Elsa-Priority": "background"}
 
 	var req SessionQueryRequest
-	meta := decodeVia(t, `{"q":[1,0]}`, headers, true, &req)
+	meta := decodeVia(t, `{"op":{"q":[1,0]}}`, headers, &req)
 	if meta.clientID != "hdr-client" || meta.class != ClassBackground {
-		t.Errorf("bare body must take headers: %+v", meta)
+		t.Errorf("envelope without metadata must take headers: %+v", meta)
 	}
 
-	meta = decodeVia(t, `{"client_id":"body-client","priority":"batch","op":{"q":[1,0]}}`, headers, false, &req)
+	meta = decodeVia(t, `{"client_id":"body-client","priority":"batch","op":{"q":[1,0]}}`, headers, &req)
 	if meta.clientID != "body-client" || meta.class != ClassBatch {
 		t.Errorf("envelope fields must win over headers: %+v", meta)
 	}
 
 	// Mixed: envelope names the client, header supplies the priority.
-	meta = decodeVia(t, `{"client_id":"body-client","op":{"q":[1,0]}}`, headers, false, &req)
+	meta = decodeVia(t, `{"client_id":"body-client","op":{"q":[1,0]}}`, headers, &req)
 	if meta.clientID != "body-client" || meta.class != ClassBackground {
 		t.Errorf("headers must fill unset envelope fields: %+v", meta)
 	}
 }
 
 // TestEnvelopeAttendByteIdentical runs the same exact (p=0) op through
-// /v1/attend bare and enveloped against one compat-enabled server: the
-// response bodies must match byte for byte, the end-to-end form of the
-// decode guarantee. Against a default (sunset) server, the bare body must
-// come back 400 with the migration hint while the enveloped one still
-// serves.
+// /v1/attend in a minimal envelope and in one carrying admission
+// metadata: the response bodies must match byte for byte, the end-to-end
+// form of the decode guarantee. The bare body must come back 400 with the
+// wrap hint.
 func TestEnvelopeAttendByteIdentical(t *testing.T) {
 	bare := []byte(`{"q":[[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]],` +
 		`"k":[[0.5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0.5],[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0]],` +
 		`"v":[[1,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[3,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0]],"seed":7}`)
-	env := append([]byte(`{"client_id":"golden","op":`), bare...)
-	env = append(env, '}')
+	wrap := func(prefix string) []byte {
+		env := append([]byte(prefix), bare...)
+		return append(env, '}')
+	}
 
 	doPost := func(t *testing.T, ts *httptest.Server, body []byte) (int, []byte) {
 		t.Helper()
@@ -205,32 +198,6 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 		return resp.StatusCode, buf.Bytes()
 	}
 
-	t.Run("compat on", func(t *testing.T) {
-		srv := New(Config{BatchWindow: time.Millisecond, CompatLegacy: true})
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-
-		code, bareResp := doPost(t, ts, bare)
-		if code != 200 {
-			t.Fatalf("bare status %d: %s", code, bareResp)
-		}
-		code, envResp := doPost(t, ts, env)
-		if code != 200 {
-			t.Fatalf("env status %d: %s", code, envResp)
-		}
-		if !bytes.Equal(bareResp, envResp) {
-			t.Errorf("bare and enveloped responses differ:\nbare: %s\nenv:  %s", bareResp, envResp)
-		}
-		var parsed AttendResponse
-		if err := json.Unmarshal(bareResp, &parsed); err != nil {
-			t.Fatalf("response is not an AttendResponse: %v", err)
-		}
-		if len(parsed.Context) != 1 {
-			t.Errorf("want 1 context row, got %d", len(parsed.Context))
-		}
-	})
-
 	t.Run("sunset default", func(t *testing.T) {
 		srv := New(Config{BatchWindow: time.Millisecond})
 		defer srv.Close()
@@ -239,14 +206,28 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 
 		code, body := doPost(t, ts, bare)
 		if code != 400 {
-			t.Fatalf("bare body on a sunset server: status %d (%s), want 400", code, body)
+			t.Fatalf("bare body: status %d (%s), want 400", code, body)
 		}
-		if !bytes.Contains(body, []byte("-compat-legacy")) {
-			t.Errorf("400 body must carry the migration hint, got %s", body)
+		if !bytes.Contains(body, []byte("envelope")) {
+			t.Errorf("400 body must carry the wrap hint, got %s", body)
 		}
-		code, envResp := doPost(t, ts, env)
+		code, minResp := doPost(t, ts, wrap(`{"op":`))
 		if code != 200 {
-			t.Fatalf("enveloped op on a sunset server: status %d (%s), want 200", code, envResp)
+			t.Fatalf("minimal envelope: status %d (%s), want 200", code, minResp)
+		}
+		code, metaResp := doPost(t, ts, wrap(`{"client_id":"golden","priority":"interactive","op":`))
+		if code != 200 {
+			t.Fatalf("envelope with metadata: status %d (%s), want 200", code, metaResp)
+		}
+		if !bytes.Equal(minResp, metaResp) {
+			t.Errorf("envelope metadata changed the response:\nminimal:  %s\nmetadata: %s", minResp, metaResp)
+		}
+		var parsed AttendResponse
+		if err := json.Unmarshal(minResp, &parsed); err != nil {
+			t.Fatalf("response is not an AttendResponse: %v", err)
+		}
+		if len(parsed.Context) != 1 {
+			t.Errorf("want 1 context row, got %d", len(parsed.Context))
 		}
 	})
 }

@@ -39,12 +39,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 32 MiB).
 	MaxBodyBytes int64
-	// CompatLegacy re-admits bare pre-envelope POST bodies (deprecated
-	// since the envelope landed, now sunset by default): with it set, a
-	// body without an `op` key decodes as the payload itself under
-	// anonymous/interactive admission metadata, exactly as before.
-	// Default false — bare payloads answer 400 with a migration hint.
-	CompatLegacy bool
 
 	// Replicas is how many in-process engine replicas each pooled
 	// configuration runs — micro-batches for one configuration spread
@@ -68,11 +62,6 @@ type Config struct {
 	SessionTTL time.Duration
 	// MaxSessionTokens bounds one session's appended prefix (default 65536).
 	MaxSessionTokens int
-	// SerialDecode disables continuous decode batching: session queries
-	// attend inline under the session gate instead of coalescing on the
-	// per-replica decode loop. It exists as the baseline the decode
-	// benchmarks compare against; production leaves it false.
-	SerialDecode bool
 	// ExactBackend selects the server-wide default exact backend
 	// (elsa.BackendScores or elsa.BackendLinearScan) applied to exact
 	// operating points (p = 0, no pinned threshold) whose request leaves
@@ -136,13 +125,6 @@ type Config struct {
 	// sessions to finish before force-expiring the rest (default 60s;
 	// negative waits indefinitely).
 	DrainTimeout time.Duration
-
-	// SyncMirror replays shadow-mirror appends inline on the remote
-	// append path instead of batching them onto the registry's background
-	// flusher. The async default keeps the frontend's per-token mirror
-	// cost off the append critical path; sync mode is the deterministic
-	// baseline the mirror-cost benchmark compares against.
-	SyncMirror bool
 }
 
 func (c *Config) setDefaults() {
@@ -255,9 +237,7 @@ func New(cfg Config) *Server {
 	sessions := newSessionRegistry(cfg.MaxSessions, cfg.MaxSessionTokens, cfg.SessionTTL, thr, m)
 	sessions.place = cv.place
 	sessions.disp = disp
-	sessions.serial = cfg.SerialDecode
 	sessions.coldWatermark = cfg.ColdWatermark
-	sessions.syncMirror = cfg.SyncMirror
 	if cfg.SessionSpill > 0 && cfg.StateDir != "" {
 		sessions.spillAfter = cfg.SessionSpill
 		sessions.stateDir = cfg.StateDir
@@ -395,7 +375,7 @@ func (s *Server) handleAttend(w http.ResponseWriter, r *http.Request) {
 // request's priority class.
 func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Class) {
 	var req AttendRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req)
+	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return http.StatusBadRequest, "bad_request", ClassInteractive
 	}
@@ -476,7 +456,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req)
+	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -543,7 +523,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	var req SessionAppendRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
 	if !s.chargeSessionQuota(w, r.PathValue("id")) {
@@ -584,7 +564,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	var req SessionQueryRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req)
+	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -667,7 +647,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 // trip per decode wave instead of one per token.
 func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	var req SessionStepRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req)
+	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -785,7 +765,7 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 // import fails loudly instead of decoding garbage.
 func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	var req SessionImportRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req)
+	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -891,7 +871,7 @@ func (s *Server) mirrorLoop() {
 // — no frontend restart involved.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {
@@ -919,9 +899,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 // block (windowed load signals an autoscale controller acts on) and the
 // `targets` block (per-member placement state, including how many
 // sessions this frontend still holds pinned to each — the number an
-// operator watches reach zero during a drain). The legacy top-level
-// members/queue_depth_by_class/sheds_by_class fields are still emitted
-// for pre-v1 clients.
+// operator watches reach zero during a drain).
 func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 	version, members := s.cluster.table.Snapshot()
 	pinned := s.sessions.pinnedCounts()
@@ -930,14 +908,13 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 		SchemaVersion: ClusterSchemaVersion,
 		Version:       version,
 		Targets:       make([]ClusterTargetJSON, 0, len(members)),
-		Members:       make([]ClusterMemberJSON, 0, len(members)),
 	}
 	for _, m := range members {
 		age := int64(-1)
 		if !m.LastHeartbeat.IsZero() {
 			age = now.Sub(m.LastHeartbeat).Milliseconds()
 		}
-		t := ClusterTargetJSON{
+		resp.Targets = append(resp.Targets, ClusterTargetJSON{
 			Addr:           m.Addr,
 			State:          m.State.String(),
 			Static:         m.Static,
@@ -945,12 +922,9 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 			MaxSessions:    m.MaxSessions,
 			HeartbeatAgeMS: age,
 			PinnedSessions: pinned[m.Addr],
-		}
-		resp.Targets = append(resp.Targets, t)
-		resp.Members = append(resp.Members, ClusterMemberJSON(t))
+		})
 	}
 	sort.Slice(resp.Targets, func(i, j int) bool { return resp.Targets[i].Addr < resp.Targets[j].Addr })
-	sort.Slice(resp.Members, func(i, j int) bool { return resp.Members[i].Addr < resp.Members[j].Addr })
 	depths := s.metrics.QueueDepthsByClass()
 	var total int64
 	for _, n := range depths {
@@ -964,8 +938,6 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 		MeanBatch:         s.metrics.MeanBatchSize(),
 		MeanDecodeBatch:   s.metrics.MeanDecodeBatchSize(),
 	}
-	resp.QueueDepthByClass = depths
-	resp.ShedsByClass = resp.Signals.ShedsByClass
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -978,7 +950,7 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 // thrashing.
 func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) {
 	var req ClusterRebalanceRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {
@@ -1012,7 +984,7 @@ func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) 
 // background so the reply never waits on an unreachable worker.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	var req ClusterDrainRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {

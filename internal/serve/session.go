@@ -146,10 +146,8 @@ type sessionRegistry struct {
 	place func(set *replicaSet, key string) (*elsa.Engine, *worker)
 	// disp, when set (before serving), routes local decode queries through
 	// the continuous decode loop so concurrently-ready sessions coalesce
-	// into one batch. serial forces the pre-batching inline path — the
-	// baseline the decode benchmarks compare against.
-	disp   *dispatcher
-	serial bool
+	// into one batch; without it queries attend inline under the gate.
+	disp *dispatcher
 	// coldWatermark configures each session stream's hot/cold split (0
 	// keeps whole streams hot); spillAfter and stateDir, when both set,
 	// page sessions idle past spillAfter out to disk. All are fixed
@@ -157,11 +155,9 @@ type sessionRegistry struct {
 	coldWatermark int
 	spillAfter    time.Duration
 	stateDir      string
-	// syncMirror replays shadow-mirror appends inline on the append path
-	// (Config.SyncMirror — the benchmark baseline); the default batches
-	// them through mirrorc onto the server's background flusher.
-	syncMirror bool
-	mirrorc    chan *session
+	// mirrorc batches shadow-mirror appends onto the server's background
+	// flusher.
+	mirrorc chan *session
 
 	mu   sync.Mutex
 	byID map[string]*session
@@ -485,7 +481,7 @@ func (g *sessionRegistry) mirror(s *session, keys, values [][]float32) {
 	s.pendK = append(s.pendK, keys...)
 	s.pendV = append(s.pendV, values...)
 	g.metrics.AddMirrorPending(len(keys))
-	if g.syncMirror || len(s.pendK) >= mirrorPendingCap {
+	if len(s.pendK) >= mirrorPendingCap {
 		g.flushMirrorHeld(s)
 		return
 	}
@@ -600,8 +596,8 @@ func (g *sessionRegistry) queryHeld(ctx context.Context, s *session, dst []float
 	if err != nil {
 		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
 	}
-	if g.serial || g.disp == nil {
-		// The serialized baseline: attend inline while holding the gate.
+	if g.disp == nil {
+		// No decode loop: attend inline while holding the gate.
 		ov.Backend = backend
 		out, stats, err := s.stream.QueryOverrides(dst, q, ov, s.thr)
 		if err != nil {
@@ -1191,7 +1187,7 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 			continue
 		}
 		ds := s.set.dec
-		if g.serial || g.disp == nil || ds == nil {
+		if g.disp == nil || ds == nil {
 			ov := e.Ov
 			ov.Backend = backend
 			out, stats, err := s.stream.QueryOverrides(nil, e.Q, ov, s.thr)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate: vet, formatting, build, the race-enabled test suite, the
-# zero-allocation hot-path assertions, and the perf trajectory check.
+# zero-allocation hot-path assertions, and the perf trajectory checks.
 # The serving scheduler is concurrent by design — the -race run is the
 # contract that it stays race-clean.
 set -euo pipefail
@@ -23,47 +23,10 @@ echo "== go build =="
 go build ./...
 
 echo "== go test -race =="
-go test -race ./...
-
-echo "== serving subsystem under -race =="
-# The dispatcher, replica pool, threshold registry, session registry and
-# the cross-host fleet path (remote workers, health probes, reroute, the
-# servetest fault-injection suite) are the most concurrent code in the
-# tree; run the whole subtree explicitly with -count=1 so the race
-# detector can never be satisfied from cache.
-go test -race -count=1 ./internal/serve/...
-
-echo "== session migration churn under -race =="
-# The portable-session-state paths — export/import round trips, idle
-# spill + rehydrate, drain-time relocation, worker-loss recovery from
-# the shadow mirror — race session gates against the registry lock and
-# the recovery retry; run the suite explicitly so a -run filter above
-# can never silently drop it, with -count=1 to defeat caching.
-go test -race -count=1 -run 'TestSessionExportImport|TestSessionSpill|TestMemberDrainRelocates|TestWorkerLossRecovers|TestZeroPinnedDrain' ./internal/serve/
-
-echo "== autoscale loop under -race =="
-# The closed autoscale loop races the controller (polling the versioned
-# cluster view and driving drain/rebalance) against live traffic, session
-# migration and the batched shadow-mirror flusher; run the policy package
-# and the fake-fleet e2e explicitly so a -run filter above can never
-# silently drop them, with -count=1 to defeat caching.
-go test -race -count=1 ./internal/serve/autoscale/
-go test -race -count=1 -run 'TestAutoscale' ./internal/serve/
-
-echo "== exact linear-scan differential suite under -race =="
-# The linear-scan backend is the oracle every fidelity bound leans on, so
-# its own correctness gate runs explicitly: the seeded fuzz corpus (the
-# f.Add cases — degenerate softmax regimes included — run as regular
-# tests), the streaming ≡ batch equivalence suite across the cold-
-# watermark demotion boundary, and the cross-oracle agreement checks in
-# the experiments package. -count=1 so a -run filter above can never
-# satisfy this from cache.
-go test -race -count=1 \
-    -run 'FuzzLinearScanMatchesScores|TestLinearScan' ./internal/attention/
-go test -race -count=1 \
-    -run 'TestAblationOracleAgreement|TestFilteringKeepsFidelityOnClusteredData' \
-    ./internal/experiments/ ./internal/attention/
-go test -race -count=1 -run 'TestAttendBackendSelection|TestServerDefaultExactBackend|TestSessionBackend|TestSessionStepBackendPerEntry|TestMigrationPreservesBackend' ./internal/serve/
+# Every package's tests once under the race detector, never from cache:
+# the serving subsystem, session migration, the autoscale loop and the
+# exact linear-scan differential suite all run here.
+go test -race -count=1 ./...
 
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
@@ -72,60 +35,40 @@ echo "== zero-alloc hot path =="
 go test -count=1 -run 'ZeroAlloc' ./internal/attention/ ./internal/serve/
 
 echo "== perf trajectory (committed files) =="
-# Gate the committed trajectory itself: compare the two newest BENCH_*.json
-# files against each other without re-measuring, so a PR that commits a
-# regressed snapshot is caught even on noisy hardware. Warns by default;
-# PERF_STRICT=1 makes it fail the build.
-# BENCH_*_serving.json files hold serving-layer rows, not the engine ns/op
-# shape the compare gate reads; keep them out of both globs.
+# Gate the committed trajectories themselves: compare the two newest
+# BENCH_*.json engine snapshots, and the two newest BENCH_*_serving.json
+# serving snapshots, without re-measuring, so a PR that commits a
+# regressed snapshot is caught even on noisy hardware. One keyed
+# comparator (cmd/elsabench/gate.go) covers every family: engine ns/op;
+# serving ops/s, decode mean_batch, migration moves/s and resident bytes,
+# autoscale convergence and mirror cost, exact-backend tokens/s. The
+# exact family's absolute checks (differential bound, linear-scan memory
+# ceiling) run on the newest snapshot whenever it has exact rows; the
+# relative checks skip families absent from either snapshot. Warns by
+# default; PERF_STRICT=1 fails the build.
+gate_committed() {
+    local experiment="$1"; shift
+    local files=("$@")
+    if [ "${#files[@]}" -lt 2 ]; then
+        echo "fewer than two committed $experiment snapshots; skipping"
+        return
+    fi
+    local prev="${files[-2]}" newest="${files[-1]}"
+    echo "comparing committed $newest vs $prev"
+    if go run ./cmd/elsabench -experiment "$experiment" \
+        -compare "$newest" -baseline "$prev"; then
+        return
+    fi
+    if [ "${PERF_STRICT:-0}" = "1" ]; then
+        echo "committed $experiment trajectory regressed (PERF_STRICT=1): failing" >&2
+        exit 1
+    fi
+    echo "WARNING: committed $newest regressed >15% vs $prev (set PERF_STRICT=1 to fail)" >&2
+}
 mapfile -t bench_files < <(ls -1 BENCH_*.json 2>/dev/null | grep -v '_serving\.json' | sort -V)
-if [ "${#bench_files[@]}" -ge 2 ]; then
-    prev="${bench_files[-2]}"
-    newest="${bench_files[-1]}"
-    echo "comparing committed $newest vs $prev"
-    if go run ./cmd/elsabench -experiment bench \
-        -compare "$newest" -baseline "$prev"; then
-        :
-    else
-        if [ "${PERF_STRICT:-0}" = "1" ]; then
-            echo "committed perf trajectory regressed (PERF_STRICT=1): failing" >&2
-            exit 1
-        fi
-        echo "WARNING: committed $newest regressed >15% vs $prev (set PERF_STRICT=1 to fail)" >&2
-    fi
-else
-    echo "fewer than two committed BENCH_*.json files; skipping"
-fi
-
-echo "== serving perf trajectory (committed files) =="
-# Same idea for the serving-layer trajectory: compare the two newest
-# committed BENCH_*_serving.json snapshots on ops/s per {replicas,
-# concurrency} point, on decode mean_batch per {sessions, mode} point,
-# and on the exact-backend family per {workload, backend} point — the
-# memory-ceiling row (linear-scan bytes/op must stay under the scores
-# backend's), the pinned differential bound, and streaming tokens/s.
-# Families absent from either snapshot skip their slice of the gate, so
-# snapshots predating decode batching / autoscale / the exact backends
-# still compare on what they have. Warns by default; PERF_STRICT=1
-# fails the build.
+gate_committed bench "${bench_files[@]}"
 mapfile -t serving_files < <(ls -1 BENCH_*_serving.json 2>/dev/null | sort -V)
-if [ "${#serving_files[@]}" -ge 2 ]; then
-    prev="${serving_files[-2]}"
-    newest="${serving_files[-1]}"
-    echo "comparing committed $newest vs $prev"
-    if go run ./cmd/elsabench -experiment serve \
-        -compare "$newest" -baseline "$prev"; then
-        :
-    else
-        if [ "${PERF_STRICT:-0}" = "1" ]; then
-            echo "committed serving trajectory regressed (PERF_STRICT=1): failing" >&2
-            exit 1
-        fi
-        echo "WARNING: committed $newest dropped >15% ops/s or decode mean_batch vs $prev (set PERF_STRICT=1 to fail)" >&2
-    fi
-else
-    echo "fewer than two committed BENCH_*_serving.json files; skipping"
-fi
+gate_committed serve "${serving_files[@]}"
 
 echo "== perf trajectory (fresh run) =="
 # Compare ns/op against the newest committed BENCH_*.json. Measurements on

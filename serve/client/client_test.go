@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,58 +165,31 @@ func TestNoRetryWithoutOptIn(t *testing.T) {
 	}
 }
 
-// TestClusterParsesPreSchemaServers pins the wire compat promise: a
-// reply from a pre-schema_version server (legacy top-level members +
-// queue/shed fields, no signals or targets blocks) normalizes into the
-// same typed ClusterInfo consumers get from a v1 server.
-func TestClusterParsesPreSchemaServers(t *testing.T) {
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/cluster" {
-			http.NotFound(w, r)
-			return
+// TestClusterRejectsPreSchemaServers pins that a GET /v1/cluster reply
+// without schema_version >= 1 (the pre-v1 shape: top-level members and
+// per-class fields, no signals or targets blocks) is an error rather than
+// an empty member list.
+func TestClusterRejectsPreSchemaServers(t *testing.T) {
+	for _, body := range []string{
+		`{"version": 4, "members": [{"addr": "http://w1", "state": "active", "pinned_sessions": 3}],
+		  "queue_depth_by_class": {"interactive": 5}, "sheds_by_class": {"interactive": 7}}`,
+		`{"schema_version": 0, "version": 4, "targets": [{"addr": "http://w1", "state": "active"}]}`,
+	} {
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(body))
+		}))
+		info, err := client.New(old.URL).Cluster(context.Background())
+		old.Close()
+		if err == nil || !strings.Contains(err.Error(), "schema_version") {
+			t.Errorf("pre-schema reply %s: got %+v, err %v; want a schema_version error", body, info, err)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{
-			"version": 4,
-			"members": [
-				{"addr": "http://w1", "state": "active", "weight": 2, "pinned_sessions": 3},
-				{"addr": "http://w2", "state": "draining", "pinned_sessions": 1}
-			],
-			"queue_depth_by_class": {"interactive": 5, "batch": 2},
-			"sheds_by_class": {"interactive": 7}
-		}`))
-	}))
-	defer legacy.Close()
-
-	info, err := client.New(legacy.URL).Cluster(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SchemaVersion != 0 {
-		t.Fatalf("schema version %d from a pre-schema server, want 0", info.SchemaVersion)
-	}
-	if info.Version != 4 {
-		t.Fatalf("membership version %d, want 4", info.Version)
-	}
-	if len(info.Members) != 2 || info.Members[0].Addr != "http://w1" ||
-		info.Members[0].Weight != 2 || info.Members[0].PinnedSessions != 3 ||
-		info.Members[1].State != "draining" {
-		t.Fatalf("members not normalized: %+v", info.Members)
-	}
-	if info.Signals.QueueDepth != 7 {
-		t.Fatalf("queue depth %d, want 7 (summed from legacy per-class fields)", info.Signals.QueueDepth)
-	}
-	if info.Signals.QueueDepthByClass["batch"] != 2 || info.Signals.ShedsByClass["interactive"] != 7 {
-		t.Fatalf("legacy per-class fields not carried into signals: %+v", info.Signals)
-	}
-	if len(info.Signals.ShedRateByClass) != 0 {
-		t.Fatalf("pre-schema server cannot report windowed rates, got %+v", info.Signals.ShedRateByClass)
 	}
 }
 
 // TestClusterTypedViewFromV1Server pins the v1 path end to end against a
 // real frontend: schema_version 1, signals block present, targets
-// normalized into Members.
+// decoded into Members.
 func TestClusterTypedViewFromV1Server(t *testing.T) {
 	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
 	defer srv.Close()
@@ -231,5 +205,25 @@ func TestClusterTypedViewFromV1Server(t *testing.T) {
 	}
 	if info.Signals.QueueDepthByClass == nil || info.Signals.ShedRateByClass == nil {
 		t.Fatalf("v1 signals block incomplete: %+v", info.Signals)
+	}
+
+	// The wire reply carries the v1 blocks and nothing else.
+	resp, err := ts.Client().Get(ts.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var top map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"schema_version", "version", "signals", "targets"} {
+		if _, ok := top[k]; !ok {
+			t.Errorf("GET /v1/cluster lacks %q", k)
+		}
+		delete(top, k)
+	}
+	if len(top) != 0 {
+		t.Errorf("GET /v1/cluster carries fields beyond the v1 schema: %v", top)
 	}
 }

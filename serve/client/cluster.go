@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -33,10 +34,9 @@ type JoinReply struct {
 	Version uint64 `json:"version"`
 }
 
-// MemberInfo is one cluster member as a frontend reports it: placement
-// state, capacity, liveness, and how many sessions the frontend still
-// holds pinned to it. It decodes the v1 `targets` entries (and the
-// identical legacy `members` entries from pre-v1 servers).
+// MemberInfo is one cluster member as a frontend reports it (a v1
+// `targets` entry): placement state, capacity, liveness, and how many
+// sessions the frontend still holds pinned to it.
 type MemberInfo struct {
 	Addr  string `json:"addr"`
 	State string `json:"state"`
@@ -66,50 +66,14 @@ type ClusterSignals struct {
 }
 
 // ClusterInfo is the typed GET /v1/cluster view: the versioned
-// membership table plus the signals block. Replies from pre-v1 servers
-// (no schema_version) are normalized into the same shape, so consumers
-// never branch on the wire format.
+// membership table plus the signals block.
 type ClusterInfo struct {
-	// SchemaVersion is the server's reported schema (0 for pre-v1
-	// servers, whose legacy fields were normalized into this struct).
-	SchemaVersion int
+	// SchemaVersion is the server's reported schema (at least 1).
+	SchemaVersion int `json:"schema_version"`
 	// Version is the membership table version (bumps on every change).
-	Version uint64
-	Signals ClusterSignals
-	Members []MemberInfo
-}
-
-// clusterWire is the raw GET /v1/cluster reply across schema versions:
-// the v1 signals/targets blocks plus the legacy top-level fields pre-v1
-// servers emit.
-type clusterWire struct {
-	SchemaVersion     int              `json:"schema_version"`
-	Version           uint64           `json:"version"`
-	Signals           ClusterSignals   `json:"signals"`
-	Targets           []MemberInfo     `json:"targets"`
-	Members           []MemberInfo     `json:"members"`
-	QueueDepthByClass map[string]int64 `json:"queue_depth_by_class"`
-	ShedsByClass      map[string]int64 `json:"sheds_by_class"`
-}
-
-// info normalizes one wire reply into the typed view, whichever schema
-// produced it.
-func (w *clusterWire) info() *ClusterInfo {
-	info := &ClusterInfo{SchemaVersion: w.SchemaVersion, Version: w.Version}
-	if w.SchemaVersion >= 1 {
-		info.Signals = w.Signals
-		info.Members = w.Targets
-		return info
-	}
-	// Pre-v1 server: synthesize the signals block from the legacy
-	// top-level fields. No windowed rates exist on the old schema.
-	info.Members = w.Members
-	info.Signals.QueueDepthByClass = w.QueueDepthByClass
-	info.Signals.ShedsByClass = w.ShedsByClass
-	for _, n := range w.QueueDepthByClass {
-		info.Signals.QueueDepth += n
-	}
-	return info
+	Version uint64         `json:"version"`
+	Signals ClusterSignals `json:"signals"`
+	Members []MemberInfo   `json:"targets"`
 }
 
 // DrainStatus reports a server's own drain state (POST /v1/drain).
@@ -161,18 +125,21 @@ func (c *Client) Join(ctx context.Context, req JoinRequest) (*JoinReply, error) 
 }
 
 // Cluster fetches the frontend's cluster view: membership targets plus
-// the autoscale signals block, as one typed struct regardless of the
-// server's schema version.
+// the autoscale signals block. A reply without schema_version >= 1 comes
+// from a server that predates the versioned view and is an error.
 func (c *Client) Cluster(ctx context.Context) (*ClusterInfo, error) {
-	var wire clusterWire
-	apiErr, err := c.once(ctx, http.MethodGet, "/v1/cluster", nil, &wire)
+	var info ClusterInfo
+	apiErr, err := c.once(ctx, http.MethodGet, "/v1/cluster", nil, &info)
 	if err != nil {
 		return nil, err
 	}
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	return wire.info(), nil
+	if info.SchemaVersion < 1 {
+		return nil, fmt.Errorf("GET /v1/cluster: unsupported schema_version %d (want >= 1)", info.SchemaVersion)
+	}
+	return &info, nil
 }
 
 // Drain puts the server this client points at into drain mode: it stops
