@@ -227,7 +227,7 @@ func TestWeightedDequeueDefersBackground(t *testing.T) {
 	if size != 2 {
 		t.Errorf("interactive op dispatched in a batch of %d, want 2 (self + capped background)", size)
 	}
-	if got := m.Preemptions()["background"]; got != 2 {
+	if got := m.preempted.with("background").value(); got != 2 {
 		t.Errorf("preempted{background} = %d, want 2", got)
 	}
 	// Every background op shares a batch of 2: one rode along with the

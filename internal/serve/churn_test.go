@@ -274,7 +274,7 @@ func TestHeartbeatExpiryMarksMemberGone(t *testing.T) {
 	if err := cl.WaitState(ghost.URL(), "gone", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if n := cl.Frontend.Metrics().MembersExpired(); n == 0 {
+	if n := metricTotal(cl.Frontend.Metrics(), "elsa_serve_cluster_expired_total"); n == 0 {
 		t.Error("expiry counter never moved")
 	}
 

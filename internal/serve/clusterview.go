@@ -96,7 +96,7 @@ func (cv *clusterView) sweep() {
 			if w != nil {
 				w.setGone(true)
 			}
-			cv.metrics.ObserveMemberExpired()
+			cv.metrics.membersExpired.add(1)
 		}
 	}
 }
@@ -144,7 +144,7 @@ func (cv *clusterView) markDraining(addr string) bool {
 		w.setDraining(true)
 	}
 	if transitioned {
-		cv.metrics.ObserveMemberDraining()
+		cv.metrics.membersDraining.add(1)
 	}
 	return transitioned
 }
@@ -160,7 +160,7 @@ func (cv *clusterView) onProbe(w *worker, h *client.Health, err error) {
 	}
 	if h.Status == "draining" {
 		if cv.table.SetDraining(w.addr) {
-			cv.metrics.ObserveMemberDraining()
+			cv.metrics.membersDraining.add(1)
 		}
 		w.setDraining(true)
 		return
@@ -170,7 +170,7 @@ func (cv *clusterView) onProbe(w *worker, h *client.Health, err error) {
 	// reachable worker whose heartbeater is momentarily behind.
 	cv.table.Touch(w.addr)
 	if cv.table.Activate(w.addr) {
-		cv.metrics.ObserveMemberActivated()
+		cv.metrics.membersActivated.add(1)
 	}
 }
 

@@ -110,7 +110,7 @@ func (ds *decodeState) takeBatch(maxBatch int, weights classWeights, drain bool,
 		n := len(jobs)
 		if !drain && !leading {
 			if limit := weights.dispatchCap(c, maxBatch); n > limit {
-				m.ObservePreempted(c.String(), n-limit)
+				m.preempted.with(c.String()).add(int64(n - limit))
 				n = limit
 			}
 		}
@@ -194,14 +194,14 @@ func (d *dispatcher) pumpDecode(ds *decodeState, drain bool) {
 			d.dequeueLocked(take)
 			d.mu.Unlock()
 			for _, j := range take {
-				d.metrics.ObserveClassShed(j.class)
+				d.metrics.shedBy[j.class].add(1)
 				j.result <- jobResult{err: &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}}
 			}
 			continue
 		}
 		d.batchWg.Add(1)
 		sh.depth.Add(1)
-		d.metrics.AddShardDepth(sh.id, 1)
+		sh.stats.depth.add(1)
 		sh.queue <- take
 		<-ds.done
 	}
@@ -255,19 +255,19 @@ func (d *dispatcher) enqueueDecode(ctx context.Context, ds *decodeState, set *re
 	}
 	if !set.available() {
 		d.mu.Unlock()
-		d.metrics.ObserveClassShed(class)
+		d.metrics.shedBy[class].add(1)
 		return &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}
 	}
 	if d.queued >= d.weights.queueCap(class, d.maxQueue) {
 		est := d.estimateWaitLocked(set)
 		d.mu.Unlock()
-		d.metrics.ObserveClassShed(class)
+		d.metrics.shedBy[class].add(1)
 		return &shedError{sentinel: ErrQueueFull, retryAfter: est}
 	}
 	if !deadline.IsZero() {
 		if est := d.estimateWaitLocked(set); time.Until(deadline) < est {
 			d.mu.Unlock()
-			d.metrics.ObserveClassShed(class)
+			d.metrics.shedBy[class].add(1)
 			return &shedError{sentinel: ErrDeadline, retryAfter: est}
 		}
 	}
@@ -300,7 +300,7 @@ func (d *dispatcher) runDecodeBatch(sh *shard, jobs []*job) {
 	defer d.batchWg.Done()
 	defer sh.set.dec.signalDone()
 	sh.depth.Add(-1)
-	d.metrics.AddShardDepth(sh.id, -1)
+	sh.stats.depth.add(-1)
 	// Queue accounting goes first: compacting live in place below
 	// overwrites jobs' tail entries, so per-class counts must be taken
 	// while the slice still holds each job exactly once.
@@ -318,7 +318,15 @@ func (d *dispatcher) runDecodeBatch(sh *shard, jobs []*job) {
 	if len(live) == 0 {
 		return
 	}
-	d.metrics.ObserveDecodeBatch(len(live))
+	// A batch of more than one query coalesced them: each would have been
+	// a serialized dispatch without the loop.
+	n := int64(len(live))
+	d.metrics.decodeBatches.add(1)
+	d.metrics.decodeOps.add(n)
+	d.metrics.decodeBatchSize.observe(float64(n))
+	if n > 1 {
+		d.metrics.decodeCoalesced.add(n)
+	}
 	d.executeDecode(sh, live)
 }
 
@@ -329,7 +337,8 @@ func (d *dispatcher) runDecodeBatch(sh *shard, jobs []*job) {
 // so rerouting through pickShardExcluding is safe: quantized batches
 // never reach remote lanes in the first place (see pickShardDecode).
 func (d *dispatcher) executeDecode(sh *shard, jobs []*job) {
-	d.metrics.ObserveShardBatch(sh.id, len(jobs))
+	sh.stats.batches.add(1)
+	sh.stats.ops.add(int64(len(jobs)))
 	start := time.Now()
 	errs := sh.backend.decodeBatch(jobs)
 	d.observeService(time.Since(start))
@@ -353,7 +362,7 @@ func (d *dispatcher) executeDecode(sh *shard, jobs []*job) {
 		j.result <- jobResult{err: err}
 	}
 	if len(failed) > 0 {
-		d.metrics.ObserveReroutes(len(failed))
+		d.metrics.reroutes.add(int64(len(failed)))
 		next := sh.set.pickShardExcluding(sh)
 		if next == nil {
 			for _, j := range failed {

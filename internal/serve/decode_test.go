@@ -184,10 +184,10 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 			// The batched server must actually have coalesced: with 8
 			// sessions firing each step concurrently against one loop,
 			// batches of size > 1 are where the speedup comes from.
-			if c := batched.Metrics().DecodeCoalesced(); c == 0 {
+			if c := batched.metrics.decodeCoalesced.value(); c == 0 {
 				t.Errorf("continuous loop never coalesced across %d concurrent queries", sessions*steps)
 			}
-			if b := batched.Metrics().DecodeBatches(); b == 0 {
+			if b := batched.metrics.decodeBatches.value(); b == 0 {
 				t.Errorf("no decode batches recorded")
 			}
 		})

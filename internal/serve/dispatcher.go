@@ -91,6 +91,7 @@ type pendingBatch struct {
 // set so a failed batch can reroute to a sibling shard.
 type shard struct {
 	id      int // lane index within its set
+	stats   shardStats
 	set     *replicaSet
 	backend shardBackend
 	queue   chan []*job
@@ -100,8 +101,8 @@ type shard struct {
 // newShard sizes the queue to the global op bound: the dispatcher admits
 // at most maxQueue ops, every batch holds at least one op, and ops stay
 // counted until their batch starts running, so a send can never block.
-func newShard(id int, set *replicaSet, backend shardBackend, maxQueue int) *shard {
-	return &shard{id: id, set: set, backend: backend, queue: make(chan []*job, maxQueue)}
+func newShard(id int, set *replicaSet, backend shardBackend, maxQueue int, m *Metrics) *shard {
+	return &shard{id: id, stats: m.shard(id), set: set, backend: backend, queue: make(chan []*job, maxQueue)}
 }
 
 // dispatcher implements dynamic micro-batching over replicated engines:
@@ -152,8 +153,10 @@ func newDispatcher(window time.Duration, maxBatch, maxQueue, workers, retries in
 // noteQueuedLocked pushes the total and per-class queue gauges after any
 // change to d.queued / d.queuedBy. Callers hold d.mu.
 func (d *dispatcher) noteQueuedLocked() {
-	d.metrics.SetQueueDepth(d.queued)
-	d.metrics.SetClassQueueDepths(d.queuedBy)
+	d.metrics.queueDepth.set(int64(d.queued))
+	for c, n := range d.queuedBy {
+		d.metrics.queuedBy[c].set(int64(n))
+	}
 }
 
 // dequeueLocked removes jobs from the queue accounting (their batch is
@@ -225,19 +228,19 @@ func (d *dispatcher) submit(ctx context.Context, set *replicaSet, op elsa.BatchO
 		// with a Retry-After covering one probe cycle rather than queueing
 		// work nothing can run.
 		d.mu.Unlock()
-		d.metrics.ObserveClassShed(class)
+		d.metrics.shedBy[class].add(1)
 		return nil, 0, 0, &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}
 	}
 	if d.queued >= d.weights.queueCap(class, d.maxQueue) {
 		est := d.estimateWaitLocked(set)
 		d.mu.Unlock()
-		d.metrics.ObserveClassShed(class)
+		d.metrics.shedBy[class].add(1)
 		return nil, 0, 0, &shedError{sentinel: ErrQueueFull, retryAfter: est}
 	}
 	if !deadline.IsZero() {
 		if est := d.estimateWaitLocked(set); time.Until(deadline) < est {
 			d.mu.Unlock()
-			d.metrics.ObserveClassShed(class)
+			d.metrics.shedBy[class].add(1)
 			return nil, 0, 0, &shedError{sentinel: ErrDeadline, retryAfter: est}
 		}
 	}
@@ -328,7 +331,7 @@ func (d *dispatcher) dispatchLocked(set *replicaSet, b *pendingBatch, drain bool
 		nb.count = b.count
 		for c := Class(0); c < NumClasses; c++ {
 			if n := len(nb.jobs[c]); n > 0 {
-				d.metrics.ObservePreempted(c.String(), n)
+				d.metrics.preempted.with(c.String()).add(int64(n))
 			}
 		}
 	} else {
@@ -344,14 +347,14 @@ func (d *dispatcher) dispatchLocked(set *replicaSet, b *pendingBatch, drain bool
 		// leave the queue accounting now.
 		d.dequeueLocked(take)
 		for _, j := range take {
-			d.metrics.ObserveClassShed(j.class)
+			d.metrics.shedBy[j.class].add(1)
 			j.result <- jobResult{err: &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}}
 		}
 		return
 	}
 	d.batchWg.Add(1)
 	sh.depth.Add(1)
-	d.metrics.AddShardDepth(sh.id, 1)
+	sh.stats.depth.add(1)
 	sh.queue <- take
 }
 
@@ -367,7 +370,7 @@ func (d *dispatcher) runBatch(sh *shard, jobs []*job) {
 	}
 	defer d.batchWg.Done()
 	sh.depth.Add(-1)
-	d.metrics.AddShardDepth(sh.id, -1)
+	sh.stats.depth.add(-1)
 	live := make([]*job, 0, len(jobs))
 	for _, j := range jobs {
 		if err := j.ctx.Err(); err != nil {
@@ -382,7 +385,9 @@ func (d *dispatcher) runBatch(sh *shard, jobs []*job) {
 	if len(live) == 0 {
 		return
 	}
-	d.metrics.ObserveBatch(len(live))
+	d.metrics.batches.add(1)
+	d.metrics.batchOps.add(int64(len(live)))
+	d.metrics.batchSize.observe(float64(len(live)))
 	d.execute(sh, live)
 }
 
@@ -394,7 +399,8 @@ func (d *dispatcher) runBatch(sh *shard, jobs []*job) {
 // sibling shard after a partial failure yields the bit-identical output
 // the first shard would have produced.
 func (d *dispatcher) execute(sh *shard, jobs []*job) {
-	d.metrics.ObserveShardBatch(sh.id, len(jobs))
+	sh.stats.batches.add(1)
+	sh.stats.ops.add(int64(len(jobs)))
 	start := time.Now()
 	outs, errs := sh.backend.attendBatch(jobs)
 	d.observeService(time.Since(start))
@@ -402,7 +408,8 @@ func (d *dispatcher) execute(sh *shard, jobs []*job) {
 	for i, j := range jobs {
 		err := errs[i]
 		if err == nil {
-			d.metrics.ObserveCandidateFraction(outs[i].CandidateFraction)
+			d.metrics.candFracSum.addFloat(outs[i].CandidateFraction)
+			d.metrics.candFracCount.add(1)
 			j.result <- jobResult{out: outs[i], batchSize: len(jobs), shard: sh.id}
 			continue
 		}
@@ -434,7 +441,7 @@ func (d *dispatcher) execute(sh *shard, jobs []*job) {
 // each job's attempts budget. With no sibling available the ops fail as
 // ErrNoWorkers with a probe-interval Retry-After.
 func (d *dispatcher) reroute(from *shard, jobs []*job) {
-	d.metrics.ObserveReroutes(len(jobs))
+	d.metrics.reroutes.add(int64(len(jobs)))
 	next := from.set.pickShardExcluding(from)
 	if next == nil {
 		for _, j := range jobs {

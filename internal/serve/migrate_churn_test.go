@@ -151,7 +151,7 @@ func TestSessionSpillRehydrateBitIdentical(t *testing.T) {
 
 	m := w.Server().Metrics()
 	deadline := time.Now().Add(5 * time.Second)
-	for m.SessionsSpilled() == 0 {
+	for metricTotal(m, "elsa_serve_sessions_spilled_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never spilled to the state dir")
 		}
@@ -167,7 +167,7 @@ func TestSessionSpillRehydrateBitIdentical(t *testing.T) {
 			t.Fatalf("rehydrated context[%d] = %v, want %v (not bit-identical)", j, got.Context[j], want.Context[j])
 		}
 	}
-	if m.SessionsRehydrated() == 0 {
+	if metricTotal(m, "elsa_serve_sessions_rehydrated_total") == 0 {
 		t.Error("rehydrate counter never moved")
 	}
 }
@@ -265,7 +265,7 @@ func TestMemberDrainRelocatesPinnedSessions(t *testing.T) {
 	if got := pinnedOn()[victim]; got != 0 {
 		t.Fatalf("member still holds %d pinned sessions right after the drain reply", got)
 	}
-	if n := cl.Frontend.Metrics().SessionsMigrated(); n == 0 {
+	if n := metricTotal(cl.Frontend.Metrics(), "elsa_serve_sessions_migrated_total"); n == 0 {
 		t.Error("migration counter never moved")
 	}
 
@@ -359,7 +359,7 @@ func TestWorkerLossRecoversFromShadow(t *testing.T) {
 	cl.Workers[0].SetDown(true)
 	stepAll(1)
 	stepAll(2)
-	if n := cl.Frontend.Metrics().SessionsRecovered(); n == 0 {
+	if n := metricTotal(cl.Frontend.Metrics(), "elsa_serve_sessions_recovered_total"); n == 0 {
 		t.Error("recovery counter never moved despite the worker loss")
 	}
 }

@@ -255,10 +255,10 @@ func (p *enginePool) get(opts elsa.Options) (*replicaSet, error) {
 		workers := p.fleet.snapshot()
 		shards := make([]*shard, 0, set.local+len(workers))
 		for i := 0; i < set.local; i++ {
-			shards = append(shards, newShard(i, set, &localBackend{eng: set.engines[i], workers: p.disp.workers}, p.disp.maxQueue))
+			shards = append(shards, newShard(i, set, &localBackend{eng: set.engines[i], workers: p.disp.workers}, p.disp.maxQueue, p.metrics))
 		}
 		for k, w := range workers {
-			shards = append(shards, newShard(set.local+k, set, &remoteBackend{w: w, opts: opts}, p.disp.maxQueue))
+			shards = append(shards, newShard(set.local+k, set, &remoteBackend{w: w, opts: opts}, p.disp.maxQueue, p.metrics))
 		}
 		set.shardsv.Store(shards)
 		for _, sh := range shards {
@@ -316,7 +316,7 @@ func (p *enginePool) attachWorker(w *worker) {
 		if already {
 			continue
 		}
-		sh := newShard(len(shards), set, &remoteBackend{w: w, opts: set.opts}, p.disp.maxQueue)
+		sh := newShard(len(shards), set, &remoteBackend{w: w, opts: set.opts}, p.disp.maxQueue, p.metrics)
 		next := make([]*shard, len(shards), len(shards)+1)
 		copy(next, shards)
 		set.shardsv.Store(append(next, sh))
@@ -357,7 +357,7 @@ func (p *enginePool) evictLRULocked() {
 	p.lru.Remove(back)
 	delete(p.entries, set.opts)
 	p.retired = append(p.retired, set)
-	p.metrics.ObserveEngineEviction()
+	p.metrics.engineEvictions.add(1)
 }
 
 // size reports how many replica sets are resident.

@@ -125,7 +125,7 @@ func (r *thresholdRegistry) resolve(key thrKey, calib func() (elsa.Threshold, er
 	if err != nil {
 		return elsa.Threshold{}, err
 	}
-	r.metrics.ObserveCalibration()
+	r.metrics.calibrations.add(1)
 	r.save(key, thr)
 	return thr, nil
 }
@@ -148,7 +148,7 @@ func (r *thresholdRegistry) load(key thrKey) (elsa.Threshold, bool) {
 	defer f.Close()
 	thr, err := elsa.LoadThreshold(f)
 	if err != nil {
-		r.metrics.ObserveThresholdCorrupt()
+		r.metrics.thresholdCorrupt.add(1)
 		os.Remove(path) //nolint:errcheck // best effort; a miss recalibrates anyway
 		return elsa.Threshold{}, false
 	}
@@ -159,7 +159,7 @@ func (r *thresholdRegistry) load(key thrKey) (elsa.Threshold, bool) {
 	// enforceCap) removes the operating points nobody asks for anymore.
 	now := time.Now()
 	os.Chtimes(path, now, now) //nolint:errcheck // LRU hint only
-	r.metrics.ObserveThresholdLoad()
+	r.metrics.thresholdLoads.add(1)
 	return thr, true
 }
 
@@ -235,7 +235,7 @@ func (r *thresholdRegistry) enforceCap() {
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
 	for _, f := range files[:len(files)-r.maxFiles] {
 		if os.Remove(filepath.Join(r.dir, f.name)) == nil {
-			r.metrics.ObserveThresholdEviction()
+			r.metrics.thresholdEvicts.add(1)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func TestThresholdRegistryEvictsBeyondCap(t *testing.T) {
 	if len(files) != 2 {
 		t.Fatalf("state dir holds %d threshold files, want cap of 2: %v", len(files), files)
 	}
-	if m.ThresholdEvictions() == 0 {
+	if m.thresholdEvicts.value() == 0 {
 		t.Error("eviction counter never moved")
 	}
 	if _, err := os.Stat(bystander); err != nil {

@@ -66,7 +66,7 @@ func TestRegistryCrashTornWrite(t *testing.T) {
 	if thr, ok := r2.lookup(opts, p); ok {
 		t.Fatalf("lookup returned %+v from a torn file", thr)
 	}
-	if n := m2.ThresholdCorruptions(); n != 1 {
+	if n := m2.thresholdCorrupt.value(); n != 1 {
 		t.Fatalf("threshold corruptions %d, want 1", n)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -81,7 +81,7 @@ func TestRegistryCrashTornWrite(t *testing.T) {
 	if got != want || calibrations != 1 {
 		t.Fatalf("recover get: thr %+v, calibrations %d (want 1)", got, calibrations)
 	}
-	if n := m2.ThresholdCorruptions(); n != 1 {
+	if n := m2.thresholdCorrupt.value(); n != 1 {
 		t.Fatalf("recalibration must not re-count the corruption, got %d", n)
 	}
 	checkNoTempFiles(t, dir)
@@ -99,8 +99,8 @@ func TestRegistryCrashTornWrite(t *testing.T) {
 	if got != want {
 		t.Fatalf("reloaded thr %+v, want %+v", got, want)
 	}
-	if m3.ThresholdLoads() != 1 {
-		t.Fatalf("threshold loads %d, want 1", m3.ThresholdLoads())
+	if m3.thresholdLoads.value() != 1 {
+		t.Fatalf("threshold loads %d, want 1", m3.thresholdLoads.value())
 	}
 }
 
@@ -120,7 +120,7 @@ func TestRegistryCrashEmptyFile(t *testing.T) {
 	if _, ok := r.lookup(opts, p); ok {
 		t.Fatal("lookup succeeded on an empty threshold file")
 	}
-	if n := m.ThresholdCorruptions(); n != 1 {
+	if n := m.thresholdCorrupt.value(); n != 1 {
 		t.Fatalf("threshold corruptions %d, want 1", n)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -160,7 +160,7 @@ func TestRegistryMismatchedPIgnoredNotRemoved(t *testing.T) {
 	if _, ok := r.lookup(opts, p); ok {
 		t.Fatal("lookup accepted a threshold calibrated for a different p")
 	}
-	if n := m.ThresholdCorruptions(); n != 0 {
+	if n := m.thresholdCorrupt.value(); n != 0 {
 		t.Fatalf("a parseable mismatch is not corruption, counted %d", n)
 	}
 	if _, err := os.Stat(path); err != nil {

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,8 +182,7 @@ func TestWorkerDeathMidLoadReroutes(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ej := cl.Frontend.Metrics().WorkerEjections()
-		if len(ej) > 0 {
+		if metricTotal(cl.Frontend.Metrics(), "elsa_serve_worker_ejections_total") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -257,9 +258,9 @@ func TestFlappingWorkerEjectionAndReadmission(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	waitFor("ejection", func() bool { return totals(m.WorkerEjections()) >= 1 })
+	waitFor("ejection", func() bool { return metricTotal(m, "elsa_serve_worker_ejections_total") >= 1 })
 	flaky.SetDown(false)
-	waitFor("re-admission", func() bool { return totals(m.WorkerReadmissions()) >= 1 })
+	waitFor("re-admission", func() bool { return metricTotal(m, "elsa_serve_worker_readmissions_total") >= 1 })
 
 	// A re-admitted worker takes traffic again.
 	served := flaky.Served()
@@ -278,12 +279,21 @@ func TestFlappingWorkerEjectionAndReadmission(t *testing.T) {
 	}
 }
 
-func totals(m map[string]int64) int64 {
-	var n int64
-	for _, v := range m {
-		n += v
+// metricTotal sums every sample of one int-valued family — all label
+// values of a labelled family — in m's /v1/metrics exposition.
+func metricTotal(m *serve.Metrics, family string) int64 {
+	var sb strings.Builder
+	m.WriteTo(&sb) //nolint:errcheck // a strings.Builder never fails
+	var total int64
+	for _, line := range strings.Split(sb.String(), "\n") {
+		key, val, ok := strings.Cut(line, " ")
+		if !ok || (key != family && !strings.HasPrefix(key, family+"{")) {
+			continue
+		}
+		n, _ := strconv.ParseInt(val, 10, 64)
+		total += n
 	}
-	return n
+	return total
 }
 
 // Test5xxBurstRerouted injects application-level 500s on one worker: the
@@ -301,7 +311,7 @@ func Test5xxBurstRerouted(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	if cl.Frontend.Metrics().Reroutes() == 0 {
+	if metricTotal(cl.Frontend.Metrics(), "elsa_serve_reroutes_total") == 0 {
 		t.Error("5xx burst triggered no reroutes")
 	}
 }
@@ -390,7 +400,7 @@ func TestFrontendMixesLocalAndRemote(t *testing.T) {
 	if cl.Workers[0].Served() == 0 {
 		t.Error("remote lane never served with a local replica present")
 	}
-	if rem := totals(cl.Frontend.Metrics().RemoteOps()); rem == 0 {
+	if rem := metricTotal(cl.Frontend.Metrics(), "elsa_serve_remote_ops_total"); rem == 0 {
 		t.Error("remote-op counter never moved")
 	}
 }

@@ -345,15 +345,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.metrics.SetEngines(s.pool.size())
-	s.metrics.SetQuotaClients(s.quotas.clients())
+	s.metrics.engines.set(int64(s.pool.size()))
+	s.metrics.quotaClients.set(int64(s.quotas.clients()))
+	s.metrics.sessions.set(int64(s.sessions.active()))
 	if s.fleet.size() > 0 {
 		version, members := s.cluster.table.Snapshot()
 		states := make(map[string]int64, 4)
 		for _, m := range members {
 			states[m.State.String()]++
 		}
-		s.metrics.SetClusterMembers(states, version)
+		s.metrics.clusterMembers.replace(states)
+		s.metrics.clusterVersion.set(int64(version))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WriteTo(w) //nolint:errcheck // best effort: client gone mid-scrape
@@ -363,11 +365,12 @@ func (s *Server) handleAttend(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code, reason, class := s.attend(w, r)
 	if reason != "" {
-		s.metrics.ObserveRejection(reason)
+		s.metrics.rejected.with(reason).add(1)
 	}
 	seconds := time.Since(start).Seconds()
-	s.metrics.ObserveRequest(code, seconds)
-	s.metrics.ObserveClassLatency(class, seconds)
+	s.metrics.requests.with(strconv.Itoa(code)).add(1)
+	s.metrics.latency.observe(seconds)
+	s.metrics.classLatency.with(class.String()).observe(seconds)
 }
 
 // attend runs one request end to end and returns the HTTP status it
@@ -383,7 +386,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
 	}
 	if admitted, wait := s.quotas.take(meta.clientID); !admitted {
-		s.metrics.ObserveAdmission("shed_quota")
+		s.metrics.admission.with("shed_quota").add(1)
 		setRetryAfter(w, wait)
 		return fail(w, http.StatusTooManyRequests, "client quota exhausted"), "quota", meta.class
 	}
@@ -423,12 +426,12 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		Overrides: elsa.Overrides{Backend: ov.Backend}}, thr, meta.class, deadline)
 	switch {
 	case err == nil:
-		s.metrics.ObserveAdmission("admitted")
+		s.metrics.admission.with("admitted").add(1)
 	case errors.Is(err, ErrQueueFull):
 		setRetryAfter(w, retryAfterOf(err))
 		return fail(w, http.StatusTooManyRequests, err.Error()), "queue_full", meta.class
 	case errors.Is(err, ErrDeadline):
-		s.metrics.ObserveAdmission("shed_deadline")
+		s.metrics.admission.with("shed_deadline").add(1)
 		setRetryAfter(w, retryAfterOf(err))
 		return fail(w, http.StatusTooManyRequests, err.Error()), "deadline", meta.class
 	case errors.Is(err, ErrNoWorkers):
@@ -488,7 +491,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		backend = s.cfg.ExactBackend
 	}
 	if admitted, wait := s.quotas.take(meta.clientID); !admitted {
-		s.metrics.ObserveAdmission("shed_quota")
+		s.metrics.admission.with("shed_quota").add(1)
 		setRetryAfter(w, wait)
 		fail(w, http.StatusTooManyRequests, "client quota exhausted")
 		return
@@ -704,7 +707,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		if s.quotas != nil {
 			if clientID, _, err := s.sessions.meta(q.ID); err == nil {
 				if admitted, _ := s.quotas.take(clientID); !admitted {
-					s.metrics.ObserveAdmission("shed_quota")
+					s.metrics.admission.with("shed_quota").add(1)
 					entries[i].Err = errors.New("client quota exhausted")
 				}
 			}
@@ -795,7 +798,7 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if admitted, wait := s.quotas.take(meta.clientID); !admitted {
-		s.metrics.ObserveAdmission("shed_quota")
+		s.metrics.admission.with("shed_quota").add(1)
 		setRetryAfter(w, wait)
 		fail(w, http.StatusTooManyRequests, "client quota exhausted")
 		return
@@ -886,7 +889,11 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	interval := time.Duration(req.HeartbeatMS) * time.Millisecond
 	capacity := cluster.Capacity{Weight: req.Weight, MaxSessions: req.MaxSessions}
 	state, changed := s.cluster.join(addr, capacity, interval, req.Draining)
-	s.metrics.ObserveClusterJoin(changed)
+	if changed {
+		s.metrics.clusterJoins.add(1)
+	} else {
+		s.metrics.clusterHeartbeats.add(1)
+	}
 	counts := s.cluster.table.Counts()
 	writeJSON(w, http.StatusOK, JoinResponse{
 		State:   state.String(),
@@ -1095,7 +1102,7 @@ func (s *Server) chargeSessionQuota(w http.ResponseWriter, id string) bool {
 		return true
 	}
 	if admitted, wait := s.quotas.take(clientID); !admitted {
-		s.metrics.ObserveAdmission("shed_quota")
+		s.metrics.admission.with("shed_quota").add(1)
 		setRetryAfter(w, wait)
 		fail(w, http.StatusTooManyRequests, "client quota exhausted")
 		return false

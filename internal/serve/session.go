@@ -144,9 +144,9 @@ type sessionRegistry struct {
 	// local engine or remote worker — the cluster view's consistent-hash
 	// placement. Nil falls back to the replica set's rotation.
 	place func(set *replicaSet, key string) (*elsa.Engine, *worker)
-	// disp, when set (before serving), routes local decode queries through
-	// the continuous decode loop so concurrently-ready sessions coalesce
-	// into one batch; without it queries attend inline under the gate.
+	// disp routes local decode queries through the continuous decode loop
+	// so concurrently-ready sessions coalesce into one batch. New sets it
+	// before serving.
 	disp *dispatcher
 	// coldWatermark configures each session stream's hot/cold split (0
 	// keeps whole streams hot); spillAfter and stateDir, when both set,
@@ -278,7 +278,7 @@ func (g *sessionRegistry) create(ctx context.Context, set *replicaSet, opts elsa
 	s.el = g.lru.PushFront(s)
 	g.byID[s.id] = s
 	g.mu.Unlock()
-	g.metrics.ObserveSessionCreated()
+	g.metrics.sessionsCreated.add(1)
 	return s, nil
 }
 
@@ -391,7 +391,7 @@ func (g *sessionRegistry) evictLocked(el *list.Element, reason string) {
 	s := el.Value.(*session)
 	g.lru.Remove(el)
 	delete(g.byID, s.id)
-	g.metrics.ObserveSessionEvicted(reason)
+	g.metrics.sessionEvictions.with(reason).add(1)
 	if s.spilled {
 		os.Remove(g.spillPath(s.id)) //nolint:errcheck // best effort; dir is ours
 	}
@@ -444,7 +444,7 @@ func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, valu
 		}
 		s.w.recover()
 		g.mirror(s, keys, values)
-		g.metrics.ObserveSessionAppend(len(keys))
+		g.metrics.sessionTokens.add(int64(len(keys)))
 		return n, nil
 	}
 	if err := g.ensureResident(s); err != nil {
@@ -458,7 +458,7 @@ func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, valu
 			return s.stream.Len(), err
 		}
 	}
-	g.metrics.ObserveSessionAppend(len(keys))
+	g.metrics.sessionTokens.add(int64(len(keys)))
 	return s.stream.Len(), nil
 }
 
@@ -480,7 +480,7 @@ func (g *sessionRegistry) mirror(s *session, keys, values [][]float32) {
 	}
 	s.pendK = append(s.pendK, keys...)
 	s.pendV = append(s.pendV, values...)
-	g.metrics.AddMirrorPending(len(keys))
+	g.metrics.mirrorPending.add(int64(len(keys)))
 	if len(s.pendK) >= mirrorPendingCap {
 		g.flushMirrorHeld(s)
 		return
@@ -518,14 +518,16 @@ func (g *sessionRegistry) flushMirrorHeld(s *session) {
 			applied++
 		}
 		if applied > 0 {
-			g.metrics.ObserveMirrorReplay(applied, time.Since(start))
+			g.metrics.mirrorTokens.add(int64(applied))
+			g.metrics.mirrorNanos.Add(int64(time.Since(start)))
+			g.metrics.mirrorFlushes.add(1)
 		}
 	}
 	for i := range s.pendK {
 		s.pendK[i], s.pendV[i] = nil, nil
 	}
 	s.pendK, s.pendV = s.pendK[:0], s.pendV[:0]
-	g.metrics.AddMirrorPending(-n)
+	g.metrics.mirrorPending.add(int64(-n))
 }
 
 // flushMirror takes the session's gate (unless stopc ends the wait
@@ -553,7 +555,7 @@ func (g *sessionRegistry) query(ctx context.Context, id string, q []float32, ov 
 // session's first calibrated query, then attend over the prefix at the
 // session threshold (or the query's own override) — through the
 // continuous decode loop, where concurrently-ready sessions coalesce
-// into one batch, unless the registry is configured serial. Also
+// into one batch, or inline when the set has no loop. Also
 // returns the size of the batch the query rode in. A caller recycling
 // dst across queries decodes with zero steady-state allocations.
 func (g *sessionRegistry) queryInto(ctx context.Context, id string, dst []float32, q []float32, ov elsa.Overrides, deadline time.Time) ([]float32, elsa.StreamStats, int, elsa.Threshold, int, error) {
@@ -581,7 +583,7 @@ func (g *sessionRegistry) queryHeld(ctx context.Context, s *session, dst []float
 		}
 		s.w.recover()
 		s.thr, s.calibrated = res.Threshold, true
-		g.metrics.ObserveSessionQuery()
+		g.metrics.sessionQueries.add(1)
 		bs := max(res.BatchSize, 1)
 		return res.Context, elsa.StreamStats{Candidates: res.Candidates, Fallback: res.Fallback}, res.Len, res.Threshold, bs, nil
 	}
@@ -596,16 +598,6 @@ func (g *sessionRegistry) queryHeld(ctx context.Context, s *session, dst []float
 	if err != nil {
 		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
 	}
-	if g.disp == nil {
-		// No decode loop: attend inline while holding the gate.
-		ov.Backend = backend
-		out, stats, err := s.stream.QueryOverrides(dst, q, ov, s.thr)
-		if err != nil {
-			return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
-		}
-		g.metrics.ObserveSessionQuery()
-		return out, stats, s.stream.Len(), thr, 1, nil
-	}
 	// Submit to the set's continuous decode loop with the resolved
 	// operating point pinned, so a mixed-session batch carries every op's
 	// threshold, p, and backend explicitly. The gate is held until the
@@ -618,7 +610,7 @@ func (g *sessionRegistry) queryHeld(ctx context.Context, s *session, dst []float
 	if err != nil {
 		return out, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
 	}
-	g.metrics.ObserveSessionQuery()
+	g.metrics.sessionQueries.add(1)
 	return out, stats, s.stream.Len(), thr, bs, nil
 }
 
@@ -731,7 +723,7 @@ func (g *sessionRegistry) spillHeld(s *session) {
 	}
 	s.stream = nil
 	s.spilled = true
-	g.metrics.ObserveSessionSpilled()
+	g.metrics.sessionsSpilled.add(1)
 }
 
 // ensureResident rehydrates a spilled session from its state file; the
@@ -753,7 +745,7 @@ func (g *sessionRegistry) ensureResident(s *session) error {
 	s.stream = st
 	s.spilled = false
 	os.Remove(path) //nolint:errcheck // best effort; eviction sweeps leftovers
-	g.metrics.ObserveSessionRehydrated()
+	g.metrics.sessionsRehydrated.add(1)
 	return nil
 }
 
@@ -860,7 +852,7 @@ func (g *sessionRegistry) adopt(set *replicaSet, opts elsa.Options, id string, s
 	s.el = g.lru.PushFront(s)
 	g.byID[s.id] = s
 	g.mu.Unlock()
-	g.metrics.ObserveSessionCreated()
+	g.metrics.sessionsCreated.add(1)
 	return st.Len(), nil
 }
 
@@ -939,7 +931,7 @@ func (g *sessionRegistry) recoverHeld(ctx context.Context, s *session) bool {
 	if !g.replaceHeld(ctx, s, s.w) {
 		return false
 	}
-	g.metrics.ObserveSessionRecovered()
+	g.metrics.sessionsRecovered.add(1)
 	return true
 }
 
@@ -965,7 +957,7 @@ func (g *sessionRegistry) relocate(ctx context.Context, addr string) int {
 		// the snapshot above and taking its gate.
 		if s.w != nil && s.w.addr == addr && g.replaceHeld(ctx, s, s.w) {
 			moved++
-			g.metrics.ObserveSessionMigrated()
+			g.metrics.sessionsMigrated.add(1)
 		}
 		s.release()
 	}
@@ -1012,7 +1004,7 @@ func (g *sessionRegistry) rebalance(ctx context.Context, addr string, max int) i
 		if w != nil && w.addr == addr && w.routable() &&
 			(s.w == nil || s.w.addr != addr) && g.migrateHeld(ctx, s, w) {
 			moved++
-			g.metrics.ObserveSessionMigrated()
+			g.metrics.sessionsMigrated.add(1)
 		}
 		s.release()
 	}
@@ -1077,7 +1069,7 @@ func (g *sessionRegistry) stepRemote(ctx context.Context, s *session, e *stepEnt
 	}
 	s.w.recover()
 	s.thr, s.calibrated = res.Threshold, true
-	g.metrics.ObserveSessionQuery()
+	g.metrics.sessionQueries.add(1)
 	e.Out = res.Context
 	e.Stats = elsa.StreamStats{Candidates: res.Candidates, Fallback: res.Fallback}
 	e.Len, e.Thr, e.BatchSize = res.Len, res.Threshold, max(res.BatchSize, 1)
@@ -1111,9 +1103,8 @@ type stepEntry struct {
 // traffic already pending) as one batch, instead of the wave trickling
 // in one scheduler pass at a time; and the wave needs no goroutine per
 // entry, so the per-token cost of a step request is the batch's shared
-// dispatch plus one result receive. Remote-pinned sessions, a serial
-// registry, and sets without a loop fall back to the same inline paths
-// a lone query takes.
+// dispatch plus one result receive. Remote-pinned sessions and sets
+// without a loop fall back to the same inline paths a lone query takes.
 func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadline time.Time) {
 	// Phase 1: resolve and lock. Duplicate IDs are refused up front — the
 	// second acquire would otherwise wait on a gate this same wave holds.
@@ -1187,14 +1178,14 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 			continue
 		}
 		ds := s.set.dec
-		if g.disp == nil || ds == nil {
+		if ds == nil {
 			ov := e.Ov
 			ov.Backend = backend
 			out, stats, err := s.stream.QueryOverrides(nil, e.Q, ov, s.thr)
 			if err != nil {
 				e.Err = err
 			} else {
-				g.metrics.ObserveSessionQuery()
+				g.metrics.sessionQueries.add(1)
 				e.Out, e.Stats, e.Len, e.Thr, e.BatchSize = out, stats, s.stream.Len(), thr, 1
 			}
 			s.release()
@@ -1244,7 +1235,7 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 		if r.err != nil {
 			e.Err = r.err
 		} else {
-			g.metrics.ObserveSessionQuery()
+			g.metrics.sessionQueries.add(1)
 			e.Out, e.Stats, e.Len, e.BatchSize = out, stats, s.stream.Len(), r.batchSize
 		}
 		s.release()

@@ -157,7 +157,7 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 			if thr.P != 1 || thr.Queries == 0 {
 				t.Fatalf("first query should have lazily calibrated p=1, got %+v", thr)
 			}
-			if n := srv.Metrics().Calibrations(); n != 1 {
+			if n := srv.metrics.calibrations.value(); n != 1 {
 				t.Fatalf("calibrations = %d after first query, want 1", n)
 			}
 		} else if got.Threshold != thr {
@@ -202,7 +202,7 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 	if code := doJSON(t, client, "POST", base+"/query", SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
 		t.Errorf("query after delete: status %d, want 404", code)
 	}
-	if n := srv.Metrics().SessionEvictions()["deleted"]; n != 1 {
+	if n := srv.metrics.sessionEvictions.with("deleted").value(); n != 1 {
 		t.Errorf("deleted-session evictions = %d, want 1", n)
 	}
 }
@@ -239,7 +239,7 @@ func TestSessionTTLEviction(t *testing.T) {
 		SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
 		t.Fatalf("query after TTL: status %d, want 404", code)
 	}
-	if n := srv.Metrics().SessionEvictions()["ttl"]; n != 1 {
+	if n := srv.metrics.sessionEvictions.with("ttl").value(); n != 1 {
 		t.Errorf("ttl evictions = %d, want 1", n)
 	}
 	if n := srv.sessions.active(); n != 0 {
@@ -283,7 +283,7 @@ func TestSessionLRUEviction(t *testing.T) {
 			t.Errorf("surviving session %s: status %d", id, code)
 		}
 	}
-	if n := srv.Metrics().SessionEvictions()["lru"]; n != 1 {
+	if n := srv.metrics.sessionEvictions.with("lru").value(); n != 1 {
 		t.Errorf("lru evictions = %d, want 1", n)
 	}
 	if n := srv.sessions.active(); n != 2 {
@@ -352,7 +352,7 @@ func TestConcurrentSessionAppendQuery(t *testing.T) {
 	if want := 1 + workers*perWorker; got.Len != want {
 		t.Errorf("final session length %d, want %d", got.Len, want)
 	}
-	if n := srv.Metrics().Calibrations(); n != 1 {
+	if n := srv.metrics.calibrations.value(); n != 1 {
 		t.Errorf("calibrations = %d under concurrency, want exactly 1", n)
 	}
 }

@@ -44,7 +44,7 @@ func TestShardRoutingFairness(t *testing.T) {
 	}
 	wg.Wait()
 
-	perShard := srv.Metrics().ShardBatches()
+	perShard := srv.metrics.shardBatches.values()
 	var total int64
 	busy := 0
 	for _, n := range perShard {
@@ -164,17 +164,17 @@ func TestStatePersistenceAcrossRestart(t *testing.T) {
 	}
 
 	first, m1 := serveOnce()
-	if m1.Calibrations() != 1 || m1.ThresholdLoads() != 0 {
+	if m1.calibrations.value() != 1 || m1.thresholdLoads.value() != 0 {
 		t.Fatalf("first server: %d calibrations / %d loads, want 1/0",
-			m1.Calibrations(), m1.ThresholdLoads())
+			m1.calibrations.value(), m1.thresholdLoads.value())
 	}
 	second, m2 := serveOnce()
-	if m2.Calibrations() != 0 {
+	if m2.calibrations.value() != 0 {
 		t.Errorf("restarted server recalibrated %d time(s); the state dir should have served it",
-			m2.Calibrations())
+			m2.calibrations.value())
 	}
-	if m2.ThresholdLoads() != 1 {
-		t.Errorf("restarted server loaded %d thresholds from disk, want 1", m2.ThresholdLoads())
+	if m2.thresholdLoads.value() != 1 {
+		t.Errorf("restarted server loaded %d thresholds from disk, want 1", m2.thresholdLoads.value())
 	}
 	if first.Threshold != second.Threshold {
 		t.Errorf("threshold changed across restart: %+v vs %+v", first.Threshold, second.Threshold)

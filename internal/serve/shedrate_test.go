@@ -16,7 +16,7 @@ func TestShedRatesWindowed(t *testing.T) {
 	m.clock = func() time.Time { return now }
 
 	// First read seeds the window: all zeros regardless of prior sheds.
-	m.ObserveClassShed(ClassInteractive)
+	m.shedBy[ClassInteractive].add(1)
 	for class, r := range m.ShedRates() {
 		if r != 0 {
 			t.Fatalf("seed read: rate[%s] = %v, want 0", class, r)
@@ -25,9 +25,9 @@ func TestShedRatesWindowed(t *testing.T) {
 
 	// Four sheds over a 2s window → 2 events/s for that class alone.
 	for i := 0; i < 4; i++ {
-		m.ObserveClassShed(ClassInteractive)
+		m.shedBy[ClassInteractive].add(1)
 	}
-	m.ObserveClassShed(ClassBatch)
+	m.shedBy[ClassBatch].add(1)
 	now = now.Add(2 * time.Second)
 	rates := m.ShedRates()
 	if got := rates[ClassInteractive.String()]; got != 2 {
@@ -39,7 +39,7 @@ func TestShedRatesWindowed(t *testing.T) {
 
 	// A read before the window elapses returns the same completed window,
 	// even as new sheds accumulate.
-	m.ObserveClassShed(ClassInteractive)
+	m.shedBy[ClassInteractive].add(1)
 	now = now.Add(m.shedWindow / 2)
 	if got := m.ShedRates()[ClassInteractive.String()]; got != 2 {
 		t.Fatalf("mid-window rate = %v, want previous window's 2/s", got)

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"flag"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -105,8 +107,8 @@ func TestEnginePoolLRUEviction(t *testing.T) {
 	if p.size() != 2 {
 		t.Fatalf("pool size %d, want 2 (bounded)", p.size())
 	}
-	if m.EngineEvictions() != 1 {
-		t.Errorf("engine evictions %d, want 1", m.EngineEvictions())
+	if m.engineEvictions.value() != 1 {
+		t.Errorf("engine evictions %d, want 1", m.engineEvictions.value())
 	}
 	// Seed 1 must have survived (it was touched); a re-get returns the same
 	// set without rebuilding. Seed 2 was evicted and rebuilds fresh.
@@ -120,8 +122,8 @@ func TestEnginePoolLRUEviction(t *testing.T) {
 	if _, err := p.get(optsFor(2)); err != nil {
 		t.Fatal(err)
 	}
-	if m.EngineEvictions() != 2 {
-		t.Errorf("engine evictions %d after refetching evicted key, want 2", m.EngineEvictions())
+	if m.engineEvictions.value() != 2 {
+		t.Errorf("engine evictions %d after refetching evicted key, want 2", m.engineEvictions.value())
 	}
 }
 
@@ -188,40 +190,180 @@ func TestMaxBatchDispatchesEarly(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden from the current exposition")
+
+// TestMetricsHistogramRendering drives every metric family once with
+// fixed values — the clock is injected so shed rates are deterministic —
+// and pins the /v1/metrics exposition byte for byte to
+// testdata/metrics.golden (rerun with -update to accept a change), then
+// checks the text is well formed.
 func TestMetricsHistogramRendering(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveBatch(1)
-	m.ObserveBatch(3)
-	m.ObserveBatch(300) // beyond the last bound → +Inf bucket
-	m.ObserveShardBatch(0, 1)
-	m.ObserveShardBatch(1, 3)
-	m.ObserveSessionCreated()
-	m.ObserveSessionEvicted("ttl")
+	now := time.Unix(100, 0)
+	m.clock = func() time.Time { return now }
+	m.requests.with("200").add(2)
+	m.requests.with("429").add(1)
+	for _, sec := range []float64{0.003, 0.2, 0.0001} {
+		m.latency.observe(sec)
+	}
+	m.rejected.with("quota").add(1)
+	for _, size := range []int64{1, 3, 300} { // 300 is beyond the last bound → +Inf bucket
+		m.batches.add(1)
+		m.batchOps.add(size)
+		m.batchSize.observe(float64(size))
+	}
+	m.admission.with("admitted").add(1)
+	m.admission.with("shed_quota").add(1)
+	m.preempted.with("background").add(2)
+	m.classLatency.with(ClassInteractive.String()).observe(0.003)
+	m.classLatency.with(ClassBackground.String()).observe(0.2)
+	m.quotaClients.set(4)
+	m.candFracSum.addFloat(0.25)
+	m.candFracSum.addFloat(0.5)
+	m.candFracCount.add(2)
+	sh0, sh1 := m.shard(0), m.shard(1)
+	sh0.batches.add(1)
+	sh0.ops.add(1)
+	sh1.batches.add(1)
+	sh1.ops.add(3)
+	sh0.depth.add(1)
+	sh1.depth.add(1)
+	sh1.depth.add(-1)
+	m.queueDepth.set(5)
+	m.queuedBy[ClassInteractive].set(3)
+	m.queuedBy[ClassBatch].set(2)
+	m.ShedRates() // seeds the shed-rate window at t=100s
+	m.shedBy[ClassInteractive].add(4)
+	m.shedBy[ClassBatch].add(1)
+	now = now.Add(2 * time.Second) // the scrape closes a 2s window
+	m.engines.set(2)
+	m.engineEvictions.add(1)
+	m.sessions.set(1)
+	m.sessionsCreated.add(2)
+	m.sessionEvictions.with("ttl").add(1)
+	m.sessionTokens.add(16)
+	m.sessionQueries.add(3)
+	m.sessionsSpilled.add(1)
+	m.sessionsRehydrated.add(1)
+	m.sessionsMigrated.add(1)
+	m.sessionsRecovered.add(1)
+	m.mirrorTokens.add(8)
+	m.mirrorNanos.Add(int64(1500 * time.Microsecond))
+	m.mirrorFlushes.add(1)
+	m.mirrorPending.add(3)
+	m.decodeBatches.add(2)
+	m.decodeOps.add(5)
+	m.decodeBatchSize.observe(1)
+	m.decodeBatchSize.observe(4)
+	m.decodeCoalesced.add(4)
+	m.calibrations.add(1)
+	m.thresholdLoads.add(1)
+	m.thresholdCorrupt.add(1)
+	m.thresholdEvicts.add(1)
+	w1, w2 := m.worker("10.0.0.1:8080"), m.worker("10.0.0.2:8080")
+	w2.healthy.set(1)
+	w1.healthy.set(0)
+	w1.ejections.add(1)
+	w2.readmissions.add(1)
+	w2.remoteOps.add(6)
+	m.reroutes.add(2)
+	m.clusterMembers.replace(map[string]int64{"active": 2, "draining": 1})
+	m.clusterVersion.set(7)
+	m.clusterJoins.add(1)
+	m.clusterHeartbeats.add(2)
+	m.membersActivated.add(1)
+	m.membersDraining.add(1)
+	m.membersExpired.add(1)
+
 	var sb strings.Builder
 	if _, err := m.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	for _, want := range []string{
-		`elsa_serve_batch_size_bucket{le="1"} 1`,
-		`elsa_serve_batch_size_bucket{le="4"} 2`,
-		`elsa_serve_batch_size_bucket{le="256"} 2`,
-		`elsa_serve_batch_size_bucket{le="+Inf"} 3`,
-		"elsa_serve_batch_size_sum 304",
-		"elsa_serve_batch_size_count 3",
-		"elsa_serve_batch_ops_total 304",
-		`elsa_serve_shard_batches_total{shard="0"} 1`,
-		`elsa_serve_shard_batches_total{shard="1"} 1`,
-		`elsa_serve_shard_ops_total{shard="1"} 3`,
-		"elsa_serve_sessions 0",
-		"elsa_serve_sessions_created_total 1",
-		`elsa_serve_session_evictions_total{reason="ttl"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics output missing %q\n%s", want, text)
+	const golden = "testdata/metrics.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != string(want) {
+		t.Errorf("/v1/metrics exposition differs from %s (rerun with -update to accept):\n%s", golden, text)
+	}
+	checkExposition(t, text)
 	if m.MeanBatchSize() != 304.0/3 {
 		t.Errorf("mean batch size %g", m.MeanBatchSize())
+	}
+}
+
+// checkExposition asserts Prometheus text is well formed: every family
+// opens with exactly one HELP line then one TYPE line, its samples follow
+// contiguously, and no series key repeats.
+func checkExposition(t *testing.T, text string) {
+	t.Helper()
+	opened := map[string]bool{}
+	keys := map[string]bool{}
+	var family, typ string
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			if opened[fields[2]] {
+				t.Errorf("family %s opens twice", fields[2])
+			}
+			opened[fields[2]] = true
+			family, typ = fields[2], ""
+		case strings.HasPrefix(line, "# TYPE "):
+			if fields[2] != family || typ != "" {
+				t.Errorf("%q does not follow its family's one HELP line", line)
+			}
+			typ = fields[3]
+		default:
+			key, _, _ := strings.Cut(line, " ")
+			name, _, _ := strings.Cut(key, "{")
+			if typ == "histogram" {
+				for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+					name = strings.TrimSuffix(name, suffix)
+				}
+			}
+			if name != family || typ == "" {
+				t.Errorf("sample %q outside its family's HELP/TYPE block", line)
+			}
+			if keys[key] {
+				t.Errorf("series %s repeats", key)
+			}
+			keys[key] = true
+		}
+	}
+}
+
+// TestMetricsZeroAlloc pins the per-batch and per-query metric updates at
+// zero allocations: handles resolved once (per shard, per class) must
+// never format or look up a label string on the hot path.
+func TestMetricsZeroAlloc(t *testing.T) {
+	m := NewMetrics()
+	sh := m.shard(3)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.batches.add(1)
+		m.batchOps.add(4)
+		m.batchSize.observe(4)
+		sh.batches.add(1)
+		sh.ops.add(4)
+		m.candFracSum.addFloat(0.25)
+		m.candFracCount.add(1)
+		m.shedBy[ClassBatch].add(1)
+		sh.depth.add(1)
+		sh.depth.add(-1)
+		m.decodeBatches.add(1)
+		m.decodeOps.add(2)
+		m.decodeBatchSize.observe(2)
+		m.decodeCoalesced.add(2)
+		m.sessionQueries.add(1)
+	})
+	if allocs != 0 {
+		t.Errorf("metric updates allocate %.1f objects/op, want 0", allocs)
 	}
 }

@@ -24,7 +24,7 @@ type worker struct {
 	cli       *client.Client
 	inflight  chan struct{}
 	failLimit int
-	metrics   *Metrics
+	stats     workerStats
 
 	mu      sync.Mutex
 	healthy bool
@@ -42,10 +42,10 @@ func newWorker(addr string, inflight, failLimit int, m *Metrics) *worker {
 		cli:       client.New(addr),
 		inflight:  make(chan struct{}, inflight),
 		failLimit: failLimit,
-		metrics:   m,
+		stats:     m.worker(addr),
 		healthy:   true, // assume up until proven otherwise
 	}
-	m.SetWorkerHealthy(addr, true)
+	w.stats.healthy.set(1)
 	return w
 }
 
@@ -96,8 +96,8 @@ func (w *worker) fault() {
 	w.fails++
 	if w.healthy && w.fails >= w.failLimit {
 		w.healthy = false
-		w.metrics.ObserveWorkerEjection(w.addr)
-		w.metrics.SetWorkerHealthy(w.addr, false)
+		w.stats.ejections.add(1)
+		w.stats.healthy.set(0)
 	}
 }
 
@@ -109,8 +109,8 @@ func (w *worker) recover() {
 	w.fails = 0
 	if !w.healthy {
 		w.healthy = true
-		w.metrics.ObserveWorkerReadmission(w.addr)
-		w.metrics.SetWorkerHealthy(w.addr, true)
+		w.stats.readmissions.add(1)
+		w.stats.healthy.set(1)
 	}
 }
 
@@ -412,7 +412,7 @@ func (b *remoteBackend) available() bool { return b.w.routable() }
 func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 	outs := make([]*elsa.Output, len(jobs))
 	errs := make([]error, len(jobs))
-	b.w.metrics.ObserveRemoteOps(b.w.addr, len(jobs))
+	b.w.stats.remoteOps.add(int64(len(jobs)))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
@@ -460,7 +460,7 @@ func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 // guarantee.
 func (b *remoteBackend) decodeBatch(jobs []*job) []error {
 	errs := make([]error, len(jobs))
-	b.w.metrics.ObserveRemoteOps(b.w.addr, len(jobs))
+	b.w.stats.remoteOps.add(int64(len(jobs)))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
