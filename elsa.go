@@ -311,7 +311,13 @@ func (e *Engine) attend(q, k, v [][]float32, thr Threshold, collect bool) (*Outp
 	if err != nil {
 		return nil, nil, err
 	}
-	pre, err := e.engine.Preprocess(km, vm)
+	// The exact threshold admits every key, so the filter never runs and
+	// the keys need no hashes.
+	preprocess := e.engine.Preprocess
+	if thr.T == attention.ExactThresholdNoApprox {
+		preprocess = e.engine.PreprocessExact
+	}
+	pre, err := preprocess(km, vm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("elsa: %w", err)
 	}

@@ -1,6 +1,7 @@
 package attention
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -158,6 +159,70 @@ func BenchmarkPreprocess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Preprocess(keys, values); err != nil {
 			b.Fatalf("Preprocess: %v", err)
+		}
+	}
+}
+
+// BenchmarkHashVector tracks one query's k-bit sign hash through the
+// (4×4)^⊗3 Kronecker projection at d = 64.
+func BenchmarkHashVector(b *testing.B) {
+	e, q, _, _ := benchSetup(b, 1, 64, false)
+	ws := NewWorkspace(e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.HashVectorInto(ws.hashWords, q.Row(0), ws)
+	}
+}
+
+// BenchmarkWeightedSum tracks the float softmax·V kernel over every
+// fourth key of n = 512 (about the candidate fraction of a p = 1 op).
+func BenchmarkWeightedSum(b *testing.B) {
+	const n, d = 512, 64
+	e, q, p, _ := benchSetup(b, n, d, false)
+	ws := NewWorkspace(e)
+	var cand []int
+	var scores []float64
+	for y := 0; y < n; y += 4 {
+		cand = append(cand, y)
+		scores = append(scores, float64(tensor.Dot(q.Row(0), p.Keys.Row(y)))*e.cfg.Scale)
+	}
+	out := make([]float32, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.weightedSum(out, cand, scores, p, ws)
+	}
+}
+
+// BenchmarkLinearScanRow tracks one query's online-softmax pass over
+// n = 512 keys.
+func BenchmarkLinearScanRow(b *testing.B) {
+	const n, d = 512, 64
+	e, q, p, _ := benchSetup(b, n, d, false)
+	ws := NewWorkspace(e)
+	out := make([]float32, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		linearScanRow(out, q.Row(0), e.cfg.Scale, p, ws, ws.acc, math.Exp)
+	}
+}
+
+// BenchmarkAttendExactThreshold tracks the p = 0 scores backend: 64
+// queries attending every one of n = 256 keys.
+func BenchmarkAttendExactThreshold(b *testing.B) {
+	e, q, p, _ := benchSetup(b, 256, 64, false)
+	q = &tensor.Matrix{Rows: 64, Cols: 64, Data: q.Data[:64*64]}
+	ws := NewWorkspace(e)
+	if _, err := e.AttendWith(ws, q, p, ExactThresholdNoApprox); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.AttendWith(ws, q, p, ExactThresholdNoApprox); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

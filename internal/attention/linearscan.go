@@ -136,9 +136,10 @@ func LinearScanWithExp(q, k, v *tensor.Matrix, scale float64, exp func(float64) 
 // PreprocessExact stages keys and values for an exact backend: the same
 // shape/finiteness validation and input quantization as Preprocess, but no
 // hashing and no norms — exact backends never consult the filter. The
-// returned Preprocessed must not be fed to the filter pipeline (its hash
-// slots are nil); it exists so AttendLinearScanWith sees bit-identical
-// at-rest K/V to what Preprocess would have stored.
+// returned Preprocessed serves AttendLinearScanWith, and AttendWith at
+// ExactThresholdNoApprox, with bit-identical at-rest K/V to what
+// Preprocess would have stored; it must not be fed to the filter at any
+// other threshold (its hash slots are nil).
 func (e *Engine) PreprocessExact(keys, values *tensor.Matrix) (*Preprocessed, error) {
 	if keys.Cols != e.cfg.D {
 		return nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
@@ -191,6 +192,10 @@ func (e *Engine) AttendLinearScanWith(ws *Workspace, q *tensor.Matrix, p *Prepro
 	return res, nil
 }
 
+// scanTile is how many keys linearScanRow scores before applying them to
+// the accumulator in one pass.
+const scanTile = 32
+
 // linearScanRow computes one query's exact attention output over all n
 // keys of p in a single pass. Logits are produced bit-identically to
 // ExactWithScores — the same four-accumulator float32 dot product
@@ -199,6 +204,13 @@ func (e *Engine) AttendLinearScanWith(ws *Workspace, q *tensor.Matrix, p *Prepro
 // differential bound above is purely about downstream arithmetic order.
 // ws supplies the cold-prefix decode buffers and may be nil when p has no
 // cold prefix; acc is the caller's d-wide float64 accumulator.
+//
+// Keys go in tiles of scanTile: the tile's logits, weights and max-rescale
+// factors come first, updating m and sum key by key, then addScanTile
+// applies the tile to acc. Each accumulator element sees the same
+// rescales and additions in the same key order as a key-at-a-time scan.
+// Cold-prefix keys decode into one scratch row each, so they form
+// one-key tiles.
 func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed, ws *Workspace, acc []float64, exp func(float64) float64) {
 	acc = acc[:len(out)]
 	for j := range acc {
@@ -206,39 +218,104 @@ func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed
 	}
 	m := math.Inf(-1)
 	sum := 0.0
-	n := p.N()
+	n, cn := p.N(), p.Cold.N()
 	scale32 := float32(scale)
-	for y := 0; y < n; y++ {
-		dot := tensor.Dot(qrow, p.keyRow(y, ws))
-		if scale != 1 {
-			dot *= scale32
+	// w[t] is key t's weight in the running frame; r[t] is the factor the
+	// state is rescaled by before the key is added (1: no rescale).
+	var w, r [scanTile]float64
+	for y0 := 0; y0 < n; {
+		y1 := min(y0+scanTile, n)
+		if y0 < cn {
+			y1 = y0 + 1
 		}
-		l := float64(dot)
-		var w float64
-		if l > m {
-			// New running max: rescale state into the new frame. The first
-			// key always lands here (m starts at -Inf) with empty state.
-			if !math.IsInf(m, -1) {
-				r := exp(m - l)
-				sum *= r
-				for j := range acc {
-					acc[j] *= r
-				}
+		for y := y0; y < y1; y++ {
+			dot := tensor.Dot(qrow, p.keyRow(y, ws))
+			if scale != 1 {
+				dot *= scale32
 			}
-			m = l
-			w = 1
+			l := float64(dot)
+			t := y - y0
+			r[t] = 1
+			if l > m {
+				// New running max: rescale state into the new frame. The
+				// first key always lands here (m starts at -Inf) with empty
+				// state.
+				if !math.IsInf(m, -1) {
+					r[t] = exp(m - l)
+					sum *= r[t]
+				}
+				m = l
+				w[t] = 1
+			} else {
+				w[t] = exp(l - m)
+			}
+			sum += w[t]
+		}
+		if y0 < cn {
+			addScanTile(acc, w[:1], r[:1], p.valueRow(y0, ws))
 		} else {
-			w = exp(l - m)
+			d := len(acc)
+			addScanTile(acc, w[:y1-y0], r[:y1-y0], p.Values.Data[(y0-cn)*d:(y1-cn)*d])
 		}
-		sum += w
-		vrow := p.valueRow(y, ws)
-		for j := range acc {
-			acc[j] += w * float64(vrow[j])
-		}
+		y0 = y1
 	}
 	inv := 1 / sum
 	for j := range out {
 		out[j] = float32(acc[j] * inv)
+	}
+}
+
+// addScanTile applies a tile of keys to the accumulator: for each key t in
+// order, acc[j] = acc[j]·r[t] (skipped when r[t] is 1, which leaves every
+// value unchanged) and then acc[j] += w[t]·V_t[j], with V_t the t-th
+// d-wide row of vals. The sums of 8 columns at a time stay in registers
+// across the tile; the d mod 8 columns left over accumulate in acc
+// directly.
+func addScanTile(acc []float64, w, r []float64, vals []float32) {
+	d := len(acc)
+	r = r[:len(w)]
+	j := 0
+	for ; j+8 <= d; j += 8 {
+		a := acc[j : j+8]
+		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+		for t, wt := range w {
+			if rt := r[t]; rt != 1 {
+				a0 *= rt
+				a1 *= rt
+				a2 *= rt
+				a3 *= rt
+				a4 *= rt
+				a5 *= rt
+				a6 *= rt
+				a7 *= rt
+			}
+			off := t*d + j
+			v := vals[off : off+8]
+			a0 += wt * float64(v[0])
+			a1 += wt * float64(v[1])
+			a2 += wt * float64(v[2])
+			a3 += wt * float64(v[3])
+			a4 += wt * float64(v[4])
+			a5 += wt * float64(v[5])
+			a6 += wt * float64(v[6])
+			a7 += wt * float64(v[7])
+		}
+		a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	if j == d {
+		return
+	}
+	a := acc[j:]
+	for t, wt := range w {
+		if rt := r[t]; rt != 1 {
+			for k := range a {
+				a[k] *= rt
+			}
+		}
+		off := t*d + j
+		for k, x := range vals[off : off+len(a)] {
+			a[k] += wt * float64(x)
+		}
 	}
 }
 

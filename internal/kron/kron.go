@@ -199,29 +199,55 @@ func (p *Projection) ApplyTo(dst, x, scratch []float32) {
 
 // modeProductInto contracts factor a against the current mode of the
 // row-major tensor src, whose flattened shape is pre × a.Cols × post,
-// writing the pre × a.Rows × post result into out (overwritten, not
-// accumulated).
+// writing the pre × a.Rows × post result into out. Each output element is
+// summed in a register and stored once: starting from zero, it adds
+// a[r][c]·src[c] in ascending c, skipping zero factor entries. That is the
+// operation order of an accumulate-into-zeroed-memory loop, so the result
+// is bit-identical to it. The 4-column factors of the (4×4)^⊗3 shape take
+// an unrolled form that loads the four source elements of an output column
+// once for all of the factor's rows.
 func modeProductInto(out, src []float32, pre, post int, a *tensor.Matrix) {
-	cur := a.Cols
+	cur, rows := a.Cols, a.Rows
 	if len(src) != pre*cur*post {
 		panic(fmt.Sprintf("kron: mode input length %d, want %d", len(src), pre*cur*post))
 	}
-	for i := range out {
-		out[i] = 0
-	}
 	for pi := 0; pi < pre; pi++ {
-		for r := 0; r < a.Rows; r++ {
+		in := src[pi*cur*post : (pi+1)*cur*post]
+		o := out[pi*rows*post : (pi+1)*rows*post]
+		if cur == 4 {
+			ad := a.Data[:4*rows]
+			for q := 0; q < post; q++ {
+				x0, x1, x2, x3 := in[q], in[post+q], in[2*post+q], in[3*post+q]
+				for r, oi := 0, q; r+3 < len(ad); r, oi = r+4, oi+post {
+					a0, a1, a2, a3 := ad[r], ad[r+1], ad[r+2], ad[r+3]
+					s := float32(0)
+					if a0 != 0 {
+						s += a0 * x0
+					}
+					if a1 != 0 {
+						s += a1 * x1
+					}
+					if a2 != 0 {
+						s += a2 * x2
+					}
+					if a3 != 0 {
+						s += a3 * x3
+					}
+					o[oi] = s
+				}
+			}
+			continue
+		}
+		for r := 0; r < rows; r++ {
 			arow := a.Row(r)
-			dst := out[(pi*a.Rows+r)*post : (pi*a.Rows+r+1)*post]
-			for c := 0; c < cur; c++ {
-				av := arow[c]
-				if av == 0 {
-					continue
+			for q := 0; q < post; q++ {
+				s := float32(0)
+				for c, av := range arow {
+					if av != 0 {
+						s += av * in[c*post+q]
+					}
 				}
-				src := src[(pi*cur+c)*post : (pi*cur+c+1)*post]
-				for q, sv := range src {
-					dst[q] += av * sv
-				}
+				o[r*post+q] = s
 			}
 		}
 	}

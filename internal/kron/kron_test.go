@@ -197,3 +197,95 @@ func TestDenseExpansionOrthogonal(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refModeProductInto is the zero-fill, accumulate-into-memory mode
+// product the store-once kernel replaced. The kernel must match it bit
+// for bit.
+func refModeProductInto(out, src []float32, pre, post int, a *tensor.Matrix) {
+	cur := a.Cols
+	for i := range out {
+		out[i] = 0
+	}
+	for pi := 0; pi < pre; pi++ {
+		for r := 0; r < a.Rows; r++ {
+			arow := a.Row(r)
+			dst := out[(pi*a.Rows+r)*post : (pi*a.Rows+r+1)*post]
+			for c := 0; c < cur; c++ {
+				av := arow[c]
+				if av == 0 {
+					continue
+				}
+				src := src[(pi*cur+c)*post : (pi*cur+c+1)*post]
+				for q, sv := range src {
+					dst[q] += av * sv
+				}
+			}
+		}
+	}
+}
+
+// refApply chains refModeProductInto over p's factors.
+func refApply(p *Projection, x []float32) []float32 {
+	src := x
+	for mode, f := range p.factors {
+		out := make([]float32, p.modePre[mode]*f.Rows*p.modePost[mode])
+		refModeProductInto(out, src, p.modePre[mode], p.modePost[mode], f)
+		src = out
+	}
+	return src
+}
+
+// TestApplyMatchesReference pins ApplyTo to the accumulate-into-memory
+// mode product bit for bit, across the standard shapes, rectangular and
+// mixed factors, factors with zero entries (the zero-skip), and inputs
+// holding zeros, negative zeros and infinities.
+func TestApplyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	negZero := float32(math.Copysign(0, -1))
+	for _, shapes := range [][][2]int{
+		StandardShapes(64),
+		StandardShapes(16),
+		StandardShapes(20),
+		{{2, 4}, {4, 4}, {3, 4}},
+		{{4, 4}, {3, 5}},
+		{{1, 4}, {8, 8}},
+		{{4, 4}},
+	} {
+		p, err := NewRandomOrthogonal(rng, shapes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, f := range p.factors {
+			if fi%2 == 0 {
+				f.Data[rng.Intn(len(f.Data))] = 0
+			}
+		}
+		scratch := make([]float32, p.ScratchLen())
+		got := make([]float32, p.K)
+		for trial := 0; trial < 20; trial++ {
+			x := make([]float32, p.D)
+			for i := range x {
+				switch rng.Intn(6) {
+				case 0:
+					x[i] = 0
+				case 1:
+					x[i] = negZero
+				default:
+					x[i] = float32(rng.NormFloat64())
+				}
+			}
+			if trial%4 == 3 {
+				// Only a non-finite input tells a skipped zero entry from
+				// an added 0·x.
+				x[rng.Intn(len(x))] = float32(math.Inf(1))
+			}
+			p.ApplyTo(got, x, scratch)
+			want := refApply(p, x)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("shapes %v trial %d: out[%d] = %v, reference %v", shapes, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
