@@ -33,6 +33,14 @@ func TestGateCommittedTrajectory(t *testing.T) {
 			},
 		},
 		{
+			experiment: "bench", newer: "BENCH_2026-10-17_pr14b_kernels.json", older: "BENCH_2026-10-17_pr14a_parent.json",
+			ratios: []ratio{
+				{"bench", "dataset=SQuADv1.1 n=256 d=64 p=0", "ns_per_op", "0.81x"},
+				{"bench", "dataset=SQuADv1.1 n=512 d=64 p=1", "ns_per_op", "0.73x"},
+				{"bench", "dataset=SQuADv1.1/decode n=256 d=64 p=1", "ns_per_op", "0.71x"},
+			},
+		},
+		{
 			experiment: "serve", newer: "BENCH_2026-08-08_pr6_serving.json", older: "BENCH_2026-08-05_pr5_serving.json",
 			ratios: []ratio{
 				{"serve", "replicas=1 concurrency=16", "ops_per_sec", "1.00x"},

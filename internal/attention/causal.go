@@ -61,34 +61,42 @@ func (e *Engine) AttendCausal(q *tensor.Matrix, p *Preprocessed, t float64) (*Re
 	}
 	ws.candFlat = ws.candFlat[:0]
 	runningMax := 0.0
+	// At the exact threshold query i takes every key 0..i, unhashed and
+	// unfiltered, as attendRows does for the full sequence.
+	exact := t == ExactThresholdNoApprox
+	ws.cand = ws.cand[:0]
 	for i := 0; i < qm.Rows; i++ {
-		if p.Norms[i] > runningMax {
-			runningMax = p.Norms[i]
-		}
 		qrow := qm.Row(i)
-		e.HashVectorInto(ws.hashWords, qrow, ws)
-		qHash := srp.BitVec{K: e.cfg.K, Words: ws.hashWords}
-		cut := t * runningMax
-		ws.cand = ws.cand[:0]
-		best, bestSim := 0, math.Inf(-1)
-		for y := 0; y <= i; y++ {
-			var ham int
-			if p.Packed != nil {
-				ham = p.Packed.HammingAt(ws.hashWords, y)
-			} else {
-				ham = srp.Hamming(qHash, p.Hashes[y])
+		if exact {
+			ws.cand = append(ws.cand, i)
+		} else {
+			if p.Norms[i] > runningMax {
+				runningMax = p.Norms[i]
 			}
-			sim := e.cosLUT[ham] * p.Norms[y]
-			if sim > cut {
-				ws.cand = append(ws.cand, y)
+			e.HashVectorInto(ws.hashWords, qrow, ws)
+			qHash := srp.BitVec{K: e.cfg.K, Words: ws.hashWords}
+			cut := t * runningMax
+			ws.cand = ws.cand[:0]
+			best, bestSim := 0, math.Inf(-1)
+			for y := 0; y <= i; y++ {
+				var ham int
+				if p.Packed != nil {
+					ham = p.Packed.HammingAt(ws.hashWords, y)
+				} else {
+					ham = srp.Hamming(qHash, p.Hashes[y])
+				}
+				sim := e.cosLUT[ham] * p.Norms[y]
+				if sim > cut {
+					ws.cand = append(ws.cand, y)
+				}
+				if sim > bestSim {
+					best, bestSim = y, sim
+				}
 			}
-			if sim > bestSim {
-				best, bestSim = y, sim
+			if len(ws.cand) == 0 {
+				res.FallbackQueries++
+				ws.cand = append(ws.cand, best)
 			}
-		}
-		if len(ws.cand) == 0 {
-			res.FallbackQueries++
-			ws.cand = append(ws.cand, best)
 		}
 		res.CandidateCounts[i] = len(ws.cand)
 		res.TotalCandidates += len(ws.cand)
