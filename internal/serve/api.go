@@ -4,16 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
 	"elsa"
+	"elsa/serve/client"
 )
 
 // Envelope is the versioned v1 request envelope shared by every POST
 // endpoint: admission metadata (who is asking, at what priority, with how
 // much latency budget) wraps the op payload in `op`. A body without an
-// `op` key answers 400 with a hint to wrap it.
+// `op` key answers 400 with a hint to wrap it. Envelope is the form for
+// building a body around an already-encoded op; the server decodes
+// through envelope, which has the same fields.
 type Envelope struct {
 	// ClientID keys the per-client quota bucket. Empty means anonymous;
 	// all anonymous requests share one bucket, so naming yourself is how
@@ -33,6 +37,17 @@ type Envelope struct {
 	Op json.RawMessage `json:"op,omitempty"`
 }
 
+// envelope is Envelope as decodeEnvelope reads it: the op decodes
+// straight into its payload type in the same pass as the metadata, so a
+// body is scanned once instead of once for the envelope and again for
+// the op. A missing or null op leaves Op nil.
+type envelope[T any] struct {
+	ClientID   string `json:"client_id"`
+	Priority   string `json:"priority"`
+	DeadlineMS int64  `json:"deadline_ms"`
+	Op         *T     `json:"op"`
+}
+
 // requestMeta is the envelope's admission metadata, resolved.
 type requestMeta struct {
 	clientID string
@@ -44,17 +59,17 @@ type requestMeta struct {
 // earns: it names the fix so old clients can self-serve the migration.
 const bareBodyHint = `bare payload rejected: wrap the request body in the v1 envelope {"op": <payload>} (optionally with client_id / priority / deadline_ms)`
 
-// decodeEnvelope decodes a size-bounded v1 envelope body, its op into
-// payload, and resolves the admission metadata (falling back to the
-// X-Elsa-Client / X-Elsa-Priority headers). It answers 400 itself on
-// failure.
-func decodeEnvelope(w http.ResponseWriter, r *http.Request, maxBytes int64, payload any) (requestMeta, bool) {
+// decodeEnvelope decodes a size-bounded v1 envelope body in one pass,
+// its op into payload, and resolves the admission metadata (falling back
+// to the X-Elsa-Client / X-Elsa-Priority headers). It answers 400 itself
+// on failure; a body whose op is missing or null earns bareBodyHint.
+func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, payload *T) (requestMeta, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false
 	}
-	var env Envelope
+	var env envelope[T]
 	if err := json.Unmarshal(body, &env); err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false
@@ -63,10 +78,7 @@ func decodeEnvelope(w http.ResponseWriter, r *http.Request, maxBytes int64, payl
 		fail(w, http.StatusBadRequest, bareBodyHint)
 		return requestMeta{}, false
 	}
-	if err := json.Unmarshal(env.Op, payload); err != nil {
-		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return requestMeta{}, false
-	}
+	*payload = *env.Op
 	meta := requestMeta{clientID: env.ClientID}
 	if meta.clientID == "" {
 		meta.clientID = r.Header.Get("X-Elsa-Client")
@@ -94,6 +106,13 @@ type AttendRequest struct {
 	Q [][]float32 `json:"q"`
 	K [][]float32 `json:"k"`
 	V [][]float32 `json:"v"`
+	// QP, KP and VP carry Q, K and V packed instead: one client.PackVec
+	// string (base64 little-endian float32, bit-exact) per row. Each
+	// matrix arrives either plain or packed, never both. Packed queries
+	// get their reply as ContextPacked: packed in, packed out.
+	QP []string `json:"qp,omitempty"`
+	KP []string `json:"kp,omitempty"`
+	VP []string `json:"vp,omitempty"`
 
 	// P is the degree of approximation (0 = exact attention). When T is
 	// absent the server calibrates a threshold for this p once per engine
@@ -115,8 +134,12 @@ type AttendRequest struct {
 
 // AttendResponse is the POST /v1/attend reply.
 type AttendResponse struct {
-	// Context is the attention output, one row per query.
-	Context [][]float32 `json:"context"`
+	// Context is the attention output, one row per query, for a request
+	// whose queries arrived plain.
+	Context [][]float32 `json:"context,omitempty"`
+	// ContextPacked replaces Context, one client.PackVec string per row,
+	// for a request whose queries arrived packed (qp).
+	ContextPacked []string `json:"context_packed,omitempty"`
 	// CandidateFraction is the mean fraction of keys admitted by the
 	// filter per query.
 	CandidateFraction float64 `json:"candidate_fraction"`
@@ -487,6 +510,38 @@ type DrainResponse struct {
 // errorResponse is the JSON body for every non-2xx reply.
 type errorResponse struct {
 	Error string `json:"error"`
+}
+
+// unpack decodes the packed matrices into Q/K/V, rejecting a matrix sent
+// both ways and any non-finite element. JSON numbers cannot spell NaN or
+// Inf but packed bits can; caught here, such an op answers 400 on its
+// own instead of failing every op of the micro-batch it would join.
+func (r *AttendRequest) unpack() error {
+	for _, part := range []struct {
+		name   string
+		rows   *[][]float32
+		packed []string
+	}{{"q", &r.Q, r.QP}, {"k", &r.K, r.KP}, {"v", &r.V, r.VP}} {
+		if part.packed == nil {
+			continue
+		}
+		if *part.rows != nil {
+			return fmt.Errorf("%s and %sp are mutually exclusive", part.name, part.name)
+		}
+		rows, err := client.UnpackRows(part.packed)
+		if err != nil {
+			return fmt.Errorf("%sp %w", part.name, err)
+		}
+		for i, row := range rows {
+			for j, x := range row {
+				if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+					return fmt.Errorf("%sp row %d element %d is not finite (%g)", part.name, i, j, x)
+				}
+			}
+		}
+		*part.rows = rows
+	}
+	return nil
 }
 
 // validate performs the shape checks the scheduler relies on, returning a

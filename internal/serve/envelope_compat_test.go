@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -18,6 +19,25 @@ import (
 // payload travels inside the v1 envelope {"op": <payload>}; a bare body
 // is rejected with a 400 that tells the client how to wrap it.
 
+// decodeAny calls decodeEnvelope, whose payload type is a type
+// parameter, for a payload held as any: the golden table stores its
+// payload constructors as func() any.
+func decodeAny(t *testing.T, w http.ResponseWriter, r *http.Request, payload any) (requestMeta, bool) {
+	t.Helper()
+	switch p := payload.(type) {
+	case *AttendRequest:
+		return decodeEnvelope(w, r, 1<<20, p)
+	case *SessionCreateRequest:
+		return decodeEnvelope(w, r, 1<<20, p)
+	case *SessionAppendRequest:
+		return decodeEnvelope(w, r, 1<<20, p)
+	case *SessionQueryRequest:
+		return decodeEnvelope(w, r, 1<<20, p)
+	}
+	t.Fatalf("decodeAny: no case for payload type %T", payload)
+	return requestMeta{}, false
+}
+
 // decodeVia runs one body through decodeEnvelope exactly as the handlers
 // do and returns the resolved meta. payload must be a pointer.
 func decodeVia(t *testing.T, body string, headers map[string]string, payload any) requestMeta {
@@ -27,7 +47,7 @@ func decodeVia(t *testing.T, body string, headers map[string]string, payload any
 		r.Header.Set(k, v)
 	}
 	w := httptest.NewRecorder()
-	meta, ok := decodeEnvelope(w, r, 1<<20, payload)
+	meta, ok := decodeAny(t, w, r, payload)
 	if !ok {
 		t.Fatalf("decodeEnvelope rejected %q: %s", body, w.Body.String())
 	}
@@ -40,7 +60,7 @@ func rejectVia(t *testing.T, body string, payload any) string {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/v1/test", strings.NewReader(body))
 	w := httptest.NewRecorder()
-	if _, ok := decodeEnvelope(w, r, 1<<20, payload); ok {
+	if _, ok := decodeAny(t, w, r, payload); ok {
 		t.Fatalf("decodeEnvelope accepted %q, want rejection", body)
 	}
 	if w.Code != 400 {
@@ -57,6 +77,12 @@ var envelopeGolden = []struct {
 	{
 		name:    "attend",
 		bare:    `{"q":[[1,0]],"k":[[0.5,0.5],[1,0]],"v":[[1,2],[3,4]],"p":0.4,"head_dim":2,"hash_bits":8,"seed":9,"quantized":true}`,
+		payload: func() any { return &AttendRequest{} },
+	},
+	{
+		// The "attend" row's op with Q/K/V packed (client.PackVec rows).
+		name:    "attend packed",
+		bare:    `{"qp":["AACAPwAAAAA="],"kp":["AAAAPwAAAD8=","AACAPwAAAAA="],"vp":["AACAPwAAAEA=","AABAQAAAgEA="],"p":0.4,"head_dim":2,"hash_bits":8,"seed":9,"quantized":true}`,
 		payload: func() any { return &AttendRequest{} },
 	},
 	{
@@ -144,6 +170,41 @@ func TestEnvelopeBareSunset(t *testing.T) {
 	errBody := rejectVia(t, `{"q":`, &SessionQueryRequest{})
 	if !strings.Contains(errBody, "invalid JSON body") {
 		t.Errorf("malformed body must be a parse error, got %s", errBody)
+	}
+}
+
+// TestEnvelopePackedAttendGolden pins that the packed golden attend op
+// unpacks to exactly the plain golden op: same Q/K/V bits, same engine
+// and operating-point fields.
+func TestEnvelopePackedAttendGolden(t *testing.T) {
+	golden := func(name string) string {
+		for _, tc := range envelopeGolden {
+			if tc.name == name {
+				return tc.bare
+			}
+		}
+		t.Fatalf("no golden row %q", name)
+		return ""
+	}
+	var plain, packed AttendRequest
+	decodeVia(t, `{"op":`+golden("attend")+`}`, nil, &plain)
+	decodeVia(t, `{"op":`+golden("attend packed")+`}`, nil, &packed)
+	if err := packed.unpack(); err != nil {
+		t.Fatalf("unpack: %v", err)
+	}
+	packed.QP, packed.KP, packed.VP = nil, nil, nil
+	if !reflect.DeepEqual(plain, packed) {
+		t.Errorf("packed golden op unpacked differently from the plain one:\nplain:  %+v\npacked: %+v", plain, packed)
+	}
+}
+
+// TestEnvelopeNullOp pins the answer to an explicit null op: the
+// bare-body hint, exactly as for a missing op.
+func TestEnvelopeNullOp(t *testing.T) {
+	for _, body := range []string{`{"op": null}`, `{"client_id":"c","op":null}`, `{"client_id":"c"}`} {
+		if errBody := rejectVia(t, body, &AttendRequest{}); !strings.Contains(errBody, "wrap the request body in the v1 envelope") {
+			t.Errorf("%s: want the bare-body hint, got %s", body, errBody)
+		}
 	}
 }
 

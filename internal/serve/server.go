@@ -382,6 +382,9 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 	if !ok {
 		return http.StatusBadRequest, "bad_request", ClassInteractive
 	}
+	if err := req.unpack(); err != nil {
+		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
+	}
 	if err := req.validate(); err != nil {
 		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
 	}
@@ -448,13 +451,18 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		return fail(w, http.StatusInternalServerError, err.Error()), "internal", meta.class
 	}
 
-	return writeJSON(w, http.StatusOK, AttendResponse{
-		Context:           out.Context,
+	resp := AttendResponse{
 		CandidateFraction: out.CandidateFraction,
 		FallbackQueries:   out.FallbackQueries,
 		Threshold:         ThresholdJSON{P: thr.P, T: thr.T, Queries: thr.Queries},
 		BatchSize:         batchSize,
-	}), "", meta.class
+	}
+	if req.QP != nil {
+		resp.ContextPacked = client.PackRows(out.Context)
+	} else {
+		resp.Context = out.Context
+	}
+	return writeJSON(w, http.StatusOK, resp), "", meta.class
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {

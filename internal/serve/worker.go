@@ -426,7 +426,7 @@ func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 			}
 			defer func() { <-b.w.inflight }()
 			res, err := b.w.cli.Attend(j.ctx, j.op.Q, j.op.K, j.op.V, client.AttendOptions{
-				Overrides: elsa.Overrides{Thr: j.op.Thr, Backend: j.op.Backend},
+				Overrides: wireOverrides(j.op.Thr, j.op.Backend),
 				HeadDim:   b.opts.HeadDim,
 				HashBits:  b.opts.HashBits,
 				Seed:      b.opts.Seed,
@@ -476,7 +476,7 @@ func (b *remoteBackend) decodeBatch(jobs []*job) []error {
 			dec := j.dec
 			keys, values := dec.stream.Rows()
 			res, err := b.w.cli.Attend(j.ctx, [][]float32{dec.q}, keys, values, client.AttendOptions{
-				Overrides: elsa.Overrides{Thr: &dec.thr, Backend: dec.backend},
+				Overrides: wireOverrides(&dec.thr, dec.backend),
 				HeadDim:   b.opts.HeadDim,
 				HashBits:  b.opts.HashBits,
 				Seed:      b.opts.Seed,
@@ -496,6 +496,17 @@ func (b *remoteBackend) decodeBatch(jobs []*job) []error {
 	}
 	wg.Wait()
 	return errs
+}
+
+// wireOverrides is the operating point a remote op carries: its pinned
+// threshold, or for an op pinned to an exact backend the backend alone.
+// The wire rejects t beside backend, and a backend implies p = 0, which
+// the worker resolves to the exact threshold by itself.
+func wireOverrides(thr *elsa.Threshold, backend string) elsa.Overrides {
+	if backend != elsa.BackendAuto {
+		return elsa.Overrides{Backend: backend}
+	}
+	return elsa.Overrides{Thr: thr}
 }
 
 // classify sorts one remote failure into the dispatcher's retry taxonomy

@@ -28,6 +28,16 @@ echo "== go test -race =="
 # exact linear-scan differential suite all run here.
 go test -race -count=1 ./...
 
+echo "== elsaperf logic tests =="
+# elsaperf is its own module, so ./... above does not reach it; run the
+# benchmark harness's own tests from inside it.
+(cd elsaperf && go test -count=1 ./...)
+
+echo "== fuzz smoke: /v1/attend decoder =="
+# Ten seconds of coverage-guided inputs through envelope decode, packed
+# unpack and AttendRequest.validate: accept or 400, never panic.
+go test -run '^$' -fuzz '^FuzzAttendEnvelope$' -fuzztime 10s ./internal/serve/
+
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
 # explicitly so they can never be skipped under -short, with -count=1 to

@@ -119,25 +119,28 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	return &h, nil
 }
 
-// envelope mirrors the server's v1 request envelope.
+// envelope mirrors the server's v1 request envelope. Op holds the op
+// struct itself, so a request body is marshaled in one pass.
 type envelope struct {
-	ClientID   string          `json:"client_id,omitempty"`
-	Priority   string          `json:"priority,omitempty"`
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-	Op         json.RawMessage `json:"op"`
+	ClientID   string `json:"client_id,omitempty"`
+	Priority   string `json:"priority,omitempty"`
+	DeadlineMS int64  `json:"deadline_ms,omitempty"`
+	Op         any    `json:"op"`
 }
 
+// attendWire is the /v1/attend op with Q/K/V packed (PackRows), which
+// also makes the server answer with context_packed.
 type attendWire struct {
-	Q         [][]float32 `json:"q"`
-	K         [][]float32 `json:"k"`
-	V         [][]float32 `json:"v"`
-	P         float64     `json:"p,omitempty"`
-	T         *float64    `json:"t,omitempty"`
-	HeadDim   int         `json:"head_dim,omitempty"`
-	HashBits  int         `json:"hash_bits,omitempty"`
-	Seed      int64       `json:"seed,omitempty"`
-	Quantized bool        `json:"quantized,omitempty"`
-	Backend   string      `json:"backend,omitempty"`
+	QP        []string `json:"qp"`
+	KP        []string `json:"kp"`
+	VP        []string `json:"vp"`
+	P         float64  `json:"p,omitempty"`
+	T         *float64 `json:"t,omitempty"`
+	HeadDim   int      `json:"head_dim,omitempty"`
+	HashBits  int      `json:"hash_bits,omitempty"`
+	Seed      int64    `json:"seed,omitempty"`
+	Quantized bool     `json:"quantized,omitempty"`
+	Backend   string   `json:"backend,omitempty"`
 }
 
 type thresholdWire struct {
@@ -148,6 +151,7 @@ type thresholdWire struct {
 
 type attendReplyWire struct {
 	Context           [][]float32   `json:"context"`
+	ContextPacked     []string      `json:"context_packed"`
 	CandidateFraction float64       `json:"candidate_fraction"`
 	FallbackQueries   int           `json:"fallback_queries"`
 	Threshold         thresholdWire `json:"threshold"`
@@ -160,10 +164,12 @@ type errorWire struct {
 
 // Attend runs one self-attention op on the server. A ctx deadline is
 // forwarded as the envelope's deadline_ms, so the server can shed the op
-// up front when its queue cannot meet it.
+// up front when its queue cannot meet it. Q/K/V travel packed (base64
+// little-endian float32, bit-exact) and so does the returned context:
+// JSON float text would cost more CPU than the attention itself.
 func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOptions) (*Result, error) {
 	wire := attendWire{
-		Q: q, K: k, V: v,
+		QP: PackRows(q), KP: PackRows(k), VP: PackRows(v),
 		P:         opts.P,
 		HeadDim:   opts.HeadDim,
 		HashBits:  opts.HashBits,
@@ -179,6 +185,13 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 	if err := c.post(ctx, "/v1/attend", wire, &reply); err != nil {
 		return nil, err
 	}
+	if reply.ContextPacked != nil {
+		out, err := UnpackRows(reply.ContextPacked)
+		if err != nil {
+			return nil, fmt.Errorf("client: decoding reply: context_packed %w", err)
+		}
+		reply.Context = out
+	}
 	return &Result{
 		Context:           reply.Context,
 		CandidateFraction: reply.CandidateFraction,
@@ -192,18 +205,14 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 // Retry-After hint (falling back to a doubling backoff), never sleeping
 // past the context deadline. out may be nil for replies with no body.
 func (c *Client) post(ctx context.Context, path string, op any, out any) error {
-	raw, err := json.Marshal(op)
-	if err != nil {
-		return fmt.Errorf("client: encoding op: %w", err)
-	}
 	body, err := json.Marshal(envelope{
 		ClientID:   c.clientID,
 		Priority:   c.priority,
 		DeadlineMS: deadlineMS(ctx),
-		Op:         raw,
+		Op:         op,
 	})
 	if err != nil {
-		return fmt.Errorf("client: encoding envelope: %w", err)
+		return fmt.Errorf("client: encoding op: %w", err)
 	}
 	backoff := 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
