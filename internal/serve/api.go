@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -64,11 +67,34 @@ const bareBodyHint = `bare payload rejected: wrap the request body in the v1 env
 // to the X-Elsa-Client / X-Elsa-Priority headers). It answers 400 itself
 // on failure; a body whose op is missing or null earns bareBodyHint.
 func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, payload *T) (requestMeta, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	body, err := readBody(w, r, maxBytes)
 	if err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false
 	}
+	return decodeEnvelopeBody(w, r, body, payload)
+}
+
+// readBody reads a request body of at most maxBytes. A body whose
+// Content-Length is known and within the limit is read with one
+// exact-size read instead of a ReadAll that grows its buffer by
+// doubling; net/http stops the body at its declared length and fails one
+// cut short with io.ErrUnexpectedEOF, as ReadAll reports it. Any other
+// body (chunked, or declared over the limit) goes through
+// http.MaxBytesReader, whose error names the limit.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	if r.ContentLength < 0 || r.ContentLength > maxBytes {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	}
+	body := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// decodeEnvelopeBody is decodeEnvelope on a body already read.
+func decodeEnvelopeBody[T any](w http.ResponseWriter, r *http.Request, body []byte, payload *T) (requestMeta, bool) {
 	var env envelope[T]
 	if err := json.Unmarshal(body, &env); err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
@@ -79,6 +105,13 @@ func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int6
 		return requestMeta{}, false
 	}
 	*payload = *env.Op
+	return env.meta(w, r)
+}
+
+// meta resolves the envelope's admission metadata, falling back to the
+// X-Elsa-Client / X-Elsa-Priority headers. It answers 400 itself on an
+// unknown priority.
+func (env *envelope[T]) meta(w http.ResponseWriter, r *http.Request) (requestMeta, bool) {
 	meta := requestMeta{clientID: env.ClientID}
 	if meta.clientID == "" {
 		meta.clientID = r.Header.Get("X-Elsa-Client")
@@ -87,6 +120,7 @@ func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int6
 	if priority == "" {
 		priority = r.Header.Get("X-Elsa-Priority")
 	}
+	var err error
 	meta.class, err = parseClass(priority)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err.Error())
@@ -515,7 +549,8 @@ type errorResponse struct {
 // unpack decodes the packed matrices into Q/K/V, rejecting a matrix sent
 // both ways and any non-finite element. JSON numbers cannot spell NaN or
 // Inf but packed bits can; caught here, such an op answers 400 on its
-// own instead of failing every op of the micro-batch it would join.
+// own instead of failing every op of the micro-batch it would join. A
+// matrix's base64 errors are reported ahead of its non-finite elements.
 func (r *AttendRequest) unpack() error {
 	for _, part := range []struct {
 		name   string
@@ -528,18 +563,88 @@ func (r *AttendRequest) unpack() error {
 		if *part.rows != nil {
 			return fmt.Errorf("%s and %sp are mutually exclusive", part.name, part.name)
 		}
-		rows, err := client.UnpackRows(part.packed)
-		if err != nil {
-			return fmt.Errorf("%sp %w", part.name, err)
+		floats, widest := 0, 0
+		for _, s := range part.packed {
+			floats += packedFloats(len(s))
+			widest = max(widest, len(s))
 		}
-		for i, row := range rows {
-			for j, x := range row {
-				if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-					return fmt.Errorf("%sp row %d element %d is not finite (%g)", part.name, i, j, x)
-				}
+		backing := make([]float32, 0, floats)
+		scratch := make([]byte, base64.StdEncoding.DecodedLen(widest))
+		rows := make([][]float32, len(part.packed))
+		badRow, badCol := -1, -1
+		for i, s := range part.packed {
+			start := len(backing)
+			var bad int
+			var err error
+			if backing, bad, err = decodeRow(backing, scratch, []byte(s)); err != nil {
+				return fmt.Errorf("%sp row %d: %w", part.name, i, err)
 			}
+			if bad >= 0 && badRow < 0 {
+				badRow, badCol = i, bad
+			}
+			rows[i] = backing[start:len(backing):len(backing)]
+		}
+		if badRow >= 0 {
+			return fmt.Errorf("%sp row %d element %d is not finite (%g)",
+				part.name, badRow, badCol, rows[badRow][badCol])
 		}
 		*part.rows = rows
+	}
+	return nil
+}
+
+// packedFloats is how many float32s a packed row of n base64 bytes can
+// hold at most: three bytes per four characters, four bytes per float.
+// Decoders size their backing by it, so a body buys at most 3/16 of its
+// base64 length in floats.
+func packedFloats(n int) int { return base64.StdEncoding.DecodedLen(n) / 4 }
+
+// decodeRow base64-decodes one packed row (a client.PackVec string)
+// through scratch, which holds at least DecodedLen(len(src)) bytes, and
+// appends its float32s to dst. bad is the index of the row's first
+// non-finite element, or -1. The error texts are the /v1/attend wire
+// contract; both the body scanner and unpack decode through here.
+func decodeRow(dst []float32, scratch, src []byte) (out []float32, bad int, err error) {
+	n, err := base64.StdEncoding.Decode(scratch, src)
+	if err != nil {
+		return nil, -1, fmt.Errorf("packed vector: %w", err)
+	}
+	if n%4 != 0 {
+		return nil, -1, fmt.Errorf("packed vector is %d bytes, not a multiple of 4", n)
+	}
+	bad = -1
+	for i := 0; i < n; i += 4 {
+		bits := binary.LittleEndian.Uint32(scratch[i:])
+		if bits&0x7f800000 == 0x7f800000 && bad < 0 { // exponent all ones: Inf or NaN
+			bad = i / 4
+		}
+		dst = append(dst, math.Float32frombits(bits))
+	}
+	return dst, bad, nil
+}
+
+// unpack checks a step wave's entries and decodes each packed query
+// into Q: a wave needs at least one entry, and each entry exactly one
+// non-empty query, plain or packed.
+func (r *SessionStepRequest) unpack() error {
+	if len(r.Queries) == 0 {
+		return errors.New("step requires at least one query")
+	}
+	for i := range r.Queries {
+		q := &r.Queries[i]
+		if q.QPacked != "" {
+			if len(q.Q) != 0 {
+				return fmt.Errorf("queries[%d] sets both q and qp", i)
+			}
+			vec, err := client.UnpackVec(q.QPacked)
+			if err != nil {
+				return fmt.Errorf("queries[%d].qp: %v", i, err)
+			}
+			q.Q = vec
+		}
+		if len(q.Q) == 0 {
+			return fmt.Errorf("queries[%d].q must be non-empty", i)
+		}
 	}
 	return nil
 }

@@ -12,62 +12,112 @@ import (
 
 // BenchmarkAttendCodec measures the /v1/attend wire codec on one op the
 // shape of attend-oneshot's long ones (4 queries over 320 keys, d = 64),
-// plain JSON against packed rows: encoding the body, and the server's
-// decode up to a validated op. body_B is the request size.
+// plain JSON against packed rows: the handler's decode (decodeAttend) up
+// to a validated op, and, for plain bodies, the json.Marshal encode a
+// plain client pays. The packed encoder is serve/client's own, timed by
+// its BenchmarkAttendEncode. body_B is the request size.
 //
 //	go test -run '^$' -bench AttendCodec ./internal/serve/
 func BenchmarkAttendCodec(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	mk := func(rows int) [][]float32 {
-		m := make([][]float32, rows)
-		for i := range m {
-			m[i] = make([]float32, 64)
-			for j := range m[i] {
-				m[i][j] = float32(rng.NormFloat64())
-			}
-		}
-		return m
+	q, k, v := randMatrix(1, 4, 64), randMatrix(2, 320, 64), randMatrix(3, 320, 64)
+	plain, err := json.Marshal(envelope[AttendRequest]{Op: &AttendRequest{Q: q, K: k, V: v, P: 1}})
+	if err != nil {
+		b.Fatal(err)
 	}
-	q, k, v := mk(4), mk(320), mk(320)
-	for _, tc := range []struct {
-		name string
-		op   func() AttendRequest
-	}{
-		{"plain", func() AttendRequest { return AttendRequest{Q: q, K: k, V: v, P: 1} }},
-		{"packed", func() AttendRequest {
-			return AttendRequest{QP: client.PackRows(q), KP: client.PackRows(k), VP: client.PackRows(v), P: 1}
-		}},
-	} {
-		encode := func() []byte {
-			op := tc.op()
-			body, err := json.Marshal(envelope[AttendRequest]{Op: &op})
-			if err != nil {
+	b.Run("plain/encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(envelope[AttendRequest]{Op: &AttendRequest{Q: q, K: k, V: v, P: 1}}); err != nil {
 				b.Fatal(err)
 			}
-			return body
 		}
-		b.Run(tc.name+"/encode", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				encode()
-			}
-		})
-		body := encode()
+	})
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"plain", plain}, {"packed", packedAttendBody(b, q, k, v)}} {
 		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w := httptest.NewRecorder()
-				r := httptest.NewRequest("POST", "/v1/attend", bytes.NewReader(body))
+				r := httptest.NewRequest("POST", "/v1/attend", bytes.NewReader(tc.body))
 				var req AttendRequest
-				if _, ok := decodeEnvelope(w, r, 1<<20, &req); !ok {
+				if _, _, ok := decodeAttend(w, r, 1<<20, &req); !ok {
 					b.Fatal(w.Body.String())
 				}
-				if err := req.unpack(); err != nil {
-					b.Fatal(err)
-				}
-				if err := req.validate(); err != nil {
-					b.Fatal(err)
-				}
 			}
-			b.ReportMetric(float64(len(body)), "body_B")
+			b.ReportMetric(float64(len(tc.body)), "body_B")
 		})
 	}
+}
+
+// TestAttendPackedDecodeAllocs pins the packed decode's allocations: a
+// constant count, the same for 8 key rows as for 512, and bytes that
+// grow with the body (the body itself and one float32 backing per
+// matrix), not with the row count on top of it.
+func TestAttendPackedDecodeAllocs(t *testing.T) {
+	decode := func(keys int) (allocs, bytesPerOp float64, body []byte) {
+		body = packedAttendBody(t, randMatrix(1, 4, 64), randMatrix(2, keys, 64), randMatrix(3, keys, 64))
+		// One request whose body is rewound per run, so that only the
+		// decode's own allocations are counted.
+		rd := bytes.NewReader(body)
+		w, r := httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/attend", rd)
+		run := func() {
+			rd.Reset(body)
+			var req AttendRequest
+			if _, _, ok := decodeAttend(w, r, 1<<20, &req); !ok {
+				t.Fatal(w.Body.String())
+			}
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+		return allocs, float64(res.AllocedBytesPerOp()), body
+	}
+	fewAllocs, _, _ := decode(8)
+	manyAllocs, manyBytes, body := decode(512)
+	if fewAllocs != manyAllocs {
+		t.Errorf("packed decode makes %v allocations for 8 key rows, %v for 512: want a constant", fewAllocs, manyAllocs)
+	}
+	// The body, its floats (3/4 of the base64), the row headers (24 B a
+	// row, 1/15 of a 64-wide row's base64) and the decode scratch.
+	if limit := 2 * float64(len(body)); manyBytes > limit {
+		t.Errorf("packed decode allocates %.0f B for a %d B body, want at most %.0f", manyBytes, len(body), limit)
+	}
+}
+
+// randMatrix is a seeded rows×cols matrix of normal floats.
+func randMatrix(seed int64, rows, cols int) [][]float32 {
+	rng := rand.New(rand.NewSource(seed))
+	m := make([][]float32, rows)
+	for i := range m {
+		m[i] = make([]float32, cols)
+		for j := range m[i] {
+			m[i][j] = float32(rng.NormFloat64())
+		}
+	}
+	return m
+}
+
+// packedAttendBody is an enveloped packed attend op at p = 1 in the
+// shape serve/client sends: qp, kp and vp, and no plain q/k/v keys.
+func packedAttendBody(tb testing.TB, q, k, v [][]float32) []byte {
+	op, err := json.Marshal(struct {
+		QP []string `json:"qp"`
+		KP []string `json:"kp"`
+		VP []string `json:"vp"`
+		P  float64  `json:"p"`
+	}{client.PackRows(q), client.PackRows(k), client.PackRows(v), 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(Envelope{Op: op})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
 }

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -291,4 +294,71 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 			t.Errorf("want 1 context row, got %d", len(parsed.Context))
 		}
 	})
+}
+
+// TestEnvelopeBodyRead pins how a body is read before it is decoded,
+// over a real connection so that each framing arrives as net/http
+// delivers it: a declared length over the limit, a body cut short of its
+// declared length, and chunked bodies (length unknown) under and over
+// the limit. Each answers the same status and error text whichever way
+// the server reads it.
+func TestEnvelopeBodyRead(t *testing.T) {
+	const limit = 64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req SessionQueryRequest
+		if _, ok := decodeEnvelope(w, r, limit, &req); ok {
+			writeJSON(w, http.StatusOK, req)
+		}
+	}))
+	defer ts.Close()
+
+	small := `{"op":{"q":[1,0]}}`
+	big := `{"op":{"q":[` + strings.Repeat("0,", limit) + `0]}}`
+	chunked := func(body string) string {
+		return fmt.Sprintf("Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(body), body)
+	}
+	for _, tc := range []struct {
+		name     string
+		request  string // headers after the request line, then the body
+		wantCode int
+		wantBody string
+	}{
+		{"declared length under the limit", fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(small), small),
+			200, `{"q":[1,0]}`},
+		{"declared length over the limit", fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(big), big),
+			400, `{"error":"invalid JSON body: http: request body too large"}`},
+		{"body shorter than its declared length", fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(small)+10, small),
+			400, `{"error":"invalid JSON body: unexpected EOF"}`},
+		{"chunked under the limit", chunked(small),
+			200, `{"q":[1,0]}`},
+		{"chunked over the limit", chunked(big),
+			400, `{"error":"invalid JSON body: http: request body too large"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, "POST /v1/test HTTP/1.1\r\nHost: x\r\n"+tc.request); err != nil {
+				t.Fatal(err)
+			}
+			// End the stream so a body cut short reaches the server as such.
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.wantCode || strings.TrimSpace(string(body)) != tc.wantBody {
+				t.Errorf("got %d %s, want %d %s", resp.StatusCode, bytes.TrimSpace(body), tc.wantCode, tc.wantBody)
+			}
+		})
+	}
 }

@@ -378,15 +378,9 @@ func (s *Server) handleAttend(w http.ResponseWriter, r *http.Request) {
 // request's priority class.
 func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Class) {
 	var req AttendRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
+	meta, packed, ok := decodeAttend(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
-		return http.StatusBadRequest, "bad_request", ClassInteractive
-	}
-	if err := req.unpack(); err != nil {
-		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
-	}
-	if err := req.validate(); err != nil {
-		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
+		return http.StatusBadRequest, "bad_request", meta.class
 	}
 	if admitted, wait := s.quotas.take(meta.clientID); !admitted {
 		s.metrics.admission.with("shed_quota").add(1)
@@ -457,7 +451,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		Threshold:         ThresholdJSON{P: thr.P, T: thr.T, Queries: thr.Queries},
 		BatchSize:         batchSize,
 	}
-	if req.QP != nil {
+	if packed {
 		resp.ContextPacked = client.PackRows(out.Context)
 	} else {
 		resp.Context = out.Context
@@ -662,28 +656,9 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(req.Queries) == 0 {
-		fail(w, http.StatusBadRequest, "step requires at least one query")
+	if err := req.unpack(); err != nil {
+		fail(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	for i := range req.Queries {
-		q := &req.Queries[i]
-		if q.QPacked != "" {
-			if len(q.Q) != 0 {
-				fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d] sets both q and qp", i))
-				return
-			}
-			vec, err := client.UnpackVec(q.QPacked)
-			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d].qp: %v", i, err))
-				return
-			}
-			q.Q = vec
-		}
-		if len(q.Q) == 0 {
-			fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d].q must be non-empty", i))
-			return
-		}
 	}
 	timeout := s.cfg.RequestTimeout
 	var deadline time.Time

@@ -34,9 +34,15 @@ echo "== elsaperf logic tests =="
 (cd elsaperf && go test -count=1 ./...)
 
 echo "== fuzz smoke: /v1/attend decoder =="
-# Ten seconds of coverage-guided inputs through envelope decode, packed
-# unpack and AttendRequest.validate: accept or 400, never panic.
+# Ten seconds of coverage-guided inputs through the handler's decoder and
+# the encoding/json path (envelope decode, packed unpack,
+# AttendRequest.validate): both agree, accept or 400, never panic.
 go test -run '^$' -fuzz '^FuzzAttendEnvelope$' -fuzztime 10s ./internal/serve/
+
+echo "== fuzz smoke: /v1/sessions/step decoder =="
+# The same for a step wave: envelope decode, then the per-entry checks
+# and packed-query decode of SessionStepRequest.unpack.
+go test -run '^$' -fuzz '^FuzzStepWave$' -fuzztime 10s ./internal/serve/
 
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them

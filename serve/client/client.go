@@ -12,6 +12,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -128,12 +129,10 @@ type envelope struct {
 	Op         any    `json:"op"`
 }
 
-// attendWire is the /v1/attend op with Q/K/V packed (PackRows), which
-// also makes the server answer with context_packed.
+// attendWire is the /v1/attend op's scalar fields. attendBody writes
+// Q/K/V ahead of them as packed rows (qp, kp, vp), which also makes the
+// server answer with context_packed.
 type attendWire struct {
-	QP        []string `json:"qp"`
-	KP        []string `json:"kp"`
-	VP        []string `json:"vp"`
 	P         float64  `json:"p,omitempty"`
 	T         *float64 `json:"t,omitempty"`
 	HeadDim   int      `json:"head_dim,omitempty"`
@@ -168,21 +167,12 @@ type errorWire struct {
 // little-endian float32, bit-exact) and so does the returned context:
 // JSON float text would cost more CPU than the attention itself.
 func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOptions) (*Result, error) {
-	wire := attendWire{
-		QP: PackRows(q), KP: PackRows(k), VP: PackRows(v),
-		P:         opts.P,
-		HeadDim:   opts.HeadDim,
-		HashBits:  opts.HashBits,
-		Seed:      opts.Seed,
-		Quantized: opts.Quantized,
-		Backend:   opts.Backend,
-	}
-	if opts.Thr != nil {
-		wire.P = opts.Thr.P
-		wire.T = &opts.Thr.T
+	body, err := attendBody(c.wrap(ctx, nil), q, k, v, opts)
+	if err != nil {
+		return nil, err
 	}
 	var reply attendReplyWire
-	if err := c.post(ctx, "/v1/attend", wire, &reply); err != nil {
+	if err := c.send(ctx, "/v1/attend", body, &reply); err != nil {
 		return nil, err
 	}
 	if reply.ContextPacked != nil {
@@ -201,19 +191,91 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 	}, nil
 }
 
-// post sends one enveloped op, retrying 429/503 with the server's
-// Retry-After hint (falling back to a doubling backoff), never sleeping
-// past the context deadline. out may be nil for replies with no body.
-func (c *Client) post(ctx context.Context, path string, op any, out any) error {
-	body, err := json.Marshal(envelope{
+// attendBody is the /v1/attend body for env (whose Op must be nil)
+// around the op q, k, v, opts: byte for byte what json.Marshal writes
+// for an op struct whose leading fields qp, kp and vp hold PackRows of q,
+// k and v, followed by attendWire's fields. The rows' base64 is appended
+// straight into one buffer sized up front, so it is never copied into
+// strings and re-scanned for escapes (base64 has none to escape); the
+// envelope head and the scalar tail are short and still go through
+// json.Marshal.
+func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, error) {
+	wire := attendWire{
+		P:         opts.P,
+		HeadDim:   opts.HeadDim,
+		HashBits:  opts.HashBits,
+		Seed:      opts.Seed,
+		Quantized: opts.Quantized,
+		Backend:   opts.Backend,
+	}
+	if opts.Thr != nil {
+		wire.P = opts.Thr.P
+		wire.T = &opts.Thr.T
+	}
+	head, err := json.Marshal(env) // ends in "op":null}
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding op: %w", err)
+	}
+	tail, err := json.Marshal(wire) // {} or {"p":...}
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding op: %w", err)
+	}
+	head = head[:len(head)-len("null}")]
+	size, widest := len(head)+len(`{"qp":,"kp":,"vp":}`)+len(tail), 0
+	for _, m := range [][][]float32{q, k, v} {
+		size += len("[]")
+		for _, row := range m {
+			size += len(`"",`) + base64.StdEncoding.EncodedLen(4*len(row))
+			widest = max(widest, 4*len(row))
+		}
+	}
+	body := make([]byte, 0, size)
+	raw := make([]byte, 0, widest)
+	body = append(body, head...)
+	for i, m := range [][][]float32{q, k, v} {
+		body = append(body, "{,,"[i], '"', "qkv"[i], 'p', '"', ':', '[')
+		for j, row := range m {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			raw = appendLE(raw[:0], row)
+			body = append(body, '"')
+			body = base64.StdEncoding.AppendEncode(body, raw)
+			body = append(body, '"')
+		}
+		body = append(body, ']')
+	}
+	if len(tail) > len("{}") {
+		body = append(body, ',')
+	}
+	body = append(body, tail[1:]...)
+	return append(body, '}'), nil
+}
+
+// wrap puts op in the v1 envelope under this client's identity and
+// ctx's deadline.
+func (c *Client) wrap(ctx context.Context, op any) envelope {
+	return envelope{
 		ClientID:   c.clientID,
 		Priority:   c.priority,
 		DeadlineMS: deadlineMS(ctx),
 		Op:         op,
-	})
+	}
+}
+
+// post sends one enveloped op; see send.
+func (c *Client) post(ctx context.Context, path string, op any, out any) error {
+	body, err := json.Marshal(c.wrap(ctx, op))
 	if err != nil {
 		return fmt.Errorf("client: encoding op: %w", err)
 	}
+	return c.send(ctx, path, body, out)
+}
+
+// send posts one encoded envelope, retrying 429/503 with the server's
+// Retry-After hint (falling back to a doubling backoff), never sleeping
+// past the context deadline. out may be nil for replies with no body.
+func (c *Client) send(ctx context.Context, path string, body []byte, out any) error {
 	backoff := 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		apiErr, err := c.once(ctx, http.MethodPost, path, body, out)
