@@ -62,9 +62,9 @@ type jobResult struct {
 // calibrated at different operating points share a dispatch. attempts
 // counts reroutes after retryable worker failures; only the executing
 // goroutine touches it. A job with dec set is one session's decode step
-// riding the continuous decode loop instead of a windowed pending batch;
-// batches never mix the two kinds (a decode batch is assembled by
-// takeBatch, a one-shot batch by dispatchLocked).
+// riding its set's continuous decode loop instead of a windowed pending
+// batch; a batch never mixes the two kinds, because each kind is
+// harvested from its own class queue.
 type job struct {
 	ctx      context.Context
 	op       elsa.BatchOp
@@ -74,13 +74,64 @@ type job struct {
 	result   chan jobResult // buffered: dispatch never blocks on a gone requester
 }
 
-// pendingBatch accumulates jobs for one replica set until the window
-// elapses or the batch fills, bucketed by priority class so dispatch can
-// dequeue by weight.
-type pendingBatch struct {
+// classQueue holds admitted jobs bucketed by priority class: the work
+// queue one dispatch harvests by weight. A one-shot pending batch and a
+// set's decode loop each own one; d.mu guards both.
+type classQueue struct {
 	jobs  [NumClasses][]*job
 	count int
-	due   time.Time // when this batch's window timer fires
+}
+
+func (q *classQueue) push(j *job) {
+	q.jobs[j.class] = append(q.jobs[j.class], j)
+	q.count++
+}
+
+// take moves up to maxBatch jobs into the empty dst by priority weight.
+// The highest class with waiting jobs fills freely; each lower class is
+// capped at its weight share of the batch. The ops a cap holds back stay
+// queued for the next dispatch and are counted preempted; ops left only
+// because the batch is full are plain queueing and are not. drain takes
+// everything (shutdown). Each class slice is compacted in place, keeping
+// its backing array, so the steady-state decode cycle never reallocates.
+func (q *classQueue) take(dst []*job, maxBatch int, w classWeights, drain bool, m *Metrics) []*job {
+	capacity := maxBatch
+	if drain {
+		capacity = q.count
+	}
+	leading := true
+	for c := Class(0); c < NumClasses; c++ {
+		jobs := q.jobs[c]
+		if len(jobs) == 0 {
+			continue
+		}
+		room := capacity - len(dst)
+		if room <= 0 {
+			break
+		}
+		n := len(jobs)
+		if !drain && !leading {
+			if limit := w.dispatchCap(c, maxBatch); n > limit {
+				m.preempted.with(c.String()).add(int64(n - limit))
+				n = limit
+			}
+		}
+		n = min(n, room)
+		dst = append(dst, jobs[:n]...)
+		copy(jobs, jobs[n:])
+		clear(jobs[len(jobs)-n:])
+		q.jobs[c] = jobs[:len(jobs)-n]
+		q.count -= n
+		leading = false
+	}
+	return dst
+}
+
+// pendingBatch accumulates one-shot jobs for one replica set until the
+// window elapses or the batch fills.
+type pendingBatch struct {
+	classQueue
+	due time.Time // when this batch's window timer fires
 }
 
 // shard is one dispatch lane of a replica set: a bounded queue of
@@ -105,14 +156,16 @@ func newShard(id int, set *replicaSet, backend shardBackend, maxQueue int, m *Me
 	return &shard{id: id, stats: m.shard(id), set: set, backend: backend, queue: make(chan []*job, maxQueue)}
 }
 
-// dispatcher implements dynamic micro-batching over replicated engines:
-// the first request for a replica set opens a batching window; requests
-// arriving within it — whatever their thresholds or classes — coalesce
-// into one pending batch. Dispatch dequeues by priority weight (the
-// highest waiting class fills freely, lower classes are capped to their
-// weight share and deferred ops stay pending), then routes the batch to
-// the least-loaded shard of the set and executes it through
-// AttendBatchContext with per-op thresholds.
+// dispatcher is the one batch pipeline for both kinds of op. Every op —
+// a one-shot attend or a session's decode step — passes one admission
+// gate (enqueue), waits in a class queue, is harvested by priority weight
+// (classQueue.take), routed to a shard of its replica set and executed
+// by one runner (runBatch/execute) with per-op thresholds. Only two
+// things differ by kind. Pacing: one-shot ops coalesce in a pending
+// batch that flushes when its window elapses or it fills, while each
+// set's decode loop keeps one batch in flight and harvests whatever
+// queued meanwhile (decode.go). Lane choice: pickShard vs
+// pickShardDecode.
 type dispatcher struct {
 	window        time.Duration
 	maxBatch      int
@@ -132,8 +185,9 @@ type dispatcher struct {
 	batchWg  sync.WaitGroup // in-flight dispatched batches
 	loopWg   sync.WaitGroup // running shard loops
 
-	decStates []*decodeState // one continuous decode loop per replica set
-	decWg     sync.WaitGroup // running decode loops
+	decStop     chan struct{} // closed once at shutdown: every decode loop drains and exits
+	decStopOnce sync.Once
+	decWg       sync.WaitGroup // running decode loops
 }
 
 func newDispatcher(window time.Duration, maxBatch, maxQueue, workers, retries int, noWorkerRetry time.Duration, weights classWeights, m *Metrics) *dispatcher {
@@ -147,7 +201,15 @@ func newDispatcher(window time.Duration, maxBatch, maxQueue, workers, retries in
 		weights:       weights.normalize(),
 		metrics:       m,
 		pending:       make(map[*replicaSet]*pendingBatch),
+		decStop:       make(chan struct{}),
 	}
+}
+
+// noWorkers is the shed an op gets when no lane can run it: 503 with a
+// Retry-After of one probe cycle, so clients back off until a probe
+// re-admits a worker.
+func (d *dispatcher) noWorkers() error {
+	return &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}
 }
 
 // noteQueuedLocked pushes the total and per-class queue gauges after any
@@ -181,16 +243,19 @@ func (d *dispatcher) startShard(sh *shard) {
 	}()
 }
 
-// estimateWaitLocked predicts how long a newly submitted op for set
-// waits before its result exists: the remaining batching window, plus
-// the least-loaded shard's queued batches at the smoothed batch service
-// time, plus one service time for the op's own batch. Callers hold d.mu.
-func (d *dispatcher) estimateWaitLocked(set *replicaSet) time.Duration {
-	wait := d.window
-	if b, ok := d.pending[set]; ok {
-		wait = time.Until(b.due)
-		if wait < 0 {
-			wait = 0
+// estimateWaitLocked predicts how long a newly admitted op for set waits
+// before its result exists: for a one-shot op the remaining batching
+// window (the full window when none is open), then for both kinds the
+// least-loaded shard's queued batches at the smoothed batch service
+// time, plus one service time for the op's own batch. A decode step
+// waits no window: an idle decode loop dispatches it at once. Callers
+// hold d.mu.
+func (d *dispatcher) estimateWaitLocked(set *replicaSet, decode bool) time.Duration {
+	var wait time.Duration
+	if !decode {
+		wait = d.window
+		if b, ok := d.pending[set]; ok {
+			wait = max(time.Until(b.due), 0)
 		}
 	}
 	svc := time.Duration(d.svcEWMA * float64(time.Second))
@@ -209,55 +274,66 @@ func (d *dispatcher) estimateWaitLocked(set *replicaSet) time.Duration {
 	return wait + svc
 }
 
-// submit enqueues one op with its operating point, class and absolute
-// deadline (zero = none) and blocks until its batch is dispatched and
-// computed, ctx is done, or the server refuses it (class queue share
-// full / deadline unmeetable / closing). It returns the op's output, how
-// many ops shared the dispatched batch, and which shard ran it.
-func (d *dispatcher) submit(ctx context.Context, set *replicaSet, op elsa.BatchOp, thr elsa.Threshold, class Class, deadline time.Time) (*elsa.Output, int, int, error) {
-	op.Thr = &thr
-	j := &job{ctx: ctx, op: op, class: class, result: make(chan jobResult, 1)}
-
+// enqueue is the admission gate every op passes, one-shot and decode
+// alike. It refuses with ErrClosed while shutting down; with
+// ErrNoWorkers when no lane of the set is available, rather than
+// queueing work nothing can run; with ErrQueueFull when the op's class
+// has used its queue share; and with ErrDeadline when the deadline
+// (zero = none) cannot cover the estimated wait. An admitted one-shot op
+// joins the set's pending batch, which dispatches once full. An admitted
+// decode step joins the set's decode loop without waking it: the caller
+// owes the loop a wakeup and must then receive j.result unconditionally.
+func (d *dispatcher) enqueue(set *replicaSet, j *job, deadline time.Time) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
-		return nil, 0, 0, ErrClosed
+		return ErrClosed
 	}
-	if !set.available() {
-		// The whole fleet for this configuration is ejected: fail fast
-		// with a Retry-After covering one probe cycle rather than queueing
-		// work nothing can run.
-		d.mu.Unlock()
-		d.metrics.shedBy[class].add(1)
-		return nil, 0, 0, &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}
-	}
-	if d.queued >= d.weights.queueCap(class, d.maxQueue) {
-		est := d.estimateWaitLocked(set)
-		d.mu.Unlock()
-		d.metrics.shedBy[class].add(1)
-		return nil, 0, 0, &shedError{sentinel: ErrQueueFull, retryAfter: est}
-	}
-	if !deadline.IsZero() {
-		if est := d.estimateWaitLocked(set); time.Until(deadline) < est {
-			d.mu.Unlock()
-			d.metrics.shedBy[class].add(1)
-			return nil, 0, 0, &shedError{sentinel: ErrDeadline, retryAfter: est}
+	decode := j.dec != nil
+	var shed error
+	switch {
+	case !set.available():
+		shed = d.noWorkers()
+	case d.queued >= d.weights.queueCap(j.class, d.maxQueue):
+		shed = &shedError{sentinel: ErrQueueFull, retryAfter: d.estimateWaitLocked(set, decode)}
+	case !deadline.IsZero():
+		if est := d.estimateWaitLocked(set, decode); time.Until(deadline) < est {
+			shed = &shedError{sentinel: ErrDeadline, retryAfter: est}
 		}
 	}
+	if shed != nil {
+		d.metrics.shedBy[j.class].add(1)
+		return shed
+	}
 	d.queued++
-	d.queuedBy[class]++
+	d.queuedBy[j.class]++
 	d.noteQueuedLocked()
+	if decode {
+		set.dec.queue.push(j)
+		return nil
+	}
 	b, ok := d.pending[set]
 	if !ok {
 		b = d.newPendingLocked(set)
 	}
-	b.jobs[class] = append(b.jobs[class], j)
-	b.count++
+	b.push(j)
 	if b.count >= d.maxBatch {
 		d.dispatchLocked(set, b, false)
 	}
-	d.mu.Unlock()
+	return nil
+}
 
+// submit runs one one-shot op with its operating point, class and
+// absolute deadline (zero = none) and blocks until its batch is
+// dispatched and computed, ctx is done, or the gate refuses it. It
+// returns the op's output, how many ops shared the dispatched batch, and
+// which shard ran it.
+func (d *dispatcher) submit(ctx context.Context, set *replicaSet, op elsa.BatchOp, thr elsa.Threshold, class Class, deadline time.Time) (*elsa.Output, int, int, error) {
+	op.Thr = &thr
+	j := &job{ctx: ctx, op: op, class: class, result: make(chan jobResult, 1)}
+	if err := d.enqueue(set, j, deadline); err != nil {
+		return nil, 0, 0, err
+	}
 	select {
 	case r := <-j.result:
 		return r.out, r.batchSize, r.shard, r.err
@@ -285,93 +361,68 @@ func (d *dispatcher) flush(set *replicaSet, b *pendingBatch) {
 	}
 }
 
-// dispatchLocked dequeues up to maxBatch jobs from b by priority weight
-// and routes them to the least-loaded shard of the replica set. The
-// highest class with waiting jobs fills freely; each lower class is
-// capped at its weight share of the batch, and capped-out jobs stay
-// pending for the next window (counted as priority-preempted) — so
-// background work progresses every dispatch but never displaces
-// interactive ops. With drain set every job goes at once (shutdown).
-// Callers hold d.mu; the send cannot block (see newShard) so holding the
-// lock across it is safe. The batchWg.Add pairs with close()'s
-// batchWg.Wait so shutdown drains every dispatched batch.
+// dispatchLocked harvests one one-shot batch from b by weight and routes
+// it to the least-loaded shard of the set. Jobs b still holds open the
+// next window at once, so they are never stranded; with drain set every
+// job goes now (shutdown). Callers hold d.mu.
 func (d *dispatcher) dispatchLocked(set *replicaSet, b *pendingBatch, drain bool) {
-	capacity := d.maxBatch
-	if drain {
-		capacity = b.count
+	n := b.count
+	if !drain {
+		n = min(n, d.maxBatch)
 	}
-	take := make([]*job, 0, min(b.count, capacity))
-	leading := true
-	for c := Class(0); c < NumClasses; c++ {
-		jobs := b.jobs[c]
-		if len(jobs) == 0 {
-			continue
-		}
-		room := capacity - len(take)
-		if room <= 0 {
-			break
-		}
-		n := len(jobs)
-		if !drain && !leading {
-			n = min(n, d.weights.dispatchCap(c, d.maxBatch))
-		}
-		n = min(n, room)
-		take = append(take, jobs[:n]...)
-		b.jobs[c] = jobs[n:]
-		b.count -= n
-		leading = false
-	}
-
+	take := b.take(make([]*job, 0, n), d.maxBatch, d.weights, drain, d.metrics)
 	if b.count > 0 {
-		// Deferred jobs open the next window immediately so they are
-		// never stranded; the old batch's timer is disarmed by pointer
-		// identity.
-		nb := d.newPendingLocked(set)
-		nb.jobs = b.jobs
-		nb.count = b.count
-		for c := Class(0); c < NumClasses; c++ {
-			if n := len(nb.jobs[c]); n > 0 {
-				d.metrics.preempted.with(c.String()).add(int64(n))
-			}
-		}
+		// The old batch's timer is disarmed by pointer identity.
+		d.newPendingLocked(set).classQueue = b.classQueue
 	} else {
 		delete(d.pending, set)
 	}
-	if len(take) == 0 {
-		return
+	if len(take) > 0 {
+		d.routeLocked(set.pickShard(), take)
 	}
-	sh := set.pickShard()
+}
+
+// routeLocked hands a harvested batch to sh's queue. With no available
+// lane (sh nil) the batch's ops fail with ErrNoWorkers here, leaving the
+// queue accounting now, rather than parking on a dead lane. The send
+// cannot block (see newShard), so holding d.mu across it is safe; the
+// batchWg.Add pairs with close's batchWg.Wait so shutdown drains every
+// dispatched batch. Reports whether the batch was queued.
+func (d *dispatcher) routeLocked(sh *shard, batch []*job) bool {
 	if sh == nil {
-		// Every shard went unavailable after these ops were admitted.
-		// Fail them here rather than parking them on a dead lane; they
-		// leave the queue accounting now.
-		d.dequeueLocked(take)
-		for _, j := range take {
+		d.dequeueLocked(batch)
+		for _, j := range batch {
 			d.metrics.shedBy[j.class].add(1)
-			j.result <- jobResult{err: &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}}
+			j.result <- jobResult{err: d.noWorkers()}
 		}
-		return
+		return false
 	}
 	d.batchWg.Add(1)
 	sh.depth.Add(1)
 	sh.stats.depth.add(1)
-	sh.queue <- take
+	sh.queue <- batch
+	return true
 }
 
 // runBatch executes one detached batch on its shard: jobs whose context
-// already expired are answered immediately, the rest go through the
-// shard's backend in one call, each op at its own threshold. Decode
-// batches (assembled by the continuous decode loop) take their own path
-// — same queue, same depth accounting, different execution.
+// already expired are answered at once, the rest go through execute. The
+// kind decides only the metric family the batch feeds, and for a decode
+// batch the owning loop's release once the slice is no longer used.
 func (d *dispatcher) runBatch(sh *shard, jobs []*job) {
-	if len(jobs) > 0 && jobs[0].dec != nil {
-		d.runDecodeBatch(sh, jobs)
-		return
-	}
 	defer d.batchWg.Done()
+	decode := jobs[0].dec != nil
+	if decode {
+		defer sh.set.dec.signalDone()
+	}
 	sh.depth.Add(-1)
 	sh.stats.depth.add(-1)
-	live := make([]*job, 0, len(jobs))
+	// Queue accounting goes first: compacting live in place below
+	// overwrites jobs' tail entries, so per-class counts must be taken
+	// while the slice still holds each job exactly once.
+	d.mu.Lock()
+	d.dequeueLocked(jobs)
+	d.mu.Unlock()
+	live := jobs[:0]
 	for _, j := range jobs {
 		if err := j.ctx.Err(); err != nil {
 			j.result <- jobResult{err: err}
@@ -379,77 +430,90 @@ func (d *dispatcher) runBatch(sh *shard, jobs []*job) {
 		}
 		live = append(live, j)
 	}
-	d.mu.Lock()
-	d.dequeueLocked(jobs)
-	d.mu.Unlock()
 	if len(live) == 0 {
 		return
 	}
-	d.metrics.batches.add(1)
-	d.metrics.batchOps.add(int64(len(live)))
-	d.metrics.batchSize.observe(float64(len(live)))
+	n := int64(len(live))
+	if decode {
+		d.metrics.decodeBatches.add(1)
+		d.metrics.decodeOps.add(n)
+		d.metrics.decodeBatchSize.observe(float64(n))
+		if n > 1 {
+			// Each would have been a serialized dispatch without the loop.
+			d.metrics.decodeCoalesced.add(n)
+		}
+	} else {
+		d.metrics.batches.add(1)
+		d.metrics.batchOps.add(n)
+		d.metrics.batchSize.observe(float64(n))
+	}
 	d.execute(sh, live)
 }
 
-// execute runs jobs through sh's backend and delivers results. Ops that
-// failed with a retryable worker error (transport fault, worker 5xx or
-// overload) and still have reroute budget are handed to reroute; all
-// other errors surface to their requesters. Attend ops are idempotent —
-// pinned thresholds, no server-side state — so re-executing one on a
-// sibling shard after a partial failure yields the bit-identical output
-// the first shard would have produced.
+// execute runs jobs through sh's backend — attendBatch for one-shot ops,
+// decodeBatch for decode steps — and delivers results. Ops that failed
+// with a retryable worker error (transport fault, worker 5xx or
+// overload) and still have reroute budget re-execute on a sibling lane
+// of the same set, synchronously on this goroutine: routing through the
+// sibling's queue could deadlock when queues are full of batches waiting
+// on each other, and the jobs have already left the queue accounting.
+// With no sibling left they fail as ErrNoWorkers. Attend ops are
+// idempotent (pinned thresholds, no server-side state), so a sibling
+// yields the bit-identical output the first lane would have. A retryable
+// decode failure can only come off a remote lane, which only float-mode
+// sets use (see pickShardDecode), so its sibling is safe too.
 func (d *dispatcher) execute(sh *shard, jobs []*job) {
-	sh.stats.batches.add(1)
-	sh.stats.ops.add(int64(len(jobs)))
-	start := time.Now()
-	outs, errs := sh.backend.attendBatch(jobs)
-	d.observeService(time.Since(start))
-	var failed []*job
-	for i, j := range jobs {
-		err := errs[i]
-		if err == nil {
-			d.metrics.candFracSum.addFloat(outs[i].CandidateFraction)
-			d.metrics.candFracCount.add(1)
-			j.result <- jobResult{out: outs[i], batchSize: len(jobs), shard: sh.id}
-			continue
+	for {
+		sh.stats.batches.add(1)
+		sh.stats.ops.add(int64(len(jobs)))
+		start := time.Now()
+		var outs []*elsa.Output
+		var errs []error
+		if jobs[0].dec != nil {
+			errs = sh.backend.decodeBatch(jobs)
+		} else {
+			outs, errs = sh.backend.attendBatch(jobs)
 		}
-		var we *workerError
-		if errors.As(err, &we) && we.retryable {
-			if j.attempts < d.retries {
-				j.attempts++
-				failed = append(failed, j)
+		d.observeService(time.Since(start))
+		var failed []*job
+		for i, j := range jobs {
+			err := errs[i]
+			if err == nil {
+				r := jobResult{batchSize: len(jobs), shard: sh.id}
+				if outs != nil {
+					r.out = outs[i]
+					d.metrics.candFracSum.addFloat(r.out.CandidateFraction)
+					d.metrics.candFracCount.add(1)
+				}
+				j.result <- r
 				continue
 			}
-			// Reroute budget exhausted on infrastructure failures: the op
-			// itself is fine, the fleet is not. Shed with backoff (503)
-			// rather than blaming the request (500).
-			j.result <- jobResult{err: &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}}
-			continue
+			var we *workerError
+			switch {
+			case !errors.As(err, &we) || !we.retryable:
+				j.result <- jobResult{err: err}
+			case j.attempts < d.retries:
+				j.attempts++
+				failed = append(failed, j)
+			default:
+				// Reroute budget exhausted on infrastructure failures: the
+				// op itself is fine, the fleet is not. Shed with backoff
+				// (503) rather than blaming the request (500).
+				j.result <- jobResult{err: d.noWorkers()}
+			}
 		}
-		j.result <- jobResult{err: err}
-	}
-	if len(failed) > 0 {
-		d.reroute(sh, failed)
-	}
-}
-
-// reroute re-executes jobs that failed on one shard against a sibling of
-// the same replica set, synchronously on the calling goroutine: routing
-// through the sibling's queue could deadlock when queues are full of
-// batches waiting on each other, and the jobs have already left the
-// dispatcher's queue accounting. Recursion through execute is bounded by
-// each job's attempts budget. With no sibling available the ops fail as
-// ErrNoWorkers with a probe-interval Retry-After.
-func (d *dispatcher) reroute(from *shard, jobs []*job) {
-	d.metrics.reroutes.add(int64(len(jobs)))
-	next := from.set.pickShardExcluding(from)
-	if next == nil {
-		for _, j := range jobs {
-			j.result <- jobResult{err: &shedError{sentinel: ErrNoWorkers, retryAfter: d.noWorkerRetry}}
+		if len(failed) == 0 {
+			return
 		}
-		return
+		d.metrics.reroutes.add(int64(len(failed)))
+		if sh = sh.set.pickShardExcluding(sh); sh == nil {
+			for _, j := range failed {
+				j.result <- jobResult{err: d.noWorkers()}
+			}
+			return
+		}
+		jobs = failed
 	}
-	d.execute(next, jobs)
 }
 
 // observeService folds one batch's wall time into the smoothed service
@@ -465,11 +529,11 @@ func (d *dispatcher) observeService(dur time.Duration) {
 	d.mu.Unlock()
 }
 
-// close stops admission, dispatches every still-pending batch
-// immediately, drains and joins the continuous decode loops, and waits
-// for all in-flight batches to finish. Safe to call more than once. The
-// shard loops themselves are shut down by the pool (closeShards) once no
-// batch can be enqueued again; waitShards then joins them.
+// close stops admission, dispatches every still-pending one-shot batch
+// immediately, drains and joins the decode loops, and waits for all
+// in-flight batches to finish. Safe to call more than once. The shard
+// loops themselves are shut down by the pool (closeShards) once no batch
+// can be enqueued again; waitShards then joins them.
 func (d *dispatcher) close() {
 	d.mu.Lock()
 	d.closed = true
@@ -479,7 +543,7 @@ func (d *dispatcher) close() {
 	d.mu.Unlock()
 	// Decode loops drain before batchWg.Wait: their final pump still
 	// dispatches through the (open) shard queues and adds to batchWg.
-	d.closeDecodeLoops()
+	d.stopDecodeLoops()
 	d.batchWg.Wait()
 }
 

@@ -275,6 +275,8 @@ func NewMetrics() *Metrics {
 	m.batchSize = m.histogram("elsa_serve_batch_size", "", "Ops coalesced per dispatched micro-batch.", batchSizeBuckets)
 	m.latency = m.histogram("elsa_serve_request_seconds", "", "Request wall time for /v1/attend.", latencyBuckets)
 	m.admission = m.counter("elsa_serve_admission_total", "decision", "Admission-control decisions for /v1/attend.")
+	// One rule for both job kinds: an op counts when a class weight cap
+	// held it back at a harvest, not when the batch was merely full.
 	m.preempted = m.counter("elsa_serve_preempted_total", "class", "Ops deferred to the next window by the weighted dequeue, by class.")
 	m.classLatency = m.histogram("elsa_serve_class_request_seconds", "class", "Request wall time for /v1/attend, by priority class.", latencyBuckets)
 	m.quotaClients = m.gauge("elsa_serve_quota_clients", "", "Resident per-client quota buckets.")

@@ -66,8 +66,7 @@ type replicaSet struct {
 	rr atomic.Uint64
 
 	// dec is the set's continuous decode loop, attached by startDecodeLoop
-	// when the pool wires the shards. Nil on sets built outside the pool
-	// (tests), which fall back to inline serialized decode.
+	// when the pool wires the shards.
 	dec *decodeState
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -553,65 +554,112 @@ func (g *sessionRegistry) query(ctx context.Context, id string, q []float32, ov 
 // queryInto runs one decode step writing the context vector into dst
 // (grown only when too small): resolve the threshold if this is the
 // session's first calibrated query, then attend over the prefix at the
-// session threshold (or the query's own override) — through the
+// session threshold (or the query's own override) through the
 // continuous decode loop, where concurrently-ready sessions coalesce
-// into one batch, or inline when the set has no loop. Also
-// returns the size of the batch the query rode in. A caller recycling
-// dst across queries decodes with zero steady-state allocations.
+// into one batch. Also returns the size of the batch the query rode in.
+// It is a step wave of one entry, without the wave's bookkeeping, so a
+// caller recycling dst across queries decodes with zero steady-state
+// allocations.
 func (g *sessionRegistry) queryInto(ctx context.Context, id string, dst []float32, q []float32, ov elsa.Overrides, deadline time.Time) ([]float32, elsa.StreamStats, int, elsa.Threshold, int, error) {
 	s, err := g.lookup(id)
-	if err != nil {
-		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
+	if err == nil {
+		err = s.acquire(ctx)
 	}
-	if err := s.acquire(ctx); err != nil {
+	if err != nil {
 		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
 	}
 	defer s.release()
-	out, stats, n, thr, bs, err := g.queryHeld(ctx, s, dst, q, ov, deadline)
-	if errors.Is(err, errWorkerLost) && g.recoverHeld(ctx, s) {
-		out, stats, n, thr, bs, err = g.queryHeld(ctx, s, dst, q, ov, deadline)
+	e := stepEntry{ID: id, Q: q, Ov: ov, Out: dst}
+	if g.submitHeld(ctx, s, &e, deadline) {
+		s.set.dec.wakeup()
+		g.collectHeld(s, &e)
 	}
-	return out, stats, n, thr, bs, err
+	return e.Out, e.Stats, e.Len, e.Thr, e.BatchSize, e.Err
 }
 
-// queryHeld performs one decode-step attempt; the caller holds the gate.
-func (g *sessionRegistry) queryHeld(ctx context.Context, s *session, dst []float32, q []float32, ov elsa.Overrides, deadline time.Time) ([]float32, elsa.StreamStats, int, elsa.Threshold, int, error) {
-	if s.remote != nil {
-		res, err := s.remote.Query(ctx, q, ov)
-		if err != nil {
-			return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, mapRemoteErr(s.w, err)
-		}
-		s.w.recover()
-		s.thr, s.calibrated = res.Threshold, true
-		g.metrics.sessionQueries.add(1)
-		bs := max(res.BatchSize, 1)
-		return res.Context, elsa.StreamStats{Candidates: res.Candidates, Fallback: res.Fallback}, res.Len, res.Threshold, bs, nil
+// submitHeld starts one session's decode step; the caller holds the
+// gate. A remote-pinned session's query runs to completion here. A local
+// one is prepared — made resident, its threshold and backend resolved,
+// the session's reusable decodeJob filled with the operating point
+// pinned — and queued on the set's decode loop without waking it. It
+// reports whether the step was queued: the caller then owes the loop a
+// wakeup and a collectHeld. Otherwise the step is over, e.Err holding
+// any failure.
+func (g *sessionRegistry) submitHeld(ctx context.Context, s *session, e *stepEntry, deadline time.Time) bool {
+	if s.remote != nil && g.queryRemoteHeld(ctx, s, e) {
+		return false
 	}
-	if err := g.ensureResident(s); err != nil {
-		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
+	if e.Err = g.ensureResident(s); e.Err != nil {
+		return false
 	}
-	thr, err := g.resolveThreshold(s, ov)
+	thr, err := g.resolveThreshold(s, e.Ov)
 	if err != nil {
-		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
+		e.Err = err
+		return false
 	}
-	backend, err := g.resolveBackend(s, ov, thr)
+	backend, err := g.resolveBackend(s, e.Ov, thr)
 	if err != nil {
-		return dst, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
+		e.Err = err
+		return false
 	}
-	// Submit to the set's continuous decode loop with the resolved
-	// operating point pinned, so a mixed-session batch carries every op's
-	// threshold, p, and backend explicitly. The gate is held until the
-	// loop writes the result back into dec — the submit/complete handoff.
 	dec := &s.dec
-	dec.stream, dec.q, dec.thr, dec.p, dec.backend, dec.out = s.stream, q, thr, s.p, backend, dst
-	bs, err := g.disp.submitDecode(ctx, s.set, dec, s.class, deadline)
-	out, stats := dec.out, dec.stats
+	dec.stream, dec.q, dec.thr, dec.p, dec.backend, dec.out = s.stream, e.Q, thr, s.p, backend, e.Out
+	dec.j.ctx, dec.j.class, dec.j.attempts = ctx, s.class, 0
+	if err := g.disp.enqueue(s.set, &dec.j, deadline); err != nil {
+		dec.stream, dec.q = nil, nil
+		e.Err = err
+		return false
+	}
+	e.Thr = thr
+	return true
+}
+
+// collectHeld waits for the step submitHeld queued and writes its result
+// into e. The wait is unconditional: every dispatcher path delivers
+// (runBatch answers expired contexts, the loop's final drain covers
+// shutdown), and returning early on ctx.Done would let the loop write
+// into the job after the session's gate moved on.
+func (g *sessionRegistry) collectHeld(s *session, e *stepEntry) {
+	dec := &s.dec
+	r := <-dec.j.result
+	e.Out = dec.out
 	dec.stream, dec.q = nil, nil
-	if err != nil {
-		return out, elsa.StreamStats{}, 0, elsa.Threshold{}, 0, err
+	if r.err != nil {
+		e.Err = r.err
+		return
 	}
 	g.metrics.sessionQueries.add(1)
-	return out, stats, s.stream.Len(), thr, bs, nil
+	e.Stats, e.Len, e.BatchSize = dec.stats, s.stream.Len(), r.batchSize
+}
+
+// queryRemoteHeld runs e's query on s's pinned worker, re-homing the
+// session once on worker loss; the caller holds the gate. It returns
+// false when recovery adopted the session locally: the query then takes
+// the local path instead.
+func (g *sessionRegistry) queryRemoteHeld(ctx context.Context, s *session, e *stepEntry) bool {
+	res, err := s.remote.Query(ctx, e.Q, e.Ov)
+	if err != nil {
+		err = mapRemoteErr(s.w, err)
+		if errors.Is(err, errWorkerLost) && g.recoverHeld(ctx, s) {
+			if s.remote == nil {
+				return false
+			}
+			if res, err = s.remote.Query(ctx, e.Q, e.Ov); err != nil {
+				err = mapRemoteErr(s.w, err)
+			}
+		}
+	}
+	if err != nil {
+		e.Err = err
+		return true
+	}
+	s.w.recover()
+	s.thr, s.calibrated = res.Threshold, true
+	g.metrics.sessionQueries.add(1)
+	e.Out = res.Context
+	e.Stats = elsa.StreamStats{Candidates: res.Candidates, Fallback: res.Fallback}
+	e.Len, e.Thr, e.BatchSize = res.Len, res.Threshold, max(res.BatchSize, 1)
+	return true
 }
 
 // resolveThreshold resolves the operating point for one query on a
@@ -1045,37 +1093,6 @@ func (g *sessionRegistry) migrateHeld(ctx context.Context, s *session, w *worker
 	return true
 }
 
-// stepRemote serves one wave entry on a remote-pinned session,
-// recovering once on worker loss; the caller holds the gate. Returns
-// false when recovery adopted the session locally — the entry then
-// continues on the local decode path instead.
-func (g *sessionRegistry) stepRemote(ctx context.Context, s *session, e *stepEntry) bool {
-	res, err := s.remote.Query(ctx, e.Q, e.Ov)
-	if err != nil {
-		err = mapRemoteErr(s.w, err)
-		if errors.Is(err, errWorkerLost) && g.recoverHeld(ctx, s) {
-			if s.remote == nil {
-				return false
-			}
-			res, err = s.remote.Query(ctx, e.Q, e.Ov)
-			if err != nil {
-				err = mapRemoteErr(s.w, err)
-			}
-		}
-	}
-	if err != nil {
-		e.Err = err
-		return true
-	}
-	s.w.recover()
-	s.thr, s.calibrated = res.Threshold, true
-	g.metrics.sessionQueries.add(1)
-	e.Out = res.Context
-	e.Stats = elsa.StreamStats{Candidates: res.Candidates, Fallback: res.Fallback}
-	e.Len, e.Thr, e.BatchSize = res.Len, res.Threshold, max(res.BatchSize, 1)
-	return true
-}
-
 // stepEntry is one session's slot in a cross-session decode wave
 // (POST /v1/sessions/step). The caller fills ID, Q, and Ov — or pre-sets
 // Err to mark an entry already refused (quota shedding) — and step fills
@@ -1096,15 +1113,14 @@ type stepEntry struct {
 
 // step decodes one token for every entry as a single wave. All session
 // gates are acquired first — in session-ID order, so two overlapping
-// waves cannot deadlock on each other's entries — then every local
-// entry enqueues on its set's continuous decode loop and each touched
-// loop is woken exactly once, after the whole wave is queued. The loop's
-// next harvest therefore sees the full wave (plus any per-query decode
-// traffic already pending) as one batch, instead of the wave trickling
-// in one scheduler pass at a time; and the wave needs no goroutine per
-// entry, so the per-token cost of a step request is the batch's shared
-// dispatch plus one result receive. Remote-pinned sessions and sets
-// without a loop fall back to the same inline paths a lone query takes.
+// waves cannot deadlock on each other's entries — then every entry is
+// submitted as a lone query would be (submitHeld), and each touched
+// decode loop is woken exactly once, after the whole wave is queued. The
+// loop's next harvest therefore sees the full wave (plus any per-query
+// decode traffic already pending) as one batch, instead of the wave
+// trickling in one scheduler pass at a time; and the wave needs no
+// goroutine per entry, so the per-token cost of a step request is the
+// batch's shared dispatch plus one result receive.
 func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadline time.Time) {
 	// Phase 1: resolve and lock. Duplicate IDs are refused up front — the
 	// second acquire would otherwise wait on a gate this same wave holds.
@@ -1138,107 +1154,34 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 		held[i] = s
 	}
 
-	// Phase 2: submit. Coalescable entries enqueue without waking the
-	// loop yet; everything else runs inline and releases its gate now.
-	pending := make([]bool, len(entries))
+	// Phase 2: submit. Queued entries keep their gates; every other entry
+	// is already answered and releases its gate now.
 	var woken []*decodeState
-	for i := range entries {
-		e := &entries[i]
-		s := held[i]
+	for i, s := range held {
 		if s == nil {
 			continue
 		}
-		if s.remote != nil {
-			if g.stepRemote(ctx, s, e) {
-				s.release()
-				held[i] = nil
-				continue
-			}
-			// Worker-loss recovery adopted the shadow locally mid-wave: the
-			// entry falls through to the local path below.
-		}
-		if err := g.ensureResident(s); err != nil {
-			e.Err = err
+		if !g.submitHeld(ctx, s, &entries[i], deadline) {
 			s.release()
 			held[i] = nil
 			continue
 		}
-		thr, err := g.resolveThreshold(s, e.Ov)
-		if err != nil {
-			e.Err = err
-			s.release()
-			held[i] = nil
-			continue
-		}
-		backend, err := g.resolveBackend(s, e.Ov, thr)
-		if err != nil {
-			e.Err = err
-			s.release()
-			held[i] = nil
-			continue
-		}
-		ds := s.set.dec
-		if ds == nil {
-			ov := e.Ov
-			ov.Backend = backend
-			out, stats, err := s.stream.QueryOverrides(nil, e.Q, ov, s.thr)
-			if err != nil {
-				e.Err = err
-			} else {
-				g.metrics.sessionQueries.add(1)
-				e.Out, e.Stats, e.Len, e.Thr, e.BatchSize = out, stats, s.stream.Len(), thr, 1
-			}
-			s.release()
-			held[i] = nil
-			continue
-		}
-		dec := &s.dec
-		dec.stream, dec.q, dec.thr, dec.p, dec.backend, dec.out = s.stream, e.Q, thr, s.p, backend, nil
-		if err := g.disp.enqueueDecode(ctx, ds, s.set, dec, s.class, deadline); err != nil {
-			dec.stream, dec.q = nil, nil
-			e.Err = err
-			s.release()
-			held[i] = nil
-			continue
-		}
-		e.Thr = thr
-		pending[i] = true
-		already := false
-		for _, w := range woken {
-			if w == ds {
-				already = true
-				break
-			}
-		}
-		if !already {
-			woken = append(woken, ds)
+		if !slices.Contains(woken, s.set.dec) {
+			woken = append(woken, s.set.dec)
 		}
 	}
 	for _, ds := range woken {
 		ds.wakeup()
 	}
 
-	// Phase 3: collect. Delivery is unconditional on every dispatcher
-	// path (see submitDecode), so each receive completes; the gate is
-	// released only after the result is written back — the same
-	// submit/complete handoff a lone query observes.
-	for i := range entries {
-		if !pending[i] {
-			continue
+	// Phase 3: collect, releasing each gate only after its result is
+	// written back — the same submit/complete handoff a lone query
+	// observes.
+	for i, s := range held {
+		if s != nil {
+			g.collectHeld(s, &entries[i])
+			s.release()
 		}
-		e := &entries[i]
-		s := held[i]
-		dec := &s.dec
-		r := <-dec.j.result
-		out, stats := dec.out, dec.stats
-		dec.stream, dec.q = nil, nil
-		if r.err != nil {
-			e.Err = r.err
-		} else {
-			g.metrics.sessionQueries.add(1)
-			e.Out, e.Stats, e.Len, e.BatchSize = out, stats, s.stream.Len(), r.batchSize
-		}
-		s.release()
 	}
 }
 

@@ -411,40 +411,18 @@ func (b *remoteBackend) available() bool { return b.w.routable() }
 
 func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 	outs := make([]*elsa.Output, len(jobs))
-	errs := make([]error, len(jobs))
-	b.w.stats.remoteOps.add(int64(len(jobs)))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j *job) {
-			defer wg.Done()
-			select {
-			case b.w.inflight <- struct{}{}:
-			case <-j.ctx.Done():
-				errs[i] = j.ctx.Err()
-				return
-			}
-			defer func() { <-b.w.inflight }()
-			res, err := b.w.cli.Attend(j.ctx, j.op.Q, j.op.K, j.op.V, client.AttendOptions{
-				Overrides: wireOverrides(j.op.Thr, j.op.Backend),
-				HeadDim:   b.opts.HeadDim,
-				HashBits:  b.opts.HashBits,
-				Seed:      b.opts.Seed,
-				Quantized: b.opts.Quantized,
-			})
-			if err != nil {
-				errs[i] = b.classify(err)
-				return
-			}
-			b.w.recover()
-			outs[i] = &elsa.Output{
-				Context:           res.Context,
-				CandidateFraction: res.CandidateFraction,
-				FallbackQueries:   res.FallbackQueries,
-			}
-		}(i, j)
-	}
-	wg.Wait()
+	errs := b.fanOut(jobs, func(i int, j *job) error {
+		res, err := b.w.cli.Attend(j.ctx, j.op.Q, j.op.K, j.op.V, b.attendOptions(j.op.Thr, j.op.Backend))
+		if err != nil {
+			return err
+		}
+		outs[i] = &elsa.Output{
+			Context:           res.Context,
+			CandidateFraction: res.CandidateFraction,
+			FallbackQueries:   res.FallbackQueries,
+		}
+		return nil
+	})
 	return outs, errs
 }
 
@@ -459,6 +437,28 @@ func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 // stored them unquantized, which would break decode's bit-identity
 // guarantee.
 func (b *remoteBackend) decodeBatch(jobs []*job) []error {
+	return b.fanOut(jobs, func(_ int, j *job) error {
+		dec := j.dec
+		keys, values := dec.stream.Rows()
+		res, err := b.w.cli.Attend(j.ctx, [][]float32{dec.q}, keys, values, b.attendOptions(&dec.thr, dec.backend))
+		if err != nil {
+			return err
+		}
+		dec.out = append(dec.out[:0], res.Context[0]...)
+		dec.stats = elsa.StreamStats{
+			Candidates: int(res.CandidateFraction*float64(dec.stream.Len()) + 0.5),
+			Fallback:   res.FallbackQueries > 0,
+		}
+		return nil
+	})
+}
+
+// fanOut runs call once per job as concurrent requests to the worker,
+// each holding one of its in-flight slots, and returns one error per
+// job: the requester's context error when it ends before a slot frees,
+// else call's error sorted by classify. A success feeds the worker's
+// health state.
+func (b *remoteBackend) fanOut(jobs []*job, call func(i int, j *job) error) []error {
 	errs := make([]error, len(jobs))
 	b.w.stats.remoteOps.add(int64(len(jobs)))
 	var wg sync.WaitGroup
@@ -473,29 +473,27 @@ func (b *remoteBackend) decodeBatch(jobs []*job) []error {
 				return
 			}
 			defer func() { <-b.w.inflight }()
-			dec := j.dec
-			keys, values := dec.stream.Rows()
-			res, err := b.w.cli.Attend(j.ctx, [][]float32{dec.q}, keys, values, client.AttendOptions{
-				Overrides: wireOverrides(&dec.thr, dec.backend),
-				HeadDim:   b.opts.HeadDim,
-				HashBits:  b.opts.HashBits,
-				Seed:      b.opts.Seed,
-				Quantized: b.opts.Quantized,
-			})
-			if err != nil {
+			if err := call(i, j); err != nil {
 				errs[i] = b.classify(err)
 				return
 			}
 			b.w.recover()
-			dec.out = append(dec.out[:0], res.Context[0]...)
-			dec.stats = elsa.StreamStats{
-				Candidates: int(res.CandidateFraction*float64(dec.stream.Len()) + 0.5),
-				Fallback:   res.FallbackQueries > 0,
-			}
 		}(i, j)
 	}
 	wg.Wait()
 	return errs
+}
+
+// attendOptions is the wire form of one remote op: the set's engine
+// options and the op's operating point.
+func (b *remoteBackend) attendOptions(thr *elsa.Threshold, backend string) client.AttendOptions {
+	return client.AttendOptions{
+		Overrides: wireOverrides(thr, backend),
+		HeadDim:   b.opts.HeadDim,
+		HashBits:  b.opts.HashBits,
+		Seed:      b.opts.Seed,
+		Quantized: b.opts.Quantized,
+	}
 }
 
 // wireOverrides is the operating point a remote op carries: its pinned

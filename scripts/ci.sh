@@ -10,6 +10,8 @@ echo "== go vet =="
 # -tests=true (the default, stated explicitly) also vets *_test.go, which
 # covers the benchmark files.
 go vet -tests=true ./...
+# elsaperf is its own module, so ./... above does not reach it.
+(cd elsaperf && go vet ./...)
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
