@@ -38,7 +38,6 @@ type AutoscaleRow struct {
 
 // autoscaleFront is the frontend config both scenarios run.
 var autoscaleFront = serve.Config{
-	BatchWindow:         time.Millisecond,
 	Replicas:            -1, // dispatch-only: sessions pin to workers
 	WorkerProbeInterval: 25 * time.Millisecond,
 	RequestTimeout:      10 * time.Second,
@@ -67,7 +66,7 @@ func autoscaleRows(opt experiments.Options) ([]AutoscaleRow, error) {
 func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 	cl := servetest.NewDynamicCluster(autoscaleFront)
 	defer cl.Close()
-	if _, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
+	if _, err := cl.AddWorker(serve.Config{Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
 		return AutoscaleRow{}, err
 	}
 
@@ -90,7 +89,7 @@ func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 		}
 	}
 
-	joiner, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second)
+	joiner, err := cl.AddWorker(serve.Config{Replicas: 1}, 25*time.Millisecond, 5*time.Second)
 	if err != nil {
 		return AutoscaleRow{}, err
 	}
@@ -141,7 +140,7 @@ func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 func mirrorRow(opt experiments.Options, sessions, tokensPer int) (AutoscaleRow, error) {
 	cl := servetest.NewDynamicCluster(autoscaleFront)
 	defer cl.Close()
-	if _, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
+	if _, err := cl.AddWorker(serve.Config{Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
 		return AutoscaleRow{}, err
 	}
 

@@ -17,7 +17,7 @@ import (
 )
 
 // Decode bench modes. "concurrent" drives the per-query HTTP API with
-// every session in flight at once against the continuous decode loop,
+// every session in flight at once against continuous decode batching,
 // showing how much coalescing independent per-query clients get. "step" submits the whole wave through
 // POST /v1/sessions/step — one request per decode wave — so the fixed
 // per-request cost is paid once per wave and the loop dispatches the
@@ -49,7 +49,7 @@ type DecodeRow struct {
 	MeanBatch float64 `json:"mean_batch"`
 }
 
-// decodeRows measures the continuous decode loop at increasing session
+// decodeRows measures continuous decode batching at increasing session
 // counts. Thresholds are pinned per session
 // (no lazy calibration) so the rows isolate decode scheduling cost, and
 // the prefix is fixed during the timed phase so every step does the

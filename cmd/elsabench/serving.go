@@ -70,10 +70,9 @@ func servingRows(opt experiments.Options) ([]ServingRow, error) {
 	var rows []ServingRow
 	for _, replicas := range []int{1, 2} {
 		srv := serve.New(serve.Config{
-			BatchWindow: 2 * time.Millisecond,
-			MaxBatch:    64,
-			MaxQueue:    2048,
-			Replicas:    replicas,
+			MaxBatch: 64,
+			MaxQueue: 2048,
+			Replicas: replicas,
 		})
 		ts := httptest.NewServer(srv)
 		c := client.New(ts.URL)

@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	elsaserve [-addr :8080] [-batch-window 2ms] [-max-batch 64]
-//	          [-queue 256] [-attend-workers 0] [-timeout 30s]
+//	elsaserve [-addr :8080] [-max-batch 64] [-queue 256]
+//	          [-attend-workers 0] [-timeout 30s]
 //	          [-replicas 0] [-max-engines 8]
 //	          [-max-sessions 1024] [-session-ttl 15m] [-session-tokens 65536]
 //	          [-state-dir /var/lib/elsa] [-max-threshold-files 512]
@@ -107,8 +107,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cfg := serve.Config{}
-	flag.DurationVar(&cfg.BatchWindow, "batch-window", 2*time.Millisecond, "micro-batch coalescing window")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", 64, "dispatch a batch early at this many ops")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", 64, "most ops one lane harvests into a batch")
 	flag.IntVar(&cfg.MaxQueue, "queue", 256, "bounded dispatcher queue; overflow answers 429")
 	flag.IntVar(&cfg.Workers, "attend-workers", 0, "attention workers per batch (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.RequestTimeout, "timeout", 30*time.Second, "per-request queue+compute deadline")
@@ -244,8 +243,8 @@ func run(addr string, cfg serve.Config, drain time.Duration, hb heartbeatConfig,
 	}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "elsaserve: listening on %s as %s (window %s, max-batch %d, queue %d, replicas %d)\n",
-			addr, role, cfg.BatchWindow, cfg.MaxBatch, cfg.MaxQueue, cfg.Replicas)
+		fmt.Fprintf(os.Stderr, "elsaserve: listening on %s as %s (max-batch %d, queue %d, replicas %d)\n",
+			addr, role, cfg.MaxBatch, cfg.MaxQueue, cfg.Replicas)
 		errc <- hs.ListenAndServe()
 	}()
 

@@ -33,9 +33,8 @@ func main() {
 	// 1. An in-process server with QoS on: each named client may sustain
 	//    5 ops/s with a burst of 8.
 	srv := serve.New(serve.Config{
-		BatchWindow: 2 * time.Millisecond,
-		QuotaRPS:    5,
-		QuotaBurst:  8,
+		QuotaRPS:   5,
+		QuotaBurst: 8,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)

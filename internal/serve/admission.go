@@ -139,11 +139,11 @@ func (q *quotas) clients() int {
 }
 
 // classWeights are the dispatcher's weighted-dequeue shares, indexed by
-// Class. When a dispatched micro-batch would overflow, the highest
-// non-empty class fills freely and each lower class is capped at
-// max(1, maxBatch·w/Σw) ops per dispatch — deferred ops stay queued for
-// the next window (counted as priority-preempted), so background work
-// makes progress every dispatch but never displaces interactive ops.
+// Class. At each harvest the highest non-empty class fills freely and
+// each lower class is capped at max(1, maxBatch·w/Σw) ops — held-back
+// ops stay queued for the next harvest (counted as priority-preempted),
+// so background work makes progress every harvest but never displaces
+// interactive ops.
 type classWeights [NumClasses]int
 
 // defaultClassWeights is the 16:4:1 split used when Config.ClassWeights

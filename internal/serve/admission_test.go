@@ -43,9 +43,8 @@ func TestBadPriorityRejected(t *testing.T) {
 // sheds charged to it.
 func TestQuotaFloodIsolatesQuietClient(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: time.Millisecond,
-		QuotaRPS:    5,
-		QuotaBurst:  8,
+		QuotaRPS:   5,
+		QuotaBurst: 8,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -126,20 +125,34 @@ func asAPIError(err error, target **client.APIError) bool {
 	return false
 }
 
-// TestDeadlineShedSkipsQueueWait verifies deadline-aware shedding: an op
-// whose deadline_ms cannot cover the batching window is refused
-// immediately with Retry-After instead of sitting in queue until it
-// times out.
+// TestDeadlineShedSkipsQueueWait verifies deadline-aware shedding: while
+// every lane is held busy, an op whose deadline_ms cannot cover the
+// estimated queue wait is refused immediately with Retry-After instead
+// of sitting in queue until it times out.
 func TestDeadlineShedSkipsQueueWait(t *testing.T) {
-	const window = 400 * time.Millisecond
-	srv := New(Config{BatchWindow: window})
+	const svc = 400 * time.Millisecond
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(testSeed))
 	q, k, v := genOp(rng, 2, 6)
-	op, err := json.Marshal(AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed})
+	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	set, err := srv.pool.get(req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := gateLanes(srv.disp, set)
+	defer openAll(gates)
+	occupy(t, srv.disp, set, gates)
+	// Each held lane is one service time from free, so the estimate is
+	// two service times: far past the 20ms deadline.
+	srv.disp.mu.Lock()
+	srv.disp.svcEWMA = svc.Seconds()
+	srv.disp.mu.Unlock()
+
+	op, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +176,9 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 		t.Error("deadline shed carried no Retry-After header")
 	}
 	// The whole point: the op must be refused up front, not after paying
-	// the 400ms batching window (or its own 20ms timeout as a 504).
-	if elapsed > window/2 {
-		t.Errorf("deadline shed took %v; it should not pay the %v queue wait", elapsed, window)
+	// the queue wait (or its own 20ms timeout as a 504).
+	if elapsed > svc/2 {
+		t.Errorf("deadline shed took %v; it should not pay the %v queue wait", elapsed, 2*svc)
 	}
 	if dec := srv.Metrics().AdmissionDecisions(); dec["shed_deadline"] != 1 {
 		t.Errorf("shed_deadline metric = %d, want 1", dec["shed_deadline"])
@@ -173,17 +186,20 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 }
 
 // TestWeightedDequeueDefersBackground drives the dispatcher directly:
-// with maxBatch 4 and default 16:4:1 weights, a full batch of 3
-// background + 1 interactive ops must dispatch the interactive op at
-// once with only background's weight share (1 op) alongside, deferring
-// the other background ops to the next window — progress for both, no
-// displacement of the interactive op.
+// with maxBatch 4 and default 16:4:1 weights, three background ops and
+// one interactive op queue behind a held lane. When it frees, the lane
+// harvests the interactive op with only background's weight share (1
+// op) alongside, deferring the other background ops to its next
+// harvest — progress for both, no displacement of the interactive op.
 func TestWeightedDequeueDefersBackground(t *testing.T) {
-	p, d, m := newTestStack(t, 1, 4, time.Second, 4, 64)
+	p, d, m := newTestStack(t, 1, 4, 4, 64)
 	set, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gates := gateLanes(d, set)
+	defer openAll(gates)
+	occupy(t, d, set, gates)
 	rng := rand.New(rand.NewSource(testSeed))
 	q, k, v := genOp(rng, 2, 6)
 
@@ -200,39 +216,31 @@ func TestWeightedDequeueDefersBackground(t *testing.T) {
 			bgBatch[i] = size
 		}(i)
 	}
-	// Wait for all three background ops to be resident in the pending
-	// batch before the interactive op arrives and fills it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d.mu.Lock()
-		n := d.queued
-		d.mu.Unlock()
-		if n == 3 {
-			break
+	// All three background ops wait before the interactive op arrives.
+	waitQueued(t, d, 3)
+	size := make(chan int, 1)
+	go func() {
+		_, n, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
+		if err != nil {
+			t.Error(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background ops never queued: %d resident", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	_, size, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
+		size <- n
+	}()
+	waitQueued(t, d, 4)
+	openAll(gates)
 	wg.Wait()
 
-	// The interactive op's dispatch carried itself plus background's cap
+	// The interactive op's batch carried itself plus background's cap
 	// of max(1, 4*1/21) = 1 op.
-	if size != 2 {
-		t.Errorf("interactive op dispatched in a batch of %d, want 2 (self + capped background)", size)
+	if n := <-size; n != 2 {
+		t.Errorf("interactive op dispatched in a batch of %d, want 2 (self + capped background)", n)
 	}
 	if got := m.preempted.with("background").value(); got != 2 {
 		t.Errorf("preempted{background} = %d, want 2", got)
 	}
 	// Every background op shares a batch of 2: one rode along with the
-	// interactive op, the two deferred ones dispatch together when the
-	// next window fires.
+	// interactive op, the two deferred ones leave together in the lane's
+	// next harvest.
 	for i, size := range bgBatch {
 		if size != 2 {
 			t.Errorf("background op %d dispatched in a batch of %d, want 2 (sizes %v)", i, size, bgBatch)

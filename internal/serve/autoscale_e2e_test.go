@@ -111,7 +111,7 @@ func TestAutoscaleJoinerRebalanceThenIdleDrain(t *testing.T) {
 	}
 
 	// Reference standalone server mirrors every session op bit-exactly.
-	ref := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	ref := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer ref.Close()
 	refCli := client.New(ref.URL())
 

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"elsa"
 )
@@ -43,7 +42,7 @@ func sameMatrix(a, b [][]float32) bool {
 // the corresponding direct library call, an unknown name and a
 // backend+approximate combination are both 400s.
 func TestAttendBackendSelection(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -99,7 +98,7 @@ func TestAttendBackendSelection(t *testing.T) {
 // default applies to exact ops that did not pin a backend, while explicit
 // per-request selectors and approximate ops are untouched.
 func TestServerDefaultExactBackend(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond, ExactBackend: elsa.BackendLinearScan})
+	srv := New(Config{ExactBackend: elsa.BackendLinearScan})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -148,7 +147,7 @@ func TestServerDefaultExactBackend(t *testing.T) {
 // bit-identically to a directly-driven Stream.QueryLinearScan, and a
 // per-query selector overrides a session that did not pin one.
 func TestSessionBackendDecode(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -233,7 +232,7 @@ func TestSessionBackendDecode(t *testing.T) {
 // its session's pinned linear scan, one selects it per query, and an
 // entry combining backend with t fails alone without poisoning the wave.
 func TestSessionStepBackendPerEntry(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -304,7 +303,7 @@ func TestSessionStepBackendPerEntry(t *testing.T) {
 // and the adopted session keeps answering through the linear scan.
 func TestMigrationPreservesBackend(t *testing.T) {
 	mkServer := func() (*Server, *httptest.Server) {
-		srv := New(Config{BatchWindow: time.Millisecond})
+		srv := New(Config{})
 		ts := httptest.NewServer(srv)
 		return srv, ts
 	}

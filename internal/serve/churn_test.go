@@ -22,7 +22,6 @@ import (
 // workers: every member arrives via /v1/cluster/join.
 func dynamicFront() serve.Config {
 	return serve.Config{
-		BatchWindow:         time.Millisecond,
 		Replicas:            -1, // explicitly zero local replicas without -workers
 		WorkerProbeInterval: 25 * time.Millisecond,
 		RequestTimeout:      10 * time.Second,
@@ -30,7 +29,7 @@ func dynamicFront() serve.Config {
 }
 
 func dynamicWorker() serve.Config {
-	return serve.Config{BatchWindow: time.Millisecond, Replicas: 1}
+	return serve.Config{Replicas: 1}
 }
 
 // TestWorkerJoinsMidLoadReceivesTraffic starts a one-worker dynamic
@@ -131,7 +130,7 @@ func TestMemberDrainFinishesPinnedSessions(t *testing.T) {
 
 	// A reference standalone server mirrors every session op for the
 	// bit-identity check.
-	ref := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	ref := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer ref.Close()
 	refCli := client.New(ref.URL())
 
@@ -313,7 +312,6 @@ func TestHeartbeatExpiryMarksMemberGone(t *testing.T) {
 // stragglers.
 func TestServerDrainLifecycle(t *testing.T) {
 	w := servetest.NewWorker(serve.Config{
-		BatchWindow:  time.Millisecond,
 		Replicas:     1,
 		DrainTimeout: 400 * time.Millisecond,
 	})

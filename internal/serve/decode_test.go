@@ -97,7 +97,7 @@ func (f *decodeFixture) query(q []float32, ov elsa.Overrides) ([]float32, elsa.S
 
 // TestDecodeContinuousMatchesSerial pins the tentpole fidelity contract:
 // N sessions with different pinned thresholds and p values, decoded
-// concurrently through the continuous decode loop, must produce
+// concurrently through the dispatcher's coalesced batches, must produce
 // bit-identical context vectors and equal stream stats to one plain
 // elsa.Stream per session queried serially through the library. Run
 // under -race this also exercises the submit/complete handoff against
@@ -117,6 +117,10 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 
 			const sessions, prefix, steps = 8, 24, 10
 			bf := buildDecodeSessions(t, batched, opts, sessions, prefix)
+			set, err := batched.pool.get(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			ctx := context.Background()
 			override := 0.85
@@ -133,6 +137,14 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 					}
 				}
 
+				// The first step holds every lane busy until all sessions'
+				// queries have queued, so they must leave as one batch.
+				var gates []*laneGate
+				if step == 0 {
+					gates = gateLanes(batched.disp, set)
+					defer openAll(gates)
+					occupy(t, batched.disp, set, gates)
+				}
 				got := make([][]float32, sessions)
 				gotStats := make([]elsa.StreamStats, sessions)
 				var wg sync.WaitGroup
@@ -140,13 +152,20 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						out, stats, _, _, _, err := batched.sessions.query(ctx, bf[i].id, qs[i], ovs[i], time.Time{})
+						out, stats, _, _, size, err := batched.sessions.query(ctx, bf[i].id, qs[i], ovs[i], time.Time{})
 						if err != nil {
 							t.Errorf("step %d session %d batched query: %v", step, i, err)
 							return
 						}
+						if gates != nil && size != sessions {
+							t.Errorf("step %d session %d rode a batch of %d, want all %d queued queries", step, i, size, sessions)
+						}
 						got[i], gotStats[i] = out, stats
 					}(i)
+				}
+				if gates != nil {
+					waitQueued(t, batched.disp, sessions)
+					openAll(gates)
 				}
 				wg.Wait()
 				if t.Failed() {
@@ -181,11 +200,10 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 				}
 			}
 
-			// The batched server must actually have coalesced: with 8
-			// sessions firing each step concurrently against one loop,
-			// batches of size > 1 are where the speedup comes from.
+			// The batched server must actually have coalesced: batches of
+			// size > 1 are where the speedup comes from.
 			if c := batched.metrics.decodeCoalesced.value(); c == 0 {
-				t.Errorf("continuous loop never coalesced across %d concurrent queries", sessions*steps)
+				t.Errorf("decode never coalesced across %d concurrent queries", sessions*steps)
 			}
 			if b := batched.metrics.decodeBatches.value(); b == 0 {
 				t.Errorf("no decode batches recorded")
@@ -195,8 +213,8 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 }
 
 // TestDecodeCycleZeroAlloc pins the decode hot path's allocation story:
-// after warm-up, one steady-state queryInto — session gate, submit to
-// the continuous loop, coalesce, dispatch, stream attend, write-back —
+// after warm-up, one steady-state queryInto — session gate, submit,
+// kick, harvest, dispatch, stream attend, write-back —
 // performs zero heap allocations per query. The companion of
 // TestAttendWithZeroAlloc one layer up the stack; ci.sh runs it
 // explicitly so it cannot be skipped.
@@ -231,7 +249,7 @@ func TestDecodeCycleZeroAlloc(t *testing.T) {
 			q := genVec(rng)
 			dst := make([]float32, testDim)
 			var ov elsa.Overrides
-			// Warm up: grow the decode queue, the loop's take buffer, and
+			// Warm up: grow the decode queue, the lane's harvest buffer, and
 			// the backend's staging slices to steady size.
 			for i := 0; i < 4; i++ {
 				out, _, _, _, _, err := srv.sessions.queryInto(ctx, sess.id, dst, q, ov, time.Time{})

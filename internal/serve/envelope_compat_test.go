@@ -263,7 +263,7 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 	}
 
 	t.Run("sunset default", func(t *testing.T) {
-		srv := New(Config{BatchWindow: time.Millisecond})
+		srv := New(Config{})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"elsa/internal/serve"
 	"elsa/internal/serve/servetest"
@@ -18,7 +17,7 @@ import (
 const standaloneHealthzGolden = "{\"status\":\"ok\",\"engines\":0,\"sessions\":0}\n"
 
 func TestStandaloneHealthzBodyGolden(t *testing.T) {
-	w := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	w := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer w.Close()
 
 	resp, err := http.Get(w.URL() + "/v1/healthz")

@@ -34,9 +34,9 @@ func mcKey(i, round int) []float32 {
 // migration is built on. A duplicate import must refuse with 409 rather
 // than clobber live state.
 func TestSessionExportImportRoundTrip(t *testing.T) {
-	a := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	a := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer a.Close()
-	b := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	b := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer b.Close()
 
 	ca, cb := client.New(a.URL()), client.New(b.URL())
@@ -125,7 +125,6 @@ func TestSessionExportImportRoundTrip(t *testing.T) {
 // rehydrate counters must both move.
 func TestSessionSpillRehydrateBitIdentical(t *testing.T) {
 	w := servetest.NewWorker(serve.Config{
-		BatchWindow:  time.Millisecond,
 		Replicas:     1,
 		StateDir:     t.TempDir(),
 		SessionSpill: 40 * time.Millisecond,
@@ -185,7 +184,7 @@ func TestMemberDrainRelocatesPinnedSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	ref := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer ref.Close()
 	refCli := client.New(ref.URL())
 	c := client.New(cl.URL())
@@ -288,7 +287,7 @@ func TestWorkerLossRecoversFromShadow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	ref := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer ref.Close()
 	refCli := client.New(ref.URL())
 	c := client.New(cl.URL())

@@ -27,15 +27,14 @@ const (
 	rtSeed = 11
 )
 
-// fastCluster returns configs tuned for tests: tight batch windows, fast
-// probes so ejection/re-admission happens within a test's patience.
+// fastCluster returns configs tuned for tests: fast probes so
+// ejection/re-admission happens within a test's patience.
 func fastCluster() (front, worker serve.Config) {
 	front = serve.Config{
-		BatchWindow:         time.Millisecond,
 		WorkerProbeInterval: 25 * time.Millisecond,
 		RequestTimeout:      10 * time.Second,
 	}
-	worker = serve.Config{BatchWindow: time.Millisecond, Replicas: 1}
+	worker = serve.Config{Replicas: 1}
 	return front, worker
 }
 
@@ -71,7 +70,7 @@ func rtOps(n int) [][3][][]float32 {
 // the bit-exact reference every cluster topology must match.
 func singleHostResults(t *testing.T, ops [][3][][]float32) []*client.Result {
 	t.Helper()
-	ref := servetest.NewWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1})
+	ref := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer ref.Close()
 	c := client.New(ref.URL())
 	out := make([]*client.Result, len(ops))

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,11 +63,12 @@ func postAttend(t *testing.T, client *http.Client, url string, req AttendRequest
 // requests through the HTTP stack and checks (a) the scheduler actually
 // coalesced them (mean dispatched batch size > 1) and (b) every response
 // is byte-identical to an unbatched Engine.Attend on the same inputs.
+// Every lane is held busy until the storm has queued, so the lanes must
+// harvest it in full batches.
 func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 20 * time.Millisecond,
-		MaxBatch:    64,
-		MaxQueue:    2048,
+		MaxBatch: 64,
+		MaxQueue: 2048,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -96,6 +98,14 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 			want: want,
 		}
 	}
+
+	set, err := srv.pool.get(payloads[0].req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := gateLanes(srv.disp, set)
+	defer openAll(gates)
+	occupy(t, srv.disp, set, gates)
 
 	const requests = 300
 	client := ts.Client()
@@ -142,6 +152,8 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 		}(r)
 	}
 	start.Done() // release the storm at once so requests overlap
+	waitQueued(t, srv.disp, requests)
+	openAll(gates)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -159,6 +171,9 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 	if meanSeen <= 1 {
 		t.Errorf("mean per-request batch size %.2f, want > 1 (no batching happened)", meanSeen)
 	}
+	if len(batchSizes) > 0 && slices.Max(batchSizes) != 64 {
+		t.Errorf("largest batch %d, want a full MaxBatch of 64 from the queued storm", slices.Max(batchSizes))
+	}
 	if mean := srv.Metrics().MeanBatchSize(); mean <= 1 {
 		t.Errorf("mean dispatched batch size %.2f, want > 1", mean)
 	}
@@ -171,7 +186,7 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 // TestCalibratedThresholdIsSharedAndEchoed checks p > 0 requests calibrate
 // once per (engine, p), share the cached threshold, and echo it.
 func TestCalibratedThresholdIsSharedAndEchoed(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond, MaxQueue: 64})
+	srv := New(Config{MaxQueue: 64})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -218,7 +233,7 @@ func TestCalibratedThresholdIsSharedAndEchoed(t *testing.T) {
 }
 
 func TestBadRequestsAreRejected(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -263,7 +278,7 @@ func TestBadRequestsAreRejected(t *testing.T) {
 }
 
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -317,12 +332,12 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutAnswers504 holds a request in a long batching window
-// with a deadline far shorter than the window.
+// TestRequestTimeoutAnswers504 holds the only lane busy, so a request
+// waits in queue past its deadline.
 func TestRequestTimeoutAnswers504(t *testing.T) {
 	srv := New(Config{
-		BatchWindow:    500 * time.Millisecond,
 		RequestTimeout: 10 * time.Millisecond,
+		Replicas:       1,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -330,19 +345,28 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	q, k, v := genOp(rng, 2, 4)
-	resp, raw := postAttend(t, ts.Client(), ts.URL, AttendRequest{Q: q, K: k, V: v})
+	req := AttendRequest{Q: q, K: k, V: v}
+	set, err := srv.pool.get(req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := gateLanes(srv.disp, set)
+	defer openAll(gates)
+	occupy(t, srv.disp, set, gates)
+
+	resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, raw)
 	}
 }
 
-// TestBackpressure429 fills the bounded queue inside a long window and
-// checks the overflow request is shed.
+// TestBackpressure429 fills the bounded queue behind held lanes and
+// checks the overflow request is shed, while the queued requests still
+// succeed once the lanes free.
 func TestBackpressure429(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: time.Second,
-		MaxBatch:    64,
-		MaxQueue:    2,
+		MaxBatch: 64,
+		MaxQueue: 2,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -351,8 +375,15 @@ func TestBackpressure429(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	q, k, v := genOp(rng, 2, 4)
 	req := AttendRequest{Q: q, K: k, V: v}
+	set, err := srv.pool.get(req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := gateLanes(srv.disp, set)
+	defer openAll(gates)
+	occupy(t, srv.disp, set, gates)
 
-	// Two requests occupy the queue for the whole window.
+	// Two requests occupy the queue while every lane is held.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -364,35 +395,22 @@ func TestBackpressure429(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until both are actually resident.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srv.disp.mu.Lock()
-		n := srv.disp.queued
-		srv.disp.mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, srv.disp, 2)
 	resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d (%s), want 429", resp.StatusCode, raw)
 	}
+	openAll(gates)
 	wg.Wait()
 }
 
-// TestGracefulCloseDrainsPending verifies Close dispatches a half-full
-// window immediately and the waiting requests still succeed, while new
-// requests are refused with 503.
+// TestGracefulCloseDrainsPending verifies Close waits for ops queued
+// behind busy lanes, which leave as one batch once a lane frees and all
+// succeed, while new requests are refused with 503.
 func TestGracefulCloseDrainsPending(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 10 * time.Second, // never fires during the test
-		MaxBatch:    64,
-		MaxQueue:    64,
+		MaxBatch: 64,
+		MaxQueue: 64,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -400,6 +418,13 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	q, k, v := genOp(rng, 2, 4)
 	req := AttendRequest{Q: q, K: k, V: v}
+	set, err := srv.pool.get(req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := gateLanes(srv.disp, set)
+	defer openAll(gates)
+	blockers := occupy(t, srv.disp, set, gates)
 
 	const pending = 5
 	var wg sync.WaitGroup
@@ -420,22 +445,36 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 			}
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitQueued(t, srv.disp, pending)
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to stop admission", func() bool {
 		srv.disp.mu.Lock()
-		n := srv.disp.queued
-		srv.disp.mu.Unlock()
-		if n == pending {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("requests never queued")
-		}
-		time.Sleep(time.Millisecond)
+		defer srv.disp.mu.Unlock()
+		return srv.disp.closed
+	})
+	resp, raw := postAttend(t, ts.Client(), ts.URL, req)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("request during close: status %d (%s), want 503", resp.StatusCode, raw)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted ops were still queued")
+	case <-time.After(20 * time.Millisecond):
 	}
 
-	srv.Close() // drains: the pending batch must dispatch now, not in 10s
+	openAll(gates) // the first lane to free harvests all five at once
+	<-closed
 	wg.Wait()
+	for range gates {
+		if err := <-blockers; err != nil {
+			t.Errorf("blocker: %v", err)
+		}
+	}
 	for i, code := range codes {
 		if code != http.StatusOK {
 			t.Errorf("drained request %d: status %d, want 200", i, code)
@@ -445,7 +484,7 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 		}
 	}
 
-	resp, raw := postAttend(t, ts.Client(), ts.URL, req)
+	resp, raw = postAttend(t, ts.Client(), ts.URL, req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-close request: status %d (%s), want 503", resp.StatusCode, raw)
 	}

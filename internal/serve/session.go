@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,10 +50,10 @@ var (
 // contract, and a remote session's appends must observe each other's
 // prefix, so the gate serializes the session's own traffic either way.
 // The gate is a submit/complete handoff rather than a mutex: a query
-// holds it while its decode step is in flight on the continuous decode
-// loop — so the loop can coalesce queries from many sessions into one
-// batch while each session's appends queue behind its own in-flight
-// query — and releases it only after the result is written back.
+// holds it while its decode step is in flight in the dispatcher — so a
+// lane can coalesce queries from many sessions into one batch while each
+// session's appends queue behind its own in-flight query — and releases
+// it only after the result is written back.
 type session struct {
 	id   string
 	opts elsa.Options
@@ -145,8 +144,8 @@ type sessionRegistry struct {
 	// local engine or remote worker — the cluster view's consistent-hash
 	// placement. Nil falls back to the replica set's rotation.
 	place func(set *replicaSet, key string) (*elsa.Engine, *worker)
-	// disp routes local decode queries through the continuous decode loop
-	// so concurrently-ready sessions coalesce into one batch. New sets it
+	// disp routes local decode queries through the dispatcher so
+	// concurrently-ready sessions coalesce into one batch. New sets it
 	// before serving.
 	disp *dispatcher
 	// coldWatermark configures each session stream's hot/cold split (0
@@ -414,7 +413,7 @@ func (g *sessionRegistry) closeRemote(remote *client.Session) {
 
 // append adds tokens to the session and returns its new length. Appends
 // queue on the session gate behind any in-flight decode query, so a
-// stream is never mutated while the decode loop (or a remote worker
+// stream is never mutated while a decode batch (or a remote worker
 // materializing its rows) is reading it. Losing the pinned worker
 // triggers one in-place recovery from the shadow mirror, then the
 // append retries once: the mirror only advances on remote success, so
@@ -555,8 +554,7 @@ func (g *sessionRegistry) query(ctx context.Context, id string, q []float32, ov 
 // (grown only when too small): resolve the threshold if this is the
 // session's first calibrated query, then attend over the prefix at the
 // session threshold (or the query's own override) through the
-// continuous decode loop, where concurrently-ready sessions coalesce
-// into one batch. Also returns the size of the batch the query rode in.
+// dispatcher, where concurrently-ready sessions coalesce into one batch. Also returns the size of the batch the query rode in.
 // It is a step wave of one entry, without the wave's bookkeeping, so a
 // caller recycling dst across queries decodes with zero steady-state
 // allocations.
@@ -571,7 +569,7 @@ func (g *sessionRegistry) queryInto(ctx context.Context, id string, dst []float3
 	defer s.release()
 	e := stepEntry{ID: id, Q: q, Ov: ov, Out: dst}
 	if g.submitHeld(ctx, s, &e, deadline) {
-		s.set.dec.wakeup()
+		g.disp.kick(s.set, true)
 		g.collectHeld(s, &e)
 	}
 	return e.Out, e.Stats, e.Len, e.Thr, e.BatchSize, e.Err
@@ -581,10 +579,10 @@ func (g *sessionRegistry) queryInto(ctx context.Context, id string, dst []float3
 // gate. A remote-pinned session's query runs to completion here. A local
 // one is prepared — made resident, its threshold and backend resolved,
 // the session's reusable decodeJob filled with the operating point
-// pinned — and queued on the set's decode loop without waking it. It
-// reports whether the step was queued: the caller then owes the loop a
-// wakeup and a collectHeld. Otherwise the step is over, e.Err holding
-// any failure.
+// pinned — and queued in the set's decode class queue without a kick.
+// It reports whether the step was queued: the caller then owes the set a
+// kick and a collectHeld. Otherwise the step is over, e.Err holding any
+// failure.
 func (g *sessionRegistry) submitHeld(ctx context.Context, s *session, e *stepEntry, deadline time.Time) bool {
 	if s.remote != nil && g.queryRemoteHeld(ctx, s, e) {
 		return false
@@ -616,9 +614,9 @@ func (g *sessionRegistry) submitHeld(ctx context.Context, s *session, e *stepEnt
 
 // collectHeld waits for the step submitHeld queued and writes its result
 // into e. The wait is unconditional: every dispatcher path delivers
-// (runBatch answers expired contexts, the loop's final drain covers
-// shutdown), and returning early on ctx.Done would let the loop write
-// into the job after the session's gate moved on.
+// (runBatch answers expired contexts, lanes keep harvesting through
+// shutdown), and returning early on ctx.Done would let a lane write into
+// the job after the session's gate moved on.
 func (g *sessionRegistry) collectHeld(s *session, e *stepEntry) {
 	dec := &s.dec
 	r := <-dec.j.result
@@ -1114,11 +1112,11 @@ type stepEntry struct {
 // step decodes one token for every entry as a single wave. All session
 // gates are acquired first — in session-ID order, so two overlapping
 // waves cannot deadlock on each other's entries — then every entry is
-// submitted as a lone query would be (submitHeld), and each touched
-// decode loop is woken exactly once, after the whole wave is queued. The
-// loop's next harvest therefore sees the full wave (plus any per-query
-// decode traffic already pending) as one batch, instead of the wave
-// trickling in one scheduler pass at a time; and the wave needs no
+// submitted as a lone query would be (submitHeld), and each touched set
+// is kicked only after the whole wave is queued. The harvest therefore
+// sees the full wave (plus any decode traffic already pending) as one
+// batch, instead of the wave trickling out one entry at a time; and the
+// wave needs no
 // goroutine per entry, so the per-token cost of a step request is the
 // batch's shared dispatch plus one result receive.
 func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadline time.Time) {
@@ -1155,23 +1153,21 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 	}
 
 	// Phase 2: submit. Queued entries keep their gates; every other entry
-	// is already answered and releases its gate now.
-	var woken []*decodeState
+	// is already answered and releases its gate now. Only then is each
+	// touched set kicked; a repeat kick of a set finds its queue already
+	// harvested and does nothing.
 	for i, s := range held {
-		if s == nil {
-			continue
-		}
-		if !g.submitHeld(ctx, s, &entries[i], deadline) {
+		if s != nil && !g.submitHeld(ctx, s, &entries[i], deadline) {
 			s.release()
 			held[i] = nil
-			continue
-		}
-		if !slices.Contains(woken, s.set.dec) {
-			woken = append(woken, s.set.dec)
 		}
 	}
-	for _, ds := range woken {
-		ds.wakeup()
+	var kicked *replicaSet
+	for _, s := range held {
+		if s != nil && s.set != kicked {
+			kicked = s.set
+			g.disp.kick(kicked, true)
+		}
 	}
 
 	// Phase 3: collect, releasing each gate only after its result is

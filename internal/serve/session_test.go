@@ -83,7 +83,7 @@ func cosine(a, b []float32) float64 {
 // configuration, and the approximate decode must stay close to exact
 // attention at the calibrated operating point.
 func TestSessionDecodeMatchesDirectStream(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -296,7 +296,7 @@ func TestSessionLRUEviction(t *testing.T) {
 // keep every request coherent — no 5xx, and a final length equal to the
 // number of successful appends.
 func TestConcurrentSessionAppendQuery(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

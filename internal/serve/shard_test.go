@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"elsa"
 )
@@ -17,10 +16,9 @@ import (
 // the configuration's replicas rather than pinning one shard.
 func TestShardRoutingFairness(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 100 * time.Microsecond,
-		MaxBatch:    1, // every request dispatches as its own batch
-		MaxQueue:    1024,
-		Replicas:    3,
+		MaxBatch: 1, // every request dispatches as its own batch
+		MaxQueue: 1024,
+		Replicas: 3,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -65,13 +63,13 @@ func TestShardRoutingFairness(t *testing.T) {
 // TestMixedThresholdsShareDispatch checks ops pinned to different
 // operating points still coalesce into one micro-batch — each op carries
 // its own threshold — and each comes back identical to an unbatched
-// Attend at that op's threshold.
+// Attend at that op's threshold. The only lane is held busy until both
+// ops have queued.
 func TestMixedThresholdsShareDispatch(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 300 * time.Millisecond,
-		MaxBatch:    64,
-		MaxQueue:    64,
-		Replicas:    1,
+		MaxBatch: 64,
+		MaxQueue: 64,
+		Replicas: 1,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -81,6 +79,13 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set, err := srv.pool.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := gateLanes(srv.disp, set)
+	defer openAll(gates)
+	occupy(t, srv.disp, set, gates)
 	rng := rand.New(rand.NewSource(31))
 	thresholds := []float64{0.15, 0.75}
 	type result struct {
@@ -111,6 +116,8 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(t, srv.disp, len(thresholds))
+	openAll(gates)
 	wg.Wait()
 
 	for i, r := range results {
@@ -148,7 +155,7 @@ func TestStatePersistenceAcrossRestart(t *testing.T) {
 	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1}
 
 	serveOnce := func() (AttendResponse, *Metrics) {
-		srv := New(Config{BatchWindow: time.Millisecond, StateDir: dir})
+		srv := New(Config{StateDir: dir})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()

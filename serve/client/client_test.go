@@ -18,7 +18,7 @@ import (
 // TestAttendRoundTrip drives the real serving stack through the client
 // and checks the result matches a direct engine call.
 func TestAttendRoundTrip(t *testing.T) {
-	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
+	srv := serve.New(serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -191,7 +191,7 @@ func TestClusterRejectsPreSchemaServers(t *testing.T) {
 // real frontend: schema_version 1, signals block present, targets
 // decoded into Members.
 func TestClusterTypedViewFromV1Server(t *testing.T) {
-	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
+	srv := serve.New(serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -37,9 +37,9 @@ type QueryResult struct {
 	Fallback   bool
 	Len        int
 	Threshold  elsa.Threshold
-	// BatchSize is how many session queries the server's continuous
-	// decode loop coalesced into the dispatch this one rode in (1 = it
-	// rode alone; 0 from servers predating decode batching).
+	// BatchSize is how many session queries the server coalesced into
+	// the dispatch this one rode in (1 = it rode alone; 0 from servers
+	// predating decode batching).
 	BatchSize int
 }
 
