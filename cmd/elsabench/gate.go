@@ -14,12 +14,7 @@ import (
 // row family in a BENCH_*.json snapshot, matched across two snapshots by
 // its key fields.
 type gate struct {
-	// experiment is the -experiment whose trajectory this row gates
-	// ("bench" or "serve").
-	experiment string
 	// key is the snapshot's top-level JSON key holding the family's rows.
-	// The family named after its experiment must be present on both sides;
-	// the others skip when either snapshot predates them.
 	key string
 	// fields identify one operating point within the family.
 	fields []string
@@ -27,25 +22,20 @@ type gate struct {
 	metric string
 	// higher marks metrics where larger is better.
 	higher bool
-	// floor: baseline values at or below it carry no signal to gate.
-	floor float64
 	// check, when set, runs absolute checks on the new snapshot's rows
 	// alone, whether or not the baseline has the family.
 	check func(w io.Writer, rows []row) []string
 }
 
-// gates is the whole trajectory comparator: every family both gated
-// experiments write, with the metric each point is held to.
+// gates is the whole trajectory comparator: every family a committed
+// snapshot carries, with the metric each point is held to.
 var gates = []gate{
-	{experiment: "bench", key: "bench", fields: []string{"dataset", "n", "d", "p"}, metric: "ns_per_op"},
-	{experiment: "serve", key: "serve", fields: []string{"replicas", "concurrency"}, metric: "ops_per_sec", higher: true},
-	// mean_batch is exactly 1 on rows that cannot coalesce.
-	{experiment: "serve", key: "decode", fields: []string{"sessions", "mode"}, metric: "mean_batch", higher: true, floor: 1},
-	{experiment: "serve", key: "migrate", fields: []string{"tokens", "cold_watermark"}, metric: "migrations_per_sec", higher: true},
-	{experiment: "serve", key: "migrate", fields: []string{"tokens", "cold_watermark"}, metric: "resident_bytes"},
-	{experiment: "serve", key: "autoscale", fields: []string{"scenario"}, metric: "converge_ms"},
-	{experiment: "serve", key: "autoscale", fields: []string{"scenario"}, metric: "mirror_ns_per_token"},
-	{experiment: "serve", key: "exact", fields: []string{"workload", "backend"}, metric: "stream_tokens_per_sec", higher: true, check: exactChecks},
+	{key: "bench", fields: []string{"dataset", "n", "d", "p"}, metric: "ns_per_op"},
+	{key: "migrate", fields: []string{"tokens", "cold_watermark"}, metric: "migrations_per_sec", higher: true},
+	{key: "migrate", fields: []string{"tokens", "cold_watermark"}, metric: "resident_bytes"},
+	{key: "autoscale", fields: []string{"scenario"}, metric: "converge_ms"},
+	{key: "autoscale", fields: []string{"scenario"}, metric: "mirror_ns_per_token"},
+	{key: "exact", fields: []string{"workload", "backend"}, metric: "stream_tokens_per_sec", higher: true, check: exactChecks},
 }
 
 // row is one decoded snapshot row: JSON numbers are float64.
@@ -94,33 +84,30 @@ func (r row) point(fields []string) string {
 	return strings.Join(parts, " ")
 }
 
-// compareSnapshots gates cur against base on every table row of one
-// experiment. It prints one line per compared point and returns each
-// point whose metric moved the wrong way by more than maxRegress (e.g.
-// 0.15 = 15%), plus every failed absolute check. Points present in only
-// one snapshot are skipped: the trajectory only gates comparable
-// measurements.
-func compareSnapshots(w io.Writer, experiment string, cur, base snapshot, maxRegress float64) ([]string, error) {
+// compareSnapshots gates cur against base on every family the two
+// snapshots share. It prints one line per compared point and returns
+// each point whose metric moved the wrong way by more than maxRegress
+// (e.g. 0.15 = 15%), plus every failed absolute check. Families and
+// points present in only one snapshot are skipped: the trajectory only
+// gates comparable measurements. Two snapshots that share no family
+// are an error, not a pass.
+func compareSnapshots(w io.Writer, cur, base snapshot, maxRegress float64) ([]string, error) {
 	var failures []string
+	shared := false
 	for _, g := range gates {
-		if g.experiment != experiment {
-			continue
-		}
 		rows, old := cur[g.key], base[g.key]
 		if g.check != nil && len(rows) > 0 {
 			failures = append(failures, g.check(w, rows)...)
 		}
 		if len(rows) == 0 || len(old) == 0 {
-			side := "baseline"
-			if len(rows) == 0 {
-				side = "new snapshot"
+			if len(rows) > 0 {
+				fmt.Fprintf(w, "%s rows absent from the baseline; skipping the %s gate\n", g.key, g.metric)
+			} else if len(old) > 0 {
+				fmt.Fprintf(w, "%s rows absent from the new snapshot; skipping the %s gate\n", g.key, g.metric)
 			}
-			if g.key == experiment {
-				return nil, fmt.Errorf("%q rows absent from the %s", g.key, side)
-			}
-			fmt.Fprintf(w, "%s rows absent from the %s; skipping the %s gate\n", g.key, side, g.metric)
 			continue
 		}
+		shared = true
 		prev := make(map[string]float64, len(old))
 		for _, r := range old {
 			if v, ok := r[g.metric].(float64); ok {
@@ -131,7 +118,7 @@ func compareSnapshots(w io.Writer, experiment string, cur, base snapshot, maxReg
 			pt := r.point(g.fields)
 			v, ok := r[g.metric].(float64)
 			was, seen := prev[pt]
-			if !ok || !seen || was <= g.floor {
+			if !ok || !seen || was <= 0 {
 				continue
 			}
 			ratio := v / was
@@ -142,6 +129,9 @@ func compareSnapshots(w io.Writer, experiment string, cur, base snapshot, maxReg
 					g.key, pt, g.metric, num(was), num(v), 100*(ratio-1)))
 			}
 		}
+	}
+	if !shared {
+		return nil, fmt.Errorf("the two snapshots share no gated family")
 	}
 	return failures, nil
 }
@@ -192,16 +182,10 @@ func exactChecks(w io.Writer, rows []row) []string {
 	return failures
 }
 
-// runGate is -baseline mode: gate the experiment's trajectory against a
-// committed snapshot, either on a fresh measurement or, with -compare,
-// on a second committed snapshot. It exits 2 on a regression.
-func runGate(experiment string, opt experiments.Options, baselinePath, comparePath, jsonOut string, maxRegress float64) error {
-	if experiment == "all" {
-		experiment = "bench"
-	}
-	if experiment != "bench" && experiment != "serve" {
-		return fmt.Errorf("-baseline requires -experiment bench or serve")
-	}
+// runGate is -baseline mode: gate against a committed snapshot, either
+// a fresh "bench" measurement or, with -compare, a second committed
+// snapshot. It exits 2 on a regression.
+func runGate(opt experiments.Options, baselinePath, comparePath, jsonOut string, maxRegress float64) error {
 	base, err := loadSnapshot(baselinePath)
 	if err != nil {
 		return err
@@ -213,16 +197,11 @@ func runGate(experiment string, opt experiments.Options, baselinePath, comparePa
 			return err
 		}
 	} else {
-		var rows any
-		if experiment == "bench" {
-			rows, err = benchRows(opt)
-		} else {
-			rows, err = servingRows(opt)
-		}
+		rows, err := benchRows(opt)
 		if err != nil {
 			return err
 		}
-		payload := map[string]any{experiment: rows}
+		payload := map[string]any{"bench": rows}
 		if jsonOut != "" {
 			if err := writeJSONPayload(payload, jsonOut); err != nil {
 				return err
@@ -236,15 +215,15 @@ func runGate(experiment string, opt experiments.Options, baselinePath, comparePa
 			return err
 		}
 	}
-	failures, err := compareSnapshots(os.Stdout, experiment, cur, base, maxRegress)
+	failures, err := compareSnapshots(os.Stdout, cur, base, maxRegress)
 	if err != nil {
 		return err
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "elsabench: %s trajectory regressed >%.0f%% vs %s:\n  %s\n",
-			experiment, 100*maxRegress, baselinePath, strings.Join(failures, "\n  "))
+		fmt.Fprintf(os.Stderr, "elsabench: trajectory regressed >%.0f%% vs %s:\n  %s\n",
+			100*maxRegress, baselinePath, strings.Join(failures, "\n  "))
 		os.Exit(2)
 	}
-	fmt.Printf("%s trajectory OK: nothing regressed >%.0f%% vs %s\n", experiment, 100*maxRegress, baselinePath)
+	fmt.Printf("trajectory OK: nothing regressed >%.0f%% vs %s\n", 100*maxRegress, baselinePath)
 	return nil
 }

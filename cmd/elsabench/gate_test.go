@@ -15,17 +15,18 @@ func committed(name string) string { return filepath.Join("..", "..", name) }
 type ratio struct{ key, point, metric, want string }
 
 // TestGateCommittedTrajectory replays the comparator over every adjacent
-// pair of committed snapshots. Each pair must pass, as it did under the
-// per-family gates the table replaced, and the sampled points must print
-// the ratios those gates printed.
+// pair of committed snapshots. Each pair that shares a gated family must
+// pass, and the sampled points must print the ratios the gate printed
+// when the pair was committed. A pair that shares none is an error.
 func TestGateCommittedTrajectory(t *testing.T) {
 	for _, tc := range []struct {
-		experiment, newer, older string
-		ratios                   []ratio
-		lines                    []string // further output the pair must print
+		newer, older string
+		disjoint     bool // the pair shares no gated family
+		ratios       []ratio
+		lines        []string // further output the pair must print
 	}{
 		{
-			experiment: "bench", newer: "BENCH_2026-08-05_pr2_hotpath.json", older: "BENCH_2026-08-05_pr2_baseline.json",
+			newer: "BENCH_2026-08-05_pr2_hotpath.json", older: "BENCH_2026-08-05_pr2_baseline.json",
 			ratios: []ratio{
 				{"bench", "dataset=SQuADv1.1 n=256 d=64 p=0", "ns_per_op", "0.75x"},
 				{"bench", "dataset=SQuADv1.1 n=512 d=64 p=1", "ns_per_op", "0.71x"},
@@ -33,49 +34,28 @@ func TestGateCommittedTrajectory(t *testing.T) {
 			},
 		},
 		{
-			experiment: "bench", newer: "BENCH_2026-10-17_pr14b_kernels.json", older: "BENCH_2026-10-17_pr14a_parent.json",
+			newer: "BENCH_2026-10-17_pr14b_kernels.json", older: "BENCH_2026-10-17_pr14a_parent.json",
 			ratios: []ratio{
 				{"bench", "dataset=SQuADv1.1 n=256 d=64 p=0", "ns_per_op", "0.81x"},
 				{"bench", "dataset=SQuADv1.1 n=512 d=64 p=1", "ns_per_op", "0.73x"},
 				{"bench", "dataset=SQuADv1.1/decode n=256 d=64 p=1", "ns_per_op", "0.71x"},
 			},
 		},
+		// The pr5-pr8 serving snapshots carry only the retired serve and
+		// decode families in common.
+		{newer: "BENCH_2026-08-08_pr6_serving.json", older: "BENCH_2026-08-05_pr5_serving.json", disjoint: true},
+		{newer: "BENCH_2026-08-08_pr7_serving.json", older: "BENCH_2026-08-08_pr6_serving.json", disjoint: true},
+		{newer: "BENCH_2026-08-08_pr8_serving.json", older: "BENCH_2026-08-08_pr7_serving.json", disjoint: true},
 		{
-			experiment: "serve", newer: "BENCH_2026-08-08_pr6_serving.json", older: "BENCH_2026-08-05_pr5_serving.json",
+			newer: "BENCH_2026-08-08_pr9_serving.json", older: "BENCH_2026-08-08_pr8_serving.json",
 			ratios: []ratio{
-				{"serve", "replicas=1 concurrency=16", "ops_per_sec", "1.00x"},
-				{"serve", "replicas=2 concurrency=16", "ops_per_sec", "0.96x"},
-			},
-		},
-		{
-			experiment: "serve", newer: "BENCH_2026-08-08_pr7_serving.json", older: "BENCH_2026-08-08_pr6_serving.json",
-			ratios: []ratio{
-				{"serve", "replicas=1 concurrency=16", "ops_per_sec", "0.92x"},
-				{"serve", "replicas=2 concurrency=16", "ops_per_sec", "0.89x"},
-			},
-		},
-		{
-			experiment: "serve", newer: "BENCH_2026-08-08_pr8_serving.json", older: "BENCH_2026-08-08_pr7_serving.json",
-			ratios: []ratio{
-				{"serve", "replicas=1 concurrency=16", "ops_per_sec", "1.16x"},
-				{"decode", "sessions=4 mode=concurrent", "mean_batch", "1.10x"},
-				{"decode", "sessions=64 mode=concurrent", "mean_batch", "0.97x"},
-			},
-		},
-		{
-			experiment: "serve", newer: "BENCH_2026-08-08_pr9_serving.json", older: "BENCH_2026-08-08_pr8_serving.json",
-			ratios: []ratio{
-				{"serve", "replicas=1 concurrency=16", "ops_per_sec", "0.97x"},
-				{"decode", "sessions=16 mode=concurrent", "mean_batch", "0.98x"},
 				{"migrate", "tokens=1024 cold_watermark=512", "migrations_per_sec", "1.27x"},
 				{"migrate", "tokens=4096 cold_watermark=512", "resident_bytes", "1.00x"},
 			},
 		},
 		{
-			experiment: "serve", newer: "BENCH_2026-08-08_pr10_serving.json", older: "BENCH_2026-08-08_pr9_serving.json",
+			newer: "BENCH_2026-08-08_pr10_serving.json", older: "BENCH_2026-08-08_pr9_serving.json",
 			ratios: []ratio{
-				{"serve", "replicas=2 concurrency=16", "ops_per_sec", "1.04x"},
-				{"decode", "sessions=4 mode=concurrent", "mean_batch", "0.89x"},
 				{"migrate", "tokens=4096 cold_watermark=0", "migrations_per_sec", "0.91x"},
 				{"autoscale", "scenario=rebalance", "converge_ms", "1.13x"},
 				{"autoscale", "scenario=mirror-batched", "mirror_ns_per_token", "1.01x"},
@@ -99,7 +79,13 @@ func TestGateCommittedTrajectory(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out bytes.Buffer
-			failures, err := compareSnapshots(&out, tc.experiment, cur, base, 0.15)
+			failures, err := compareSnapshots(&out, cur, base, 0.15)
+			if tc.disjoint {
+				if err == nil || !strings.Contains(err.Error(), "share no gated family") {
+					t.Fatalf("err = %v, want the no-shared-family error", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +129,8 @@ func TestGateExactChecksWithoutBaseline(t *testing.T) {
 	if len(base["exact"]) != 0 {
 		t.Fatal("baseline unexpectedly carries exact rows")
 	}
-	const serve = `"serve": [{"replicas": 1, "concurrency": 16, "ops_per_sec": 140}]`
+	// One migrate row gives the pair a family in common.
+	const migrate = `"migrate": [{"tokens": 0, "cold_watermark": 0}]`
 	for _, tc := range []struct {
 		name, exact, want string
 	}{
@@ -161,12 +148,12 @@ func TestGateExactChecksWithoutBaseline(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cur, err := parseSnapshot("test", []byte(fmt.Sprintf(`{%s, "exact": %s}`, serve, tc.exact)))
+			cur, err := parseSnapshot("test", []byte(fmt.Sprintf(`{%s, "exact": %s}`, migrate, tc.exact)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out bytes.Buffer
-			failures, err := compareSnapshots(&out, "serve", cur, base, 0.15)
+			failures, err := compareSnapshots(&out, cur, base, 0.15)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,9 +165,9 @@ func TestGateExactChecksWithoutBaseline(t *testing.T) {
 }
 
 // TestGateFlagsRegression reverses the committed engine pair: read
-// backwards, every operating point slowed by well over 15%, and a
-// snapshot missing the experiment's own family is an error rather than
-// a pass.
+// backwards, every operating point slowed by well over 15%. A bench
+// snapshot compared against a serving snapshot shares no family, and
+// is an error rather than a pass.
 func TestGateFlagsRegression(t *testing.T) {
 	fast, err := loadSnapshot(committed("BENCH_2026-08-05_pr2_hotpath.json"))
 	if err != nil {
@@ -191,14 +178,18 @@ func TestGateFlagsRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	failures, err := compareSnapshots(&out, "bench", slow, fast, 0.15)
+	failures, err := compareSnapshots(&out, slow, fast, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(failures) != len(slow["bench"]) {
 		t.Errorf("%d failures, want one per bench row (%d): %v", len(failures), len(slow["bench"]), failures)
 	}
-	if _, err := compareSnapshots(&out, "serve", slow, fast, 0.15); err == nil {
-		t.Error("bench snapshots gated as serve: want an error for the absent serve family")
+	serving, err := loadSnapshot(committed("BENCH_2026-08-08_pr10_serving.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compareSnapshots(&out, slow, serving, 0.15); err == nil {
+		t.Error("bench snapshot gated against a serving snapshot: want an error, they share no family")
 	}
 }

@@ -245,3 +245,21 @@ func printMigrateReductions(rows []MigrateRow) {
 			kib(r.ResidentBytes), kib(base.ResidentBytes))
 	}
 }
+
+// percentile reads the q-quantile from an ascending-sorted sample.
+func percentile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(sorted)-1))
+	return sorted[i]
+}
+
+// benchVec draws one dim-length vector from rng.
+func benchVec(rng *rand.Rand, dim int) []float32 {
+	v := make([]float32, dim)
+	for i := range v {
+		v[i] = float32(rng.NormFloat64())
+	}
+	return v
+}

@@ -80,6 +80,13 @@ func TestSessionStepWave(t *testing.T) {
 		SessionStepQuery{ID: "deadbeefdeadbeefdeadbeefdeadbeef", Q: queries[0]},
 		SessionStepQuery{ID: ids[0], Q: queries[0]}, // duplicate of entry 0
 	)
+	// The wave enqueues every entry before it kicks the set, so on an
+	// idle server one harvest takes the whole wave as one batch.
+	waitFor(t, "every lane to go idle", func() bool {
+		srv.disp.mu.Lock()
+		defer srv.disp.mu.Unlock()
+		return srv.disp.inflight == 0
+	})
 	var got SessionStepResponse
 	if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/step", wave, &got); code != http.StatusOK {
 		t.Fatalf("step: status %d", code)
@@ -110,8 +117,8 @@ func TestSessionStepWave(t *testing.T) {
 		if r.Threshold != want[i].Threshold {
 			t.Fatalf("entry %d threshold %+v via step, %+v via per-query", i, r.Threshold, want[i].Threshold)
 		}
-		if r.BatchSize < 1 {
-			t.Fatalf("entry %d batch size %d, want >= 1", i, r.BatchSize)
+		if r.BatchSize != n {
+			t.Fatalf("entry %d batch size %d, want %d: the wave split across harvests", i, r.BatchSize, n)
 		}
 	}
 	if got.Results[n].Error == "" {

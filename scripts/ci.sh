@@ -66,36 +66,48 @@ echo "== perf trajectory (committed files) =="
 # BENCH_*.json engine snapshots, and the two newest BENCH_*_serving.json
 # serving snapshots, without re-measuring, so a PR that commits a
 # regressed snapshot is caught even on noisy hardware. One keyed
-# comparator (cmd/elsabench/gate.go) covers every family: engine ns/op;
-# serving ops/s, decode mean_batch, migration moves/s and resident bytes,
-# autoscale convergence and mirror cost, exact-backend tokens/s. The
-# exact family's absolute checks (differential bound, linear-scan memory
-# ceiling) run on the newest snapshot whenever it has exact rows; the
-# relative checks skip families absent from either snapshot. Warns by
-# default; PERF_STRICT=1 fails the build.
+# comparator (cmd/elsabench/gate.go) gates every family two snapshots
+# share: engine ns/op; migration moves/s and resident bytes, autoscale
+# convergence and mirror cost, exact-backend tokens/s. The exact
+# family's absolute checks (differential bound, linear-scan memory
+# ceiling) run on the newest snapshot whenever it has exact rows.
+# Serving throughput and decode batching are measured out of process by
+# elsaperf: its two newest committed BENCH_*_elsaperf.jsonl record files
+# are replayed through `elsaperf steady -load`, which holds every
+# end-to-end metric to BENCHMARK.json's bound and the runs' spread.
+# Warns by default; PERF_STRICT=1 fails the build.
+perf_warn() {
+    if [ "${PERF_STRICT:-0}" = "1" ]; then
+        echo "$1 (PERF_STRICT=1): failing" >&2
+        exit 1
+    fi
+    echo "WARNING: $1 (set PERF_STRICT=1 to fail)" >&2
+}
 gate_committed() {
-    local experiment="$1"; shift
+    local label="$1"; shift
     local files=("$@")
     if [ "${#files[@]}" -lt 2 ]; then
-        echo "fewer than two committed $experiment snapshots; skipping"
+        echo "fewer than two committed $label snapshots; skipping"
         return
     fi
     local prev="${files[-2]}" newest="${files[-1]}"
     echo "comparing committed $newest vs $prev"
-    if go run ./cmd/elsabench -experiment "$experiment" \
-        -compare "$newest" -baseline "$prev"; then
-        return
-    fi
-    if [ "${PERF_STRICT:-0}" = "1" ]; then
-        echo "committed $experiment trajectory regressed (PERF_STRICT=1): failing" >&2
-        exit 1
-    fi
-    echo "WARNING: committed $newest regressed >15% vs $prev (set PERF_STRICT=1 to fail)" >&2
+    go run ./cmd/elsabench -compare "$newest" -baseline "$prev" ||
+        perf_warn "committed $newest regressed >15% vs $prev"
 }
 mapfile -t bench_files < <(ls -1 BENCH_*.json 2>/dev/null | grep -v '_serving\.json' | sort -V)
-gate_committed bench "${bench_files[@]}"
+gate_committed engine "${bench_files[@]}"
 mapfile -t serving_files < <(ls -1 BENCH_*_serving.json 2>/dev/null | sort -V)
-gate_committed serve "${serving_files[@]}"
+gate_committed serving "${serving_files[@]}"
+mapfile -t elsaperf_files < <(ls -1 BENCH_*_elsaperf.jsonl 2>/dev/null | sort -V)
+if [ "${#elsaperf_files[@]}" -lt 2 ]; then
+    echo "fewer than two committed elsaperf record files; skipping"
+else
+    prev="${elsaperf_files[-2]}" newest="${elsaperf_files[-1]}"
+    echo "replaying committed $newest vs $prev"
+    bash elsaperf/run.sh steady -load "$prev,$newest" ||
+        perf_warn "committed $newest is worse than $prev beyond a bound, or too spread to tell"
+fi
 
 echo "== perf trajectory (fresh run) =="
 # Compare ns/op against the newest committed BENCH_*.json. Measurements on
@@ -105,17 +117,8 @@ baseline=$(ls -1 BENCH_*.json 2>/dev/null | grep -v '_serving\.json' | sort -V |
 if [ -n "$baseline" ]; then
     echo "baseline: $baseline"
     perf_json=$(mktemp /tmp/elsabench.XXXXXX.json)
-    if go run ./cmd/elsabench -experiment bench -json "$perf_json" \
-        -baseline "$baseline"; then
-        :
-    else
-        if [ "${PERF_STRICT:-0}" = "1" ]; then
-            echo "perf regression (PERF_STRICT=1): failing" >&2
-            rm -f "$perf_json"
-            exit 1
-        fi
-        echo "WARNING: ns/op regressed >15% vs $baseline (set PERF_STRICT=1 to fail)" >&2
-    fi
+    go run ./cmd/elsabench -experiment bench -json "$perf_json" -baseline "$baseline" ||
+        { rm -f "$perf_json"; perf_warn "ns/op regressed >15% vs $baseline"; }
     rm -f "$perf_json"
 else
     echo "no committed BENCH_*.json baseline; skipping"
