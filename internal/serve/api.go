@@ -328,9 +328,9 @@ type SessionImportResponse struct {
 
 // SessionStepRequest is the POST /v1/sessions/step body: one decode
 // step for many sessions in a single request — the client-side
-// complement of continuous decode batching. A model runner stepping N
-// sequences submits all N queries here; server-side they enter the
-// session registry together and the dispatcher coalesces them
+// complement of decode batching. A model runner stepping N sequences
+// submits all N queries here; server-side the whole wave is queued
+// before its replica set is kicked, and the dispatcher coalesces it
 // (with any other in-flight decode traffic) into shared dispatches, so
 // the per-request cost that dominates per-query decode is paid once per
 // wave instead of once per token.
@@ -395,9 +395,9 @@ type HealthResponse struct {
 	// active + draining); Draining counts those mid-drain.
 	Members  int `json:"members,omitempty"`
 	Draining int `json:"draining,omitempty"`
-	// DecodeCoalesced and DecodeMeanBatch summarize continuous decode
-	// batching (queries that shared a batch, and the mean decode batch
-	// size). Fleet-view only, like Role.
+	// DecodeCoalesced and DecodeMeanBatch summarize decode batching
+	// (queries that shared a batch, and the mean decode batch size).
+	// Fleet-view only, like Role.
 	DecodeCoalesced int64   `json:"decode_coalesced,omitempty"`
 	DecodeMeanBatch float64 `json:"decode_mean_batch,omitempty"`
 }
@@ -419,6 +419,11 @@ type JoinRequest struct {
 	// Draining announces the worker is draining (propagated from its own
 	// /v1/drain state), which is authoritative over probe results.
 	Draining bool `json:"draining,omitempty"`
+	// Incarnation identifies the worker process, fixed for its lifetime.
+	// A heartbeat without Draining revives a draining member only from a
+	// new incarnation (or one naming none), so a heartbeat sent before an
+	// operator drain reached the worker cannot undo the drain.
+	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
 // JoinResponse is the POST /v1/cluster/join reply.
@@ -671,25 +676,25 @@ func (r *AttendRequest) validate() error {
 	if len(r.K) != len(r.V) {
 		return fmt.Errorf("%d keys but %d values", len(r.K), len(r.V))
 	}
-	if r.P < 0 {
-		return fmt.Errorf("p must be >= 0, got %g", r.P)
-	}
-	if r.Backend != elsa.BackendAuto && r.T != nil {
-		return fmt.Errorf("backend and t are mutually exclusive")
-	}
-	return checkWireBackend(r.Backend, r.P)
+	return checkOperatingPoint(r.P, r.T, r.Backend)
 }
 
-// checkWireBackend validates a wire-level backend selector against the
-// op's degree of approximation: unknown names and exact backends on
-// approximate ops both answer 400.
-func checkWireBackend(backend string, p float64) error {
-	if !elsa.ValidBackend(backend) {
+// checkOperatingPoint validates an op's or session's wire operating
+// point: p must be >= 0, the backend selector known, an exact backend
+// only on an exact op (p = 0), and never beside an explicit t — an exact
+// backend never consults a threshold, so naming both is contradictory
+// rather than silently dropping one. Every violation answers 400.
+func checkOperatingPoint(p float64, t *float64, backend string) error {
+	switch {
+	case p < 0:
+		return fmt.Errorf("p must be >= 0, got %g", p)
+	case !elsa.ValidBackend(backend):
 		return fmt.Errorf("unknown backend %q (want %q or %q)",
 			backend, elsa.BackendScores, elsa.BackendLinearScan)
-	}
-	if backend != elsa.BackendAuto && p != 0 {
+	case backend != elsa.BackendAuto && p != 0:
 		return fmt.Errorf("backend %q requires an exact operating point (p = 0)", backend)
+	case backend != elsa.BackendAuto && t != nil:
+		return errors.New("backend and t are mutually exclusive")
 	}
 	return nil
 }
@@ -715,11 +720,12 @@ func (r *AttendRequest) overrides() elsa.Overrides {
 	return ov
 }
 
-// overrides is AttendRequest.overrides for session creation.
-func (r *SessionCreateRequest) overrides() elsa.Overrides {
-	ov := elsa.Overrides{P: r.P, Backend: r.Backend}
-	if r.T != nil {
-		ov.Thr = &elsa.Threshold{P: r.P, T: *r.T}
+// queryOverrides maps a decode query's operating-point fields onto the
+// per-query override struct: its own threshold and backend, when set.
+func queryOverrides(t *float64, backend string) elsa.Overrides {
+	ov := elsa.Overrides{Backend: backend}
+	if t != nil {
+		ov.Thr = &elsa.Threshold{T: *t}
 	}
 	return ov
 }

@@ -60,6 +60,9 @@ type Member struct {
 	HeartbeatInterval time.Duration // what the worker promised; 0 for static seeds
 	JoinedAt          time.Time
 	LastHeartbeat     time.Time
+	// incarnation identifies the worker process behind the latest join
+	// or heartbeat that named one (0 = none named yet).
+	incarnation uint64
 }
 
 // Table is the frontend's versioned membership view. Every mutation that
@@ -106,9 +109,13 @@ func (t *Table) Seed(addrs []string) {
 // signal for the caller to wire up a probe loop and dispatch lane.
 // A draining announcement is authoritative: the worker knows it is
 // shutting down before any probe does. A heartbeat without draining from
-// a draining or gone member is a rejoin and starts over at joining, so a
-// restarted worker is re-probed before it takes traffic again.
-func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draining bool) (State, bool) {
+// a gone member is a rejoin and starts over at joining, so a restarted
+// worker is re-probed before it takes traffic again. From a draining
+// member it is a rejoin only when it comes from a new process: its
+// incarnation differs from the one the member last carried, or it names
+// none (0). A heartbeat the same process sent before an operator drain
+// reached it therefore leaves the drain in force.
+func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draining bool, incarnation uint64) (State, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
@@ -125,9 +132,14 @@ func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draini
 			HeartbeatInterval: interval,
 			JoinedAt:          now,
 			LastHeartbeat:     now,
+			incarnation:       incarnation,
 		}
 		t.version++
 		return state, true
+	}
+	restarted := incarnation == 0 || incarnation != m.incarnation
+	if incarnation != 0 {
+		m.incarnation = incarnation
 	}
 	m.LastHeartbeat = now
 	if interval > 0 {
@@ -145,11 +157,12 @@ func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draini
 	case draining && m.State != StateDraining:
 		m.State = StateDraining
 		t.version++
-	case !draining && m.State == StateDraining:
-		// A member joining without the draining flag has restarted since
-		// it drained: treat as a fresh join. Only explicit join/heartbeat
-		// traffic lands here (probes never Upsert), so a drain in flight
-		// to the worker cannot be undone by a stale "ok" probe.
+	case !draining && m.State == StateDraining && restarted:
+		// A new process joining without the draining flag has restarted
+		// since it drained: treat as a fresh join. Only explicit
+		// join/heartbeat traffic lands here (probes never Upsert), so a
+		// drain in flight to the worker cannot be undone by a stale "ok"
+		// probe, nor by a heartbeat of the process it is draining.
 		m.State = StateJoining
 		m.JoinedAt = now
 		t.version++

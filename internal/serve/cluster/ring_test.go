@@ -125,7 +125,7 @@ func TestTableLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tb.now = func() time.Time { return now }
 
-	state, created := tb.Upsert("http://w1", Capacity{Weight: 1, MaxSessions: 64}, 50*time.Millisecond, false)
+	state, created := tb.Upsert("http://w1", Capacity{Weight: 1, MaxSessions: 64}, 50*time.Millisecond, false, 0)
 	if !created || state != StateJoining {
 		t.Fatalf("first Upsert = (%v, %v), want (joining, true)", state, created)
 	}
@@ -148,14 +148,14 @@ func TestTableLifecycle(t *testing.T) {
 
 	// A heartbeat refreshes without bumping version or state.
 	v2 := tb.Version()
-	state, created = tb.Upsert("http://w1", Capacity{Weight: 1}, 50*time.Millisecond, false)
+	state, created = tb.Upsert("http://w1", Capacity{Weight: 1}, 50*time.Millisecond, false, 0)
 	if created || state != StateActive || tb.Version() != v2 {
 		t.Fatalf("steady heartbeat = (%v, %v) version %d, want (active, false) version %d",
 			state, created, tb.Version(), v2)
 	}
 
 	// The worker announces draining: authoritative, leaves the ring.
-	state, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true)
+	state, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true, 0)
 	if state != StateDraining {
 		t.Fatalf("draining heartbeat state = %v, want draining", state)
 	}
@@ -164,7 +164,7 @@ func TestTableLifecycle(t *testing.T) {
 	}
 
 	// A non-draining heartbeat afterwards is a restart: back to joining.
-	state, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false)
+	state, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 0)
 	if state != StateJoining || !revived {
 		t.Fatalf("post-drain heartbeat = (%v, %v), want (joining, true)", state, revived)
 	}
@@ -176,7 +176,7 @@ func TestTableSweepExpiresDynamicOnly(t *testing.T) {
 	tb.now = func() time.Time { return now }
 
 	tb.Seed([]string{"http://static"})
-	tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false)
+	tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false, 0)
 	tb.Activate("http://dyn")
 
 	// Inside the miss budget nothing is overdue.
@@ -205,7 +205,7 @@ func TestTableSweepExpiresDynamicOnly(t *testing.T) {
 	}
 
 	// A gone member rejoining starts over at joining.
-	state, revived := tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false)
+	state, revived := tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false, 0)
 	if state != StateJoining || !revived {
 		t.Fatalf("rejoin after gone = (%v, %v), want (joining, true)", state, revived)
 	}
@@ -216,7 +216,7 @@ func TestTableTouchDefersSweep(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tb.now = func() time.Time { return now }
 
-	tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false)
+	tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false, 0)
 	tb.Activate("http://dyn")
 	v := tb.Version()
 
@@ -254,7 +254,7 @@ func TestTableSeedIdempotentAndCounts(t *testing.T) {
 	if tb.Version() != v {
 		t.Fatal("re-seeding existing members bumped version")
 	}
-	tb.Upsert("http://c", Capacity{}, time.Second, false)
+	tb.Upsert("http://c", Capacity{}, time.Second, false, 0)
 	tb.SetDraining("http://b")
 	counts := tb.Counts()
 	if counts[StateActive] != 1 || counts[StateJoining] != 1 || counts[StateDraining] != 1 {
@@ -263,5 +263,36 @@ func TestTableSeedIdempotentAndCounts(t *testing.T) {
 	_, members := tb.Snapshot()
 	if len(members) != 3 {
 		t.Fatalf("Snapshot has %d members, want 3", len(members))
+	}
+}
+
+// TestTableStaleHeartbeatKeepsOperatorDrain: a heartbeat the worker sent
+// before an operator drain reached it carries no draining flag but the
+// same incarnation, and must leave the member draining; only a heartbeat
+// from a new incarnation (a restarted process) revives it.
+func TestTableStaleHeartbeatKeepsOperatorDrain(t *testing.T) {
+	tb := NewTable()
+	tb.Upsert("http://w1", Capacity{Weight: 1}, 50*time.Millisecond, false, 7)
+	tb.Activate("http://w1")
+	if !tb.SetDraining("http://w1") {
+		t.Fatal("operator drain reported no transition")
+	}
+	v := tb.Version()
+
+	state, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 7)
+	if state != StateDraining || revived || tb.Version() != v {
+		t.Fatalf("stale heartbeat = (%v, %v) version %d, want (draining, false) version %d",
+			state, revived, tb.Version(), v)
+	}
+	if _, weights := tb.ActiveWeights(); len(weights) != 0 {
+		t.Fatalf("drained member back on the ring: %v", weights)
+	}
+	if state, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true, 7); state != StateDraining {
+		t.Fatalf("draining heartbeat state = %v, want draining", state)
+	}
+
+	state, revived = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 8)
+	if state != StateJoining || !revived {
+		t.Fatalf("heartbeat of a new incarnation = (%v, %v), want (joining, true)", state, revived)
 	}
 }

@@ -106,8 +106,8 @@ func (cv *clusterView) sweep() {
 // fleet, and — for a brand-new worker — give every live replica set a
 // dispatch lane to it. Returns the member's state and whether this call
 // changed membership (created or revived a member).
-func (cv *clusterView) join(addr string, capacity cluster.Capacity, interval time.Duration, draining bool) (cluster.State, bool) {
-	state, changed := cv.table.Upsert(addr, capacity, interval, draining)
+func (cv *clusterView) join(addr string, capacity cluster.Capacity, interval time.Duration, draining bool, incarnation uint64) (cluster.State, bool) {
+	state, changed := cv.table.Upsert(addr, capacity, interval, draining, incarnation)
 	w, created := cv.fleet.add(addr)
 	if w == nil {
 		// The fleet is closed: the server is shutting down. Report the

@@ -291,7 +291,7 @@ func NewMetrics() *Metrics {
 	m.mirrorSeconds = m.def("elsa_serve_mirror_seconds_total", "counter", "", "Wall time spent replaying shadow-mirror appends.", true, nil)
 	m.mirrorFlushes = m.counter("elsa_serve_mirror_flushes_total", "", "Shadow-mirror replay batches flushed.")
 	m.mirrorPending = m.gauge("elsa_serve_mirror_pending", "", "Mirror append chunks accepted remotely but not yet replayed.")
-	m.decodeBatches = m.counter("elsa_serve_decode_batches_total", "", "Batches dispatched by the continuous decode loop.")
+	m.decodeBatches = m.counter("elsa_serve_decode_batches_total", "", "Decode batches dispatched to lanes.")
 	m.decodeOps = m.counter("elsa_serve_decode_batch_ops_total", "", "Session queries dispatched across all decode batches.")
 	m.decodeCoalesced = m.counter("elsa_serve_decode_coalesced_total", "", "Session queries that shared a decode batch with another session.")
 	m.decodeBatchSize = m.histogram("elsa_serve_decode_batch_size", "", "Session queries coalesced per decode batch.", batchSizeBuckets)

@@ -662,12 +662,11 @@ func TestRerouteNeverSharesALane(t *testing.T) {
 	}
 }
 
-// TestDecodeDeadlineSkipsBatchWindow: no op waits for a batching window
-// — an op reaching an idle lane dispatches at once — so admission must
-// not charge one. On an idle server with the default config, a one-shot
-// attend, a session query and a one-entry step wave with deadline_ms 1
-// are all answered.
-func TestDecodeDeadlineSkipsBatchWindow(t *testing.T) {
+// TestTightDeadlineServedOnIdleLane: an op reaching an idle lane
+// dispatches at once, so admission must not charge it any wait. On an
+// idle server with the default config, a one-shot attend, a session
+// query and a one-entry step wave with deadline_ms 1 are all answered.
+func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)

@@ -108,7 +108,7 @@ type session struct {
 	calibrated bool
 	// dec is the session's reusable decode job — its embedded dispatcher
 	// job and result channel included — so a steady-state decode query
-	// submits to the continuous loop without allocating.
+	// queues in its set's decode class queue without allocating.
 	dec decodeJob
 
 	// lastUsed and el are owned by the registry lock, not the gate.
@@ -140,9 +140,9 @@ type sessionRegistry struct {
 	now         func() time.Time // injectable for TTL tests
 	thresholds  *thresholdRegistry
 	metrics     *Metrics
-	// place, when set (before serving), maps a new session's ID onto a
-	// local engine or remote worker — the cluster view's consistent-hash
-	// placement. Nil falls back to the replica set's rotation.
+	// place maps a session's ID onto a local engine or remote worker —
+	// the cluster view's consistent-hash placement. New sets it before
+	// serving.
 	place func(set *replicaSet, key string) (*elsa.Engine, *worker)
 	// disp routes local decode queries through the dispatcher so
 	// concurrently-ready sessions coalesce into one batch. New sets it
@@ -188,63 +188,30 @@ func newSessionRegistry(maxSessions, maxTokens int, ttl time.Duration, thr *thre
 // session is evicted rather than refusing the new one — new decode work
 // beats stale state.
 func (g *sessionRegistry) create(ctx context.Context, set *replicaSet, opts elsa.Options, p float64, t *float64, backend string, capacity int, meta requestMeta) (*session, error) {
-	if capacity < 0 || capacity > g.maxTokens {
-		capacity = 0
+	var thr *elsa.Threshold
+	if t != nil {
+		thr = &elsa.Threshold{P: p, T: *t}
 	}
-	id := newSessionID()
-	var eng *elsa.Engine
-	var w *worker
-	if g.place != nil {
-		eng, w = g.place(set, id)
-	} else {
-		eng, w = set.sessionTarget()
-	}
-	if eng == nil && w == nil {
-		return nil, errWorkerLost
-	}
-	s := &session{
-		id:       id,
-		opts:     opts,
-		set:      set,
-		clientID: meta.clientID,
-		class:    meta.class,
-		capacity: capacity,
-		p:        p,
-		backend:  backend,
-		gate:     make(chan struct{}, 1),
-	}
-	s.dec.init()
+	s := g.newSession(newSessionID(), set, opts, p, thr, backend, capacity, meta)
+	eng, w := g.place(set, s.id)
 	switch {
-	case t != nil:
-		s.thr = elsa.Threshold{P: p, T: *t}
-		s.calibrated = true
-	case p == 0:
-		s.thr = elsa.Exact()
-		s.calibrated = true
-	default:
-		if thr, ok := g.thresholds.lookup(opts, p); ok {
-			s.thr = thr
-			s.calibrated = true
-		}
-	}
-
-	if eng != nil {
+	case eng != nil:
 		s.eng = eng
-		s.stream = eng.NewStreamCold(capacity, g.coldWatermark)
-	} else {
+		s.stream = eng.NewStreamCold(s.capacity, g.coldWatermark)
+	case w != nil:
 		// Pin the session to the worker by opening the worker-side stream
 		// now. A calibrated threshold travels pinned so the worker never
 		// recalibrates; an uncalibrated p still calibrates lazily — on the
 		// worker, over the same prefix, against the same deterministic
 		// engine — so results match a local session.
 		so := client.SessionOptions{
+			Overrides: elsa.Overrides{Backend: backend},
 			HeadDim:   opts.HeadDim,
 			HashBits:  opts.HashBits,
 			Seed:      opts.Seed,
 			Quantized: opts.Quantized,
-			Capacity:  capacity,
+			Capacity:  s.capacity,
 		}
-		so.Backend = backend
 		if s.calibrated {
 			thr := s.thr
 			so.Thr = &thr
@@ -266,10 +233,54 @@ func (g *sessionRegistry) create(ctx context.Context, set *replicaSet, opts elsa
 		// the portable state that drain migration and worker-loss recovery
 		// serialize. engines[0] always exists, even at zero local replicas.
 		s.eng = set.engines[0]
-		s.shadow = s.eng.NewStreamCold(capacity, g.coldWatermark)
+		s.shadow = s.eng.NewStreamCold(s.capacity, g.coldWatermark)
+	default:
+		return nil, errWorkerLost
 	}
+	if err := g.insert(s); err != nil {
+		g.closeRemote(s.remote)
+		return nil, err
+	}
+	return s, nil
+}
 
+// newSession builds a session's fixed state — identity, configuration,
+// creator, gate and decode job — with its threshold resolved when it
+// already can be: thr when given, exact at p = 0, else a registry or
+// state-dir hit. A capacity outside [0, maxTokens] is dropped.
+func (g *sessionRegistry) newSession(id string, set *replicaSet, opts elsa.Options, p float64, thr *elsa.Threshold, backend string, capacity int, meta requestMeta) *session {
+	if capacity < 0 || capacity > g.maxTokens {
+		capacity = 0
+	}
+	s := &session{
+		id:       id,
+		opts:     opts,
+		set:      set,
+		clientID: meta.clientID,
+		class:    meta.class,
+		capacity: capacity,
+		p:        p,
+		backend:  backend,
+		gate:     make(chan struct{}, 1),
+	}
+	s.dec.init()
+	if thr != nil {
+		s.thr, s.calibrated = *thr, true
+	} else {
+		s.thr, s.calibrated = g.thresholds.lookup(opts, p)
+	}
+	return s
+}
+
+// insert registers s under its ID, refusing an ID already held, after
+// sweeping idle-expired sessions and — at capacity — evicting the
+// least-recently-used.
+func (g *sessionRegistry) insert(s *session) error {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, exists := g.byID[s.id]; exists {
+		return errSessionExists
+	}
 	g.sweepLocked()
 	for len(g.byID) >= g.maxSessions {
 		g.evictLocked(g.lru.Back(), "lru")
@@ -277,9 +288,8 @@ func (g *sessionRegistry) create(ctx context.Context, set *replicaSet, opts elsa
 	s.lastUsed = g.now()
 	s.el = g.lru.PushFront(s)
 	g.byID[s.id] = s
-	g.mu.Unlock()
 	g.metrics.sessionsCreated.add(1)
-	return s, nil
+	return nil
 }
 
 // lookup returns the live session for id, refreshing its LRU/TTL
@@ -823,7 +833,8 @@ func (g *sessionRegistry) export(ctx context.Context, id string) (*SessionExport
 		Backend:   s.backend,
 	}
 	if s.calibrated {
-		resp.Threshold = &ThresholdJSON{P: s.thr.P, T: s.thr.T, Queries: s.thr.Queries}
+		thr := thresholdJSON(s.thr)
+		resp.Threshold = &thr
 	}
 	return resp, nil
 }
@@ -850,55 +861,19 @@ func (g *sessionRegistry) stateHeld(s *session) ([]byte, int, error) {
 // hosted locally on set's engines[0] regardless of placement: the sender
 // already chose this server. Returns the rebuilt prefix length.
 func (g *sessionRegistry) adopt(set *replicaSet, opts elsa.Options, id string, state []byte, p float64, thr *elsa.Threshold, backend string, capacity int, meta requestMeta) (int, error) {
-	if capacity < 0 || capacity > g.maxTokens {
-		capacity = 0
-	}
-	eng := set.engines[0]
-	st, err := eng.ImportStream(state)
+	s := g.newSession(id, set, opts, p, thr, backend, capacity, meta)
+	s.eng = set.engines[0]
+	st, err := s.eng.ImportStream(state)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("import: %w", err)
 	}
 	if st.Len() > g.maxTokens {
 		return 0, errSessionFull
 	}
-	s := &session{
-		id:       id,
-		opts:     opts,
-		set:      set,
-		eng:      eng,
-		clientID: meta.clientID,
-		class:    meta.class,
-		capacity: capacity,
-		p:        p,
-		backend:  backend,
-		gate:     make(chan struct{}, 1),
-		stream:   st,
+	s.stream = st
+	if err := g.insert(s); err != nil {
+		return 0, err
 	}
-	s.dec.init()
-	switch {
-	case thr != nil:
-		s.thr, s.calibrated = *thr, true
-	case p == 0:
-		s.thr, s.calibrated = elsa.Exact(), true
-	default:
-		if t, ok := g.thresholds.lookup(opts, p); ok {
-			s.thr, s.calibrated = t, true
-		}
-	}
-	g.mu.Lock()
-	if _, exists := g.byID[id]; exists {
-		g.mu.Unlock()
-		return 0, errSessionExists
-	}
-	g.sweepLocked()
-	for len(g.byID) >= g.maxSessions {
-		g.evictLocked(g.lru.Back(), "lru")
-	}
-	s.lastUsed = g.now()
-	s.el = g.lru.PushFront(s)
-	g.byID[s.id] = s
-	g.mu.Unlock()
-	g.metrics.sessionsCreated.add(1)
 	return st.Len(), nil
 }
 
@@ -930,39 +905,25 @@ func (g *sessionRegistry) pushState(ctx context.Context, w *worker, s *session) 
 }
 
 // replaceHeld moves a remote-pinned session off the worker `avoid` while
-// its gate is held: push the shadow's exported state onto a freshly
-// placed worker, or adopt the shadow as the live local stream when no
-// other routable worker exists (the shadow already IS the exact state).
-// The old worker-side session is closed best-effort either way. Returns
-// false only when the session has no shadow to move.
+// its gate is held: migrate it to a freshly placed routable worker, or
+// else adopt the shadow as the live local stream (the shadow already IS
+// the exact state) and close the old worker-side session best-effort.
+// Returns false only when the session has no shadow to move.
 func (g *sessionRegistry) replaceHeld(ctx context.Context, s *session, avoid *worker) bool {
-	if s.remote == nil || s.shadow == nil {
+	if s.remote == nil {
 		return false
 	}
-	// Catch the shadow up before it moves; a flush failure drops it.
+	if _, w := g.place(s.set, s.id); w != nil && w != avoid && w.routable() && g.migrateHeld(ctx, s, w) {
+		return true
+	}
+	// Catch the shadow up before it goes live; a flush failure drops it.
 	g.flushMirrorHeld(s)
 	if s.shadow == nil {
 		return false
 	}
-	old := s.remote
-	var w *worker
-	if g.place != nil {
-		_, w = g.place(s.set, s.id)
-	} else {
-		_, w = s.set.sessionTarget()
-	}
-	moved := false
-	if w != nil && w != avoid && w.routable() {
-		if remote, err := g.pushState(ctx, w, s); err == nil {
-			s.remote, s.w = remote, w
-			moved = true
-		}
-	}
-	if !moved {
-		s.stream, s.shadow = s.shadow, nil
-		s.remote, s.w = nil, nil
-	}
-	g.closeRemote(old)
+	g.closeRemote(s.remote)
+	s.stream, s.shadow = s.shadow, nil
+	s.remote, s.w = nil, nil
 	return true
 }
 
@@ -1019,9 +980,6 @@ func (g *sessionRegistry) relocate(ctx context.Context, addr string) int {
 // (gate held by an in-flight op) are skipped — the next rebalance pass
 // picks them up. Returns how many sessions moved.
 func (g *sessionRegistry) rebalance(ctx context.Context, addr string, max int) int {
-	if g.place == nil {
-		return 0
-	}
 	g.mu.Lock()
 	cands := make([]*session, 0, len(g.byID))
 	for _, s := range g.byID {
@@ -1182,33 +1140,25 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 }
 
 // mapRemoteErr translates a worker-side session failure into the
-// registry's error taxonomy and feeds the worker's health state. Session
-// state cannot reroute, so anything that smells like a dead or draining
-// worker becomes errWorkerLost (HTTP 503 + Retry-After); a worker that
-// forgot the session (restart, its own TTL) is errSessionNotFound; the
-// worker's own token-limit refusal passes through as errSessionFull.
+// registry's error taxonomy, feeding the worker's health state through
+// failure. Session state cannot reroute, so a dead, failing or
+// overloaded worker becomes errWorkerLost (HTTP 503 + Retry-After); a
+// worker that forgot the session (restart, its own TTL) is
+// errSessionNotFound; the worker's own token-limit refusal passes
+// through as errSessionFull.
 func mapRemoteErr(w *worker, err error) error {
-	var api *client.APIError
-	if errors.As(err, &api) {
-		switch {
-		case api.Status == http.StatusNotFound:
-			return errSessionNotFound
-		case api.Status == http.StatusRequestEntityTooLarge:
-			return errSessionFull
-		case api.Status == http.StatusTooManyRequests || api.Status == http.StatusServiceUnavailable:
-			return fmt.Errorf("%w: %v", errWorkerLost, err)
-		case api.Status >= 500:
-			w.fault()
-			return fmt.Errorf("%w: %v", errWorkerLost, err)
-		default:
-			return err
-		}
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	api, lost := w.failure(err)
+	switch {
+	case lost:
+		return fmt.Errorf("%w: %v", errWorkerLost, err)
+	case api == nil:
 		return err
+	case api.Status == http.StatusNotFound:
+		return errSessionNotFound
+	case api.Status == http.StatusRequestEntityTooLarge:
+		return errSessionFull
 	}
-	w.fault()
-	return fmt.Errorf("%w: %v", errWorkerLost, err)
+	return err
 }
 
 // newSessionID returns a 128-bit random hex ID.

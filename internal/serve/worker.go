@@ -427,8 +427,8 @@ func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 }
 
 // decodeBatch materializes each session's prefix onto the wire as a
-// one-query /v1/attend op with the session's pinned threshold, so decode
-// batches from the continuous loop ride the existing remote worker
+// one-query /v1/attend op with the session's pinned threshold, so a
+// decode batch a lane harvested rides the existing remote worker
 // protocol — fleet mode batches too. Rows() aliases the stream's storage
 // without copying elements, which is safe here because the session's
 // submit/complete handoff blocks appends while the query is in flight.
@@ -507,30 +507,42 @@ func wireOverrides(thr *elsa.Threshold, backend string) elsa.Overrides {
 	return elsa.Overrides{Thr: thr}
 }
 
-// classify sorts one remote failure into the dispatcher's retry taxonomy
-// and feeds the worker's health state: transport faults and worker 5xx
-// count toward ejection and reroute; worker overload (429/503) reroutes
-// without blaming health; everything else is terminal for the op.
+// classify sorts one remote failure into the dispatcher's retry
+// taxonomy: a failure the worker is to blame for, or that its overload
+// caused, reroutes; anything else is terminal for the op, and the
+// requester's own context ending passes through unwrapped.
 func (b *remoteBackend) classify(err error) error {
-	var api *client.APIError
-	if errors.As(err, &api) {
-		switch {
-		case api.Status == http.StatusTooManyRequests || api.Status == http.StatusServiceUnavailable:
-			return &workerError{addr: b.w.addr, err: err, retryable: true}
-		case api.Status >= 500:
-			b.w.fault()
-			return &workerError{addr: b.w.addr, err: err, retryable: true}
-		default:
-			return &workerError{addr: b.w.addr, err: err, retryable: false}
-		}
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	api, retryable := b.w.failure(err)
+	if api == nil && !retryable {
 		// The requester is gone or out of budget; says nothing about the
 		// worker and there is no time left to reroute.
 		return err
 	}
-	// Transport-level failure: connection refused, reset, EOF — the
-	// classic signature of a dead or dying host.
-	b.w.fault()
-	return &workerError{addr: b.w.addr, err: err, retryable: true}
+	return &workerError{addr: b.w.addr, err: err, retryable: retryable}
+}
+
+// failure classifies one failed call to the worker, for one-shot ops
+// and sessions alike. retryable reports a worker that is dead, failing
+// or overloaded, so the call may go elsewhere: a transport fault
+// (connection refused, reset, EOF — the classic signature of a dying
+// host), a 5xx, or a 429. Transport faults and 5xx other than 503 are
+// the worker's fault and count toward its ejection; overload (429/503)
+// blames nothing. api is the worker's reply when it sent one; a nil api
+// that is not retryable is the requester's own context ending.
+func (w *worker) failure(err error) (api *client.APIError, retryable bool) {
+	if errors.As(err, &api) {
+		switch {
+		case api.Status == http.StatusTooManyRequests || api.Status == http.StatusServiceUnavailable:
+			return api, true
+		case api.Status >= 500:
+			w.fault()
+			return api, true
+		}
+		return api, false
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return nil, false
+	}
+	w.fault()
+	return nil, true
 }

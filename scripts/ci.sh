@@ -35,9 +35,10 @@ echo "== dispatch pacing under -race, repeated =="
 # harvests again when it finishes a batch: that handoff is where a lost
 # wakeup would strand an op, and one -race pass sees too few
 # interleavings to find it. A reroute hands failed ops to a sibling lane
-# through the same rule. Run the pacing, refusal, stranded-op and
-# reroute tests twenty times.
-go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestDecodeDeadlineSkipsBatchWindow|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending)$' ./internal/serve/
+# through the same rule. A heartbeat that crosses an operator drain must
+# not revive the drained member. Run the pacing, refusal, stranded-op,
+# reroute and stale-heartbeat tests twenty times.
+go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain)$' ./internal/serve/ ./internal/serve/cluster/
 
 echo "== elsaperf logic tests =="
 # elsaperf is its own module, so ./... above does not reach it; run the

@@ -21,6 +21,13 @@ type JoinRequest struct {
 	// Draining announces the worker is draining, so the frontend stops
 	// placing new sessions on it while pinned ones finish.
 	Draining bool
+	// Incarnation identifies the worker process: one nonzero value for
+	// the process's lifetime, a new one after a restart. A frontend
+	// revives a draining member only for a heartbeat of a new
+	// incarnation, so a beat that crosses an operator drain cannot undo
+	// it. Zero names none and keeps the older rule: any beat without
+	// Draining revives.
+	Incarnation uint64
 }
 
 // JoinReply is the frontend's answer to a Join.
@@ -104,6 +111,7 @@ type joinWire struct {
 	MaxSessions int    `json:"max_sessions,omitempty"`
 	HeartbeatMS int64  `json:"heartbeat_ms,omitempty"`
 	Draining    bool   `json:"draining,omitempty"`
+	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
 // Join registers the worker described by req with the frontend this
@@ -116,6 +124,7 @@ func (c *Client) Join(ctx context.Context, req JoinRequest) (*JoinReply, error) 
 		MaxSessions: req.MaxSessions,
 		HeartbeatMS: req.HeartbeatInterval.Milliseconds(),
 		Draining:    req.Draining,
+		Incarnation: req.Incarnation,
 	}
 	var reply JoinReply
 	if err := c.post(ctx, "/v1/cluster/join", wire, &reply); err != nil {

@@ -43,8 +43,8 @@ type sessionStepReplyWire struct {
 }
 
 // Step decodes one token for many sessions in a single request — the
-// client-side complement of the server's continuous decode batching.
-// The server enqueues the whole wave before it dispatches any of it, so it
+// client-side complement of the server's decode batching. The server
+// queues the whole wave before it dispatches any of it, so it
 // coalesces into shared batch dispatches, and the fixed per-request
 // cost is paid once per wave instead of once per session. Vectors ride
 // the wire packed (base64 float32, bit-exact) in both directions, since
