@@ -188,11 +188,7 @@ func mirrorRow(opt experiments.Options, sessions, tokensPer int) (AutoscaleRow, 
 	return row, nil
 }
 
-func runAutoscale(opt experiments.Options) error {
-	rows, err := autoscaleRows(opt)
-	if err != nil {
-		return err
-	}
+func printAutoscale(rows []AutoscaleRow, _ experiments.Options) error {
 	header("autoscale: closed-loop convergence and shadow-mirror cost")
 	fmt.Printf("%-14s %9s %8s %13s %11s %16s\n",
 		"scenario", "sessions", "tokens", "converge(ms)", "migrations", "mirror ns/token")

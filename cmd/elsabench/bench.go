@@ -201,11 +201,7 @@ func benchRowsAt(opt experiments.Options, n, d, iters int) ([]BenchRow, error) {
 	return rows, nil
 }
 
-func runBench(opt experiments.Options) error {
-	rows, err := benchRows(opt)
-	if err != nil {
-		return err
-	}
+func printBench(rows []BenchRow, _ experiments.Options) error {
 	header("bench: software ns/op, candidate fraction and simulated speedup")
 	fmt.Printf("%-20s %5s %5s %5s %12s %10s %11s %11s %10s\n",
 		"dataset", "n", "d", "p", "ns/op", "sw-speedup", "cand-frac", "sim-speedup", "tokens/s")

@@ -167,11 +167,7 @@ func exactStreamRate(opt experiments.Options, inst workload.Instance, d int, bac
 	return float64(inst.RealLen) / time.Since(start).Seconds(), nil
 }
 
-func runExact(opt experiments.Options) error {
-	rows, err := exactRows(opt)
-	if err != nil {
-		return err
-	}
+func printExact(rows []ExactRow, opt experiments.Options) error {
 	header("exact backends: scores reference vs linear-scan oracle")
 	fmt.Printf("%-12s %6s %4s %-12s %12s %12s %10s %8s %6s\n",
 		"workload", "n", "d", "backend", "batch-ns/op", "bytes/op", "tokens/s", "max-ulp", "bound")

@@ -46,6 +46,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 
 	"elsa/internal/energy"
 	"elsa/internal/experiments"
@@ -54,7 +55,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: all|fig2|fig10|fig11|fig13|table1|a3|tpu|e2e|host|workloads|modelfid|ablations|bench|migrate|autoscale|exact")
+	which := flag.String("experiment", "all", "which experiment to run: all|"+strings.Join(experimentNames(), "|"))
 	quick := flag.Bool("quick", false, "reduced sample counts for a fast smoke run")
 	seed := flag.Int64("seed", 1, "random seed")
 	jsonOut := flag.String("json", "", `write raw experiment rows as JSON to this file instead of tables ("-" = stdout)`)
@@ -97,35 +98,15 @@ func main() {
 		}()
 	}
 
-	runners := map[string]func(experiments.Options) error{
-		"fig2":      runFig2,
-		"fig10":     runFig10,
-		"fig11":     runFig11,
-		"fig13":     runFig13,
-		"table1":    runTable1,
-		"a3":        runA3,
-		"tpu":       runTPU,
-		"ablations": runAblations,
-		"e2e":       runEndToEnd,
-		"host":      runHost,
-		"workloads": runWorkloads,
-		"modelfid":  runModelFidelity,
-		"bench":     runBench,
-		"migrate":   runMigrate,
-		"autoscale": runAutoscale,
-		"exact":     runExact,
-	}
-	order := []string{"fig2", "fig10", "fig11", "fig13", "table1", "a3", "tpu", "e2e", "host", "workloads", "modelfid", "ablations", "bench", "migrate", "autoscale", "exact"}
-
-	if _, ok := runners[*experiment]; !ok && *experiment != "all" {
-		fatal(fmt.Errorf("unknown experiment %q (want one of all, %v)", *experiment, order))
+	if _, ok := lookupExperiment(*which); !ok && *which != "all" {
+		fatal(fmt.Errorf("unknown experiment %q (want one of all, %v)", *which, experimentNames()))
 	}
 	if *compare != "" && *baseline == "" {
 		fatal(fmt.Errorf("-compare requires -baseline to compare against"))
 	}
 	if *baseline != "" {
-		if *compare == "" && *experiment != "all" && *experiment != "bench" {
-			fatal(fmt.Errorf("a fresh -baseline run measures bench only, not -experiment %s", *experiment))
+		if *compare == "" && *which != "all" && *which != "bench" {
+			fatal(fmt.Errorf("a fresh -baseline run measures bench only, not -experiment %s", *which))
 		}
 		if err := runGate(opt, *baseline, *compare, *jsonOut, *maxRegress); err != nil {
 			fatal(err)
@@ -140,135 +121,179 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures written to %s\n", *svgDir)
 		return
 	}
+	selected := experimentTable
+	if e, ok := lookupExperiment(*which); ok {
+		selected = []experiment{e}
+	}
 	if *jsonOut != "" {
-		if err := emitJSON(*experiment, order, opt, *jsonOut); err != nil {
+		if err := emitJSON(selected, opt, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *experiment == "all" {
-		for _, name := range order {
-			if err := runners[name](opt); err != nil {
-				fatal(err)
-			}
+	for _, e := range selected {
+		rows, err := e.rows(opt)
+		if err == nil {
+			err = e.print(rows, opt)
 		}
-		return
-	}
-	if err := runners[*experiment](opt); err != nil {
-		fatal(err)
+		if err != nil {
+			fatal(err)
+		}
 	}
 }
 
-// jsonPayload builds the raw rows for one experiment.
-func jsonPayload(name string, opt experiments.Options) (any, error) {
-	switch name {
-	case "fig2":
-		return experiments.Fig2(opt)
-	case "fig10":
-		return experiments.Fig10(opt)
-	case "fig11":
-		rows, summary, err := experiments.Fig11(opt)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"rows": rows, "summary": summary}, nil
-	case "fig13":
-		rows, summary, err := experiments.Fig13(opt)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"rows": rows, "summary": summary}, nil
-	case "table1":
-		return map[string]any{"rows": energy.TableI, "totals": energy.Totals()}, nil
-	case "a3":
-		return experiments.A3Compare(opt)
-	case "tpu":
-		return experiments.TPUCompare(opt)
-	case "e2e":
-		rows, err := experiments.EndToEnd(opt)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"rows": rows, "summary": experiments.SummarizeEndToEnd(rows)}, nil
-	case "host":
-		sec, err := experiments.RepresentativeOpSeconds(opt)
-		if err != nil {
-			return nil, err
-		}
-		var links []host.Integration
-		for _, l := range []host.Link{host.ByReference(), host.NVLink2(), host.PCIe3x16()} {
-			in, err := host.Analyze(l, 512, 64, sec)
-			if err != nil {
-				return nil, err
-			}
-			links = append(links, in)
-		}
-		return links, nil
-	case "workloads":
-		return experiments.WorkloadDiagnostics(opt)
-	case "modelfid":
-		return experiments.ModelFidelity(opt)
-	case "bench":
-		return benchRows(opt)
-	case "migrate":
-		return migrateRows(opt)
-	case "autoscale":
-		return autoscaleRows(opt)
-	case "exact":
-		return exactRows(opt)
-	case "ablations":
-		hk, err := experiments.AblateHashKind(opt)
-		if err != nil {
-			return nil, err
-		}
-		ba, err := experiments.AblateBias(opt)
-		if err != nil {
-			return nil, err
-		}
-		ka, err := experiments.AblateKron(opt)
-		if err != nil {
-			return nil, err
-		}
-		ks, err := experiments.AblateK(opt)
-		if err != nil {
-			return nil, err
-		}
-		qa, err := experiments.AblateQuantization(opt)
-		if err != nil {
-			return nil, err
-		}
-		sa, err := experiments.AblateSelection(opt)
-		if err != nil {
-			return nil, err
-		}
-		pp, err := experiments.AblatePipeline(opt)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{
-			"hashKind": hk, "bias": ba, "kron": ka, "k": ks,
-			"quantization": qa, "selection": sa, "pipeline": pp,
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", name)
+// experiment is one row of the experiment table: rows measures the raw
+// rows -json writes under name, and print renders those same rows as
+// text, computing any text-only section from opt.
+type experiment struct {
+	name  string
+	rows  func(experiments.Options) (any, error)
+	print func(any, experiments.Options) error
+}
+
+// exp builds an experiment from a typed rows function and its printer.
+func exp[T any](name string, rows func(experiments.Options) (T, error), print func(T, experiments.Options) error) experiment {
+	return experiment{
+		name:  name,
+		rows:  func(opt experiments.Options) (any, error) { return rows(opt) },
+		print: func(v any, opt experiments.Options) error { return print(v.(T), opt) },
 	}
 }
 
-func emitJSON(name string, order []string, opt experiments.Options, path string) error {
-	if name != "all" {
-		payload, err := jsonPayload(name, opt)
-		if err != nil {
-			return err
-		}
-		return writeJSONPayload(map[string]any{name: payload}, path)
+// experimentTable lists every experiment in the order "all" runs them.
+var experimentTable = []experiment{
+	exp("fig2", experiments.Fig2, printFig2),
+	exp("fig10", experiments.Fig10, printFig10),
+	exp("fig11", withSummary(experiments.Fig11), printFig11),
+	exp("fig13", withSummary(experiments.Fig13), printFig13),
+	exp("table1", table1Rows, printTable1),
+	exp("a3", experiments.A3Compare, printA3),
+	exp("tpu", experiments.TPUCompare, printTPU),
+	exp("e2e", endToEndRows, printEndToEnd),
+	exp("host", hostRows, printHost),
+	exp("workloads", experiments.WorkloadDiagnostics, printWorkloads),
+	exp("modelfid", experiments.ModelFidelity, printModelFidelity),
+	exp("ablations", ablationRows, printAblations),
+	exp("bench", benchRows, printBench),
+	exp("migrate", migrateRows, printMigrate),
+	exp("autoscale", autoscaleRows, printAutoscale),
+	exp("exact", exactRows, printExact),
+}
+
+// experimentNames lists the table's names in order.
+func experimentNames() []string {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
 	}
-	out := make(map[string]any, len(order))
-	for _, n := range order {
-		payload, err := jsonPayload(n, opt)
+	return names
+}
+
+// lookupExperiment finds one experiment of the table by name.
+func lookupExperiment(name string) (experiment, bool) {
+	for _, e := range experimentTable {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// summarized is an experiment's rows beside their summary.
+type summarized[R, S any] struct {
+	Rows    R `json:"rows"`
+	Summary S `json:"summary"`
+}
+
+// withSummary adapts an experiment that returns rows and a summary.
+func withSummary[R, S any](f func(experiments.Options) (R, S, error)) func(experiments.Options) (summarized[R, S], error) {
+	return func(opt experiments.Options) (summarized[R, S], error) {
+		rows, summary, err := f(opt)
+		return summarized[R, S]{rows, summary}, err
+	}
+}
+
+// table1 is Table I with its totals.
+type table1 struct {
+	Rows   []energy.ModulePower     `json:"rows"`
+	Totals energy.AcceleratorTotals `json:"totals"`
+}
+
+func table1Rows(experiments.Options) (table1, error) {
+	return table1{energy.TableI, energy.Totals()}, nil
+}
+
+func endToEndRows(opt experiments.Options) (e2e summarized[[]experiments.EndToEndRow, experiments.EndToEndSummary], err error) {
+	if e2e.Rows, err = experiments.EndToEnd(opt); err == nil {
+		e2e.Summary = experiments.SummarizeEndToEnd(e2e.Rows)
+	}
+	return e2e, err
+}
+
+// hostRows simulates one conservative op at the paper's size and
+// analyzes it across the host-integration links (§IV-B).
+func hostRows(opt experiments.Options) ([]host.Integration, error) {
+	sec, err := experiments.RepresentativeOpSeconds(opt)
+	if err != nil {
+		return nil, err
+	}
+	var links []host.Integration
+	for _, l := range []host.Link{host.ByReference(), host.NVLink2(), host.PCIe3x16()} {
+		in, err := host.Analyze(l, 512, 64, sec)
+		if err != nil {
+			return nil, err
+		}
+		links = append(links, in)
+	}
+	return links, nil
+}
+
+// ablations holds the ablation suite's rows, its fields in the key order
+// -json has always written them.
+type ablations struct {
+	Bias         []experiments.BiasAblation      `json:"bias"`
+	HashKind     []experiments.HashKindAblation  `json:"hashKind"`
+	K            []experiments.KAblation         `json:"k"`
+	Kron         []experiments.KronAblation      `json:"kron"`
+	Pipeline     []experiments.PipelinePoint     `json:"pipeline"`
+	Quantization []experiments.QuantAblation     `json:"quantization"`
+	Selection    []experiments.SelectionAblation `json:"selection"`
+}
+
+func ablationRows(opt experiments.Options) (ablations, error) {
+	var a ablations
+	var err error
+	if a.HashKind, err = experiments.AblateHashKind(opt); err != nil {
+		return a, err
+	}
+	if a.Bias, err = experiments.AblateBias(opt); err != nil {
+		return a, err
+	}
+	if a.Kron, err = experiments.AblateKron(opt); err != nil {
+		return a, err
+	}
+	if a.K, err = experiments.AblateK(opt); err != nil {
+		return a, err
+	}
+	if a.Quantization, err = experiments.AblateQuantization(opt); err != nil {
+		return a, err
+	}
+	if a.Selection, err = experiments.AblateSelection(opt); err != nil {
+		return a, err
+	}
+	a.Pipeline, err = experiments.AblatePipeline(opt)
+	return a, err
+}
+
+// emitJSON writes the selected experiments' rows, keyed by name.
+func emitJSON(selected []experiment, opt experiments.Options, path string) error {
+	out := make(map[string]any, len(selected))
+	for _, e := range selected {
+		rows, err := e.rows(opt)
 		if err != nil {
 			return err
 		}
-		out[n] = payload
+		out[e.name] = rows
 	}
 	return writeJSONPayload(out, path)
 }
@@ -304,11 +329,7 @@ func header(title string) {
 	fmt.Printf("\n=== %s ===\n", title)
 }
 
-func runFig2(opt experiments.Options) error {
-	rows, err := experiments.Fig2(opt)
-	if err != nil {
-		return err
-	}
+func printFig2(rows []experiments.Fig2Row, _ experiments.Options) error {
 	header("Fig 2: self-attention share of model runtime (GPU model)")
 	fmt.Printf("%-15s %6s %7s %12s %12s\n", "model", "seq", "ffn", "time-share", "flop-share")
 	for _, r := range rows {
@@ -321,11 +342,7 @@ func runFig2(opt experiments.Options) error {
 	return nil
 }
 
-func runFig10(opt experiments.Options) error {
-	rows, err := experiments.Fig10(opt)
-	if err != nil {
-		return err
-	}
+func printFig10(rows []experiments.Fig10Row, _ experiments.Options) error {
 	header("Fig 10: candidate fraction (bars) and accuracy-proxy loss (lines) vs p")
 	fmt.Printf("%-28s %5s %10s %10s %9s %9s %14s\n", "combo", "p", "cand-frac", "mass", "loss-pct", "cosine", "metric-after")
 	for _, r := range rows {
@@ -341,11 +358,8 @@ func runFig10(opt experiments.Options) error {
 	return nil
 }
 
-func runFig11(opt experiments.Options) error {
-	rows, summary, err := experiments.Fig11(opt)
-	if err != nil {
-		return err
-	}
+func printFig11(f summarized[[]experiments.Fig11Row, experiments.Fig11Summary], _ experiments.Options) error {
+	rows, summary := f.Rows, f.Summary
 	header("Fig 11a: normalized self-attention throughput (GPU = 1)")
 	fmt.Printf("%-28s %8s %8s %8s %8s %8s\n", "combo", "ideal", "base", "conserv", "moderate", "aggress")
 	for _, r := range rows {
@@ -387,11 +401,8 @@ func runFig11(opt experiments.Options) error {
 	return nil
 }
 
-func runFig13(opt experiments.Options) error {
-	rows, summary, err := experiments.Fig13(opt)
-	if err != nil {
-		return err
-	}
+func printFig13(f summarized[[]experiments.Fig13Row, experiments.Fig13Summary], _ experiments.Options) error {
+	rows, summary := f.Rows, f.Summary
 	header("Fig 13a: normalized energy efficiency (performance/W vs GPU)")
 	fmt.Printf("%-28s %9s %9s %9s %9s\n", "combo", "base", "conserv", "moderate", "aggress")
 	for _, r := range rows {
@@ -423,13 +434,13 @@ func runFig13(opt experiments.Options) error {
 	return nil
 }
 
-func runTable1(experiments.Options) error {
+func printTable1(t1 table1, _ experiments.Options) error {
 	header("Table I: area and peak power characteristics")
 	fmt.Printf("%-30s %10s %12s %11s\n", "module", "area(mm2)", "dynamic(mW)", "static(mW)")
-	for _, row := range energy.TableI {
+	for _, row := range t1.Rows {
 		fmt.Printf("%-30s %10.3f %12.2f %11.2f\n", row.Name, row.AreaMM2, row.DynamicMW, row.StaticMW)
 	}
-	t := energy.Totals()
+	t := t1.Totals
 	fmt.Printf("%-30s %10.3f %12.2f %11.2f\n", "ELSA Accelerator (1x)",
 		t.InternalAreaMM2, t.InternalDynamicMW, t.InternalStaticMW)
 	fmt.Printf("%-30s %10.3f %12.2f %11.2f\n", "External Memory Modules (1x)",
@@ -438,11 +449,7 @@ func runTable1(experiments.Options) error {
 	return nil
 }
 
-func runA3(opt experiments.Options) error {
-	res, err := experiments.A3Compare(opt)
-	if err != nil {
-		return err
-	}
+func printA3(res experiments.A3Result, _ experiments.Options) error {
 	header("§V-E: comparison with the A3 accelerator (BERT/SQuADv1.1)")
 	fmt.Printf("ELSA speedup over ELSA-base: cons %.2fx (paper 2.76x) | mod %.2fx (paper 3.72x)\n",
 		res.ElsaSpeedupOverBase[experiments.Conservative],
@@ -455,11 +462,7 @@ func runA3(opt experiments.Options) error {
 	return nil
 }
 
-func runTPU(opt experiments.Options) error {
-	rows, err := experiments.TPUCompare(opt)
-	if err != nil {
-		return err
-	}
+func printTPU(rows []experiments.TPUResult, _ experiments.Options) error {
 	header("§V-E: comparison with Google TPUv2 (ALBERT, iso-peak-FLOPS)")
 	fmt.Printf("%-12s %12s %14s %14s\n", "dataset", "tpu-vs-gpu", "elsa-base/tpu", "elsa-mod/tpu")
 	for _, r := range rows {
@@ -471,64 +474,40 @@ func runTPU(opt experiments.Options) error {
 	return nil
 }
 
-func runAblations(opt experiments.Options) error {
+func printAblations(a ablations, opt experiments.Options) error {
 	header("Ablation: orthogonal vs Gaussian SRP (§III-B)")
-	hk, err := experiments.AblateHashKind(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%-12s %14s %10s\n", "projection", "mean-abs-err", "theta-bias")
-	for _, r := range hk {
+	for _, r := range a.HashKind {
 		fmt.Printf("%-12s %14.4f %10.4f\n", r.Kind, r.MeanAbsErr, r.Bias)
 	}
 
 	header("Ablation: theta_bias correction on/off (§III-B)")
-	ba, err := experiments.AblateBias(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%-10s %14s %12s\n", "bias", "retained-mass", "cand-frac")
-	for _, r := range ba {
+	for _, r := range a.Bias {
 		fmt.Printf("%-10v %14.4f %11.1f%%\n", r.BiasEnabled, r.RetainedMass, 100*r.CandidateFraction)
 	}
 
 	header("Ablation: hash-computation structure (§III-C)")
-	ka, err := experiments.AblateKron(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%-14s %8s %12s %11s\n", "structure", "mults", "cycles/vec", "angle-err")
-	for _, r := range ka {
+	for _, r := range a.Kron {
 		fmt.Printf("%-14s %8d %12d %11.4f\n", r.Structure, r.Multiplications, r.HashCyclesPerVec, r.AngleErr)
 	}
 
 	header("Ablation: hash length k (§IV-E)")
-	ks, err := experiments.AblateK(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%6s %11s %14s %10s %14s\n", "k", "cand-frac", "retained-mass", "hash-muls", "hash-SRAM(B)")
-	for _, r := range ks {
+	for _, r := range a.K {
 		fmt.Printf("%6d %10.1f%% %14.4f %10d %14d\n", r.K, 100*r.CandidateFraction, r.RetainedMass, r.HashMuls, r.KeyHashBytes)
 	}
 
 	header("Ablation: fixed-point quantization (§IV-E, <0.2% claim)")
-	qa, err := experiments.AblateQuantization(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%-10s %12s %14s\n", "quantized", "mean-cosine", "retained-mass")
-	for _, r := range qa {
+	for _, r := range a.Quantization {
 		fmt.Printf("%-10v %12.4f %14.4f\n", r.Quantized, r.MeanCosine, r.RetainedMass)
 	}
 
 	header("Ablation: threshold vs oracle top-c sorting (§III-E)")
-	sa, err := experiments.AblateSelection(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%-20s %11s %14s\n", "method", "cand-frac", "retained-mass")
-	for _, r := range sa {
+	for _, r := range a.Selection {
 		fmt.Printf("%-20s %10.1f%% %14.4f\n", r.Method, 100*r.CandidateFraction, r.RetainedMass)
 	}
 
@@ -543,13 +522,9 @@ func runAblations(opt experiments.Options) error {
 	}
 
 	header("Ablation: pipeline design space Pa x Pc (§IV-D)")
-	pp, err := experiments.AblatePipeline(opt)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%4s %4s %5s %4s %7s %12s %12s %9s %11s %10s %12s\n",
 		"Pa", "Pc", "mh", "mo", "mults", "base-cyc", "cons-cyc", "speedup", "scan-bound", "area-mm2", "ops/s/mm2")
-	for _, p := range pp {
+	for _, p := range a.Pipeline {
 		fmt.Printf("%4d %4d %5d %4d %7d %12d %12d %8.2fx %10.1f%% %10.2f %12.0f\n",
 			p.Pa, p.Pc, p.Mh, p.Mo, p.Multipliers,
 			p.BaseCycles, p.ConsCycles, p.ApproxSpeedup, 100*p.ScanBoundFrac,
@@ -558,18 +533,14 @@ func runAblations(opt experiments.Options) error {
 	return nil
 }
 
-func runEndToEnd(opt experiments.Options) error {
-	rows, err := experiments.EndToEnd(opt)
-	if err != nil {
-		return err
-	}
+func printEndToEnd(e2e summarized[[]experiments.EndToEndRow, experiments.EndToEndSummary], opt experiments.Options) error {
+	rows, s := e2e.Rows, e2e.Summary
 	header("§V-C: end-to-end model speedup with ELSA-conservative attention offload")
 	fmt.Printf("%-15s %5s %11s %13s %10s %12s\n", "model", "seq", "attn-share", "attn-speedup", "e2e", "e2e+fastFC")
 	for _, r := range rows {
 		fmt.Printf("%-15s %4dx %10.1f%% %12.1fx %9.2fx %11.2fx\n",
 			r.Model, r.SeqMult, 100*r.AttnShareGPU, r.AttnSpeedup, r.Speedup, r.SpeedupFastRest)
 	}
-	s := experiments.SummarizeEndToEnd(rows)
 	fmt.Printf("default length: %.2f-%.2fx, geomean %.2fx (paper: 1.4-2.5x)\n", s.MinDefault, s.MaxDefault, s.GeomeanDefault)
 	fmt.Printf("4x length:      %.2f-%.2fx, geomean %.2fx (paper: 2.4-5.0x)\n", s.Min4x, s.Max4x, s.Geomean4x)
 
@@ -586,23 +557,13 @@ func runEndToEnd(opt experiments.Options) error {
 	return nil
 }
 
-func runHost(opt experiments.Options) error {
-	// One conservative op at the paper's size, simulated, then analyzed
-	// across host-integration links (§IV-B).
-	sec, err := experiments.RepresentativeOpSeconds(opt)
-	if err != nil {
-		return err
-	}
+func printHost(links []host.Integration, _ experiments.Options) error {
 	header("§IV-B: host integration overhead (one n=512 op)")
-	fmt.Printf("accelerator compute time: %.3g s\n", sec)
+	fmt.Printf("accelerator compute time: %.3g s\n", links[0].ComputeSec)
 	fmt.Printf("%-34s %12s %10s %16s\n", "link", "transfer(s)", "overhead", "eff-speedup@57x")
-	for _, l := range []host.Link{host.ByReference(), host.NVLink2(), host.PCIe3x16()} {
-		in, err := host.Analyze(l, 512, 64, sec)
-		if err != nil {
-			return err
-		}
+	for _, in := range links {
 		fmt.Printf("%-34s %12.3g %9.1f%% %15.1fx\n",
-			l.Name, in.TransferSec, 100*in.Overhead(), in.EffectiveSpeedup(57))
+			in.Link.Name, in.TransferSec, 100*in.Overhead(), in.EffectiveSpeedup(57))
 	}
 	fmt.Println("the paper integrates ELSA by reference into the host's scratchpad for this reason")
 	return nil
@@ -765,11 +726,7 @@ func emitSVG(dir string, opt experiments.Options) error {
 	return write("e2e_speedup.svg", svg)
 }
 
-func runWorkloads(opt experiments.Options) error {
-	rows, err := experiments.WorkloadDiagnostics(opt)
-	if err != nil {
-		return err
-	}
+func printWorkloads(rows []experiments.WorkloadRow, _ experiments.Options) error {
 	header("workload diagnostics: synthetic attention-distribution shape")
 	fmt.Printf("%-14s %9s %11s %9s %9s %9s %9s\n",
 		"dataset", "mean-len", "len-range", "entropy", "eff-keys", "top10%", ">1/n")
@@ -784,11 +741,7 @@ func runWorkloads(opt experiments.Options) error {
 	return nil
 }
 
-func runModelFidelity(opt experiments.Options) error {
-	rows, err := experiments.ModelFidelity(opt)
-	if err != nil {
-		return err
-	}
+func printModelFidelity(rows []experiments.ModelFidelityRow, _ experiments.Options) error {
 	header("whole-model fidelity: truncated BERT encoder with per-sub-layer thresholds")
 	fmt.Printf("%6s %11s %12s %17s\n", "p", "cand-frac", "mean-cosine", "threshold-spread")
 	for _, r := range rows {

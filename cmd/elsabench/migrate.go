@@ -201,11 +201,7 @@ func kib(n int) string {
 	return fmt.Sprintf("%.1fKiB", float64(n)/1024)
 }
 
-func runMigrate(opt experiments.Options) error {
-	rows, err := migrateRows(opt)
-	if err != nil {
-		return err
-	}
+func printMigrate(rows []MigrateRow, _ experiments.Options) error {
 	header("migrate: portable session state — resident footprint, wire size, live moves")
 	fmt.Printf("%7s %10s %14s %12s %9s %17s %17s\n",
 		"tokens", "watermark", "resident/sess", "wire bytes", "moves/s", "rehydrate p50(ms)", "rehydrate p99(ms)")
