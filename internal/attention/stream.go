@@ -106,9 +106,10 @@ func (s *Stream) hotLen() int { return s.n - s.cold.N() }
 // the hardware's norm module maintains).
 func (s *Stream) MaxNorm() float64 { return s.maxNorm }
 
-// Append adds one token's key and value, hashing the key incrementally.
-func (s *Stream) Append(key, value []float32) error {
-	d := s.engine.cfg.D
+// CheckAppend reports the error Stream.Append would return for key and
+// value on a stream of e, without appending anything.
+func (e *Engine) CheckAppend(key, value []float32) error {
+	d := e.cfg.D
 	if len(key) != d || len(value) != d {
 		return fmt.Errorf("attention: stream append with dims %d/%d, engine built for %d",
 			len(key), len(value), d)
@@ -122,6 +123,14 @@ func (s *Stream) Append(key, value []float32) error {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			return fmt.Errorf("attention: stream value contains a non-finite value")
 		}
+	}
+	return nil
+}
+
+// Append adds one token's key and value, hashing the key incrementally.
+func (s *Stream) Append(key, value []float32) error {
+	if err := s.engine.CheckAppend(key, value); err != nil {
+		return err
 	}
 	// Append straight into the backing stores and quantize in place, so the
 	// steady-state append path allocates only when a store grows.

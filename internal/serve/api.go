@@ -228,12 +228,21 @@ type SessionCreateResponse struct {
 }
 
 // SessionAppendRequest is the POST /v1/sessions/{id}/append body: one
-// token via key/value, or several at once via keys/values.
+// token via key/value, or several at once via keys/values or kp/vp. The
+// session takes every row or none: a batch with one bad row (wrong
+// width, non-finite) answers 400 and leaves the session as it was.
 type SessionAppendRequest struct {
 	Key    []float32   `json:"key,omitempty"`
 	Value  []float32   `json:"value,omitempty"`
 	Keys   [][]float32 `json:"keys,omitempty"`
 	Values [][]float32 `json:"values,omitempty"`
+	// KP and VP carry Keys and Values packed instead: one client.PackVec
+	// string (base64 little-endian float32, bit-exact) per row. They
+	// exclude the four plain fields; a body that mixes the two forms, or
+	// whose packed rows hold a non-finite element, answers 400. The
+	// reply is {"len":n} either way.
+	KP []string `json:"kp,omitempty"`
+	VP []string `json:"vp,omitempty"`
 }
 
 // SessionAppendResponse reports the session length after the append.
@@ -552,8 +561,7 @@ type errorResponse struct {
 // unpack decodes the packed matrices into Q/K/V, rejecting a matrix sent
 // both ways and any non-finite element. JSON numbers cannot spell NaN or
 // Inf but packed bits can; caught here, such an op answers 400 on its
-// own instead of failing every op of the micro-batch it would join. A
-// matrix's base64 errors are reported ahead of its non-finite elements.
+// own instead of failing every op of the micro-batch it would join.
 func (r *AttendRequest) unpack() error {
 	for _, part := range []struct {
 		name   string
@@ -566,34 +574,89 @@ func (r *AttendRequest) unpack() error {
 		if *part.rows != nil {
 			return fmt.Errorf("%s and %sp are mutually exclusive", part.name, part.name)
 		}
-		floats, widest := 0, 0
-		for _, s := range part.packed {
-			floats += packedFloats(len(s))
-			widest = max(widest, len(s))
-		}
-		backing := make([]float32, 0, floats)
-		scratch := make([]byte, base64.StdEncoding.DecodedLen(widest))
-		rows := make([][]float32, len(part.packed))
-		badRow, badCol := -1, -1
-		for i, s := range part.packed {
-			start := len(backing)
-			var bad int
-			var err error
-			if backing, bad, err = decodeRow(backing, scratch, []byte(s)); err != nil {
-				return fmt.Errorf("%sp row %d: %w", part.name, i, err)
-			}
-			if bad >= 0 && badRow < 0 {
-				badRow, badCol = i, bad
-			}
-			rows[i] = backing[start:len(backing):len(backing)]
-		}
-		if badRow >= 0 {
-			return fmt.Errorf("%sp row %d element %d is not finite (%g)",
-				part.name, badRow, badCol, rows[badRow][badCol])
+		rows, err := unpackMatrix(part.name+"p", part.packed)
+		if err != nil {
+			return err
 		}
 		*part.rows = rows
 	}
 	return nil
+}
+
+// unpack decodes kp and vp into Keys and Values, rejecting a body that
+// mixes them with any plain field and any non-finite element, as
+// AttendRequest.unpack does.
+func (r *SessionAppendRequest) unpack() error {
+	if r.KP == nil && r.VP == nil {
+		return nil
+	}
+	if r.Key != nil || r.Value != nil || r.Keys != nil || r.Values != nil {
+		return errors.New("kp/vp and key/value/keys/values are mutually exclusive")
+	}
+	var err error
+	if r.Keys, err = unpackMatrix("kp", r.KP); err != nil {
+		return err
+	}
+	if r.Values, err = unpackMatrix("vp", r.VP); err != nil {
+		return err
+	}
+	r.KP, r.VP = nil, nil
+	return nil
+}
+
+// rows returns the batch the request appends: key/value as one row, or
+// keys/values. It refuses a request that sets both plain forms, carries
+// no row, or pairs a different number of keys and values.
+func (r *SessionAppendRequest) rows() (keys, values [][]float32, err error) {
+	keys, values = r.Keys, r.Values
+	if r.Key != nil || r.Value != nil {
+		if keys != nil || values != nil {
+			return nil, nil, errors.New("use key/value or keys/values, not both")
+		}
+		keys, values = [][]float32{r.Key}, [][]float32{r.Value}
+	}
+	if len(keys) == 0 {
+		return nil, nil, errors.New("append requires at least one key/value pair")
+	}
+	if len(keys) != len(values) {
+		return nil, nil, fmt.Errorf("%d keys but %d values", len(keys), len(values))
+	}
+	return keys, values, nil
+}
+
+// unpackMatrix decodes the packed rows of the matrix named name into one
+// float32 backing. A row's base64 errors are reported ahead of any
+// row's non-finite elements.
+func unpackMatrix(name string, packed []string) ([][]float32, error) {
+	if packed == nil {
+		return nil, nil
+	}
+	floats, widest := 0, 0
+	for _, s := range packed {
+		floats += packedFloats(len(s))
+		widest = max(widest, len(s))
+	}
+	backing := make([]float32, 0, floats)
+	scratch := make([]byte, base64.StdEncoding.DecodedLen(widest))
+	rows := make([][]float32, len(packed))
+	badRow, badCol := -1, -1
+	for i, s := range packed {
+		start := len(backing)
+		var bad int
+		var err error
+		if backing, bad, err = decodeRow(backing, scratch, []byte(s)); err != nil {
+			return nil, fmt.Errorf("%s row %d: %w", name, i, err)
+		}
+		if bad >= 0 && badRow < 0 {
+			badRow, badCol = i, bad
+		}
+		rows[i] = backing[start:len(backing):len(backing)]
+	}
+	if badRow >= 0 {
+		return nil, fmt.Errorf("%s row %d element %d is not finite (%g)",
+			name, badRow, badCol, rows[badRow][badCol])
+	}
+	return rows, nil
 }
 
 // packedFloats is how many float32s a packed row of n base64 bytes can

@@ -200,8 +200,8 @@ func TestAttendScannerTakesPackedBodies(t *testing.T) {
 	} {
 		var req AttendRequest
 		env := envelope[AttendRequest]{Op: &req}
-		if got := scanAttend([]byte(tc.body), &env); got != tc.want {
-			t.Errorf("scanAttend(%q) = %v, want %v", tc.body, got, tc.want)
+		if got := scanEnvelope([]byte(tc.body), &env, scanAttendMember, attendRequired); got != tc.want {
+			t.Errorf("scanEnvelope(%q) = %v, want %v", tc.body, got, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -90,6 +91,84 @@ func TestAttendPackedDecodeAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkAppendCodec measures the POST /v1/sessions/{id}/append wire
+// codec on one decode token and on a 256-row prefill, d = 64, plain JSON
+// against packed rows: the json.Marshal encode a plain client pays, and
+// the handler's decode (decodeAppend) of either body. The packed encoder
+// is serve/client's own, timed by its BenchmarkAppendEncode. body_B is
+// the request size.
+//
+//	go test -run '^$' -bench AppendCodec ./internal/serve/
+func BenchmarkAppendCodec(b *testing.B) {
+	for _, rows := range []int{1, 256} {
+		k, v := randMatrix(1, rows, 64), randMatrix(2, rows, 64)
+		plain, err := json.Marshal(envelope[SessionAppendRequest]{Op: &SessionAppendRequest{Keys: k, Values: v}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows=%d/plain/encode", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(envelope[SessionAppendRequest]{Op: &SessionAppendRequest{Keys: k, Values: v}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, tc := range []struct {
+			name string
+			body []byte
+		}{{"plain", plain}, {"packed", packedAppendBody(b, k, v)}} {
+			b.Run(fmt.Sprintf("rows=%d/%s/decode", rows, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					w := httptest.NewRecorder()
+					r := httptest.NewRequest("POST", "/v1/sessions/a/append", bytes.NewReader(tc.body))
+					var req SessionAppendRequest
+					if !decodeAppend(w, r, 1<<20, &req) {
+						b.Fatal(w.Body.String())
+					}
+				}
+				b.ReportMetric(float64(len(tc.body)), "body_B")
+			})
+		}
+	}
+}
+
+// TestAppendPackedDecodeAllocs pins the packed append decode's
+// allocations as TestAttendPackedDecodeAllocs does the attend one's: a
+// constant count, the same for 8 rows as for 512, and bytes that grow
+// with the body, not with the row count on top of it.
+func TestAppendPackedDecodeAllocs(t *testing.T) {
+	decode := func(rows int) (allocs, bytesPerOp float64, body []byte) {
+		body = packedAppendBody(t, randMatrix(1, rows, 64), randMatrix(2, rows, 64))
+		rd := bytes.NewReader(body)
+		w, r := httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sessions/a/append", rd)
+		run := func() {
+			rd.Reset(body)
+			var req SessionAppendRequest
+			if !decodeAppend(w, r, 1<<20, &req) || len(req.Keys) != rows {
+				t.Fatalf("decode of %d rows: %s", rows, w.Body.String())
+			}
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+		return allocs, float64(res.AllocedBytesPerOp()), body
+	}
+	fewAllocs, _, _ := decode(8)
+	manyAllocs, manyBytes, body := decode(512)
+	if fewAllocs != manyAllocs {
+		t.Errorf("packed append decode makes %v allocations for 8 rows, %v for 512: want a constant", fewAllocs, manyAllocs)
+	}
+	if limit := 2 * float64(len(body)); manyBytes > limit {
+		t.Errorf("packed append decode allocates %.0f B for a %d B body, want at most %.0f", manyBytes, len(body), limit)
+	}
+}
+
 // randMatrix is a seeded rows×cols matrix of normal floats.
 func randMatrix(seed int64, rows, cols int) [][]float32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -112,6 +191,20 @@ func packedAttendBody(tb testing.TB, q, k, v [][]float32) []byte {
 		VP []string `json:"vp"`
 		P  float64  `json:"p"`
 	}{client.PackRows(q), client.PackRows(k), client.PackRows(v), 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(Envelope{Op: op})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// packedAppendBody is an enveloped packed append op in the shape
+// serve/client sends: kp and vp, and no plain keys.
+func packedAppendBody(tb testing.TB, k, v [][]float32) []byte {
+	op, err := json.Marshal(SessionAppendRequest{KP: client.PackRows(k), VP: client.PackRows(v)})
 	if err != nil {
 		tb.Fatal(err)
 	}

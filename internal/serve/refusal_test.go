@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -55,6 +57,25 @@ func refusalSession(t *testing.T, srv *Server, clientID string, n int) string {
 		}
 	}
 	return created.ID
+}
+
+// refusalAppend appends op to a fresh one-token session of srv and
+// returns the reply, after checking that a refused append left the
+// session's length as it was.
+func refusalAppend(t *testing.T, srv *Server, op SessionAppendRequest) *httptest.ResponseRecorder {
+	t.Helper()
+	id := refusalSession(t, srv, "", 1)
+	rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/append", Envelope{}, op)
+	if rec.Code != http.StatusOK {
+		s, err := srv.sessions.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := s.stream.Len(); n != 1 {
+			t.Errorf("refused append left the session at %d tokens, want 1", n)
+		}
+	}
+	return rec
 }
 
 // refusalVec is a deterministic testDim-wide vector.
@@ -296,6 +317,54 @@ func TestRefusalStatusTable(t *testing.T) {
 				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/append", Envelope{}, app)
 			},
 			status: http.StatusRequestEntityTooLarge, text: "serve: session token limit reached",
+		},
+		{
+			name: "append/400 kp beside keys",
+			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				return refusalAppend(t, srv, SessionAppendRequest{Keys: [][]float32{refusalVec(0)}, Values: [][]float32{refusalVec(1)},
+					KP: client.PackRows([][]float32{refusalVec(0)}), VP: client.PackRows([][]float32{refusalVec(1)})})
+			},
+			status: http.StatusBadRequest, text: "kp/vp and key/value/keys/values are mutually exclusive",
+		},
+		{
+			name: "append/400 bad base64",
+			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				return refusalAppend(t, srv, SessionAppendRequest{KP: []string{"!!!!"}, VP: client.PackRows([][]float32{refusalVec(1)})})
+			},
+			status: http.StatusBadRequest, text: "kp row 0: packed vector: illegal base64 data at input byte 0",
+		},
+		{
+			name: "append/400 partial float",
+			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				return refusalAppend(t, srv, SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0)}), VP: []string{"AACA"}})
+			},
+			status: http.StatusBadRequest, text: "vp row 0: packed vector is 3 bytes, not a multiple of 4",
+		},
+		{
+			name: "append/400 non-finite",
+			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				bad := refusalVec(1)
+				bad[2] = float32(math.Inf(-1))
+				return refusalAppend(t, srv, SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0), bad}),
+					VP: client.PackRows([][]float32{refusalVec(2), refusalVec(3)})})
+			},
+			status: http.StatusBadRequest, text: "kp row 1 element 2 is not finite (-Inf)",
+		},
+		{
+			name: "append/400 row counts",
+			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				return refusalAppend(t, srv, SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0), refusalVec(1)}),
+					VP: client.PackRows([][]float32{refusalVec(2)})})
+			},
+			status: http.StatusBadRequest, text: "2 keys but 1 values",
+		},
+		{
+			name: "append/400 ragged",
+			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				return refusalAppend(t, srv, SessionAppendRequest{Keys: [][]float32{refusalVec(0), refusalVec(1)[:2]},
+					Values: [][]float32{refusalVec(2), refusalVec(3)}})
+			},
+			status: http.StatusBadRequest, text: fmt.Sprintf("elsa: attention: stream append with dims 2/%d, engine built for %d", testDim, testDim),
 		},
 		{
 			name: "query/404",

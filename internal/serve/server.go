@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -457,27 +456,15 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	var req SessionAppendRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
+	if !decodeAppend(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if s.chargeSessionQuota(w, r.PathValue("id")) != nil {
 		return
 	}
-	keys, values := req.Keys, req.Values
-	if req.Key != nil || req.Value != nil {
-		if keys != nil || values != nil {
-			fail(w, http.StatusBadRequest, "use key/value or keys/values, not both")
-			return
-		}
-		keys, values = [][]float32{req.Key}, [][]float32{req.Value}
-	}
-	if len(keys) == 0 {
-		fail(w, http.StatusBadRequest, "append requires at least one key/value pair")
-		return
-	}
-	if len(keys) != len(values) {
-		fail(w, http.StatusBadRequest,
-			fmt.Sprintf("%d keys but %d values", len(keys), len(values)))
+	keys, values, err := req.rows()
+	if err != nil {
+		fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	n, err := s.sessions.append(r.Context(), r.PathValue("id"), keys, values)

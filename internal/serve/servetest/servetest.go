@@ -269,8 +269,13 @@ func (c *Cluster) WaitState(addr, state string, timeout time.Duration) error {
 // URL returns the frontend's base URL.
 func (c *Cluster) URL() string { return c.ts.URL }
 
-// Close tears the whole cluster down, frontend first.
+// Close tears the whole cluster down: it stops every worker's
+// heartbeats first, so none is sent to a frontend already gone, then
+// closes the frontend, then the workers.
 func (c *Cluster) Close() {
+	for _, w := range c.Workers {
+		w.Leave()
+	}
 	c.ts.Close()
 	c.Frontend.Close()
 	for _, w := range c.Workers {

@@ -446,8 +446,14 @@ func (g *sessionRegistry) append(ctx context.Context, id string, keys, values []
 }
 
 // appendHeld performs one append attempt; the caller holds the gate.
+// The session takes every row or none: each row is checked before the
+// first one is appended, so a refused batch leaves the session, its
+// worker and its shadow as they were.
 func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, values [][]float32) (int, error) {
 	if s.remote != nil {
+		if err := checkRows(s.eng, keys, values); err != nil {
+			return 0, err
+		}
 		n, err := s.remote.AppendBatch(ctx, keys, values)
 		if err != nil {
 			return 0, mapRemoteErr(s.w, err)
@@ -463,6 +469,9 @@ func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, valu
 	if s.stream.Len()+len(keys) > g.maxTokens {
 		return s.stream.Len(), errSessionFull
 	}
+	if err := checkRows(s.eng, keys, values); err != nil {
+		return s.stream.Len(), err
+	}
 	for i := range keys {
 		if err := s.stream.Append(keys[i], values[i]); err != nil {
 			return s.stream.Len(), err
@@ -470,6 +479,17 @@ func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, valu
 	}
 	g.metrics.sessionTokens.add(int64(len(keys)))
 	return s.stream.Len(), nil
+}
+
+// checkRows returns the error the first bad row of an append batch
+// would meet in eng's Stream.Append, or nil when every row would go in.
+func checkRows(eng *elsa.Engine, keys, values [][]float32) error {
+	for i := range keys {
+		if err := eng.CheckAppend(keys[i], values[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mirrorPendingCap bounds one session's queued-but-unreplayed mirror

@@ -56,6 +56,12 @@ echo "== fuzz smoke: /v1/sessions/step decoder =="
 # and packed-query decode of SessionStepRequest.unpack.
 go test -run '^$' -fuzz '^FuzzStepWave$' -fuzztime 10s ./internal/serve/
 
+echo "== fuzz smoke: /v1/sessions/{id}/append decoder =="
+# The same for an append body: the body scanner against envelope decode
+# then SessionAppendRequest.unpack, which must agree row for row, accept
+# or 400, never panic.
+go test -run '^$' -fuzz '^FuzzSessionAppend$' -fuzztime 10s ./internal/serve/
+
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
 # explicitly so they can never be skipped under -short, with -count=1 to

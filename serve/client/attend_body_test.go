@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,4 +128,72 @@ func BenchmarkAttendEncode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(body)), "body_B")
+}
+
+// TestAppendBodyMatchesMarshal pins the append body Session.AppendBatch
+// sends to json.Marshal of an op holding only kp and vp, PackRows of the
+// keys and values.
+func TestAppendBodyMatchesMarshal(t *testing.T) {
+	one := [][]float32{{1, -2.5, float32(math.Copysign(0, -1))}}
+	square := [][]float32{{1, 2}, {3, 4}, {5, 6}}
+	for _, tc := range []struct {
+		name         string
+		env          envelope
+		keys, values [][]float32
+	}{
+		{name: "one token", keys: one, values: one},
+		{name: "prefill", env: envelope{ClientID: "c", Priority: "batch", DeadlineMS: 250}, keys: square, values: square},
+		{name: "ragged", keys: [][]float32{{1}, {}, {2, 3}}, values: one},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := packedBody(tc.env, []packedMember{{"kp", tc.keys}, {"vp", tc.values}}, struct{}{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := tc.env
+			env.Op = struct {
+				KP []string `json:"kp"`
+				VP []string `json:"vp"`
+			}{PackRows(tc.keys), PackRows(tc.values)}
+			want, err := json.Marshal(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("append body differs from json.Marshal:\ngot:  %s\nwant: %s", got, want)
+			}
+			if cap(got)-len(got) > 4 {
+				t.Errorf("body is %d bytes in a %d-byte buffer; want it sized up front", len(got), cap(got))
+			}
+		})
+	}
+}
+
+// BenchmarkAppendEncode times the real append encoder on one decode
+// token and on a 256-row prefill, d = 64.
+//
+//	go test -run '^$' -bench AppendEncode ./serve/client/
+func BenchmarkAppendEncode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, rows := range []int{1, 256} {
+		k, v := make([][]float32, rows), make([][]float32, rows)
+		for i := range k {
+			k[i], v[i] = make([]float32, 64), make([]float32, 64)
+			for j := range k[i] {
+				k[i][j], v[i][j] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+			}
+		}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			env := envelope{ClientID: "bench"}
+			b.ReportAllocs()
+			var body []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if body, err = packedBody(env, []packedMember{{"kp", k}, {"vp", v}}, struct{}{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "body_B")
+		})
+	}
 }

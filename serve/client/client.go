@@ -194,11 +194,7 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 // attendBody is the /v1/attend body for env (whose Op must be nil)
 // around the op q, k, v, opts: byte for byte what json.Marshal writes
 // for an op struct whose leading fields qp, kp and vp hold PackRows of q,
-// k and v, followed by attendWire's fields. The rows' base64 is appended
-// straight into one buffer sized up front, so it is never copied into
-// strings and re-scanned for escapes (base64 has none to escape); the
-// envelope head and the scalar tail are short and still go through
-// json.Marshal.
+// k and v, followed by attendWire's fields.
 func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, error) {
 	wire := attendWire{
 		P:         opts.P,
@@ -212,19 +208,37 @@ func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, 
 		wire.P = opts.Thr.P
 		wire.T = &opts.Thr.T
 	}
+	return packedBody(env, []packedMember{{"qp", q}, {"kp", k}, {"vp", v}}, wire)
+}
+
+// packedMember is one packed matrix of an op: its key and its rows.
+type packedMember struct {
+	key  string
+	rows [][]float32
+}
+
+// packedBody is the body for env (whose Op must be nil) around an op
+// whose leading members are the packed matrices, followed by tail's
+// fields: byte for byte what json.Marshal writes for an op struct whose
+// leading fields hold PackRows of each matrix. The rows' base64 is
+// appended straight into one buffer sized up front, so it is never
+// copied into strings and re-scanned for escapes (base64 has none to
+// escape); the envelope head and the scalar tail are short and still go
+// through json.Marshal.
+func packedBody(env envelope, members []packedMember, tail any) ([]byte, error) {
 	head, err := json.Marshal(env) // ends in "op":null}
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding op: %w", err)
 	}
-	tail, err := json.Marshal(wire) // {} or {"p":...}
+	rest, err := json.Marshal(tail) // {} or {"p":...}
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding op: %w", err)
 	}
 	head = head[:len(head)-len("null}")]
-	size, widest := len(head)+len(`{"qp":,"kp":,"vp":}`)+len(tail), 0
-	for _, m := range [][][]float32{q, k, v} {
-		size += len("[]")
-		for _, row := range m {
+	size, widest := len(head)+len("}")+len(rest), 0
+	for _, m := range members {
+		size += len(`,"":[]`) + len(m.key)
+		for _, row := range m.rows {
 			size += len(`"",`) + base64.StdEncoding.EncodedLen(4*len(row))
 			widest = max(widest, 4*len(row))
 		}
@@ -232,9 +246,13 @@ func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, 
 	body := make([]byte, 0, size)
 	raw := make([]byte, 0, widest)
 	body = append(body, head...)
-	for i, m := range [][][]float32{q, k, v} {
-		body = append(body, "{,,"[i], '"', "qkv"[i], 'p', '"', ':', '[')
-		for j, row := range m {
+	sep := byte('{')
+	for _, m := range members {
+		body = append(body, sep, '"')
+		sep = ','
+		body = append(body, m.key...)
+		body = append(body, '"', ':', '[')
+		for j, row := range m.rows {
 			if j > 0 {
 				body = append(body, ',')
 			}
@@ -245,10 +263,10 @@ func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, 
 		}
 		body = append(body, ']')
 	}
-	if len(tail) > len("{}") {
+	if len(rest) > len("{}") {
 		body = append(body, ',')
 	}
-	body = append(body, tail[1:]...)
+	body = append(body, rest[1:]...)
 	return append(body, '}'), nil
 }
 

@@ -59,11 +59,6 @@ type sessionCreateReplyWire struct {
 	Threshold *thresholdWire `json:"threshold,omitempty"`
 }
 
-type sessionAppendWire struct {
-	Keys   [][]float32 `json:"keys"`
-	Values [][]float32 `json:"values"`
-}
-
 type sessionAppendReplyWire struct {
 	Len int `json:"len"`
 }
@@ -113,14 +108,23 @@ func (c *Client) NewSession(ctx context.Context, opts SessionOptions) (*Session,
 func (s *Session) ID() string { return s.id }
 
 // Append adds one token's key/value pair, returning the prefix length.
+// The rows travel packed (kp/vp: base64 little-endian float32, bit-exact),
+// as AppendBatch sends them, so a server older than the packed append
+// form answers 400 "append requires at least one key/value pair".
 func (s *Session) Append(ctx context.Context, key, value []float32) (int, error) {
 	return s.AppendBatch(ctx, [][]float32{key}, [][]float32{value})
 }
 
 // AppendBatch adds several tokens at once, returning the prefix length.
+// The server takes every row or none: a batch with a bad row (wrong
+// width, non-finite) is refused whole and leaves the session as it was.
 func (s *Session) AppendBatch(ctx context.Context, keys, values [][]float32) (int, error) {
+	body, err := packedBody(s.c.wrap(ctx, nil), []packedMember{{"kp", keys}, {"vp", values}}, struct{}{})
+	if err != nil {
+		return 0, err
+	}
 	var reply sessionAppendReplyWire
-	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/append", sessionAppendWire{Keys: keys, Values: values}, &reply); err != nil {
+	if err := s.c.send(ctx, "/v1/sessions/"+s.id+"/append", body, &reply); err != nil {
 		return 0, err
 	}
 	return reply.Len, nil

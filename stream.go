@@ -64,6 +64,16 @@ func (e *Engine) ImportStream(data []byte) (*Stream, error) {
 	return &Stream{inner: inner}, nil
 }
 
+// CheckAppend reports the error Append would return for key and value
+// on a stream of e, without appending anything: a caller that must
+// append a batch of rows whole checks every row first.
+func (e *Engine) CheckAppend(key, value []float32) error {
+	if err := e.engine.CheckAppend(key, value); err != nil {
+		return fmt.Errorf("elsa: %w", err)
+	}
+	return nil
+}
+
 // Append adds one token's key and value vectors.
 func (s *Stream) Append(key, value []float32) error {
 	if err := s.inner.Append(key, value); err != nil {
