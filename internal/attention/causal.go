@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"elsa/internal/srp"
 	"elsa/internal/tensor"
 )
 
@@ -74,18 +73,11 @@ func (e *Engine) AttendCausal(q *tensor.Matrix, p *Preprocessed, t float64) (*Re
 				runningMax = p.Norms[i]
 			}
 			e.HashVectorInto(ws.hashWords, qrow, ws)
-			qHash := srp.BitVec{K: e.cfg.K, Words: ws.hashWords}
 			cut := t * runningMax
 			ws.cand = ws.cand[:0]
 			best, bestSim := 0, math.Inf(-1)
 			for y := 0; y <= i; y++ {
-				var ham int
-				if p.Packed != nil {
-					ham = p.Packed.HammingAt(ws.hashWords, y)
-				} else {
-					ham = srp.Hamming(qHash, p.Hashes[y])
-				}
-				sim := e.cosLUT[ham] * p.Norms[y]
+				sim := e.cosLUT[p.Packed.HammingAt(ws.hashWords, y)] * p.Norms[y]
 				if sim > cut {
 					ws.cand = append(ws.cand, y)
 				}

@@ -172,26 +172,43 @@ func (e *Engine) HashVector(x []float32) srp.BitVec {
 
 // HashVectorInto computes the k-bit sign hash of x into dst, which must
 // hold srp.WordsPerHash(k) words (it is zeroed first). With a workspace the
-// call performs no heap allocation: the projection batches run through
-// kron.ApplyTo against the workspace's scratch and their sign bits are
-// packed straight into dst. ws may be nil, at the cost of scratch
+// call performs no heap allocation. ws may be nil, at the cost of scratch
 // allocations.
 func (e *Engine) HashVectorInto(dst []uint64, x []float32, ws *Workspace) {
-	var projOut, scratch []float32
-	if ws != nil {
-		projOut, scratch = ws.projOut, ws.kronScratch
-	} else {
-		tmp := NewWorkspace(e)
-		projOut, scratch = tmp.projOut, tmp.kronScratch
-	}
 	for i := range dst {
 		dst[i] = 0
 	}
+	e.hashRows(dst, x, ws)
+}
+
+// hashRows writes the hash of each row of xs, a row-major n×D matrix,
+// into dst, srp.WordsPerHash(k) words per row, which must be zero on
+// entry. A (4×4)^⊗3 batch with a sign kernel writes its word of every row
+// through kron.SignWords; every other batch runs kron.ApplyTo against the
+// workspace's scratch and packs the signs. The kernel writes whole words,
+// so it needs its batch to start on a word boundary. NewEngine puts the
+// full batches first, so they always do, but a restored State may order
+// its batches otherwise.
+func (e *Engine) hashRows(dst []uint64, xs []float32, ws *Workspace) {
+	if len(xs) == 0 {
+		return
+	}
+	w, d := srp.WordsPerHash(e.cfg.K), e.cfg.D
 	bit := 0
 	for _, p := range e.projs {
-		out := projOut[:p.K]
-		p.ApplyTo(out, x, scratch)
-		srp.PackSigns(dst, bit, out)
+		if p.SignKernel() && bit%64 == 0 {
+			p.SignWords(dst[bit/64:], w, xs)
+			bit += p.K
+			continue
+		}
+		if ws == nil {
+			ws = NewWorkspace(e)
+		}
+		out := ws.projOut[:p.K]
+		for i := 0; i*d < len(xs); i++ {
+			p.ApplyTo(out, xs[i*d:(i+1)*d], ws.kronScratch)
+			srp.PackSigns(dst[i*w:(i+1)*w], bit, out)
+		}
 		bit += p.K
 	}
 }
@@ -202,11 +219,9 @@ func (e *Engine) HashVectorInto(dst []uint64, x []float32, ws *Workspace) {
 //
 // Key hashes live in Packed, one contiguous []uint64 arena mirroring the
 // accelerator's hash-memory SRAM, so candidate selection streams sequential
-// words instead of chasing one heap allocation per key. Hashes is kept for
-// API compatibility: each entry is a BitVec view aliasing the arena.
+// words instead of chasing one heap allocation per key.
 type Preprocessed struct {
 	Keys, Values *tensor.Matrix
-	Hashes       []srp.BitVec
 	Packed       *srp.PackedHashes
 	Norms        []float64
 	MaxNorm      float64
@@ -223,13 +238,25 @@ func (p *Preprocessed) N() int { return p.Cold.N() + p.Keys.Rows }
 
 // validateFinite rejects NaN/Inf inputs: they would silently corrupt
 // norms, hashes and softmax sums deep inside the pipeline, so the engine
-// fails fast at the boundary instead.
+// fails fast at the boundary instead. x·0 is ±0 for every finite x and NaN
+// for ±Inf and NaN, and a NaN survives every later add, so the sum of x·0
+// over the matrix is zero exactly when every element is finite. The loop
+// has no branch per element, and its four sums keep each add from waiting
+// on the one before.
 func validateFinite(name string, m *tensor.Matrix) error {
-	for _, v := range m.Data {
-		// NaN and ±Inf are exactly the values whose exponent bits are all ones.
-		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
-			return fmt.Errorf("attention: %s contains a non-finite value", name)
-		}
+	d := m.Data
+	var s0, s1, s2, s3 float32
+	for ; len(d) >= 4; d = d[4:] {
+		s0 += d[0] * 0
+		s1 += d[1] * 0
+		s2 += d[2] * 0
+		s3 += d[3] * 0
+	}
+	for _, v := range d {
+		s0 += v * 0
+	}
+	if s0+s1+s2+s3 != 0 {
+		return fmt.Errorf("attention: %s contains a non-finite value", name)
 	}
 	return nil
 }
@@ -237,38 +264,55 @@ func validateFinite(name string, m *tensor.Matrix) error {
 // Preprocess hashes every key and computes key norms. In Quantized mode the
 // key and value matrices are first rounded to the Q(1,5,3) input format and
 // norms pass through the tabulate-and-multiply square-root unit, mirroring
-// the accelerator's norm-computation module.
+// the accelerator's norm-computation module (§IV-C(3): the norms are stored
+// in the 8-bit key-norm SRAM format, "n bytes assuming an 8-bit
+// representation").
 func (e *Engine) Preprocess(keys, values *tensor.Matrix) (*Preprocessed, error) {
-	p, err := e.preprocessSetup(keys, values)
+	keys, values, err := e.stageKV(keys, values)
 	if err != nil {
 		return nil, err
 	}
+	n := keys.Rows
+	p := &Preprocessed{
+		Keys:   keys,
+		Values: values,
+		Packed: srp.NewPackedHashes(e.cfg.K, n),
+		Norms:  make([]float64, n),
+	}
 	ws := e.getWorkspace()
-	for i := 0; i < p.Keys.Rows; i++ {
-		e.preprocessKey(p, i, ws)
+	e.hashRows(p.Packed.Words, keys.Data[:n*keys.Cols], ws)
+	e.putWorkspace(ws)
+	for i := range p.Norms {
+		row := keys.Row(i)
+		sq := float64(tensor.Dot(row, row))
+		if e.cfg.Quantized {
+			p.Norms[i] = normFormat.Quantize(e.sqrtU.Sqrt(sq))
+		} else {
+			p.Norms[i] = math.Sqrt(sq)
+		}
 		if p.Norms[i] > p.MaxNorm {
 			p.MaxNorm = p.Norms[i]
 		}
 	}
-	e.putWorkspace(ws)
 	return p, nil
 }
 
-// preprocessSetup validates shapes and finiteness and applies input
-// quantization, returning a Preprocessed with empty per-key slots.
-func (e *Engine) preprocessSetup(keys, values *tensor.Matrix) (*Preprocessed, error) {
+// stageKV checks K/V shapes and finiteness and, in Quantized mode, returns
+// copies rounded to the Q(1,5,3) input format; the caller's matrices are
+// never modified.
+func (e *Engine) stageKV(keys, values *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix, error) {
 	if keys.Cols != e.cfg.D {
-		return nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
+		return nil, nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
 	}
 	if values.Rows != keys.Rows || values.Cols != keys.Cols {
-		return nil, fmt.Errorf("attention: value shape %dx%d does not match keys %dx%d",
+		return nil, nil, fmt.Errorf("attention: value shape %dx%d does not match keys %dx%d",
 			values.Rows, values.Cols, keys.Rows, keys.Cols)
 	}
 	if err := validateFinite("key matrix", keys); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := validateFinite("value matrix", values); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if e.cfg.Quantized {
 		keys = keys.Clone()
@@ -276,29 +320,7 @@ func (e *Engine) preprocessSetup(keys, values *tensor.Matrix) (*Preprocessed, er
 		fixed.QKV.QuantizeSlice(keys.Data)
 		fixed.QKV.QuantizeSlice(values.Data)
 	}
-	return &Preprocessed{
-		Keys:   keys,
-		Values: values,
-		Hashes: make([]srp.BitVec, keys.Rows),
-		Packed: srp.NewPackedHashes(e.cfg.K, keys.Rows),
-		Norms:  make([]float64, keys.Rows),
-	}, nil
-}
-
-// preprocessKey hashes key i and computes its norm (§IV-C's hash and norm
-// modules). In Quantized mode the norm passes through the
-// tabulate-and-multiply sqrt unit and is stored in the 8-bit key-norm SRAM
-// format (§IV-C(3): "n bytes assuming an 8-bit representation").
-func (e *Engine) preprocessKey(p *Preprocessed, i int, ws *Workspace) {
-	row := p.Keys.Row(i)
-	e.HashVectorInto(p.Packed.Row(i), row, ws)
-	p.Hashes[i] = p.Packed.At(i)
-	sq := float64(tensor.Dot(row, row))
-	if e.cfg.Quantized {
-		p.Norms[i] = normFormat.Quantize(e.sqrtU.Sqrt(sq))
-	} else {
-		p.Norms[i] = math.Sqrt(sq)
-	}
+	return keys, values, nil
 }
 
 // normFormat is the 8-bit unsigned key-norm storage format: 5 integer and
@@ -312,17 +334,7 @@ var normFormat = fixed.Format{IntBits: 5, FracBits: 3}
 // ‖K_y‖, one compare. The result is appended to dst to allow reuse across
 // queries.
 func (e *Engine) SelectCandidates(qHash srp.BitVec, p *Preprocessed, t float64, dst []int) []int {
-	if p.Packed != nil {
-		return e.selectCandidatesWords(qHash.Words, p, t, dst)
-	}
-	cut := t * p.MaxNorm
-	for y := range p.Hashes {
-		ham := srp.Hamming(qHash, p.Hashes[y])
-		if e.cosLUT[ham]*p.Norms[y] > cut {
-			dst = append(dst, y)
-		}
-	}
-	return dst
+	return e.selectCandidatesWords(qHash.Words, p, t, dst)
 }
 
 // selectCandidatesWords is the packed-arena candidate scan: one XOR+POPCNT
@@ -333,16 +345,6 @@ func (e *Engine) SelectCandidates(qHash srp.BitVec, p *Preprocessed, t float64, 
 func (e *Engine) selectCandidatesWords(qWords []uint64, p *Preprocessed, t float64, dst []int) []int {
 	cut := t * p.MaxNorm
 	packed := p.Packed
-	if packed == nil {
-		// Hand-assembled Preprocessed without an arena: scan the BitVecs.
-		qh := srp.BitVec{K: e.cfg.K, Words: qWords}
-		for y := range p.Hashes {
-			if e.cosLUT[srp.Hamming(qh, p.Hashes[y])]*p.Norms[y] > cut {
-				dst = append(dst, y)
-			}
-		}
-		return dst
-	}
 	n := packed.N
 	norms := p.Norms[:n]
 	base := len(dst)
@@ -489,35 +491,11 @@ func (e *Engine) attendRows(ws *Workspace, qm *tensor.Matrix, lo, hi int, p *Pre
 	return total, fallback
 }
 
-// bestApproxKey returns the key index with maximum approximate similarity.
-func (e *Engine) bestApproxKey(qHash srp.BitVec, p *Preprocessed) int {
-	if p.Packed != nil {
-		return e.bestApproxKeyWords(qHash.Words, p)
-	}
-	best, bestSim := 0, math.Inf(-1)
-	for y := range p.Hashes {
-		sim := e.cosLUT[srp.Hamming(qHash, p.Hashes[y])] * p.Norms[y]
-		if sim > bestSim {
-			best, bestSim = y, sim
-		}
-	}
-	return best
-}
-
-// bestApproxKeyWords is bestApproxKey against the packed hash arena.
+// bestApproxKeyWords returns the key index with maximum approximate
+// similarity to the hashed query, the first on a tie.
 func (e *Engine) bestApproxKeyWords(qWords []uint64, p *Preprocessed) int {
 	best, bestSim := 0, math.Inf(-1)
 	packed := p.Packed
-	if packed == nil {
-		qh := srp.BitVec{K: e.cfg.K, Words: qWords}
-		for y := range p.Hashes {
-			sim := e.cosLUT[srp.Hamming(qh, p.Hashes[y])] * p.Norms[y]
-			if sim > bestSim {
-				best, bestSim = y, sim
-			}
-		}
-		return best
-	}
 	for y := 0; y < packed.N; y++ {
 		sim := e.cosLUT[packed.HammingAt(qWords, y)] * p.Norms[y]
 		if sim > bestSim {

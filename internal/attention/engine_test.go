@@ -97,7 +97,7 @@ func TestPreprocessNormsAndHashes(t *testing.T) {
 		if math.Abs(p.Norms[i]-want) > 1e-4 {
 			t.Errorf("norm[%d] = %g, want %g", i, p.Norms[i], want)
 		}
-		if !p.Hashes[i].Equal(e.HashVector(keys.Row(i))) {
+		if !p.Packed.At(i).Equal(e.HashVector(keys.Row(i))) {
 			t.Errorf("hash[%d] inconsistent", i)
 		}
 		if want > maxNorm {
@@ -109,16 +109,99 @@ func TestPreprocessNormsAndHashes(t *testing.T) {
 	}
 }
 
+// TestPreprocessMatchesPerKeyHash holds Preprocess, which hashes all keys
+// in one SignWords call per kernel batch, to a per-key HashVector and norm
+// over n = 0…17 and 256, in float and Quantized mode. The configurations
+// cover the (4×4)^⊗3 sign kernel alone, two kernel batches beside a dense
+// partial one (k = 160), and the generic d = 16 path.
+func TestPreprocessMatchesPerKeyHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, cfg := range []Config{{D: 64}, {D: 64, K: 160}, {D: 16}} {
+		for _, quant := range []bool{false, true} {
+			cfg.Quantized, cfg.Seed = quant, 42
+			e := newTestEngine(t, cfg)
+			ref := newTestEngine(t, cfg)
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 256} {
+				if n == 0 && quant {
+					continue // Quantized mode clones K/V, and Clone refuses 0 rows.
+				}
+				keys, vals := &tensor.Matrix{Cols: cfg.D}, &tensor.Matrix{Cols: cfg.D}
+				if n > 0 {
+					keys, vals = tensor.RandomNormal(rng, n, cfg.D), tensor.RandomNormal(rng, n, cfg.D)
+				}
+				p, err := e.Preprocess(keys, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxNorm := 0.0
+				for i := 0; i < n; i++ {
+					row := p.Keys.Row(i)
+					if !p.Packed.At(i).Equal(ref.HashVector(row)) {
+						t.Fatalf("cfg %+v n=%d: hash %d differs from HashVector", cfg, n, i)
+					}
+					want := math.Sqrt(float64(tensor.Dot(row, row)))
+					if quant {
+						want = normFormat.Quantize(ref.sqrtU.Sqrt(float64(tensor.Dot(row, row))))
+					}
+					if p.Norms[i] != want {
+						t.Fatalf("cfg %+v n=%d: norm %d = %v, want %v", cfg, n, i, p.Norms[i], want)
+					}
+					maxNorm = math.Max(maxNorm, want)
+				}
+				if p.MaxNorm != maxNorm {
+					t.Fatalf("cfg %+v n=%d: MaxNorm %v, want %v", cfg, n, p.MaxNorm, maxNorm)
+				}
+			}
+		}
+	}
+}
+
+// TestHashReorderedStateBatches restores an engine whose dense partial
+// batch comes before its (4×4)^⊗3 batch, so the kernel batch starts at
+// bit 32: its hash must still be ApplyTo + PackSigns per batch, in the
+// restored order.
+func TestHashReorderedStateBatches(t *testing.T) {
+	st := newTestEngine(t, Config{D: 64, K: 96, Seed: 44}).State()
+	st.Batches[0], st.Batches[1] = st.Batches[1], st.Batches[0]
+	e, err := NewEngineFromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := tensor.RandomNormal(rand.New(rand.NewSource(44)), 9, 64)
+	p, err := e.Preprocess(keys, keys.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys.Rows; i++ {
+		want := srp.NewBitVec(96)
+		bit := 0
+		for _, proj := range e.projs {
+			out := make([]float32, proj.K)
+			proj.ApplyTo(out, keys.Row(i), nil)
+			srp.PackSigns(want.Words, bit, out)
+			bit += proj.K
+		}
+		if !p.Packed.At(i).Equal(want) || !e.HashVector(keys.Row(i)).Equal(want) {
+			t.Fatalf("key %d: Preprocess %x, HashVector %x, want %x", i, p.Packed.Row(i), e.HashVector(keys.Row(i)).Words, want.Words)
+		}
+	}
+}
+
 func TestPreprocessValidation(t *testing.T) {
 	e := newTestEngine(t, Config{D: 16, Seed: 4})
-	if _, err := e.Preprocess(tensor.New(4, 8), tensor.New(4, 8)); err == nil {
-		t.Error("wrong key dim should error")
-	}
-	if _, err := e.Preprocess(tensor.New(4, 16), tensor.New(5, 16)); err == nil {
-		t.Error("mismatched value rows should error")
-	}
-	if _, err := e.Preprocess(tensor.New(4, 16), tensor.New(4, 8)); err == nil {
-		t.Error("mismatched value dim should error")
+	for _, tc := range []struct {
+		name       string
+		keys, vals *tensor.Matrix
+	}{
+		{"wrong_key_dim", tensor.New(4, 8), tensor.New(4, 8)},
+		{"mismatched_value_rows", tensor.New(4, 16), tensor.New(5, 16)},
+		{"mismatched_value_dim", tensor.New(4, 16), tensor.New(4, 8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := e.Preprocess(tc.keys, tc.vals); err == nil {
+				t.Errorf("%s should error", tc.name)
+			}
+		})
 	}
 }
 
@@ -395,27 +478,41 @@ func TestCandidateFractionEdgeCases(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputsRejected plants NaN, +Inf and −Inf at the first, a
+// middle and the last element of K, V and Q: each is refused with the
+// matrix named, and nothing else is. At d = 13 the matrices' 65 elements
+// leave one for the check's tail loop.
 func TestNonFiniteInputsRejected(t *testing.T) {
-	e := newTestEngine(t, Config{D: 16, Seed: 30})
-	rng := rand.New(rand.NewSource(30))
-	good := tensor.RandomNormal(rng, 4, 16)
-	badNaN := good.Clone()
-	badNaN.Set(1, 2, float32(math.NaN()))
-	badInf := good.Clone()
-	badInf.Set(0, 0, float32(math.Inf(1)))
-
-	if _, err := e.Preprocess(badNaN, good); err == nil {
-		t.Error("NaN keys should be rejected")
-	}
-	if _, err := e.Preprocess(good, badInf); err == nil {
-		t.Error("Inf values should be rejected")
-	}
-	pre, err := e.Preprocess(good, good.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Attend(badNaN, pre, 0); err == nil {
-		t.Error("NaN queries should be rejected")
+	for _, d := range []int{16, 13} {
+		e := newTestEngine(t, Config{D: d, Seed: 30})
+		rng := rand.New(rand.NewSource(30))
+		good := tensor.RandomNormal(rng, 5, d)
+		pre, err := e.Preprocess(good, good.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Attend(good, pre, 0); err != nil {
+			t.Fatalf("d=%d: finite query refused: %v", d, err)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, at := range []int{0, len(good.Data) / 2, len(good.Data) - 1} {
+				m := good.Clone()
+				m.Data[at] = float32(bad)
+				for _, c := range []struct {
+					name string
+					run  func() error
+				}{
+					{"key matrix", func() error { _, err := e.Preprocess(m, good); return err }},
+					{"value matrix", func() error { _, err := e.Preprocess(good, m); return err }},
+					{"query matrix", func() error { _, err := e.Attend(m, pre, 0); return err }},
+				} {
+					want := "attention: " + c.name + " contains a non-finite value"
+					if err := c.run(); err == nil || err.Error() != want {
+						t.Errorf("d=%d: %v at element %d of the %s: error %v, want %q", d, bad, at, c.name, err, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package attention
 
 import (
-	"fmt"
 	"math"
 
-	"elsa/internal/fixed"
 	"elsa/internal/tensor"
 )
 
@@ -139,26 +137,11 @@ func LinearScanWithExp(q, k, v *tensor.Matrix, scale float64, exp func(float64) 
 // returned Preprocessed serves AttendLinearScanWith, and AttendWith at
 // ExactThresholdNoApprox, with bit-identical at-rest K/V to what
 // Preprocess would have stored; it must not be fed to the filter at any
-// other threshold (its hash slots are nil).
+// other threshold (it has no hash arena).
 func (e *Engine) PreprocessExact(keys, values *tensor.Matrix) (*Preprocessed, error) {
-	if keys.Cols != e.cfg.D {
-		return nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
-	}
-	if values.Rows != keys.Rows || values.Cols != keys.Cols {
-		return nil, fmt.Errorf("attention: value shape %dx%d does not match keys %dx%d",
-			values.Rows, values.Cols, keys.Rows, keys.Cols)
-	}
-	if err := validateFinite("key matrix", keys); err != nil {
+	keys, values, err := e.stageKV(keys, values)
+	if err != nil {
 		return nil, err
-	}
-	if err := validateFinite("value matrix", values); err != nil {
-		return nil, err
-	}
-	if e.cfg.Quantized {
-		keys = keys.Clone()
-		values = values.Clone()
-		fixed.QKV.QuantizeSlice(keys.Data)
-		fixed.QKV.QuantizeSlice(values.Data)
 	}
 	return &Preprocessed{Keys: keys, Values: values}, nil
 }

@@ -82,55 +82,3 @@ func (e *Engine) AttendParallel(q *tensor.Matrix, p *Preprocessed, t float64, wo
 	e.putWorkspace(lead)
 	return out, nil
 }
-
-// PreprocessParallel is Preprocess with the per-key hashing and norm
-// computation partitioned across worker goroutines — useful for large n
-// where the 3·d^{4/3} hash multiplications per key dominate setup time.
-// Results are identical to Preprocess. workers <= 0 selects GOMAXPROCS.
-func (e *Engine) PreprocessParallel(keys, values *tensor.Matrix, workers int) (*Preprocessed, error) {
-	p, err := e.preprocessSetup(keys, values)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.Keys.Rows {
-		workers = p.Keys.Rows
-	}
-	if workers <= 1 {
-		ws := e.getWorkspace()
-		for i := 0; i < p.Keys.Rows; i++ {
-			e.preprocessKey(p, i, ws)
-			if p.Norms[i] > p.MaxNorm {
-				p.MaxNorm = p.Norms[i]
-			}
-		}
-		e.putWorkspace(ws)
-		return p, nil
-	}
-	var wg sync.WaitGroup
-	chunk := (p.Keys.Rows + workers - 1) / workers
-	for lo := 0; lo < p.Keys.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > p.Keys.Rows {
-			hi = p.Keys.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ws := e.getWorkspace()
-			for i := lo; i < hi; i++ {
-				e.preprocessKey(p, i, ws)
-			}
-			e.putWorkspace(ws)
-		}(lo, hi)
-	}
-	wg.Wait()
-	for _, n := range p.Norms {
-		if n > p.MaxNorm {
-			p.MaxNorm = n
-		}
-	}
-	return p, nil
-}

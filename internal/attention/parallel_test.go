@@ -110,40 +110,3 @@ func TestAttendParallelValidation(t *testing.T) {
 		t.Error("wrong query dim should error")
 	}
 }
-
-func TestPreprocessParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, quant := range []bool{false, true} {
-		e := newTestEngine(t, Config{D: 16, Quantized: quant, Seed: 42})
-		keys := tensor.RandomNormal(rng, 53, 16)
-		vals := tensor.RandomNormal(rng, 53, 16)
-		serial, err := e.Preprocess(keys, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 3, 64} {
-			par, err := e.PreprocessParallel(keys, vals, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.MaxNorm != serial.MaxNorm {
-				t.Fatalf("quant=%v workers=%d: MaxNorm differs", quant, workers)
-			}
-			for i := range serial.Hashes {
-				if !par.Hashes[i].Equal(serial.Hashes[i]) {
-					t.Fatalf("quant=%v workers=%d: hash %d differs", quant, workers, i)
-				}
-				if par.Norms[i] != serial.Norms[i] {
-					t.Fatalf("quant=%v workers=%d: norm %d differs", quant, workers, i)
-				}
-			}
-		}
-	}
-}
-
-func TestPreprocessParallelValidation(t *testing.T) {
-	e := newTestEngine(t, Config{D: 16, Seed: 43})
-	if _, err := e.PreprocessParallel(tensor.New(4, 8), tensor.New(4, 8), 4); err == nil {
-		t.Error("wrong key dim should error")
-	}
-}

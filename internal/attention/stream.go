@@ -187,9 +187,7 @@ func (s *Stream) demote(count int) {
 
 // snapshot views the current prefix as a Preprocessed without copying,
 // reusing the stream-owned structs so the decode hot path performs no heap
-// allocation. Hashes stays nil: BitVec views into the growing arena would
-// be invalidated by the next Append's reallocation, and the attend path
-// scans Packed directly.
+// allocation.
 func (s *Stream) snapshot() *Preprocessed {
 	d := s.engine.cfg.D
 	hot := s.hotLen()

@@ -22,10 +22,11 @@ type Workspace struct {
 
 	// hashWords is the query-hash staging buffer, wordsPerHash long.
 	hashWords []uint64
-	// projOut receives one projection batch's float output before its signs
-	// are packed; sized for the largest batch.
+	// projOut receives the float output of a projection batch without a
+	// sign kernel before its signs are packed; sized for the largest batch.
 	projOut []float32
-	// kronScratch is the ping-pong buffer for kron.ApplyTo intermediates.
+	// kronScratch is the ping-pong buffer for such a batch's kron.ApplyTo
+	// intermediates.
 	kronScratch []float32
 	// cand, scores and weights are the per-query candidate pipeline.
 	cand    []int

@@ -55,7 +55,10 @@ type Projection struct {
 	// maxInter is the largest intermediate tensor any mode product emits;
 	// ApplyTo sizes its ping-pong scratch from it.
 	maxInter int
-	D, K     int
+	// k444 is the sign kernel of the (4×4)^⊗3 shape, nil for any other
+	// shape and for factors with a zero entry.
+	k444 *kernel444
+	D, K int
 }
 
 // NewProjection wraps the given factors (outermost first). Each factor may
@@ -83,6 +86,7 @@ func NewProjection(factors ...*tensor.Matrix) (*Projection, error) {
 		}
 		pre *= f.Rows
 	}
+	p.k444 = newKernel444(factors)
 	return p, nil
 }
 
@@ -203,9 +207,9 @@ func (p *Projection) ApplyTo(dst, x, scratch []float32) {
 // summed in a register and stored once: starting from zero, it adds
 // a[r][c]·src[c] in ascending c, skipping zero factor entries. That is the
 // operation order of an accumulate-into-zeroed-memory loop, so the result
-// is bit-identical to it. The 4-column factors of the (4×4)^⊗3 shape take
-// an unrolled form that loads the four source elements of an output column
-// once for all of the factor's rows.
+// is bit-identical to it. Each product is rounded to float32 before it is
+// added, so no architecture fuses the two and the sign kernels, which do
+// the same, agree with it everywhere.
 func modeProductInto(out, src []float32, pre, post int, a *tensor.Matrix) {
 	cur, rows := a.Cols, a.Rows
 	if len(src) != pre*cur*post {
@@ -214,37 +218,13 @@ func modeProductInto(out, src []float32, pre, post int, a *tensor.Matrix) {
 	for pi := 0; pi < pre; pi++ {
 		in := src[pi*cur*post : (pi+1)*cur*post]
 		o := out[pi*rows*post : (pi+1)*rows*post]
-		if cur == 4 {
-			ad := a.Data[:4*rows]
-			for q := 0; q < post; q++ {
-				x0, x1, x2, x3 := in[q], in[post+q], in[2*post+q], in[3*post+q]
-				for r, oi := 0, q; r+3 < len(ad); r, oi = r+4, oi+post {
-					a0, a1, a2, a3 := ad[r], ad[r+1], ad[r+2], ad[r+3]
-					s := float32(0)
-					if a0 != 0 {
-						s += a0 * x0
-					}
-					if a1 != 0 {
-						s += a1 * x1
-					}
-					if a2 != 0 {
-						s += a2 * x2
-					}
-					if a3 != 0 {
-						s += a3 * x3
-					}
-					o[oi] = s
-				}
-			}
-			continue
-		}
 		for r := 0; r < rows; r++ {
 			arow := a.Row(r)
 			for q := 0; q < post; q++ {
 				s := float32(0)
 				for c, av := range arow {
 					if av != 0 {
-						s += av * in[c*post+q]
+						s += float32(av * in[c*post+q])
 					}
 				}
 				o[r*post+q] = s

@@ -198,6 +198,26 @@ func TestDenseExpansionOrthogonal(t *testing.T) {
 	}
 }
 
+// TestDenseExpansionOrthogonalSeeds pins the draws that once missed the
+// 1e-3 bound because a nearly dependent factor row kept its float32
+// cancellation error: the seed testing/quick found, and a sweep over
+// seeds 16000–16999, which holds two more.
+func TestDenseExpansionOrthogonalSeeds(t *testing.T) {
+	seeds := []int64{7543373458506690659}
+	for s := int64(16000); s < 17000; s++ {
+		seeds = append(seeds, s)
+	}
+	for _, seed := range seeds {
+		p, err := NewRandomOrthogonal(rand.New(rand.NewSource(seed)), StandardShapes(64)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.IsOrthonormalRows(p.Dense(), 1e-3) {
+			t.Errorf("seed %d: dense expansion is not orthonormal within 1e-3", seed)
+		}
+	}
+}
+
 // refModeProductInto is the zero-fill, accumulate-into-memory mode
 // product the store-once kernel replaced. The kernel must match it bit
 // for bit.
@@ -217,7 +237,7 @@ func refModeProductInto(out, src []float32, pre, post int, a *tensor.Matrix) {
 				}
 				src := src[(pi*cur+c)*post : (pi*cur+c+1)*post]
 				for q, sv := range src {
-					dst[q] += av * sv
+					dst[q] += float32(av * sv)
 				}
 			}
 		}

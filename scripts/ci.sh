@@ -12,6 +12,9 @@ echo "== go vet =="
 go vet -tests=true ./...
 # elsaperf is its own module, so ./... above does not reach it.
 (cd elsaperf && go vet ./...)
+# The hash kernels have an amd64 assembly file; vetting for arm64 keeps
+# the build without it (the pure-Go kernel and its stubs) compiling.
+GOARCH=arm64 go vet ./...
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -61,6 +64,12 @@ echo "== fuzz smoke: /v1/sessions/{id}/append decoder =="
 # then SessionAppendRequest.unpack, which must agree row for row, accept
 # or 400, never panic.
 go test -run '^$' -fuzz '^FuzzSessionAppend$' -fuzztime 10s ./internal/serve/
+
+echo "== fuzz smoke: hash kernels =="
+# Arbitrary float32 bit patterns (NaN, ±Inf, −0, subnormals) for 1–17
+# rows through the generic mode products + PackSigns, the pure-Go
+# (4×4)^⊗3 sign kernel and the AVX2 kernel: all agree bit for bit.
+go test -run '^$' -fuzz '^FuzzHashKernels$' -fuzztime 10s ./internal/kron/
 
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
