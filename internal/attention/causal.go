@@ -93,10 +93,7 @@ func (e *Engine) AttendCausal(q *tensor.Matrix, p *Preprocessed, t float64) (*Re
 		res.CandidateCounts[i] = len(ws.cand)
 		res.TotalCandidates += len(ws.cand)
 		ws.candFlat = append(ws.candFlat, ws.cand...)
-		ws.scores = ws.scores[:0]
-		for _, y := range ws.cand {
-			ws.scores = append(ws.scores, float64(tensor.Dot(qrow, p.keyRow(y, ws)))*e.cfg.Scale)
-		}
+		e.scoreCandidates(ws, qrow, p)
 		e.weightedSum(res.Output.Row(i), ws.cand, ws.scores, p, ws)
 	}
 	flat := append([]int(nil), ws.candFlat...)

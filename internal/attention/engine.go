@@ -280,20 +280,21 @@ func (e *Engine) Preprocess(keys, values *tensor.Matrix) (*Preprocessed, error) 
 		Norms:  make([]float64, n),
 	}
 	ws := e.getWorkspace()
-	e.hashRows(p.Packed.Words, keys.Data[:n*keys.Cols], ws)
-	e.putWorkspace(ws)
-	for i := range p.Norms {
-		row := keys.Row(i)
-		sq := float64(tensor.Dot(row, row))
+	kd := keys.Data[:n*keys.Cols]
+	e.hashRows(p.Packed.Words, kd, ws)
+	sqs := ws.dotBuf(n)
+	tensor.SelfDots(sqs, kd, keys.Cols)
+	for i, sq := range sqs {
 		if e.cfg.Quantized {
-			p.Norms[i] = normFormat.Quantize(e.sqrtU.Sqrt(sq))
+			p.Norms[i] = normFormat.Quantize(e.sqrtU.Sqrt(float64(sq)))
 		} else {
-			p.Norms[i] = math.Sqrt(sq)
+			p.Norms[i] = math.Sqrt(float64(sq))
 		}
 		if p.Norms[i] > p.MaxNorm {
 			p.MaxNorm = p.Norms[i]
 		}
 	}
+	e.putWorkspace(ws)
 	return p, nil
 }
 
@@ -482,13 +483,37 @@ func (e *Engine) attendRows(ws *Workspace, qm *tensor.Matrix, lo, hi int, p *Pre
 		if collect {
 			ws.candFlat = append(ws.candFlat, ws.cand...)
 		}
-		ws.scores = ws.scores[:0]
-		for _, y := range ws.cand {
-			ws.scores = append(ws.scores, float64(tensor.Dot(qrow, p.keyRow(y, ws)))*e.cfg.Scale)
-		}
+		e.scoreCandidates(ws, qrow, p)
 		e.weightedSum(out.Row(i), ws.cand, ws.scores, p, ws)
 	}
 	return total, fallback
+}
+
+// scoreCandidates sets ws.scores to the logits float64(q·K_y)·scale of
+// qrow against the keys ws.cand lists, in order.
+func (e *Engine) scoreCandidates(ws *Workspace, qrow []float32, p *Preprocessed) {
+	n := len(ws.cand)
+	dots := ws.dotBuf(n)
+	scoreKeys(dots, qrow, ws.cand, p, ws)
+	ws.scores = slices.Grow(ws.scores[:0], n)[:n]
+	for i, dot := range dots {
+		ws.scores[i] = float64(dot) * e.cfg.Scale
+	}
+}
+
+// scoreKeys sets dots[i] to the dot product of qrow with key ys[i] of p,
+// for ascending ys. Cold-prefix keys come first and decode one at a time
+// into the workspace's scratch row (ws may be nil without a cold prefix);
+// the hot keys then go through one tensor.DotRows call. Every dot equals
+// tensor.Dot's bit for bit, whichever kernel computes it.
+func scoreKeys(dots, qrow []float32, ys []int, p *Preprocessed, ws *Workspace) {
+	i, cn := 0, p.Cold.N()
+	for ; i < len(ys) && ys[i] < cn; i++ {
+		dots[i] = tensor.Dot(qrow, p.keyRow(ys[i], ws))
+	}
+	if i < len(ys) {
+		tensor.DotRows(dots[i:len(ys)], qrow, p.Keys.Data, ys[i:], cn)
+	}
 }
 
 // bestApproxKeyWords returns the key index with maximum approximate
@@ -573,12 +598,24 @@ func (e *Engine) weightedSum(out []float32, cand []int, scores []float64, p *Pre
 // addWeightedRows adds float32(w[i]·V_i[j]) to out[j] for each row i in
 // order, where V_i is vals[(rows[i]-base)·d:] and d = len(out). Per
 // element that is the sum a row-at-a-time loop computes, in the same
-// order. The sums of 8 columns at a time stay in registers across all
-// rows; the d mod 8 columns left over accumulate in out directly.
+// order. Where the CPU has AVX2, weightedRowsAVX2 sums the first d - d mod
+// 4 columns; the Go loops below sum the rest, or every column elsewhere.
+// They hold the sums of 8 columns at a time in registers across all rows;
+// the d mod 8 columns left over accumulate in out directly.
 func addWeightedRows(out []float32, w []float64, vals []float32, rows []int, base int) {
 	d := len(out)
 	w = w[:len(rows)]
 	j := 0
+	if tensor.HasAVX2 && d >= 4 && len(rows) > 0 {
+		nv := len(vals) / d
+		for _, y := range rows {
+			if uint(y-base) >= uint(nv) {
+				panic(fmt.Sprintf("attention: value row %d outside %d rows from %d", y, nv, base))
+			}
+		}
+		j = d &^ 3
+		weightedRowsAVX2(&out[0], j, &w[0], &vals[0], &rows[0], len(rows), base, d)
+	}
 	for ; j+8 <= d; j += 8 {
 		o := out[j : j+8]
 		s0, s1, s2, s3, s4, s5, s6, s7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]

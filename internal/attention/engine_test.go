@@ -110,8 +110,10 @@ func TestPreprocessNormsAndHashes(t *testing.T) {
 }
 
 // TestPreprocessMatchesPerKeyHash holds Preprocess, which hashes all keys
-// in one SignWords call per kernel batch, to a per-key HashVector and norm
-// over n = 0…17 and 256, in float and Quantized mode. The configurations
+// in one SignWords call per kernel batch and squares them in one
+// tensor.SelfDots call, to a per-key HashVector and norm over n = 0…17 and
+// 256, in float and Quantized mode; 0 rows stage as an empty prefix in
+// both modes. The configurations
 // cover the (4×4)^⊗3 sign kernel alone, two kernel batches beside a dense
 // partial one (k = 160), and the generic d = 16 path.
 func TestPreprocessMatchesPerKeyHash(t *testing.T) {
@@ -122,9 +124,6 @@ func TestPreprocessMatchesPerKeyHash(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			ref := newTestEngine(t, cfg)
 			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 256} {
-				if n == 0 && quant {
-					continue // Quantized mode clones K/V, and Clone refuses 0 rows.
-				}
 				keys, vals := &tensor.Matrix{Cols: cfg.D}, &tensor.Matrix{Cols: cfg.D}
 				if n > 0 {
 					keys, vals = tensor.RandomNormal(rng, n, cfg.D), tensor.RandomNormal(rng, n, cfg.D)
@@ -132,6 +131,12 @@ func TestPreprocessMatchesPerKeyHash(t *testing.T) {
 				p, err := e.Preprocess(keys, vals)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if n == 0 {
+					pe, err := e.PreprocessExact(keys, vals)
+					if err != nil || p.N() != 0 || pe.N() != 0 {
+						t.Fatalf("cfg %+v: 0 rows give %d and %d keys, err %v", cfg, p.N(), pe.N(), err)
+					}
 				}
 				maxNorm := 0.0
 				for i := 0; i < n; i++ {

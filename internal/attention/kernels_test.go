@@ -1,6 +1,7 @@
 package attention
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -334,4 +335,215 @@ func TestLinearScanTiledZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AttendLinearScanWith allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// withGoKernels runs f with the assembly kernels switched off, so every
+// kernel takes its Go loops.
+func withGoKernels(f func()) {
+	saved := tensor.HasAVX2
+	tensor.HasAVX2 = false
+	defer func() { tensor.HasAVX2 = saved }()
+	f()
+}
+
+// plantedValue returns a normal draw scaled by s, or now and then a value
+// where a reordered, fused or lane-swapped sum shows: a signed zero, a
+// subnormal, or a value large enough that a key's products overflow to
+// ±Inf (and opposite infinities then make NaN).
+func plantedValue(rng *rand.Rand, s float64) float32 {
+	switch rng.Intn(20) {
+	case 0:
+		return 0
+	case 1:
+		return float32(math.Copysign(0, -1))
+	case 2:
+		return float32(rng.NormFloat64() * 1e-40)
+	case 3:
+		return float32(rng.NormFloat64() * 1e20)
+	default:
+		return float32(rng.NormFloat64() * s)
+	}
+}
+
+// plantedStream appends n tokens with planted keys and values to a stream
+// of e with the given cold watermark.
+func plantedStream(t *testing.T, e *Engine, rng *rand.Rand, n, watermark int) *Stream {
+	t.Helper()
+	st := e.NewStreamCold(0, watermark)
+	key, val := make([]float32, e.cfg.D), make([]float32, e.cfg.D)
+	for y := 0; y < n; y++ {
+		for j := range key {
+			key[j] = plantedValue(rng, 1)
+			val[j] = plantedValue(rng, 4)
+		}
+		if err := st.Append(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// refScanTile is addScanTile one key and one column at a time.
+func refScanTile(acc []float64, w, r []float64, vals []float32) {
+	d := len(acc)
+	for t := range w {
+		for j := range acc {
+			if r[t] != 1 {
+				acc[j] *= r[t]
+			}
+			acc[j] += float64(w[t] * float64(vals[t*d+j]))
+		}
+	}
+}
+
+// checkScoreKernels holds the scoring helper, the softmax·V sum and the
+// linear scan for query q over p's keys, first with the AVX2 kernels
+// (where the CPU has them) and then with their Go loops, to tensor.Dot,
+// refWeightedSumFloat and refLinearScanRow bit for bit. The scan's
+// float64 sums reach its output only through a float32 rounding, which
+// hides most changes to their low bits, so addScanTile's sums over p's
+// first hot tile are also held to refScanTile directly.
+func checkScoreKernels(t *testing.T, e *Engine, p *Preprocessed, q []float32, cands [][]int) {
+	t.Helper()
+	d := e.cfg.D
+	ws, refWS := NewWorkspace(e), NewWorkspace(e)
+	out, want := make([]float32, d), make([]float32, d)
+	rng := rand.New(rand.NewSource(int64(d)))
+	tn := min(p.Keys.Rows, scanTile)
+	tile := p.Values.Data[:tn*d]
+	w, r := make([]float64, tn), make([]float64, tn)
+	for i := range w {
+		w[i], r[i] = rng.Float64(), 1
+		if rng.Intn(3) == 0 {
+			r[i] = rng.Float64()
+		}
+	}
+	acc0 := make([]float64, d)
+	for j := range acc0 {
+		acc0[j] = rng.NormFloat64()
+	}
+	acc, refAcc := make([]float64, d), make([]float64, d)
+	for _, kernel := range []string{"AVX2", "Go"} {
+		run := func(f func()) { f() }
+		switch {
+		case kernel == "Go":
+			run = withGoKernels
+		case !tensor.HasAVX2:
+			continue
+		}
+		run(func() {
+			copy(acc, acc0)
+			copy(refAcc, acc0)
+			addScanTile(acc, w, r, tile)
+			refScanTile(refAcc, w, r, tile)
+			for j := range acc {
+				if math.Float64bits(acc[j]) != math.Float64bits(refAcc[j]) {
+					t.Fatalf("%s scan tile col %d: %v, want %v", kernel, j, acc[j], refAcc[j])
+				}
+			}
+			linearScanRow(out, q, e.cfg.Scale, p, ws, ws.acc, math.Exp)
+			refLinearScanRow(want, q, e.cfg.Scale, p, refWS, math.Exp)
+			assertBitsEqual(t, kernel+" linear scan", out, want)
+			for _, cand := range cands {
+				ws.cand = append(ws.cand[:0], cand...)
+				e.scoreCandidates(ws, q, p)
+				dots := make([]float32, len(cand))
+				scores := make([]float64, len(cand))
+				for ci, y := range cand {
+					dots[ci] = tensor.Dot(q, p.keyRow(y, refWS))
+					scores[ci] = float64(dots[ci]) * e.cfg.Scale
+				}
+				assertBitsEqual(t, kernel+" dot", ws.dots, dots)
+				for ci := range scores {
+					if math.Float64bits(ws.scores[ci]) != math.Float64bits(scores[ci]) {
+						t.Fatalf("%s score %d: %v, want %v", kernel, ci, ws.scores[ci], scores[ci])
+					}
+				}
+				e.weightedSum(out, cand, ws.scores, p, ws)
+				refWeightedSumFloat(want, cand, scores, p, refWS)
+				assertBitsEqual(t, kernel+" weighted sum", out, want)
+			}
+		})
+	}
+}
+
+// TestScoreKernelsMatchGeneric runs every head dimension from 1 to 96
+// (every remainder mod 4 and mod 32) over resident streams and ones with
+// a one-token and a mid-sequence cold prefix, with planted signed zeros,
+// subnormals and overflowing products, and candidate lists of no key, one
+// key, a count that is not a multiple of 4, and every key.
+func TestScoreKernelsMatchGeneric(t *testing.T) {
+	if !tensor.HasAVX2 {
+		t.Log("no AVX2 here: only the Go loops are checked")
+	}
+	const n = 75
+	rng := rand.New(rand.NewSource(43))
+	all := make([]int, n)
+	for y := range all {
+		all[y] = y
+	}
+	for d := 1; d <= 96; d++ {
+		e := newTestEngine(t, Config{D: d, Seed: int64(d), BiasSamples: 32})
+		for _, watermark := range []int{0, 1, n / 4} {
+			p := plantedStream(t, e, rng, n, watermark).snapshot()
+			q := make([]float32, d)
+			for j := range q {
+				q[j] = plantedValue(rng, 1)
+			}
+			odd := randomAscending(rng, n, 0.4)
+			if len(odd)%4 == 0 {
+				odd = odd[1:]
+			}
+			checkScoreKernels(t, e, p, q, [][]int{nil, {rng.Intn(n)}, odd, all})
+		}
+	}
+}
+
+// FuzzScoreKernels draws the head dimension, key count, cold watermark
+// and candidate density from the input, and lets its bytes overwrite keys,
+// values and the query with arbitrary finite float32 bit patterns.
+func FuzzScoreKernels(f *testing.F) {
+	f.Add(int64(1), uint8(64), uint8(40), uint8(0), uint8(128), []byte{})
+	f.Add(int64(2), uint8(63), uint8(9), uint8(1), uint8(255), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Add(int64(3), uint8(20), uint8(70), uint8(2), uint8(30), []byte{0xff, 0xff, 0x7f, 0x7f})
+	f.Fuzz(func(t *testing.T, seed int64, dRaw, nRaw, wmRaw, fracRaw uint8, bits []byte) {
+		d := int(dRaw)%96 + 1
+		n := int(nRaw)%80 + 1
+		watermark := []int{0, 1, n / 3}[int(wmRaw)%3]
+		rng := rand.New(rand.NewSource(seed))
+		e := newTestEngine(t, Config{D: d, Seed: seed, BiasSamples: 32})
+		keys := make([]float32, n*d)
+		vals := make([]float32, n*d)
+		q := make([]float32, d)
+		for i := range keys {
+			keys[i], vals[i] = plantedValue(rng, 1), plantedValue(rng, 4)
+		}
+		for j := range q {
+			q[j] = plantedValue(rng, 1)
+		}
+		// Each 4 bytes overwrite one element of keys, values or q; a
+		// non-finite pattern loses its top exponent bit.
+		for i := 0; i+4 <= len(bits); i += 4 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(bits[i:]))
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				v = math.Float32frombits(math.Float32bits(v) &^ (1 << 30))
+			}
+			switch k := rng.Intn(len(keys) + len(vals) + d); {
+			case k < len(keys):
+				keys[k] = v
+			case k < len(keys)+len(vals):
+				vals[k-len(keys)] = v
+			default:
+				q[k-len(keys)-len(vals)] = v
+			}
+		}
+		st := e.NewStreamCold(0, watermark)
+		for y := 0; y < n; y++ {
+			if err := st.Append(keys[y*d:(y+1)*d], vals[y*d:(y+1)*d]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cand := randomAscending(rng, n, float64(fracRaw)/255)
+		checkScoreKernels(t, e, st.snapshot(), q, [][]int{cand})
+	})
 }

@@ -182,16 +182,18 @@ const scanTile = 32
 // linearScanRow computes one query's exact attention output over all n
 // keys of p in a single pass. Logits are produced bit-identically to
 // ExactWithScores — the same four-accumulator float32 dot product
-// (tensor.Dot and tensor.MatMulT share their summation order by
-// construction) followed by the same float32 scale multiply — so the
-// differential bound above is purely about downstream arithmetic order.
+// (tensor.Dot, tensor.DotRows and tensor.MatMulT share their summation
+// order by construction) followed by the same float32 scale multiply — so
+// the differential bound above is purely about downstream arithmetic
+// order.
 // ws supplies the cold-prefix decode buffers and may be nil when p has no
 // cold prefix; acc is the caller's d-wide float64 accumulator.
 //
-// Keys go in tiles of scanTile: the tile's logits, weights and max-rescale
-// factors come first, updating m and sum key by key, then addScanTile
-// applies the tile to acc. Each accumulator element sees the same
-// rescales and additions in the same key order as a key-at-a-time scan.
+// Keys go in tiles of scanTile: the tile's dot products come from one
+// scoreKeys call, its logits, weights and max-rescale factors follow,
+// updating m and sum key by key, then addScanTile applies the tile to
+// acc. Each accumulator element sees the same rescales and additions in
+// the same key order as a key-at-a-time scan.
 // Cold-prefix keys decode into one scratch row each, so they form
 // one-key tiles.
 func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed, ws *Workspace, acc []float64, exp func(float64) float64) {
@@ -206,18 +208,22 @@ func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed
 	// w[t] is key t's weight in the running frame; r[t] is the factor the
 	// state is rescaled by before the key is added (1: no rescale).
 	var w, r [scanTile]float64
+	var ys [scanTile]int
+	var dots [scanTile]float32
 	for y0 := 0; y0 < n; {
 		y1 := min(y0+scanTile, n)
 		if y0 < cn {
 			y1 = y0 + 1
 		}
-		for y := y0; y < y1; y++ {
-			dot := tensor.Dot(qrow, p.keyRow(y, ws))
+		for t := range ys[:y1-y0] {
+			ys[t] = y0 + t
+		}
+		scoreKeys(dots[:y1-y0], qrow, ys[:y1-y0], p, ws)
+		for t, dot := range dots[:y1-y0] {
 			if scale != 1 {
 				dot *= scale32
 			}
 			l := float64(dot)
-			t := y - y0
 			r[t] = 1
 			if l > m {
 				// New running max: rescale state into the new frame. The
@@ -251,13 +257,21 @@ func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed
 // addScanTile applies a tile of keys to the accumulator: for each key t in
 // order, acc[j] = acc[j]·r[t] (skipped when r[t] is 1, which leaves every
 // value unchanged) and then acc[j] += w[t]·V_t[j], with V_t the t-th
-// d-wide row of vals. The sums of 8 columns at a time stay in registers
+// d-wide row of vals. Where the CPU has AVX2, scanTileAVX2 applies the
+// first d - d mod 4 columns; the Go loops below apply the rest, or every
+// column elsewhere. They hold the sums of 8 columns at a time in registers
 // across the tile; the d mod 8 columns left over accumulate in acc
-// directly.
+// directly. Each product is converted to float64 on its own, so no
+// compiler may fuse it into the add.
 func addScanTile(acc []float64, w, r []float64, vals []float32) {
 	d := len(acc)
 	r = r[:len(w)]
+	vals = vals[:len(w)*d]
 	j := 0
+	if tensor.HasAVX2 && d >= 4 && len(w) > 0 {
+		j = d &^ 3
+		scanTileAVX2(&acc[0], j, &w[0], &r[0], &vals[0], len(w), d)
+	}
 	for ; j+8 <= d; j += 8 {
 		a := acc[j : j+8]
 		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
@@ -274,14 +288,14 @@ func addScanTile(acc []float64, w, r []float64, vals []float32) {
 			}
 			off := t*d + j
 			v := vals[off : off+8]
-			a0 += wt * float64(v[0])
-			a1 += wt * float64(v[1])
-			a2 += wt * float64(v[2])
-			a3 += wt * float64(v[3])
-			a4 += wt * float64(v[4])
-			a5 += wt * float64(v[5])
-			a6 += wt * float64(v[6])
-			a7 += wt * float64(v[7])
+			a0 += float64(wt * float64(v[0]))
+			a1 += float64(wt * float64(v[1]))
+			a2 += float64(wt * float64(v[2]))
+			a3 += float64(wt * float64(v[3]))
+			a4 += float64(wt * float64(v[4]))
+			a5 += float64(wt * float64(v[5]))
+			a6 += float64(wt * float64(v[6]))
+			a7 += float64(wt * float64(v[7]))
 		}
 		a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
 	}
@@ -297,7 +311,7 @@ func addScanTile(acc []float64, w, r []float64, vals []float32) {
 		}
 		off := t*d + j
 		for k, x := range vals[off : off+len(a)] {
-			a[k] += wt * float64(x)
+			a[k] += float64(wt * float64(x))
 		}
 	}
 }

@@ -143,12 +143,13 @@ func (s *Stream) Append(key, value []float32) error {
 		fixed.QKV.QuantizeSlice(s.values[base:])
 	}
 	s.engine.HashVectorInto(s.packed.AppendRow(), kq, s.ws)
-	sq := float64(tensor.Dot(kq, kq))
+	var sq [1]float32
+	tensor.SelfDots(sq[:], kq, len(kq))
 	var norm float64
 	if s.engine.cfg.Quantized {
-		norm = s.engine.sqrtU.Sqrt(sq)
+		norm = s.engine.sqrtU.Sqrt(float64(sq[0]))
 	} else {
-		norm = math.Sqrt(sq)
+		norm = math.Sqrt(float64(sq[0]))
 	}
 	s.norms = append(s.norms, norm)
 	if norm > s.maxNorm {

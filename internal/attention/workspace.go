@@ -1,6 +1,8 @@
 package attention
 
 import (
+	"slices"
+
 	"elsa/internal/fixed"
 	"elsa/internal/srp"
 	"elsa/internal/tensor"
@@ -28,8 +30,10 @@ type Workspace struct {
 	// kronScratch is the ping-pong buffer for such a batch's kron.ApplyTo
 	// intermediates.
 	kronScratch []float32
-	// cand, scores and weights are the per-query candidate pipeline.
+	// cand, dots, scores and weights are the per-query candidate
+	// pipeline; Preprocess also stages its keys' squared norms in dots.
 	cand    []int
+	dots    []float32
 	scores  []float64
 	weights []float64
 	// acc is the quantized-mode float64 value accumulator, d elements.
@@ -113,6 +117,13 @@ func (ws *Workspace) stageQuery(e *Engine, q *tensor.Matrix) *tensor.Matrix {
 	fixed.QKV.QuantizeSlice(ws.qq)
 	ws.qqMat = tensor.Matrix{Rows: q.Rows, Cols: q.Cols, Data: ws.qq}
 	return &ws.qqMat
+}
+
+// dotBuf returns the workspace's float32 scratch resized to n, grown only
+// when it is short.
+func (ws *Workspace) dotBuf(n int) []float32 {
+	ws.dots = slices.Grow(ws.dots[:0], n)[:n]
+	return ws.dots
 }
 
 // result shapes the workspace-owned Result for rows output rows of width d,

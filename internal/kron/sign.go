@@ -78,7 +78,7 @@ func (p *Projection) SignWords(dst []uint64, stride int, xs []float32) {
 	if stride < 1 || len(dst) < (n-1)*stride+1 {
 		panic(fmt.Sprintf("kron: output length %d cannot hold %d words %d apart", len(dst), n, stride))
 	}
-	if hasAVX2 {
+	if tensor.HasAVX2 {
 		signs444(&dst[0], stride, &xs[0], n, &k.simd)
 		return
 	}

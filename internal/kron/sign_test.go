@@ -50,7 +50,7 @@ func checkSignKernels(t testing.TB, p *Projection, xs []float32) {
 	for i := range dst {
 		dst[i] = sentinel
 	}
-	if hasAVX2 {
+	if tensor.HasAVX2 {
 		signs444(&dst[0], 2, &xs[0], n, &p.k444.simd)
 		check("AVX2 kernel")
 	}
@@ -87,7 +87,7 @@ var specialFloats = []float32{
 // tenth row is zero (+0 or −0) but for up to three elements, so many of
 // its outputs are exactly zero, where ≥ and > differ.
 func TestSignKernelsMatchGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if !tensor.HasAVX2 {
 		t.Log("no AVX2 here: only the pure-Go kernel is checked")
 	}
 	rng := rand.New(rand.NewSource(91))

@@ -7,12 +7,15 @@
 // The package is deliberately small and dependency-free: the paper's
 // workloads use d = 64 and n <= 512 per attention head, so cache-friendly
 // straightforward loops are fast enough, and keeping every numeric step
-// visible makes the fixed-point and simulator cross-checks auditable.
+// visible makes the fixed-point and simulator cross-checks auditable. The
+// one exception is the attention engine's scoring step: DotRows and
+// SelfDots run an AVX2 kernel where the CPU has one, bit-identical to Dot.
 package tensor
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -57,11 +60,9 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // returned slice mutates the matrix.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. A matrix with no rows clones to another.
 func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: slices.Clone(m.Data[:m.Rows*m.Cols])}
 }
 
 // Shape returns (rows, cols).
@@ -125,8 +126,8 @@ func MatMulT(a, b *Matrix) *Matrix {
 // matMulTRow fills orow with arow·bᵀ. Shared by the serial and parallel
 // MatMulT so their floating-point summation order — and hence their outputs —
 // stay bitwise identical. Each block of four b-rows uses the same strided
-// four-accumulator order as Dot, so partial blocks (handled by Dot directly)
-// also match.
+// four-accumulator order as Dot, with each product rounded on its own as
+// Dot rounds it, so partial blocks (handled by Dot directly) also match.
 func matMulTRow(orow, arow []float32, b *Matrix) {
 	j := 0
 	for ; j+4 <= b.Rows; j += 4 {
@@ -141,29 +142,29 @@ func matMulTRow(orow, arow []float32, b *Matrix) {
 		k := 0
 		for ; k+4 <= len(arow); k += 4 {
 			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			p00 += a0 * b0[k]
-			p01 += a1 * b0[k+1]
-			p02 += a2 * b0[k+2]
-			p03 += a3 * b0[k+3]
-			p10 += a0 * b1[k]
-			p11 += a1 * b1[k+1]
-			p12 += a2 * b1[k+2]
-			p13 += a3 * b1[k+3]
-			p20 += a0 * b2[k]
-			p21 += a1 * b2[k+1]
-			p22 += a2 * b2[k+2]
-			p23 += a3 * b2[k+3]
-			p30 += a0 * b3[k]
-			p31 += a1 * b3[k+1]
-			p32 += a2 * b3[k+2]
-			p33 += a3 * b3[k+3]
+			p00 += float32(a0 * b0[k])
+			p01 += float32(a1 * b0[k+1])
+			p02 += float32(a2 * b0[k+2])
+			p03 += float32(a3 * b0[k+3])
+			p10 += float32(a0 * b1[k])
+			p11 += float32(a1 * b1[k+1])
+			p12 += float32(a2 * b1[k+2])
+			p13 += float32(a3 * b1[k+3])
+			p20 += float32(a0 * b2[k])
+			p21 += float32(a1 * b2[k+1])
+			p22 += float32(a2 * b2[k+2])
+			p23 += float32(a3 * b2[k+3])
+			p30 += float32(a0 * b3[k])
+			p31 += float32(a1 * b3[k+1])
+			p32 += float32(a2 * b3[k+2])
+			p33 += float32(a3 * b3[k+3])
 		}
 		for ; k < len(arow); k++ {
 			av := arow[k]
-			p00 += av * b0[k]
-			p10 += av * b1[k]
-			p20 += av * b2[k]
-			p30 += av * b3[k]
+			p00 += float32(av * b0[k])
+			p10 += float32(av * b1[k])
+			p20 += float32(av * b2[k])
+			p30 += float32(av * b3[k])
 		}
 		orow[j] = (p00 + p01) + (p02 + p03)
 		orow[j+1] = (p10 + p11) + (p12 + p13)
@@ -198,7 +199,9 @@ func (m *Matrix) Scale(s float32) *Matrix {
 // Dot returns the inner product of equal-length vectors. The loop runs four
 // independent accumulators so the multiply-adds pipeline instead of
 // serializing on one dependency chain; re-slicing b to len(a) hoists the
-// bounds check out of the loop.
+// bounds check out of the loop. Each product is converted to float32 on
+// its own, so no compiler may fuse it into the add: the sum is the same
+// on every architecture, and the same as the AVX2 kernels'.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: dot length mismatch %d vs %d", len(a), len(b)))
@@ -207,15 +210,80 @@ func Dot(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float32(a[i] * b[i])
+		s1 += float32(a[i+1] * b[i+1])
+		s2 += float32(a[i+2] * b[i+2])
+		s3 += float32(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float32(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// DotRows sets dst[i] = Dot(q, x[(rows[i]-base)·d:][:d]) for each i, with
+// d = len(q): q against a gathered list of x's d-wide rows. Where the CPU
+// has AVX2 and d is a multiple of 4, the rows go through an assembly
+// kernel that computes each product bit for bit as Dot does; otherwise
+// each is one Dot call. It panics when dst is shorter than rows or a row
+// lies outside x.
+func DotRows(dst, q, x []float32, rows []int, base int) {
+	d, n := len(q), len(rows)
+	if len(dst) < n {
+		panic(fmt.Sprintf("tensor: DotRows output length %d < %d rows", len(dst), n))
+	}
+	if d == 0 {
+		clear(dst[:n])
+		return
+	}
+	nx := len(x) / d
+	for _, y := range rows {
+		if uint(y-base) >= uint(nx) {
+			panic(fmt.Sprintf("tensor: DotRows row %d outside %d rows from base %d", y, nx, base))
+		}
+	}
+	if !HasAVX2 || d%4 != 0 || n == 0 {
+		for i, y := range rows {
+			dst[i] = Dot(q, x[(y-base)*d:(y-base+1)*d])
+		}
+		return
+	}
+	n8 := n &^ 7
+	if n8 > 0 {
+		dotRows8(&dst[0], &q[0], d, &x[0], &rows[0], base, n8)
+	}
+	if n8 < n {
+		// The last n mod 8 rows, padded to a block with copies of the last.
+		var idx [8]int
+		var out [8]float32
+		copy(idx[:], rows[n8:])
+		for k := n - n8; k < 8; k++ {
+			idx[k] = rows[n-1]
+		}
+		dotRows8(&out[0], &q[0], d, &x[0], &idx[0], base, 8)
+		copy(dst[n8:n], out[:])
+	}
+}
+
+// SelfDots sets dst[i] = Dot(r, r) for each d-wide row r of x, through the
+// same kernel choice as DotRows; fewer than eight rows take Dot.
+func SelfDots(dst, x []float32, d int) {
+	n := len(x) / d
+	if len(dst) < n {
+		panic(fmt.Sprintf("tensor: SelfDots output length %d < %d rows", len(dst), n))
+	}
+	if !HasAVX2 || d%4 != 0 || n < 8 {
+		for i := 0; i < n; i++ {
+			r := x[i*d : (i+1)*d]
+			dst[i] = Dot(r, r)
+		}
+		return
+	}
+	selfDots8(&dst[0], &x[0], d, n&^7)
+	if n%8 != 0 {
+		// The last eight rows again: the overlap rewrites equal values.
+		selfDots8(&dst[n-8], &x[(n-8)*d], d, 8)
+	}
 }
 
 // Norm returns the Euclidean (L2) norm of v.

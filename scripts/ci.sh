@@ -12,9 +12,31 @@ echo "== go vet =="
 go vet -tests=true ./...
 # elsaperf is its own module, so ./... above does not reach it.
 (cd elsaperf && go vet ./...)
-# The hash kernels have an amd64 assembly file; vetting for arm64 keeps
-# the build without it (the pure-Go kernel and its stubs) compiling.
+# The hash, dot and accumulate kernels have amd64 assembly files;
+# vetting for arm64 keeps the build without them (the Go loops and the
+# assembly stubs) compiling.
 GOARCH=arm64 go vet ./...
+
+echo "== no fused multiply-add in the float kernels' Go loops =="
+# The spec lets a compiler fuse x*y + z into one rounding, and arm64 does.
+# The Go loops of Dot, matMulTRow, addWeightedRows and addScanTile round
+# each product explicitly, so every architecture gets the AVX2 kernels'
+# bits. Fail if the arm64 listing of one of them fuses anyway, or is
+# missing (a renamed function must be renamed here too).
+listing=$(GOARCH=arm64 go build -gcflags='elsa/internal/tensor=-S' -o /dev/null ./internal/tensor 2>&1
+    GOARCH=arm64 go build -gcflags='elsa/internal/attention=-S' -o /dev/null ./internal/attention 2>&1)
+for fn in tensor.Dot tensor.matMulTRow attention.addWeightedRows attention.addScanTile; do
+    body=$(printf '%s\n' "$listing" | awk -v f="elsa/internal/$fn" '/^[^ \t]/ {on = ($1 == f && $2 == "STEXT")} on')
+    if [ -z "$body" ]; then
+        echo "no arm64 listing of $fn" >&2
+        exit 1
+    fi
+    if printf '%s\n' "$body" | grep -Eq 'FN?M(ADD|SUB)'; then
+        echo "arm64 fuses a multiply-add in $fn:" >&2
+        printf '%s\n' "$body" | grep -E 'FN?M(ADD|SUB)' >&2
+        exit 1
+    fi
+done
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -70,6 +92,13 @@ echo "== fuzz smoke: hash kernels =="
 # rows through the generic mode products + PackSigns, the pure-Go
 # (4×4)^⊗3 sign kernel and the AVX2 kernel: all agree bit for bit.
 go test -run '^$' -fuzz '^FuzzHashKernels$' -fuzztime 10s ./internal/kron/
+
+echo "== fuzz smoke: score kernels =="
+# Random head dimensions, key counts, cold watermarks and candidate lists,
+# with arbitrary finite float32 bit patterns planted in keys, values and
+# the query: the AVX2 dot, softmax·V and linear-scan kernels and their Go
+# loops match tensor.Dot and the row-wise references bit for bit.
+go test -run '^$' -fuzz '^FuzzScoreKernels$' -fuzztime 10s ./internal/attention/
 
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
