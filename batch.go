@@ -1,9 +1,11 @@
 package elsa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -77,7 +79,11 @@ func (e *Engine) AttendBatch(ops []BatchOp, thr Threshold, workers int) ([]*Outp
 // further ops are dispatched to the workers, in-flight ops finish, and the
 // context's error is returned. Every op's shape is validated before any
 // work starts; validation and execution errors carry the op index
-// (`op 17: ...`).
+// (`op 17: ...`), the lowest one when several ops fail.
+//
+// Workers take the ops largest first, by len(Q)·len(K), ties in input
+// order, so a long op does not start last and run alone while the other
+// workers idle.
 func (e *Engine) AttendBatchContext(ctx context.Context, ops []BatchOp, thr Threshold, workers int) ([]*Output, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -113,8 +119,15 @@ func (e *Engine) AttendBatchContext(ctx context.Context, ops []BatchOp, thr Thre
 			}
 		}()
 	}
+	order := make([]int, len(ops))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(len(ops[b].Q)*len(ops[b].K), len(ops[a].Q)*len(ops[a].K))
+	})
 feed:
-	for i := range ops {
+	for _, i := range order {
 		select {
 		case next <- i:
 		case <-ctx.Done():

@@ -3,6 +3,7 @@ package elsa
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -68,6 +69,63 @@ func TestAttendBatchPropagatesErrors(t *testing.T) {
 	batch[1].Q = [][]float32{{1, 2}} // wrong dimension
 	if _, err := e.AttendBatch(batch, Exact(), 2); err == nil {
 		t.Fatal("bad op should fail the batch")
+	}
+}
+
+// TestAttendBatchLargestFirstMatchesSerial: workers take ops largest
+// first, but a batch of mixed sizes, ties and thresholds still returns
+// every output in input order, bit-identical to running each op alone,
+// and of two failing ops it reports the lower index with the op's own
+// error text, even when the higher one is larger and so runs first.
+func TestAttendBatchLargestFirstMatchesSerial(t *testing.T) {
+	e := newEngine(t, Options{Seed: 28})
+	rng := rand.New(rand.NewSource(28))
+	var batch []BatchOp
+	for i, n := range []int{8, 40, 16, 40, 24, 64, 16} {
+		q, k, v := genData(rng, n/2+1, n, 64)
+		op := BatchOp{Q: q, K: k, V: v}
+		if i%3 == 1 {
+			thr := Exact()
+			op.Thr = &thr
+		}
+		batch = append(batch, op)
+	}
+	thr, err := e.Calibrate(1, []Sample{{Q: batch[5].Q, K: batch[5].K}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		outs, err := e.AttendBatch(batch, thr, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range batch {
+			want, err := e.run(op, thr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range want.Context {
+				for c, x := range want.Context[r] {
+					if math.Float32bits(outs[i].Context[r][c]) != math.Float32bits(x) {
+						t.Fatalf("workers=%d op %d: batch output differs from serial at %d,%d", workers, i, r, c)
+					}
+				}
+			}
+		}
+	}
+
+	failing := append([]BatchOp(nil), batch...)
+	failing[1].Q = [][]float32{{1, 2}}
+	failing[5].Q = [][]float32{{1, 2, 3}}
+	_, opErr := e.run(failing[1], thr)
+	if opErr == nil {
+		t.Fatal("a 2-column query should fail")
+	}
+	want := "elsa: op 1: " + opErr.Error()
+	for _, workers := range []int{1, 3} {
+		if _, err := e.AttendBatch(failing, thr, workers); err == nil || err.Error() != want {
+			t.Errorf("workers=%d: error %v, want %q", workers, err, want)
+		}
 	}
 }
 

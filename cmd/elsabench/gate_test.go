@@ -56,6 +56,14 @@ func TestGateCommittedTrajectory(t *testing.T) {
 				{"bench", "dataset=SQuADv1.1/decode n=256 d=64 p=1", "ns_per_op", "0.39x"},
 			},
 		},
+		{
+			newer: "BENCH_2026-10-19_pr24b_kernels.json", older: "BENCH_2026-10-19_pr24a_parent.json",
+			ratios: []ratio{
+				{"bench", "dataset=SQuADv1.1 n=256 d=64 p=0", "ns_per_op", "0.64x"},
+				{"bench", "dataset=SQuADv1.1 n=512 d=64 p=1", "ns_per_op", "0.48x"},
+				{"bench", "dataset=SQuADv1.1/decode n=256 d=64 p=1", "ns_per_op", "0.54x"},
+			},
+		},
 		// The pr5-pr8 serving snapshots carry only the retired serve and
 		// decode families in common.
 		{newer: "BENCH_2026-08-08_pr6_serving.json", older: "BENCH_2026-08-05_pr5_serving.json", disjoint: true},

@@ -61,7 +61,7 @@ func (e *Engine) BlockwiseAttend(q, keys, values *tensor.Matrix, blockSize int, 
 		for qi := 0; qi < nq; qi++ {
 			qrow := q.Row(qi)
 			e.HashVectorInto(ws.hashWords, qrow, ws)
-			scratch := e.selectCandidatesWords(ws.hashWords, pre, t, ws.cand[:0])
+			scratch, _ := e.selectKeys(ws.hashWords, pre, pre.Packed.N, t*pre.MaxNorm, ws.cand[:0])
 			ws.cand = scratch
 			if len(scratch) == 0 {
 				// A block contributing nothing is fine as long as some
@@ -88,7 +88,9 @@ func (e *Engine) BlockwiseAttend(q, keys, values *tensor.Matrix, blockSize int, 
 		if sumExp[qi] == 0 {
 			res.FallbackQueries++
 			e.HashVectorInto(ws.hashWords, q.Row(qi), ws)
-			best := e.bestApproxKeyWords(ws.hashWords, full)
+			// Nothing exceeds an infinite cut; the scan still finds the
+			// best key.
+			_, best := e.selectKeys(ws.hashWords, full, full.Packed.N, math.Inf(1), ws.cand[:0])
 			copy(res.Output.Row(qi), values.Row(best))
 			res.Candidates[qi] = append(res.Candidates[qi], best)
 			res.CandidateCounts[qi] = 1

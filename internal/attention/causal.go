@@ -2,7 +2,6 @@ package attention
 
 import (
 	"fmt"
-	"math"
 
 	"elsa/internal/tensor"
 )
@@ -28,7 +27,7 @@ func ExactCausal(q, k, v *tensor.Matrix, scale float64) *tensor.Matrix {
 		for y, w := range prefix {
 			vrow := v.Row(y)
 			for j := range orow {
-				orow[j] += w * vrow[j]
+				orow[j] += float32(w * vrow[j])
 			}
 		}
 	}
@@ -73,18 +72,8 @@ func (e *Engine) AttendCausal(q *tensor.Matrix, p *Preprocessed, t float64) (*Re
 				runningMax = p.Norms[i]
 			}
 			e.HashVectorInto(ws.hashWords, qrow, ws)
-			cut := t * runningMax
-			ws.cand = ws.cand[:0]
-			best, bestSim := 0, math.Inf(-1)
-			for y := 0; y <= i; y++ {
-				sim := e.cosLUT[p.Packed.HammingAt(ws.hashWords, y)] * p.Norms[y]
-				if sim > cut {
-					ws.cand = append(ws.cand, y)
-				}
-				if sim > bestSim {
-					best, bestSim = y, sim
-				}
-			}
+			var best int
+			ws.cand, best = e.selectKeys(ws.hashWords, p, i+1, t*runningMax, ws.cand[:0])
 			if len(ws.cand) == 0 {
 				res.FallbackQueries++
 				ws.cand = append(ws.cand, best)

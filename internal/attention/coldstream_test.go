@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"elsa/internal/fixed"
@@ -237,6 +238,11 @@ func TestStreamImportRejectsMismatch(t *testing.T) {
 	corrupt[4] = 99 // version field
 	if _, err := e.ImportStream(corrupt); err == nil {
 		t.Fatal("unknown version must be rejected")
+	}
+	// A hash with a bit past k=16 would index past the cos LUT.
+	st.packed.Words[3] |= 1 << 40
+	if _, err := e.ImportStream(st.Export()); err == nil || !strings.Contains(err.Error(), "hash 3 sets a bit past k=16") {
+		t.Fatalf("hash bit past k: error %v", err)
 	}
 }
 

@@ -125,13 +125,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		projs:  projs,
 		bias:   cal.Bias,
-		cosLUT: make([]float64, cfg.K+1),
+		cosLUT: newCosLUT(cfg.K, cal.Bias),
 		expU:   fixed.NewExpUnit(),
 		recpU:  fixed.NewRecipUnit(),
 		sqrtU:  fixed.NewSqrtUnit(),
-	}
-	for h := range e.cosLUT {
-		e.cosLUT[h] = math.Cos(srp.CorrectedAngle(h, cfg.K, e.bias))
 	}
 	return e, nil
 }
@@ -240,12 +237,18 @@ func (p *Preprocessed) N() int { return p.Cold.N() + p.Keys.Rows }
 // norms, hashes and softmax sums deep inside the pipeline, so the engine
 // fails fast at the boundary instead. x·0 is ±0 for every finite x and NaN
 // for ±Inf and NaN, and a NaN survives every later add, so the sum of x·0
-// over the matrix is zero exactly when every element is finite. The loop
-// has no branch per element, and its four sums keep each add from waiting
-// on the one before.
+// over the matrix is zero exactly when every element is finite. Where the
+// CPU has AVX2, finiteAVX2 sums the first len - len mod 32 elements; the
+// loop below sums the rest, or every element elsewhere. Neither branches
+// per element, and the loop's four sums keep each add from waiting on the
+// one before.
 func validateFinite(name string, m *tensor.Matrix) error {
 	d := m.Data
 	var s0, s1, s2, s3 float32
+	if n := len(d) &^ 31; tensor.HasAVX2 && n > 0 {
+		s0 = finiteAVX2(&d[0], n)
+		d = d[n:]
+	}
 	for ; len(d) >= 4; d = d[4:] {
 		s0 += d[0] * 0
 		s1 += d[1] * 0
@@ -335,30 +338,74 @@ var normFormat = fixed.Format{IntBits: 5, FracBits: 3}
 // ‖K_y‖, one compare. The result is appended to dst to allow reuse across
 // queries.
 func (e *Engine) SelectCandidates(qHash srp.BitVec, p *Preprocessed, t float64, dst []int) []int {
-	return e.selectCandidatesWords(qHash.Words, p, t, dst)
+	cand, _ := e.selectKeys(qHash.Words, p, p.Packed.N, t*p.MaxNorm, dst)
+	return cand
 }
 
-// selectCandidatesWords is the packed-arena candidate scan: one XOR+POPCNT
-// (per word), a LUT read, a multiply and a compare per key, streaming the
-// contiguous hash arena. Every key index is written at the output cursor,
-// which advances only when the key passes, so the compare needs no branch;
-// dst's spare capacity (grown to n if short) is the scratch for that.
-func (e *Engine) selectCandidatesWords(qWords []uint64, p *Preprocessed, t float64, dst []int) []int {
-	cut := t * p.MaxNorm
+// selectKeys is the packed-arena candidate scan over keys 0..n-1 of p:
+// per key one XOR+POPCNT (per word), a LUT read, a multiply by the key's
+// norm and a compare with cut. It appends the keys whose similarity
+// exceeds cut to dst, and also returns the key of highest similarity, the
+// first on a tie, which a query that selects nothing falls back to; so
+// such a query reads the arena once. Every key index is written at the
+// output cursor, which advances only when the key passes, so the compare
+// needs no branch; dst's spare capacity (grown to n if short) is the
+// scratch for that.
+//
+// A one-word hash (k <= 64) takes four keys per step in selectAVX2 where
+// the CPU has AVX2, and the n mod 4 keys left in the loop below; wider
+// hashes take the loop below for every key.
+func (e *Engine) selectKeys(qWords []uint64, p *Preprocessed, n int, cut float64, dst []int) (cand []int, best int) {
 	packed := p.Packed
-	n := packed.N
 	norms := p.Norms[:n]
+	lut := e.cosLUT
 	base := len(dst)
 	dst = slices.Grow(dst, n)
 	buf := dst[base : base+n]
-	k := 0
-	for y := range buf {
+	bestSim := math.Inf(-1)
+	k, y := 0, 0
+	if n4 := n &^ 3; packed.W == 1 && tensor.HasAVX2 && n4 > 0 {
+		// The kernel reads lut at any Hamming distance of two words,
+		// 0..64; newCosLUT leaves the capacity for that.
+		var lanes [4]int
+		var sims [4]float64
+		words := packed.Words[:n4]
+		k = selectAVX2(&buf[0], &words[0], qWords[0], &lut[:selectLUTLen][0], &norms[0], cut, n4, &lanes, &sims)
+		// Lane l holds the first best of keys l, l+4, …; the first best
+		// overall is the lowest such key among the lanes that tie.
+		for l, sim := range sims {
+			if sim > bestSim || sim == bestSim && lanes[l] < best {
+				best, bestSim = lanes[l], sim
+			}
+		}
+		y = n4
+	}
+	for ; y < n; y++ {
+		sim := lut[packed.HammingAt(qWords, y)] * norms[y]
 		buf[k] = y
-		if e.cosLUT[packed.HammingAt(qWords, y)]*norms[y] > cut {
+		if sim > cut {
 			k++
 		}
+		if sim > bestSim {
+			best, bestSim = y, sim
+		}
 	}
-	return dst[:base+k]
+	return dst[:base+k], best
+}
+
+// selectLUTLen is how many cos-LUT entries selectAVX2 may read: one per
+// Hamming distance of two 64-bit words.
+const selectLUTLen = 65
+
+// newCosLUT returns the (k+1)-entry candidate-selection table for θ_bias
+// bias, with capacity for selectLUTLen entries; those past k are zero and
+// no valid hash pair reaches them.
+func newCosLUT(k int, bias float64) []float64 {
+	lut := make([]float64, k+1, max(k+1, selectLUTLen))
+	for h := range lut {
+		lut[h] = math.Cos(srp.CorrectedAngle(h, k, bias))
+	}
+	return lut
 }
 
 // Result is the outcome of an approximate attention invocation.
@@ -472,10 +519,11 @@ func (e *Engine) attendRows(ws *Workspace, qm *tensor.Matrix, lo, hi int, p *Pre
 		qrow := qm.Row(i)
 		if !exact {
 			e.HashVectorInto(ws.hashWords, qrow, ws)
-			ws.cand = e.selectCandidatesWords(ws.hashWords, p, t, ws.cand[:0])
+			var best int
+			ws.cand, best = e.selectKeys(ws.hashWords, p, p.Packed.N, t*p.MaxNorm, ws.cand[:0])
 			if len(ws.cand) == 0 {
 				fallback++
-				ws.cand = append(ws.cand, e.bestApproxKeyWords(ws.hashWords, p))
+				ws.cand = append(ws.cand, best)
 			}
 		}
 		counts[i] = len(ws.cand)
@@ -516,20 +564,6 @@ func scoreKeys(dots, qrow []float32, ys []int, p *Preprocessed, ws *Workspace) {
 	}
 }
 
-// bestApproxKeyWords returns the key index with maximum approximate
-// similarity to the hashed query, the first on a tie.
-func (e *Engine) bestApproxKeyWords(qWords []uint64, p *Preprocessed) int {
-	best, bestSim := 0, math.Inf(-1)
-	packed := p.Packed
-	for y := 0; y < packed.N; y++ {
-		sim := e.cosLUT[packed.HammingAt(qWords, y)] * p.Norms[y]
-		if sim > bestSim {
-			best, bestSim = y, sim
-		}
-	}
-	return best
-}
-
 // weightedSum computes softmax over the candidate scores and accumulates
 // score-weighted value rows into out, emulating the attention-computation
 // and output-division modules. In Quantized mode the exponent, accumulation
@@ -549,7 +583,7 @@ func (e *Engine) weightedSum(out []float32, cand []int, scores []float64, p *Pre
 			sumexp = fixed.RoundEFloat(sumexp + ev)
 			vrow := p.valueRow(y, ws)
 			for j := range acc {
-				acc[j] += ev * float64(vrow[j])
+				acc[j] += float64(ev * float64(vrow[j]))
 			}
 		}
 		inv := e.recpU.Recip(sumexp)
@@ -559,26 +593,23 @@ func (e *Engine) weightedSum(out []float32, cand []int, scores []float64, p *Pre
 		return
 	}
 	// Float path: numerically-stable softmax over the candidate subset,
-	// with the 1/sum scale folded into each weight once.
-	maxs := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxs {
-			maxs = s
-		}
-	}
-	sumexp := 0.0
+	// with the 1/sum scale folded into each weight once. The exponentials
+	// go four at a time through tensor.ExpInto; sumexp stays a
+	// left-to-right sum.
+	maxs := maxScore(scores)
 	if cap(ws.weights) < len(scores) {
 		ws.weights = make([]float64, len(scores))
 	}
 	w := ws.weights[:len(scores)]
 	for ci, s := range scores {
-		w[ci] = math.Exp(s - maxs)
-		sumexp += w[ci]
+		w[ci] = s - maxs
 	}
-	inv := 1 / sumexp
-	for ci := range w {
-		w[ci] *= inv
+	tensor.ExpInto(w, w)
+	sumexp := 0.0
+	for _, v := range w {
+		sumexp += v
 	}
+	scaleWeights(w, 1/sumexp)
 	// out is accumulated into; a reused workspace row holds the previous
 	// call's output.
 	for j := range out {
@@ -593,6 +624,38 @@ func (e *Engine) weightedSum(out []float32, cand []int, scores []float64, p *Pre
 		addWeightedRows(out, w[ci:ci+1], p.valueRow(y, ws), cand[ci:ci+1], y)
 	}
 	addWeightedRows(out, w[ci:], p.Values.Data, cand[ci:], cn)
+}
+
+// maxScore returns the largest element of scores that is not NaN, or -Inf
+// when there is none. Where the CPU has AVX2, maxAVX2 takes the first
+// len - len mod 4 elements in four lanes; the lanes and the rest meet in
+// the loop below. Two equal maxima differ at most in the sign of a zero,
+// and s - (+0) and s - (-0) have the same exponential, so the softmax is
+// the same whichever lane wins.
+func maxScore(scores []float64) float64 {
+	m := math.Inf(-1)
+	if n := len(scores) &^ 3; tensor.HasAVX2 && n > 0 {
+		m = maxAVX2(&scores[0], n)
+		scores = scores[n:]
+	}
+	for _, s := range scores {
+		if s > m {
+			m = s
+		}
+	}
+	return m
+}
+
+// scaleWeights multiplies every element of w by s, four at a time in
+// scaleAVX2 where the CPU has AVX2.
+func scaleWeights(w []float64, s float64) {
+	if n := len(w) &^ 3; tensor.HasAVX2 && n > 0 {
+		scaleAVX2(&w[0], n, s)
+		w = w[n:]
+	}
+	for i := range w {
+		w[i] *= s
+	}
 }
 
 // addWeightedRows adds float32(w[i]·V_i[j]) to out[j] for each row i in

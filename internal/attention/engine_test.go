@@ -485,10 +485,12 @@ func TestCandidateFractionEdgeCases(t *testing.T) {
 
 // TestNonFiniteInputsRejected plants NaN, +Inf and −Inf at the first, a
 // middle and the last element of K, V and Q: each is refused with the
-// matrix named, and nothing else is. At d = 13 the matrices' 65 elements
-// leave one for the check's tail loop.
+// matrix named, and nothing else is; with K and V both non-finite the key
+// matrix is named. The check takes 32 elements per step where the CPU has
+// AVX2: at d = 13 the matrices' 65 elements leave one for its tail loop,
+// and at d = 37 their 185 leave 25.
 func TestNonFiniteInputsRejected(t *testing.T) {
-	for _, d := range []int{16, 13} {
+	for _, d := range []int{16, 13, 37} {
 		e := newTestEngine(t, Config{D: d, Seed: 30})
 		rng := rand.New(rand.NewSource(30))
 		good := tensor.RandomNormal(rng, 5, d)
@@ -509,6 +511,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 				}{
 					{"key matrix", func() error { _, err := e.Preprocess(m, good); return err }},
 					{"value matrix", func() error { _, err := e.Preprocess(good, m); return err }},
+					{"key matrix", func() error { _, err := e.Preprocess(m, m); return err }},
 					{"query matrix", func() error { _, err := e.Attend(m, pre, 0); return err }},
 				} {
 					want := "attention: " + c.name + " contains a non-finite value"

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"elsa/internal/srp"
 	"elsa/internal/tensor"
 )
 
@@ -150,7 +152,7 @@ func TestKernelsMatchReference(t *testing.T) {
 				if watermark > 0 && p.Cold.N() == 0 {
 					t.Fatalf("d=%d watermark %d: no cold prefix", d, watermark)
 				}
-				linearScanRow(out, q, e.cfg.Scale, p, ws, ws.acc, math.Exp)
+				linearScanRow(out, q, e.cfg.Scale, p, ws, ws.acc, nil)
 				refLinearScanRow(want, q, e.cfg.Scale, p, ws, math.Exp)
 				assertBitsEqual(t, "linear scan", out, want)
 
@@ -441,9 +443,11 @@ func checkScoreKernels(t *testing.T, e *Engine, p *Preprocessed, q []float32, ca
 					t.Fatalf("%s scan tile col %d: %v, want %v", kernel, j, acc[j], refAcc[j])
 				}
 			}
-			linearScanRow(out, q, e.cfg.Scale, p, ws, ws.acc, math.Exp)
 			refLinearScanRow(want, q, e.cfg.Scale, p, refWS, math.Exp)
+			linearScanRow(out, q, e.cfg.Scale, p, ws, ws.acc, nil)
 			assertBitsEqual(t, kernel+" linear scan", out, want)
+			linearScanRow(out, q, e.cfg.Scale, p, ws, ws.acc, math.Exp)
+			assertBitsEqual(t, kernel+" linear scan, per-key exp", out, want)
 			for _, cand := range cands {
 				ws.cand = append(ws.cand[:0], cand...)
 				e.scoreCandidates(ws, q, p)
@@ -546,4 +550,141 @@ func FuzzScoreKernels(f *testing.F) {
 		cand := randomAscending(rng, n, float64(fracRaw)/255)
 		checkScoreKernels(t, e, st.snapshot(), q, [][]int{cand})
 	})
+}
+
+// refSelect is the key-at-a-time candidate scan and the separate
+// fallback argmax that selectKeys fuses.
+func refSelect(e *Engine, q []uint64, p *Preprocessed, n int, cut float64) ([]int, int) {
+	var cand []int
+	for y := 0; y < n; y++ {
+		if e.cosLUT[p.Packed.HammingAt(q, y)]*p.Norms[y] > cut {
+			cand = append(cand, y)
+		}
+	}
+	best, bestSim := 0, math.Inf(-1)
+	for y := 0; y < n; y++ {
+		if sim := e.cosLUT[p.Packed.HammingAt(q, y)] * p.Norms[y]; sim > bestSim {
+			best, bestSim = y, sim
+		}
+	}
+	return cand, best
+}
+
+// plantedArena returns n keys' k-bit hashes and norms for query q, with
+// ties planted: now and then a key copies an earlier key's hash and norm,
+// or takes the query's own hash, and some norms are zero, +Inf or NaN.
+func plantedArena(rng *rand.Rand, k, n int, q []uint64) *Preprocessed {
+	p := &Preprocessed{Packed: srp.NewPackedHashes(k, n), Norms: make([]float64, n)}
+	w := p.Packed.W
+	for y := 0; y < n; y++ {
+		row := p.Packed.Row(y)
+		switch r := rng.Intn(10); {
+		case r < 2 && y > 0:
+			src := rng.Intn(y)
+			copy(row, p.Packed.Row(src))
+			p.Norms[y] = p.Norms[src]
+			continue
+		case r == 2:
+			copy(row, q)
+		default:
+			for i := range row {
+				row[i] = rng.Uint64()
+			}
+		}
+		if k%64 != 0 {
+			row[w-1] &= 1<<(k%64) - 1
+		}
+		switch rng.Intn(16) {
+		case 0:
+			p.Norms[y] = 0
+		case 1:
+			p.Norms[y] = math.Inf(1)
+		case 2:
+			p.Norms[y] = math.NaN()
+		default:
+			p.Norms[y] = float64(rng.Intn(4)) + 0.5
+		}
+		p.MaxNorm = max(p.MaxNorm, p.Norms[y])
+	}
+	return p
+}
+
+// TestSelectKernelMatchesGeneric holds selectKeys, with the AVX2 kernel
+// and with its Go loop, to the key-at-a-time scan and the separate
+// first-wins argmax it replaced: the same candidate list after a kept
+// prefix of dst, and the same fallback key, for one-word hashes (k = 64
+// and 16, the kernel's case) and two-word ones, n = 0…17 and longer
+// arenas, planted ties, and cuts that reject every key, admit every key
+// or equal a key's similarity.
+func TestSelectKernelMatchesGeneric(t *testing.T) {
+	if !tensor.HasAVX2 {
+		t.Log("no AVX2 here: only the Go loop is checked")
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, k := range []int{64, 16, 100} {
+		e := newTestEngine(t, Config{D: 16, K: k, Seed: int64(k), BiasSamples: 32})
+		for n := 0; n <= 80; n++ {
+			if n > 17 && n%7 != 0 {
+				continue
+			}
+			q := make([]uint64, srp.WordsPerHash(k))
+			for i := range q {
+				q[i] = rng.Uint64()
+			}
+			if k%64 != 0 {
+				q[len(q)-1] &= 1<<(k%64) - 1
+			}
+			p := plantedArena(rng, k, n, q)
+			cuts := []float64{math.Inf(1), math.Inf(-1), 0, rng.Float64() * p.MaxNorm}
+			if n > 0 {
+				y := rng.Intn(n)
+				cuts = append(cuts, e.cosLUT[p.Packed.HammingAt(q, y)]*p.Norms[y])
+			}
+			for _, cut := range cuts {
+				wantCand, wantBest := refSelect(e, q, p, n, cut)
+				for _, kernel := range []string{"AVX2", "Go"} {
+					run := func(f func()) { f() }
+					switch {
+					case kernel == "Go":
+						run = withGoKernels
+					case !tensor.HasAVX2:
+						continue
+					}
+					run(func() {
+						dst := []int{-7, -8}
+						cand, best := e.selectKeys(q, p, n, cut, dst)
+						if cand[0] != -7 || cand[1] != -8 || !slices.Equal(cand[2:], wantCand) || best != wantBest {
+							t.Fatalf("%s k=%d n=%d cut=%v: candidates %v best %d, want %v best %d",
+								kernel, k, n, cut, cand, best, append([]int{-7, -8}, wantCand...), wantBest)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSelectCandidates times one query's candidate scan over 256
+// keys at d = k = 64 with the benchmark threshold, through the AVX2
+// kernel and through the Go loop.
+func BenchmarkSelectCandidates(b *testing.B) {
+	e, q, p, thr := benchSetup(b, 256, 64, false)
+	qh := e.HashVector(q.Row(0))
+	dst := make([]int, 0, 256)
+	for _, kernel := range []string{"AVX2", "Go"} {
+		run := func(f func()) { f() }
+		switch {
+		case kernel == "Go":
+			run = withGoKernels
+		case !tensor.HasAVX2:
+			continue
+		}
+		b.Run(kernel, func(b *testing.B) {
+			run(func() {
+				for i := 0; i < b.N; i++ {
+					dst, _ = e.selectKeys(qh.Words, p, p.Packed.N, thr*p.MaxNorm, dst[:0])
+				}
+			})
+		})
+	}
 }

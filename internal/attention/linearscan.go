@@ -112,7 +112,7 @@ func ExactLinearScan(q, k, v *tensor.Matrix, scale float64) *tensor.Matrix {
 	p := &Preprocessed{Keys: k, Values: v}
 	acc := make([]float64, v.Cols)
 	for i := 0; i < q.Rows; i++ {
-		linearScanRow(out.Row(i), q.Row(i), scale, p, nil, acc, math.Exp)
+		linearScanRow(out.Row(i), q.Row(i), scale, p, nil, acc, nil)
 	}
 	return out
 }
@@ -168,7 +168,7 @@ func (e *Engine) AttendLinearScanWith(ws *Workspace, q *tensor.Matrix, p *Prepro
 	n := p.N()
 	acc := ws.acc[:e.cfg.D]
 	for i := 0; i < qm.Rows; i++ {
-		linearScanRow(res.Output.Row(i), qm.Row(i), e.cfg.Scale, p, ws, acc, math.Exp)
+		linearScanRow(res.Output.Row(i), qm.Row(i), e.cfg.Scale, p, ws, acc, nil)
 		res.CandidateCounts[i] = n
 	}
 	res.TotalCandidates = qm.Rows * n
@@ -187,13 +187,18 @@ const scanTile = 32
 // the differential bound above is purely about downstream arithmetic
 // order.
 // ws supplies the cold-prefix decode buffers and may be nil when p has no
-// cold prefix; acc is the caller's d-wide float64 accumulator.
+// cold prefix; acc is the caller's d-wide float64 accumulator. exp is the
+// exponential; nil selects math.Exp through tensor.ExpInto.
 //
 // Keys go in tiles of scanTile: the tile's dot products come from one
-// scoreKeys call, its logits, weights and max-rescale factors follow,
-// updating m and sum key by key, then addScanTile applies the tile to
-// acc. Each accumulator element sees the same rescales and additions in
-// the same key order as a key-at-a-time scan.
+// scoreKeys call. A first pass over the tile tracks the running max and
+// writes each key's exponent argument: m - l for a key that raises the
+// max, l - m for one that does not. One exp pass over the tile follows,
+// then a second pass folds the factors into sum key by key and
+// addScanTile applies the tile to acc. Each accumulator element sees the
+// same rescales and additions in the same key order as a key-at-a-time
+// scan, and every exponential gets the argument the key-at-a-time scan
+// gives it.
 // Cold-prefix keys decode into one scratch row each, so they form
 // one-key tiles.
 func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed, ws *Workspace, acc []float64, exp func(float64) float64) {
@@ -206,8 +211,16 @@ func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed
 	n, cn := p.N(), p.Cold.N()
 	scale32 := float32(scale)
 	// w[t] is key t's weight in the running frame; r[t] is the factor the
-	// state is rescaled by before the key is added (1: no rescale).
-	var w, r [scanTile]float64
+	// state is rescaled by before the key is added (1: no rescale). x[t]
+	// holds the key's exponent argument and then its exponential, and
+	// kind[t] says which of w and r that is.
+	const (
+		weight  = iota // w = exp(l - m)
+		rescale        // r = exp(m_old - l), w = 1
+		first          // the first key: the state is empty, r = w = 1
+	)
+	var w, r, x [scanTile]float64
+	var kind [scanTile]uint8
 	var ys [scanTile]int
 	var dots [scanTile]float32
 	for y0 := 0; y0 < n; {
@@ -215,28 +228,42 @@ func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed
 		if y0 < cn {
 			y1 = y0 + 1
 		}
-		for t := range ys[:y1-y0] {
+		nt := y1 - y0
+		for t := range ys[:nt] {
 			ys[t] = y0 + t
 		}
-		scoreKeys(dots[:y1-y0], qrow, ys[:y1-y0], p, ws)
-		for t, dot := range dots[:y1-y0] {
+		scoreKeys(dots[:nt], qrow, ys[:nt], p, ws)
+		for t, dot := range dots[:nt] {
 			if scale != 1 {
 				dot *= scale32
 			}
 			l := float64(dot)
-			r[t] = 1
-			if l > m {
-				// New running max: rescale state into the new frame. The
-				// first key always lands here (m starts at -Inf) with empty
-				// state.
-				if !math.IsInf(m, -1) {
-					r[t] = exp(m - l)
-					sum *= r[t]
+			switch {
+			case l > m && math.IsInf(m, -1):
+				kind[t], x[t], m = first, 0, l
+			case l > m:
+				kind[t], x[t], m = rescale, m-l, l
+			default:
+				kind[t], x[t] = weight, l-m
+			}
+		}
+		if exp == nil {
+			tensor.ExpInto(x[:nt], x[:nt])
+		} else {
+			for t := range x[:nt] {
+				if kind[t] != first {
+					x[t] = exp(x[t])
 				}
-				m = l
-				w[t] = 1
-			} else {
-				w[t] = exp(l - m)
+			}
+		}
+		for t := range x[:nt] {
+			r[t], w[t] = 1, 1
+			switch kind[t] {
+			case rescale:
+				r[t] = x[t]
+				sum *= r[t]
+			case weight:
+				w[t] = x[t]
 			}
 			sum += w[t]
 		}
@@ -244,7 +271,7 @@ func linearScanRow(out []float32, qrow []float32, scale float64, p *Preprocessed
 			addScanTile(acc, w[:1], r[:1], p.valueRow(y0, ws))
 		} else {
 			d := len(acc)
-			addScanTile(acc, w[:y1-y0], r[:y1-y0], p.Values.Data[(y0-cn)*d:(y1-cn)*d])
+			addScanTile(acc, w[:nt], r[:nt], p.Values.Data[(y0-cn)*d:(y1-cn)*d])
 		}
 		y0 = y1
 	}

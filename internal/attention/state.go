@@ -6,7 +6,6 @@ import (
 
 	"elsa/internal/fixed"
 	"elsa/internal/kron"
-	"elsa/internal/srp"
 	"elsa/internal/tensor"
 )
 
@@ -80,13 +79,10 @@ func NewEngineFromState(st State) (*Engine, error) {
 		cfg:    cfg,
 		projs:  projs,
 		bias:   st.Bias,
-		cosLUT: make([]float64, cfg.K+1),
+		cosLUT: newCosLUT(cfg.K, st.Bias),
 		expU:   fixed.NewExpUnit(),
 		recpU:  fixed.NewRecipUnit(),
 		sqrtU:  fixed.NewSqrtUnit(),
-	}
-	for h := range e.cosLUT {
-		e.cosLUT[h] = math.Cos(srp.CorrectedAngle(h, cfg.K, e.bias))
 	}
 	return e, nil
 }

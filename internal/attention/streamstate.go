@@ -237,6 +237,16 @@ func (e *Engine) ImportStream(data []byte) (*Stream, error) {
 		return nil, fmt.Errorf("attention: stream state hot tail has %d/%d elements, want %d",
 			len(hotKeys), len(hotValues), hot*e.cfg.D)
 	}
+	// A hash sets no bit at or past k, so no Hamming distance exceeds k,
+	// the last entry of the cos LUT.
+	if r := e.cfg.K % 64; r != 0 {
+		spare := ^uint64(0) << r
+		for i := wph - 1; i < len(hashWords); i += wph {
+			if hashWords[i]&spare != 0 {
+				return nil, fmt.Errorf("attention: stream state hash %d sets a bit past k=%d", i/wph, e.cfg.K)
+			}
+		}
+	}
 
 	s := &Stream{
 		engine:    e,

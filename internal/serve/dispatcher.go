@@ -233,8 +233,9 @@ func (d *dispatcher) startShard(sh *shard) {
 
 // estimateWaitLocked predicts how long a newly admitted op of the given
 // kind waits for set before its result exists, from lane occupancy and
-// the queue ahead of it: one service time when an eligible lane is idle
-// (the op dispatches at once), else
+// the queue ahead of it: nothing when an eligible lane is idle — the op
+// dispatches at once, and admission never refuses an op for its own run
+// alone — else
 //
 //	(⌊queued ahead / (MaxBatch × eligible lanes)⌋ + 2) × service time
 //
@@ -246,7 +247,7 @@ func (d *dispatcher) estimateWaitLocked(set *replicaSet, decode bool) time.Durat
 	for _, sh := range set.shards() {
 		if set.eligible(sh, decode) {
 			if !sh.busy {
-				return svc
+				return 0
 			}
 			lanes++
 		}

@@ -262,9 +262,10 @@ func holdLane(t *testing.T, d *dispatcher, set *replicaSet, b *fakeBackend) {
 // TestPipelineRefusals runs both job kinds through every refusal and
 // reroute branch of the shared pipeline: the admission gate's four
 // refusals and a retryable failure with no sibling lane. The queue-full
-// and deadline cases pin the wait estimate: one service time while the
-// lane is idle, and (⌊ahead/(MaxBatch×lanes)⌋ + 2) service times while a
-// held blocker keeps it busy.
+// and deadline cases pin the wait estimate: nothing while the lane is
+// idle, so even a deadline far below the service time is served, and
+// (⌊ahead/(MaxBatch×lanes)⌋ + 2) service times while a held blocker keeps
+// it busy.
 func TestPipelineRefusals(t *testing.T) {
 	const (
 		maxBatch = 4
@@ -310,8 +311,9 @@ func TestPipelineRefusals(t *testing.T) {
 				t.Cleanup(func() { setQueued(0) }) // before close waits the queue out
 				setSvc(d, svc)
 			},
-			want:       ErrQueueFull,
-			retryAfter: svc,
+			want: ErrQueueFull,
+			// The lane is idle: no wait to hint at.
+			retryAfter: 0,
 		},
 		{
 			// The blocker runs, then maxQueue ops of the kind queue behind
@@ -331,11 +333,11 @@ func TestPipelineRefusals(t *testing.T) {
 			retryAfter: (maxQueue/maxBatch + 2) * svc,
 		},
 		{
-			name:       "deadline unmeetable",
-			setup:      func(_ *testing.T, d *dispatcher, _ *replicaSet, _ *fakeBackend, _ bool) { setSvc(d, time.Hour) },
-			deadline:   time.Second,
-			want:       ErrDeadline,
-			retryAfter: time.Hour,
+			// An idle lane runs the op at once: admission charges it no
+			// wait, however long a batch takes.
+			name:     "deadline below the service time on an idle lane",
+			setup:    func(_ *testing.T, d *dispatcher, _ *replicaSet, _ *fakeBackend, _ bool) { setSvc(d, time.Hour) },
+			deadline: time.Second,
 		},
 		{
 			// One service time fits the deadline; the busy lane's second

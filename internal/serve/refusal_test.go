@@ -173,6 +173,14 @@ func TestRefusalStatusTable(t *testing.T) {
 		{
 			name: "attend/429 deadline",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
+				// An idle lane charges no wait, so every lane is held.
+				set, err := srv.pool.get(attendOp.options())
+				if err != nil {
+					t.Fatal(err)
+				}
+				gates := gateLanes(srv.disp, set)
+				t.Cleanup(func() { openAll(gates) })
+				occupy(t, srv.disp, set, gates)
 				srv.disp.mu.Lock()
 				srv.disp.svcEWMA = time.Hour.Seconds()
 				srv.disp.mu.Unlock()

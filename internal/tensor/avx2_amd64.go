@@ -23,6 +23,18 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// hasFMA reports CPUID.1:ECX bit 12, FMA3. The Go runtime's math.Exp
+// takes its fused branch exactly when the CPU has AVX and FMA, so ExpInto
+// runs exp4, which reproduces that branch, only where HasAVX2 and hasFMA
+// both hold.
+var hasFMA = detectFMA()
+
+func detectFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -44,3 +56,11 @@ func dotRows8(dst *float32, q *float32, d int, x *float32, rows *int, base int, 
 //
 //go:noescape
 func selfDots8(dst *float32, x *float32, d int, n int)
+
+// exp4 sets dst[i] = math.Exp(src[i]) for i < n, four at a time, n a
+// multiple of 4, and returns n. It stops at the first block of four
+// with an element outside [-708, 709] or a NaN and returns that block's
+// index: math.Exp may branch there, and the caller takes it instead.
+//
+//go:noescape
+func exp4(dst *float64, src *float64, n int) int

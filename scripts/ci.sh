@@ -21,11 +21,14 @@ echo "== no fused multiply-add in the float kernels' Go loops =="
 # The spec lets a compiler fuse x*y + z into one rounding, and arm64 does.
 # The Go loops of Dot, matMulTRow, addWeightedRows and addScanTile round
 # each product explicitly, so every architecture gets the AVX2 kernels'
-# bits. Fail if the arm64 listing of one of them fuses anyway, or is
-# missing (a renamed function must be renamed here too).
+# bits; weightedSum's Quantized accumulator and ExactCausal do too, so
+# arm64 gets amd64's bits there. Fail if the arm64 listing of one of them
+# fuses anyway, or is missing (a renamed function must be renamed here
+# too).
 listing=$(GOARCH=arm64 go build -gcflags='elsa/internal/tensor=-S' -o /dev/null ./internal/tensor 2>&1
     GOARCH=arm64 go build -gcflags='elsa/internal/attention=-S' -o /dev/null ./internal/attention 2>&1)
-for fn in tensor.Dot tensor.matMulTRow attention.addWeightedRows attention.addScanTile; do
+for fn in tensor.Dot tensor.matMulTRow attention.addWeightedRows attention.addScanTile \
+    'attention.(*Engine).weightedSum' attention.ExactCausal; do
     body=$(printf '%s\n' "$listing" | awk -v f="elsa/internal/$fn" '/^[^ \t]/ {on = ($1 == f && $2 == "STEXT")} on')
     if [ -z "$body" ]; then
         echo "no arm64 listing of $fn" >&2
@@ -99,6 +102,12 @@ echo "== fuzz smoke: score kernels =="
 # the query: the AVX2 dot, softmax·V and linear-scan kernels and their Go
 # loops match tensor.Dot and the row-wise references bit for bit.
 go test -run '^$' -fuzz '^FuzzScoreKernels$' -fuzztime 10s ./internal/attention/
+
+echo "== fuzz smoke: exp kernel =="
+# Arbitrary float64 bit patterns through tensor.ExpInto, with the
+# four-lane FMA kernel and with the Go loop: both equal math.Exp bit for
+# bit, NaN, ±Inf, subnormal and out-of-range lanes included.
+go test -run '^$' -fuzz '^FuzzExpInto$' -fuzztime 10s ./internal/tensor/
 
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
