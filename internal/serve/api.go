@@ -1,17 +1,15 @@
 package serve
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
@@ -631,20 +629,18 @@ func unpackMatrix(name string, packed []string) ([][]float32, error) {
 	if packed == nil {
 		return nil, nil
 	}
-	floats, widest := 0, 0
+	floats := 0
 	for _, s := range packed {
-		floats += packedFloats(len(s))
-		widest = max(widest, len(s))
+		floats += wire.Floats(len(s))
 	}
 	backing := make([]float32, 0, floats)
-	scratch := make([]byte, base64.StdEncoding.DecodedLen(widest))
 	rows := make([][]float32, len(packed))
 	badRow, badCol := -1, -1
 	for i, s := range packed {
 		start := len(backing)
 		var bad int
 		var err error
-		if backing, bad, err = decodeRow(backing, scratch, []byte(s)); err != nil {
+		if backing, bad, err = wire.DecodeRow(backing, []byte(s)); err != nil {
 			return nil, fmt.Errorf("%s row %d: %w", name, i, err)
 		}
 		if bad >= 0 && badRow < 0 {
@@ -657,36 +653,6 @@ func unpackMatrix(name string, packed []string) ([][]float32, error) {
 			name, badRow, badCol, rows[badRow][badCol])
 	}
 	return rows, nil
-}
-
-// packedFloats is how many float32s a packed row of n base64 bytes can
-// hold at most: three bytes per four characters, four bytes per float.
-// Decoders size their backing by it, so a body buys at most 3/16 of its
-// base64 length in floats.
-func packedFloats(n int) int { return base64.StdEncoding.DecodedLen(n) / 4 }
-
-// decodeRow base64-decodes one packed row (a client.PackVec string)
-// through scratch, which holds at least DecodedLen(len(src)) bytes, and
-// appends its float32s to dst. bad is the index of the row's first
-// non-finite element, or -1. The error texts are the /v1/attend wire
-// contract; both the body scanner and unpack decode through here.
-func decodeRow(dst []float32, scratch, src []byte) (out []float32, bad int, err error) {
-	n, err := base64.StdEncoding.Decode(scratch, src)
-	if err != nil {
-		return nil, -1, fmt.Errorf("packed vector: %w", err)
-	}
-	if n%4 != 0 {
-		return nil, -1, fmt.Errorf("packed vector is %d bytes, not a multiple of 4", n)
-	}
-	bad = -1
-	for i := 0; i < n; i += 4 {
-		bits := binary.LittleEndian.Uint32(scratch[i:])
-		if bits&0x7f800000 == 0x7f800000 && bad < 0 { // exponent all ones: Inf or NaN
-			bad = i / 4
-		}
-		dst = append(dst, math.Float32frombits(bits))
-	}
-	return dst, bad, nil
 }
 
 // unpack checks a step wave's entries and decodes each packed query

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"unicode/utf8"
+
+	"elsa/internal/wire"
 )
 
 // decodeAttend reads and decodes a POST /v1/attend body up to a validated
@@ -74,9 +76,8 @@ func decodeOp[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, req
 // input it does not fully recognise; the caller then hands the whole
 // body to encoding/json.
 type bodyScanner struct {
-	b       []byte
-	i       int
-	scratch []byte // base64 decode buffer, shared by every packed matrix
+	b []byte
+	i int
 }
 
 // scanEnvelope decodes body into env (whose Op must be set) when body is
@@ -362,7 +363,7 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 	}
 	// First pass: find each row's extent to count rows and floats.
 	start := s.i
-	n, floats, widest := 0, 0, 0
+	n, floats := 0, 0
 	if !s.next(']') {
 		for {
 			s.ws()
@@ -374,8 +375,7 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 				return false
 			}
 			n++
-			floats += packedFloats(end)
-			widest = max(widest, end)
+			floats += wire.Floats(end)
 			s.i += end + 2
 			if s.next(']') {
 				break
@@ -384,9 +384,6 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 				return false
 			}
 		}
-	}
-	if need := base64.StdEncoding.DecodedLen(widest); len(s.scratch) < need {
-		s.scratch = make([]byte, need)
 	}
 	// Second pass: the structure is known good, so each row is the text
 	// between the next two quotes.
@@ -404,7 +401,7 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 		first := len(backing)
 		var bad int
 		var err error
-		if backing, bad, err = decodeRow(backing, s.scratch, src); err != nil || bad >= 0 {
+		if backing, bad, err = wire.DecodeRow(backing, src); err != nil || bad >= 0 {
 			return false
 		}
 		// The decoder skips CR and LF, which JSON refuses raw in a

@@ -84,8 +84,9 @@ func TestAttendPackedDecodeAllocs(t *testing.T) {
 	if fewAllocs != manyAllocs {
 		t.Errorf("packed decode makes %v allocations for 8 key rows, %v for 512: want a constant", fewAllocs, manyAllocs)
 	}
-	// The body, its floats (3/4 of the base64), the row headers (24 B a
-	// row, 1/15 of a 64-wide row's base64) and the decode scratch.
+	// The body, its floats (3/4 of the base64) and the row headers (24 B
+	// a row, 1/15 of a 64-wide row's base64); the rows decode straight
+	// into the floats.
 	if limit := 2 * float64(len(body)); manyBytes > limit {
 		t.Errorf("packed decode allocates %.0f B for a %d B body, want at most %.0f", manyBytes, len(body), limit)
 	}

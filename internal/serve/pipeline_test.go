@@ -666,8 +666,11 @@ func TestRerouteNeverSharesALane(t *testing.T) {
 
 // TestTightDeadlineServedOnIdleLane: an op reaching an idle lane
 // dispatches at once, so admission must not charge it any wait. On an
-// idle server with the default config, a one-shot attend, a session
-// query and a one-entry step wave with deadline_ms 1 are all answered.
+// idle server whose service-time estimate reads one hour, a one-shot
+// attend, a session query and a one-entry step wave with deadline_ms
+// 10000 are all answered: charged even one service time, each would be
+// refused up front. The deadline stays far above the ops' own run time,
+// which it also bounds.
 func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -688,14 +691,18 @@ func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/sessions/"+created.ID+"/append", app, nil); code != http.StatusOK {
 		t.Fatalf("append: status %d", code)
 	}
+	srv.disp.mu.Lock()
+	srv.disp.svcEWMA = time.Hour.Seconds()
+	srv.disp.mu.Unlock()
 
+	const deadlineMS = 10000
 	post := func(path string, op any) []byte {
 		t.Helper()
 		raw, err := json.Marshal(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(Envelope{DeadlineMS: 1, Op: raw})
+		body, err := json.Marshal(Envelope{DeadlineMS: deadlineMS, Op: raw})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -709,7 +716,7 @@ func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s with deadline_ms 1: status %d (%s)", path, resp.StatusCode, reply)
+			t.Errorf("%s with deadline_ms %d: status %d (%s)", path, deadlineMS, resp.StatusCode, reply)
 		}
 		return reply
 	}
@@ -723,7 +730,7 @@ func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(wave.Results) != 1 || wave.Results[0].Error != "" {
-		t.Errorf("one-entry step wave with deadline_ms 1: %+v", wave.Results)
+		t.Errorf("one-entry step wave with deadline_ms %d: %+v", deadlineMS, wave.Results)
 	}
 }
 

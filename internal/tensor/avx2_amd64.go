@@ -2,7 +2,7 @@ package tensor
 
 // HasAVX2 reports whether the CPU executes AVX2 and the OS saves YMM
 // state. Package initialisation sets it, and the assembly kernels of this
-// package, kron and attention run only while it is set. Tests clear it to
+// package, kron, attention and wire run only while it is set. Tests clear it to
 // run the Go loops; nothing else writes it.
 var HasAVX2 = detectAVX2()
 

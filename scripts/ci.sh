@@ -90,6 +90,13 @@ echo "== fuzz smoke: /v1/sessions/{id}/append decoder =="
 # or 400, never panic.
 go test -run '^$' -fuzz '^FuzzSessionAppend$' -fuzztime 10s ./internal/serve/
 
+echo "== fuzz smoke: packed-row codec =="
+# Arbitrary bytes through wire.DecodeRow, and the same bytes read as
+# float32s through wire.AppendRow, with the AVX2 base64 kernels and
+# without: out, bad index, error text and encoded bytes all equal
+# encoding/base64's.
+go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/wire/
+
 echo "== fuzz smoke: hash kernels =="
 # Arbitrary float32 bit patterns (NaN, ±Inf, −0, subnormals) for 1–17
 # rows through the generic mode products + PackSigns, the pure-Go
@@ -102,6 +109,13 @@ echo "== fuzz smoke: score kernels =="
 # the query: the AVX2 dot, softmax·V and linear-scan kernels and their Go
 # loops match tensor.Dot and the row-wise references bit for bit.
 go test -run '^$' -fuzz '^FuzzScoreKernels$' -fuzztime 10s ./internal/attention/
+
+echo "== fuzz smoke: stream state import =="
+# Arbitrary session blobs (seeded with float and Quantized exports, hot
+# and cold, and their truncations) through ImportStream: never a panic,
+# and an accepted blob re-exports to a fixpoint and takes an Append and
+# a Query.
+go test -run '^$' -fuzz '^FuzzImportStream$' -fuzztime 10s ./internal/attention/
 
 echo "== fuzz smoke: exp kernel =="
 # Arbitrary float64 bit patterns through tensor.ExpInto, with the

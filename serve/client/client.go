@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // Client talks to one elsaserve instance. It is safe for concurrent use.
@@ -235,16 +236,14 @@ func packedBody(env envelope, members []packedMember, tail any) ([]byte, error) 
 		return nil, fmt.Errorf("client: encoding op: %w", err)
 	}
 	head = head[:len(head)-len("null}")]
-	size, widest := len(head)+len("}")+len(rest), 0
+	size := len(head) + len("}") + len(rest)
 	for _, m := range members {
 		size += len(`,"":[]`) + len(m.key)
 		for _, row := range m.rows {
 			size += len(`"",`) + base64.StdEncoding.EncodedLen(4*len(row))
-			widest = max(widest, 4*len(row))
 		}
 	}
 	body := make([]byte, 0, size)
-	raw := make([]byte, 0, widest)
 	body = append(body, head...)
 	sep := byte('{')
 	for _, m := range members {
@@ -256,9 +255,8 @@ func packedBody(env envelope, members []packedMember, tail any) ([]byte, error) 
 			if j > 0 {
 				body = append(body, ',')
 			}
-			raw = appendLE(raw[:0], row)
 			body = append(body, '"')
-			body = base64.StdEncoding.AppendEncode(body, raw)
+			body = wire.AppendRow(body, row)
 			body = append(body, '"')
 		}
 		body = append(body, ']')
