@@ -70,16 +70,17 @@ func (h Hardware) toSim(d, k int) elsasim.Config {
 }
 
 // Threshold is a learned candidate-selection threshold for one attention
-// (sub-)layer at a chosen degree of approximation.
+// (sub-)layer at a chosen degree of approximation. Its JSON form is the
+// serving API's `threshold` object.
 type Threshold struct {
 	// P is the degree-of-approximation hyperparameter it was learned for
 	// (0 disables approximation).
-	P float64
+	P float64 `json:"p"`
 	// T is the learned layer threshold in query-normalized similarity
 	// units; the filter admits keys with ‖K_y‖·cos(θ̂) > T·‖K_max‖.
-	T float64
+	T float64 `json:"t"`
 	// Queries is how many calibration queries contributed.
-	Queries int
+	Queries int `json:"queries,omitempty"`
 }
 
 // Exact is the threshold that disables approximation (p = 0 fallback).

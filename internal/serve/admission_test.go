@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
@@ -138,8 +139,8 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(testSeed))
 	q, k, v := genOp(rng, 2, 6)
-	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
-	set, err := srv.pool.get(req.options())
+	req := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	set, err := srv.pool.get(attendEngineOptions(&req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := json.Marshal(Envelope{ClientID: "hurried", DeadlineMS: 20, Op: op})
+	env, err := json.Marshal(wire.Envelope[json.RawMessage]{ClientID: "hurried", DeadlineMS: 20, Op: op})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestSessionsInheritCreatorQuota(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	create, err := json.Marshal(Envelope{
+	create, err := json.Marshal(wire.Envelope[json.RawMessage]{
 		ClientID: "owner",
 		Op:       json.RawMessage(fmt.Sprintf(`{"head_dim":%d,"seed":%d}`, testDim, testSeed)),
 	})
@@ -271,7 +272,7 @@ func TestSessionsInheritCreatorQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var created SessionCreateResponse
+	var created wire.SessionCreateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +283,11 @@ func TestSessionsInheritCreatorQuota(t *testing.T) {
 
 	key := make([]float32, testDim)
 	key[0] = 1
-	op, err := json.Marshal(SessionAppendRequest{Key: key, Value: key})
+	op, err := json.Marshal(wire.SessionAppendRequest{Key: key, Value: key})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendBody, err := json.Marshal(Envelope{Op: op})
+	appendBody, err := json.Marshal(wire.Envelope[json.RawMessage]{Op: op})
 	if err != nil {
 		t.Fatal(err)
 	}

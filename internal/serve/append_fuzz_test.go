@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"elsa/internal/wire"
 )
 
 // appendSeeds are append bodies at the edge of what the body scanner
@@ -54,9 +56,10 @@ var appendSeeds = []string{
 
 // FuzzSessionAppend drives arbitrary bodies through the handler's
 // POST /v1/sessions/{id}/append decoder and, as the reference, through
-// the encoding/json path alone (decodeEnvelope, then unpack). The two
-// must agree on the status and error text and on every row, bit for bit,
-// and then on the batch the handler's shape check (rows) makes of them.
+// the encoding/json path alone (decodeEnvelope, then unpackAppend). The
+// two must agree on the status and error text and on every row, bit for
+// bit, and then on the batch the handler's shape check (appendRows)
+// makes of them.
 // A body the scanner takes must be one encoding/json takes too; every
 // other body is answered 400, and none may panic. Packed rows may only
 // allocate what the body pays for: four bytes of float per 5⅓ bytes of
@@ -77,7 +80,7 @@ func FuzzSessionAppend(f *testing.F) {
 
 		// The reference: encoding/json for every body.
 		jw := httptest.NewRecorder()
-		var jreq SessionAppendRequest
+		var jreq wire.SessionAppendRequest
 		_, jok := decodeEnvelope(jw, post(), 1<<20, &jreq)
 		var packedLen [2]int // base64 bytes of kp and of vp
 		if jok {
@@ -86,17 +89,17 @@ func FuzzSessionAppend(f *testing.F) {
 					packedLen[m] += len(s)
 				}
 			}
-			if err := jreq.unpack(); err != nil {
+			if err := unpackAppend(&jreq); err != nil {
 				fail(jw, http.StatusBadRequest, err.Error())
 				jok = false
 			}
 		}
 
-		var sreq SessionAppendRequest
-		scanned := scanEnvelope(body, &envelope[SessionAppendRequest]{Op: &sreq}, scanAppendMember, appendRequired)
+		var sreq wire.SessionAppendRequest
+		scanned := scanEnvelope(body, &wire.Envelope[*wire.SessionAppendRequest]{Op: &sreq}, scanAppendMember, appendRequired)
 
 		w := httptest.NewRecorder()
-		var req SessionAppendRequest
+		var req wire.SessionAppendRequest
 		ok := decodeAppend(w, post(), 1<<20, &req)
 		if ok != jok || w.Code != jw.Code || w.Body.String() != jw.Body.String() {
 			t.Fatalf("decoder: ok=%v %d %q; encoding/json: ok=%v %d %q",
@@ -143,8 +146,8 @@ func FuzzSessionAppend(f *testing.F) {
 			t.Fatalf("scanner took %d/%d rows, encoding/json %d/%d",
 				len(sreq.Keys), len(sreq.Values), len(jreq.Keys), len(jreq.Values))
 		}
-		keys, values, err := req.rows()
-		jkeys, jvalues, jerr := jreq.rows()
+		keys, values, err := appendRows(&req)
+		jkeys, jvalues, jerr := appendRows(&jreq)
 		if (err == nil) != (jerr == nil) || (err != nil && err.Error() != jerr.Error()) ||
 			len(keys) != len(jkeys) || len(values) != len(jvalues) {
 			t.Fatalf("rows: %d/%d %v; encoding/json %d/%d %v", len(keys), len(values), err, len(jkeys), len(jvalues), jerr)
@@ -177,8 +180,8 @@ func TestAppendScannerTakesPackedBodies(t *testing.T) {
 		{`{"op":{"kp":["\/\/\/\/PwAAAAA="],"vp":["AAAAAAAAgD8="]}}`, false},
 		{`{"op":{` + rows + `}}x`, false},
 	} {
-		var req SessionAppendRequest
-		env := envelope[SessionAppendRequest]{Op: &req}
+		var req wire.SessionAppendRequest
+		env := wire.Envelope[*wire.SessionAppendRequest]{Op: &req}
 		if got := scanEnvelope([]byte(tc.body), &env, scanAppendMember, appendRequired); got != tc.want {
 			t.Errorf("scanEnvelope(%q) = %v, want %v", tc.body, got, tc.want)
 		}

@@ -18,18 +18,19 @@ import (
 	"elsa"
 	"elsa/internal/serve"
 	"elsa/internal/serve/servetest"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
 // appendRaw posts one enveloped append op to session id at url and
 // returns the status and the reply text.
-func appendRaw(t *testing.T, url, id string, op serve.SessionAppendRequest) (int, string) {
+func appendRaw(t *testing.T, url, id string, op wire.SessionAppendRequest) (int, string) {
 	t.Helper()
 	raw, err := json.Marshal(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(serve.Envelope{Op: raw})
+	body, err := json.Marshal(wire.Envelope[json.RawMessage]{Op: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +62,16 @@ func tokenRows(seed int64, n int) (keys, values [][]float32) {
 
 // plainAppend is the plain body for a batch: key/value for one token,
 // keys/values for more.
-func plainAppend(keys, values [][]float32) serve.SessionAppendRequest {
+func plainAppend(keys, values [][]float32) wire.SessionAppendRequest {
 	if len(keys) == 1 {
-		return serve.SessionAppendRequest{Key: keys[0], Value: values[0]}
+		return wire.SessionAppendRequest{Key: keys[0], Value: values[0]}
 	}
-	return serve.SessionAppendRequest{Keys: keys, Values: values}
+	return wire.SessionAppendRequest{Keys: keys, Values: values}
 }
 
 // packedAppend is the packed body for a batch.
-func packedAppend(keys, values [][]float32) serve.SessionAppendRequest {
-	return serve.SessionAppendRequest{KP: client.PackRows(keys), VP: client.PackRows(values)}
+func packedAppend(keys, values [][]float32) wire.SessionAppendRequest {
+	return wire.SessionAppendRequest{KP: client.PackRows(keys), VP: client.PackRows(values)}
 }
 
 // sameSession requires two sessions to answer query q with the same bits
@@ -139,7 +140,7 @@ func TestAppendPackedMatchesPlain(t *testing.T) {
 			step := func(round int64, n int) {
 				t.Helper()
 				keys, values := tokenRows(round, n)
-				for i, op := range []serve.SessionAppendRequest{packedAppend(keys, values), plainAppend(keys, values)} {
+				for i, op := range []wire.SessionAppendRequest{packedAppend(keys, values), plainAppend(keys, values)} {
 					if code, text := appendRaw(t, url, sessions[i].ID(), op); code != http.StatusOK {
 						t.Fatalf("round %d session %d: %d %s", round, i, code, text)
 					}
@@ -193,16 +194,16 @@ func TestRefusedAppendKeepsLength(t *testing.T) {
 	nan[rtDim-1] = float32(math.NaN())
 	for _, tc := range []struct {
 		name string
-		op   serve.SessionAppendRequest
+		op   wire.SessionAppendRequest
 		text string
 	}{
-		{"ragged plain", serve.SessionAppendRequest{Keys: [][]float32{bad[0], bad[1], bad[2][:2]}, Values: badV},
+		{"ragged plain", wire.SessionAppendRequest{Keys: [][]float32{bad[0], bad[1], bad[2][:2]}, Values: badV},
 			"stream append with dims 2/16"},
 		{"packed NaN in last row", packedAppend(bad, [][]float32{badV[0], badV[1], nan}),
 			"vp row 2 element 15 is not finite (NaN)"},
-		{"bad base64", serve.SessionAppendRequest{KP: append(client.PackRows(bad[:2]), "!!!!"), VP: client.PackRows(badV)},
+		{"bad base64", wire.SessionAppendRequest{KP: append(client.PackRows(bad[:2]), "!!!!"), VP: client.PackRows(badV)},
 			"kp row 2: packed vector: illegal base64"},
-		{"mixed fields", serve.SessionAppendRequest{Keys: bad, Values: badV, KP: client.PackRows(bad), VP: client.PackRows(badV)},
+		{"mixed fields", wire.SessionAppendRequest{Keys: bad, Values: badV, KP: client.PackRows(bad), VP: client.PackRows(badV)},
 			"mutually exclusive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

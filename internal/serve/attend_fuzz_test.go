@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"elsa/internal/wire"
 )
 
 // attendSeeds are bodies at the edge of what the attend scanner takes:
@@ -75,12 +77,12 @@ var attendSeeds = []string{
 
 // FuzzAttendEnvelope drives arbitrary bodies through the handler's
 // /v1/attend decoder and, as the reference, through the encoding/json
-// path alone (decodeEnvelope, then unpack, then validate). The two must
-// agree on the status and error text, the Q/K/V bits, every other op
-// field, the admission metadata and whether the reply goes packed. Every
-// body must either leave an op the scheduler can take or be answered
-// 400, and none may panic. Packed rows may only allocate what the body
-// pays for: four bytes of float per 5⅓ bytes of base64.
+// path alone (decodeEnvelope, then unpackAttend, then validateAttend).
+// The two must agree on the status and error text, the Q/K/V bits, every
+// other op field, the admission metadata and whether the reply goes
+// packed. Every body must either leave an op the scheduler can take or be
+// answered 400, and none may panic. Packed rows may only allocate what
+// the body pays for: four bytes of float per 5⅓ bytes of base64.
 //
 // The seeds run in plain `go test`; explore further with
 //
@@ -100,7 +102,7 @@ func FuzzAttendEnvelope(f *testing.F) {
 
 		// The reference: encoding/json for every body.
 		jw := httptest.NewRecorder()
-		var jreq AttendRequest
+		var jreq wire.AttendRequest
 		jmeta, jok := decodeEnvelope(jw, post(), 1<<20, &jreq)
 		var packedLen [3]int // base64 bytes per packed matrix
 		jpacked := jreq.QP != nil
@@ -110,9 +112,9 @@ func FuzzAttendEnvelope(f *testing.F) {
 					packedLen[m] += len(s)
 				}
 			}
-			err := jreq.unpack()
+			err := unpackAttend(&jreq)
 			if err == nil {
-				err = jreq.validate()
+				err = validateAttend(&jreq)
 			}
 			if err != nil {
 				fail(jw, http.StatusBadRequest, err.Error())
@@ -122,7 +124,7 @@ func FuzzAttendEnvelope(f *testing.F) {
 		}
 
 		w := httptest.NewRecorder()
-		var req AttendRequest
+		var req wire.AttendRequest
 		meta, packed, ok := decodeAttend(w, post(), 1<<20, &req)
 		if ok != jok || w.Code != jw.Code || w.Body.String() != jw.Body.String() {
 			t.Fatalf("decoder: ok=%v %d %q; encoding/json: ok=%v %d %q",
@@ -165,7 +167,7 @@ func FuzzAttendEnvelope(f *testing.F) {
 				t.Fatalf("matrix %d: %d floats from %d base64 bytes", m, floats, packedLen[m])
 			}
 		}
-		req.options() // head_dim inference must not panic on an accepted op
+		attendEngineOptions(&req) // head_dim inference must not panic on an accepted op
 		req.Q, req.K, req.V, jreq.Q, jreq.K, jreq.V = nil, nil, nil, nil, nil, nil
 		if !reflect.DeepEqual(req, jreq) {
 			t.Fatalf("op fields %+v, encoding/json %+v", req, jreq)
@@ -198,8 +200,8 @@ func TestAttendScannerTakesPackedBodies(t *testing.T) {
 		{`{"op":{` + rows + `}}x`, false},
 		{`{"deadline_ms":1e3,"op":{` + rows + `}}`, false},
 	} {
-		var req AttendRequest
-		env := envelope[AttendRequest]{Op: &req}
+		var req wire.AttendRequest
+		env := wire.Envelope[*wire.AttendRequest]{Op: &req}
 		if got := scanEnvelope([]byte(tc.body), &env, scanAttendMember, attendRequired); got != tc.want {
 			t.Errorf("scanEnvelope(%q) = %v, want %v", tc.body, got, tc.want)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // refEngine builds the reference engine matching the test server's
@@ -60,7 +61,7 @@ func TestAttendBackendSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	base := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
 	for _, tc := range []struct {
 		backend string
 		want    [][]float32
@@ -70,7 +71,7 @@ func TestAttendBackendSelection(t *testing.T) {
 	} {
 		req := base
 		req.Backend = tc.backend
-		var got AttendResponse
+		var got wire.AttendResponse
 		if code := doJSON(t, client, "POST", ts.URL+"/v1/attend", req, &got); code != http.StatusOK {
 			t.Fatalf("backend %q: status %d", tc.backend, code)
 		}
@@ -117,8 +118,8 @@ func TestServerDefaultExactBackend(t *testing.T) {
 	}
 
 	// p=0 with no backend: rides the server default (linear scan).
-	var got AttendResponse
-	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	var got wire.AttendResponse
+	req := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/attend", req, &got); code != http.StatusOK {
 		t.Fatalf("default backend attend: status %d", code)
 	}
@@ -157,15 +158,15 @@ func TestSessionBackendDecode(t *testing.T) {
 	eng := refEngine(t)
 	direct := eng.NewStream(64)
 
-	var pinned SessionCreateResponse
+	var pinned wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: elsa.BackendLinearScan},
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: elsa.BackendLinearScan},
 		&pinned); code != http.StatusOK {
 		t.Fatalf("create pinned session: status %d", code)
 	}
-	var auto SessionCreateResponse
+	var auto wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &auto); code != http.StatusOK {
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &auto); code != http.StatusOK {
 		t.Fatalf("create auto session: status %d", code)
 	}
 
@@ -177,7 +178,7 @@ func TestSessionBackendDecode(t *testing.T) {
 		}
 		for _, id := range []string{pinned.ID, auto.ID} {
 			if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+id+"/append",
-				SessionAppendRequest{Key: key, Value: value}, nil); code != http.StatusOK {
+				wire.SessionAppendRequest{Key: key, Value: value}, nil); code != http.StatusOK {
 				t.Fatalf("append token %d: status %d", i, code)
 			}
 		}
@@ -188,9 +189,9 @@ func TestSessionBackendDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Session-pinned backend: no per-query selector needed.
-		var got SessionQueryResponse
+		var got wire.SessionQueryResponse
 		if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+pinned.ID+"/query",
-			SessionQueryRequest{Q: qv}, &got); code != http.StatusOK {
+			wire.SessionQueryRequest{Q: qv}, &got); code != http.StatusOK {
 			t.Fatalf("pinned query %d: status %d", i, code)
 		}
 		if !sameMatrix([][]float32{got.Context}, [][]float32{want}) {
@@ -201,7 +202,7 @@ func TestSessionBackendDecode(t *testing.T) {
 		}
 		// Per-query selector on the unpinned session.
 		if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+auto.ID+"/query",
-			SessionQueryRequest{Q: qv, Backend: elsa.BackendLinearScan}, &got); code != http.StatusOK {
+			wire.SessionQueryRequest{Q: qv, Backend: elsa.BackendLinearScan}, &got); code != http.StatusOK {
 			t.Fatalf("override query %d: status %d", i, code)
 		}
 		if !sameMatrix([][]float32{got.Context}, [][]float32{want}) {
@@ -212,17 +213,17 @@ func TestSessionBackendDecode(t *testing.T) {
 	// backend and t are mutually exclusive on a query.
 	tv := 0.5
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+auto.ID+"/query",
-		SessionQueryRequest{Q: genVec(rng), Backend: elsa.BackendLinearScan, T: &tv}, nil); code != http.StatusBadRequest {
+		wire.SessionQueryRequest{Q: genVec(rng), Backend: elsa.BackendLinearScan, T: &tv}, nil); code != http.StatusBadRequest {
 		t.Errorf("backend+t query: status %d, want 400", code)
 	}
 	// Creating an approximate session with a pinned exact backend is a 400.
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1, Backend: elsa.BackendLinearScan},
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1, Backend: elsa.BackendLinearScan},
 		nil); code != http.StatusBadRequest {
 		t.Errorf("backend with p>0 create: status %d, want 400", code)
 	}
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: "bogus"},
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: "bogus"},
 		nil); code != http.StatusBadRequest {
 		t.Errorf("unknown backend create: status %d, want 400", code)
 	}
@@ -242,14 +243,14 @@ func TestSessionStepBackendPerEntry(t *testing.T) {
 	eng := refEngine(t)
 	direct := eng.NewStream(32)
 
-	var pinned, auto SessionCreateResponse
+	var pinned, auto wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: elsa.BackendLinearScan},
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: elsa.BackendLinearScan},
 		&pinned); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &auto); code != http.StatusOK {
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &auto); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	for i := 0; i < 12; i++ {
@@ -259,7 +260,7 @@ func TestSessionStepBackendPerEntry(t *testing.T) {
 		}
 		for _, id := range []string{pinned.ID, auto.ID} {
 			if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+id+"/append",
-				SessionAppendRequest{Key: key, Value: value}, nil); code != http.StatusOK {
+				wire.SessionAppendRequest{Key: key, Value: value}, nil); code != http.StatusOK {
 				t.Fatalf("append: status %d", code)
 			}
 		}
@@ -271,9 +272,9 @@ func TestSessionStepBackendPerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	tv := 0.5
-	var wave SessionStepResponse
-	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/step", SessionStepRequest{
-		Queries: []SessionStepQuery{
+	var wave wire.SessionStepResponse
+	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/step", wire.SessionStepRequest{
+		Queries: []wire.SessionStepQuery{
 			{ID: pinned.ID, Q: qv},
 			{ID: auto.ID, Q: qv, Backend: elsa.BackendLinearScan},
 			{ID: auto.ID, Q: qv, Backend: elsa.BackendLinearScan, T: &tv},
@@ -319,9 +320,9 @@ func TestMigrationPreservesBackend(t *testing.T) {
 	eng := refEngine(t)
 	direct := eng.NewStream(32)
 
-	var created SessionCreateResponse
+	var created wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", tsA.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: elsa.BackendLinearScan},
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, Backend: elsa.BackendLinearScan},
 		&created); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
@@ -331,12 +332,12 @@ func TestMigrationPreservesBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 		if code := doJSON(t, client, "POST", tsA.URL+"/v1/sessions/"+created.ID+"/append",
-			SessionAppendRequest{Key: key, Value: value}, nil); code != http.StatusOK {
+			wire.SessionAppendRequest{Key: key, Value: value}, nil); code != http.StatusOK {
 			t.Fatalf("append: status %d", code)
 		}
 	}
 
-	var exported SessionExportResponse
+	var exported wire.SessionExportResponse
 	if code := doJSON(t, client, "POST", tsA.URL+"/v1/sessions/"+created.ID+"/export",
 		struct{}{}, &exported); code != http.StatusOK {
 		t.Fatalf("export: status %d", code)
@@ -345,8 +346,8 @@ func TestMigrationPreservesBackend(t *testing.T) {
 		t.Fatalf("export backend %q, want %q", exported.Backend, elsa.BackendLinearScan)
 	}
 
-	var imported SessionImportResponse
-	if code := doJSON(t, client, "POST", tsB.URL+"/v1/sessions/import", SessionImportRequest{
+	var imported wire.SessionImportResponse
+	if code := doJSON(t, client, "POST", tsB.URL+"/v1/sessions/import", wire.SessionImportRequest{
 		ID: exported.ID, State: exported.State, Capacity: exported.Capacity,
 		HeadDim: exported.HeadDim, HashBits: exported.HashBits,
 		Seed: exported.Seed, Quantized: exported.Quantized,
@@ -363,9 +364,9 @@ func TestMigrationPreservesBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got SessionQueryResponse
+	var got wire.SessionQueryResponse
 	if code := doJSON(t, client, "POST", tsB.URL+"/v1/sessions/"+created.ID+"/query",
-		SessionQueryRequest{Q: qv}, &got); code != http.StatusOK {
+		wire.SessionQueryRequest{Q: qv}, &got); code != http.StatusOK {
 		t.Fatalf("post-import query: status %d", code)
 	}
 	if !sameMatrix([][]float32{got.Context}, [][]float32{want}) {

@@ -15,14 +15,14 @@ import (
 // arrived packed (qp), which decides the reply form: packed in, packed
 // out. On failure meta carries the class resolved so far
 // (ClassInteractive when the envelope itself failed).
-func decodeAttend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *AttendRequest) (meta requestMeta, packed, ok bool) {
-	meta, scanned, ok := decodeOp(w, r, maxBytes, req, scanAttendMember, attendRequired, (*AttendRequest).unpack)
+func decodeAttend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *wire.AttendRequest) (meta requestMeta, packed, ok bool) {
+	meta, scanned, ok := decodeOp(w, r, maxBytes, req, scanAttendMember, attendRequired, unpackAttend)
 	if !ok {
 		return meta, false, false
 	}
 	packed = scanned || req.QP != nil
 	req.QP, req.KP, req.VP = nil, nil, nil
-	if err := req.validate(); err != nil {
+	if err := validateAttend(req); err != nil {
 		fail(w, http.StatusBadRequest, err.Error())
 		return meta, packed, false
 	}
@@ -31,8 +31,8 @@ func decodeAttend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *A
 
 // decodeAppend reads and decodes a POST /v1/sessions/{id}/append body
 // into req's plain rows, answering 400 itself on failure.
-func decodeAppend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *SessionAppendRequest) bool {
-	_, _, ok := decodeOp(w, r, maxBytes, req, scanAppendMember, appendRequired, (*SessionAppendRequest).unpack)
+func decodeAppend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *wire.SessionAppendRequest) bool {
+	_, _, ok := decodeOp(w, r, maxBytes, req, scanAppendMember, appendRequired, unpackAppend)
 	return ok
 }
 
@@ -57,9 +57,9 @@ func decodeOp[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, req
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false, false
 	}
-	env := envelope[T]{Op: req}
+	env := wire.Envelope[*T]{Op: req}
 	if scanEnvelope(body, &env, member, required) {
-		meta, ok = env.meta(w, r)
+		meta, ok = envelopeMeta(w, r, &env)
 		return meta, true, ok
 	}
 	if meta, ok = decodeEnvelopeBody(w, r, body, req); !ok {
@@ -87,11 +87,11 @@ type bodyScanner struct {
 // range for their field; and an op whose members member recognises,
 // carrying every key in required. Each packed matrix lands in one
 // float32 backing straight from the base64, with the same finiteness
-// check as unpack. It reports false for anything else (plain rows, null,
-// "QP", a repeated key, a \/ escape, a malformed body, a bad or
+// check as unpackAttend. It reports false for anything else (plain rows,
+// null, "QP", a repeated key, a \/ escape, a malformed body, a bad or
 // non-finite row), having possibly written to env: the caller then
 // decodes the body again through encoding/json.
-func scanEnvelope[T any](body []byte, env *envelope[T], member opMember[T], required keySet) bool {
+func scanEnvelope[T any](body []byte, env *wire.Envelope[*T], member opMember[T], required keySet) bool {
 	s := bodyScanner{b: body}
 	var seen keySet
 	ok := s.object(func(key []byte) bool {
@@ -119,7 +119,7 @@ func scanEnvelope[T any](body []byte, env *envelope[T], member opMember[T], requ
 const attendRequired keySet = 1<<0 | 1<<1 | 1<<2
 
 // scanAttendMember is the attend op's member switch.
-func scanAttendMember(s *bodyScanner, req *AttendRequest, key []byte, seen *keySet) bool {
+func scanAttendMember(s *bodyScanner, req *wire.AttendRequest, key []byte, seen *keySet) bool {
 	switch string(key) {
 	case "qp":
 		return seen.add(0) && s.rows(&req.Q)
@@ -155,7 +155,7 @@ const appendRequired keySet = 1<<0 | 1<<1
 
 // scanAppendMember is the append op's member switch: packed keys and
 // values decode straight into the plain rows.
-func scanAppendMember(s *bodyScanner, req *SessionAppendRequest, key []byte, seen *keySet) bool {
+func scanAppendMember(s *bodyScanner, req *wire.SessionAppendRequest, key []byte, seen *keySet) bool {
 	switch string(key) {
 	case "kp":
 		return seen.add(0) && s.rows(&req.Keys)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +15,11 @@ import (
 // heartbeatMiss is how many missed heartbeat intervals expire a dynamic
 // member to gone.
 const heartbeatMiss = 3
+
+// maxHeartbeatMS is the longest heartbeat interval a join may promise:
+// the expiry sweep's heartbeatMiss intervals must fit in a
+// time.Duration, or the deadline wraps and the member never expires.
+const maxHeartbeatMS = math.MaxInt64 / heartbeatMiss / int64(time.Millisecond)
 
 // placementWalk bounds how many ring successors a placement tries before
 // falling back to rotation. Deep walks only happen when nearly the whole

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
@@ -21,14 +22,14 @@ import (
 //	go test -run '^$' -bench AttendCodec ./internal/serve/
 func BenchmarkAttendCodec(b *testing.B) {
 	q, k, v := randMatrix(1, 4, 64), randMatrix(2, 320, 64), randMatrix(3, 320, 64)
-	plain, err := json.Marshal(envelope[AttendRequest]{Op: &AttendRequest{Q: q, K: k, V: v, P: 1}})
+	plain, err := json.Marshal(wire.Envelope[*wire.AttendRequest]{Op: &wire.AttendRequest{Q: q, K: k, V: v, P: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("plain/encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(envelope[AttendRequest]{Op: &AttendRequest{Q: q, K: k, V: v, P: 1}}); err != nil {
+			if _, err := json.Marshal(wire.Envelope[*wire.AttendRequest]{Op: &wire.AttendRequest{Q: q, K: k, V: v, P: 1}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -42,7 +43,7 @@ func BenchmarkAttendCodec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w := httptest.NewRecorder()
 				r := httptest.NewRequest("POST", "/v1/attend", bytes.NewReader(tc.body))
-				var req AttendRequest
+				var req wire.AttendRequest
 				if _, _, ok := decodeAttend(w, r, 1<<20, &req); !ok {
 					b.Fatal(w.Body.String())
 				}
@@ -65,7 +66,7 @@ func TestAttendPackedDecodeAllocs(t *testing.T) {
 		w, r := httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/attend", rd)
 		run := func() {
 			rd.Reset(body)
-			var req AttendRequest
+			var req wire.AttendRequest
 			if _, _, ok := decodeAttend(w, r, 1<<20, &req); !ok {
 				t.Fatal(w.Body.String())
 			}
@@ -103,14 +104,14 @@ func TestAttendPackedDecodeAllocs(t *testing.T) {
 func BenchmarkAppendCodec(b *testing.B) {
 	for _, rows := range []int{1, 256} {
 		k, v := randMatrix(1, rows, 64), randMatrix(2, rows, 64)
-		plain, err := json.Marshal(envelope[SessionAppendRequest]{Op: &SessionAppendRequest{Keys: k, Values: v}})
+		plain, err := json.Marshal(wire.Envelope[*wire.SessionAppendRequest]{Op: &wire.SessionAppendRequest{Keys: k, Values: v}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("rows=%d/plain/encode", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := json.Marshal(envelope[SessionAppendRequest]{Op: &SessionAppendRequest{Keys: k, Values: v}}); err != nil {
+				if _, err := json.Marshal(wire.Envelope[*wire.SessionAppendRequest]{Op: &wire.SessionAppendRequest{Keys: k, Values: v}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -124,7 +125,7 @@ func BenchmarkAppendCodec(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					w := httptest.NewRecorder()
 					r := httptest.NewRequest("POST", "/v1/sessions/a/append", bytes.NewReader(tc.body))
-					var req SessionAppendRequest
+					var req wire.SessionAppendRequest
 					if !decodeAppend(w, r, 1<<20, &req) {
 						b.Fatal(w.Body.String())
 					}
@@ -146,7 +147,7 @@ func TestAppendPackedDecodeAllocs(t *testing.T) {
 		w, r := httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sessions/a/append", rd)
 		run := func() {
 			rd.Reset(body)
-			var req SessionAppendRequest
+			var req wire.SessionAppendRequest
 			if !decodeAppend(w, r, 1<<20, &req) || len(req.Keys) != rows {
 				t.Fatalf("decode of %d rows: %s", rows, w.Body.String())
 			}
@@ -195,7 +196,7 @@ func packedAttendBody(tb testing.TB, q, k, v [][]float32) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	body, err := json.Marshal(Envelope{Op: op})
+	body, err := json.Marshal(wire.Envelope[json.RawMessage]{Op: op})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func packedAttendBody(tb testing.TB, q, k, v [][]float32) []byte {
 // packedAppendBody is an enveloped packed append op in the shape
 // serve/client sends: kp and vp, and no plain keys.
 func packedAppendBody(tb testing.TB, k, v [][]float32) []byte {
-	op, err := json.Marshal(SessionAppendRequest{KP: client.PackRows(k), VP: client.PackRows(v)})
+	op, err := json.Marshal(wire.SessionAppendRequest{KP: client.PackRows(k), VP: client.PackRows(v)})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	body, err := json.Marshal(Envelope{Op: op})
+	body, err := json.Marshal(wire.Envelope[json.RawMessage]{Op: op})
 	if err != nil {
 		tb.Fatal(err)
 	}

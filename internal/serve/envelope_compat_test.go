@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"elsa/internal/wire"
 )
 
 // The golden bodies below are pinned literals, not round-tripped through
@@ -28,13 +30,13 @@ import (
 func decodeAny(t *testing.T, w http.ResponseWriter, r *http.Request, payload any) (requestMeta, bool) {
 	t.Helper()
 	switch p := payload.(type) {
-	case *AttendRequest:
+	case *wire.AttendRequest:
 		return decodeEnvelope(w, r, 1<<20, p)
-	case *SessionCreateRequest:
+	case *wire.SessionCreateRequest:
 		return decodeEnvelope(w, r, 1<<20, p)
-	case *SessionAppendRequest:
+	case *wire.SessionAppendRequest:
 		return decodeEnvelope(w, r, 1<<20, p)
-	case *SessionQueryRequest:
+	case *wire.SessionQueryRequest:
 		return decodeEnvelope(w, r, 1<<20, p)
 	}
 	t.Fatalf("decodeAny: no case for payload type %T", payload)
@@ -80,38 +82,38 @@ var envelopeGolden = []struct {
 	{
 		name:    "attend",
 		bare:    `{"q":[[1,0]],"k":[[0.5,0.5],[1,0]],"v":[[1,2],[3,4]],"p":0.4,"head_dim":2,"hash_bits":8,"seed":9,"quantized":true}`,
-		payload: func() any { return &AttendRequest{} },
+		payload: func() any { return &wire.AttendRequest{} },
 	},
 	{
 		// The "attend" row's op with Q/K/V packed (client.PackVec rows).
 		name:    "attend packed",
 		bare:    `{"qp":["AACAPwAAAAA="],"kp":["AAAAPwAAAD8=","AACAPwAAAAA="],"vp":["AACAPwAAAEA=","AABAQAAAgEA="],"p":0.4,"head_dim":2,"hash_bits":8,"seed":9,"quantized":true}`,
-		payload: func() any { return &AttendRequest{} },
+		payload: func() any { return &wire.AttendRequest{} },
 	},
 	{
 		name:    "attend explicit threshold",
 		bare:    `{"q":[[1,0]],"k":[[1,0]],"v":[[1,2]],"p":0.3,"t":-0.25}`,
-		payload: func() any { return &AttendRequest{} },
+		payload: func() any { return &wire.AttendRequest{} },
 	},
 	{
 		name:    "session create",
 		bare:    `{"head_dim":16,"hash_bits":12,"seed":3,"quantized":true,"p":0.5,"capacity":128}`,
-		payload: func() any { return &SessionCreateRequest{} },
+		payload: func() any { return &wire.SessionCreateRequest{} },
 	},
 	{
 		name:    "session append single",
 		bare:    `{"key":[1,0,0.5],"value":[2,1,0]}`,
-		payload: func() any { return &SessionAppendRequest{} },
+		payload: func() any { return &wire.SessionAppendRequest{} },
 	},
 	{
 		name:    "session append batch",
 		bare:    `{"keys":[[1,0],[0,1]],"values":[[2,1],[1,2]]}`,
-		payload: func() any { return &SessionAppendRequest{} },
+		payload: func() any { return &wire.SessionAppendRequest{} },
 	},
 	{
 		name:    "session query",
 		bare:    `{"q":[0.25,0.75],"t":-0.125}`,
-		payload: func() any { return &SessionQueryRequest{} },
+		payload: func() any { return &wire.SessionQueryRequest{} },
 	},
 }
 
@@ -170,7 +172,7 @@ func TestEnvelopeBareSunset(t *testing.T) {
 
 	// Malformed JSON stays a plain parse error — the wrap hint is only for
 	// well-formed bodies missing the envelope.
-	errBody := rejectVia(t, `{"q":`, &SessionQueryRequest{})
+	errBody := rejectVia(t, `{"q":`, &wire.SessionQueryRequest{})
 	if !strings.Contains(errBody, "invalid JSON body") {
 		t.Errorf("malformed body must be a parse error, got %s", errBody)
 	}
@@ -189,10 +191,10 @@ func TestEnvelopePackedAttendGolden(t *testing.T) {
 		t.Fatalf("no golden row %q", name)
 		return ""
 	}
-	var plain, packed AttendRequest
+	var plain, packed wire.AttendRequest
 	decodeVia(t, `{"op":`+golden("attend")+`}`, nil, &plain)
 	decodeVia(t, `{"op":`+golden("attend packed")+`}`, nil, &packed)
-	if err := packed.unpack(); err != nil {
+	if err := unpackAttend(&packed); err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
 	packed.QP, packed.KP, packed.VP = nil, nil, nil
@@ -205,7 +207,7 @@ func TestEnvelopePackedAttendGolden(t *testing.T) {
 // bare-body hint, exactly as for a missing op.
 func TestEnvelopeNullOp(t *testing.T) {
 	for _, body := range []string{`{"op": null}`, `{"client_id":"c","op":null}`, `{"client_id":"c"}`} {
-		if errBody := rejectVia(t, body, &AttendRequest{}); !strings.Contains(errBody, "wrap the request body in the v1 envelope") {
+		if errBody := rejectVia(t, body, &wire.AttendRequest{}); !strings.Contains(errBody, "wrap the request body in the v1 envelope") {
 			t.Errorf("%s: want the bare-body hint, got %s", body, errBody)
 		}
 	}
@@ -216,7 +218,7 @@ func TestEnvelopeNullOp(t *testing.T) {
 func TestEnvelopeHeaderFallback(t *testing.T) {
 	headers := map[string]string{"X-Elsa-Client": "hdr-client", "X-Elsa-Priority": "background"}
 
-	var req SessionQueryRequest
+	var req wire.SessionQueryRequest
 	meta := decodeVia(t, `{"op":{"q":[1,0]}}`, headers, &req)
 	if meta.clientID != "hdr-client" || meta.class != ClassBackground {
 		t.Errorf("envelope without metadata must take headers: %+v", meta)
@@ -286,9 +288,9 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 		if !bytes.Equal(minResp, metaResp) {
 			t.Errorf("envelope metadata changed the response:\nminimal:  %s\nmetadata: %s", minResp, metaResp)
 		}
-		var parsed AttendResponse
+		var parsed wire.AttendResponse
 		if err := json.Unmarshal(minResp, &parsed); err != nil {
-			t.Fatalf("response is not an AttendResponse: %v", err)
+			t.Fatalf("response is not an wire.AttendResponse: %v", err)
 		}
 		if len(parsed.Context) != 1 {
 			t.Errorf("want 1 context row, got %d", len(parsed.Context))
@@ -305,7 +307,7 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 func TestEnvelopeBodyRead(t *testing.T) {
 	const limit = 64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req SessionQueryRequest
+		var req wire.SessionQueryRequest
 		if _, ok := decodeEnvelope(w, r, limit, &req); ok {
 			writeJSON(w, http.StatusOK, req)
 		}

@@ -14,20 +14,20 @@ import (
 	"sync"
 	"testing"
 
-	"elsa/internal/serve"
 	"elsa/internal/serve/servetest"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
 // attendRaw sends one enveloped attend op and returns the status, the
 // decoded reply (zero unless 200) and the body text.
-func attendRaw(url string, op serve.AttendRequest) (int, serve.AttendResponse, string, error) {
-	var out serve.AttendResponse
+func attendRaw(url string, op wire.AttendRequest) (int, wire.AttendResponse, string, error) {
+	var out wire.AttendResponse
 	raw, err := json.Marshal(op)
 	if err != nil {
 		return 0, out, "", err
 	}
-	body, err := json.Marshal(serve.Envelope{Op: raw})
+	body, err := json.Marshal(wire.Envelope[json.RawMessage]{Op: raw})
 	if err != nil {
 		return 0, out, "", err
 	}
@@ -47,7 +47,7 @@ func attendRaw(url string, op serve.AttendRequest) (int, serve.AttendResponse, s
 }
 
 // postRaw is attendRaw failing the test on a transport or decode error.
-func postRaw(t *testing.T, url string, op serve.AttendRequest) (int, serve.AttendResponse, string) {
+func postRaw(t *testing.T, url string, op wire.AttendRequest) (int, wire.AttendResponse, string) {
 	t.Helper()
 	code, out, text, err := attendRaw(url, op)
 	if err != nil {
@@ -57,7 +57,7 @@ func postRaw(t *testing.T, url string, op serve.AttendRequest) (int, serve.Atten
 }
 
 // packedOf returns op with Q/K/V moved to their packed fields.
-func packedOf(op serve.AttendRequest) serve.AttendRequest {
+func packedOf(op wire.AttendRequest) wire.AttendRequest {
 	op.QP, op.KP, op.VP = client.PackRows(op.Q), client.PackRows(op.K), client.PackRows(op.V)
 	op.Q, op.K, op.V = nil, nil, nil
 	return op
@@ -102,7 +102,7 @@ func TestAttendPackedMatchesPlain(t *testing.T) {
 		}{{"p=1", 1, ""}, {"p=0 scores", 0, "scores"}, {"p=0 linear-scan", 0, "linear-scan"}} {
 			t.Run(target.name+"/"+tc.name, func(t *testing.T) {
 				for i, o := range ops {
-					plain := serve.AttendRequest{Q: o[0], K: o[1], V: o[2], P: tc.p, Backend: tc.backend, HeadDim: rtDim}
+					plain := wire.AttendRequest{Q: o[0], K: o[1], V: o[2], P: tc.p, Backend: tc.backend, HeadDim: rtDim}
 					code, want, text := postRaw(t, target.url, plain)
 					if code != http.StatusOK {
 						t.Fatalf("op %d plain: %d %s", i, code, text)
@@ -131,7 +131,7 @@ func TestAttendPackedMatchesPlain(t *testing.T) {
 }
 
 // equalReplies compares the non-context fields of two attend replies.
-func equalReplies(a, b serve.AttendResponse) bool {
+func equalReplies(a, b wire.AttendResponse) bool {
 	return a.CandidateFraction == b.CandidateFraction && a.FallbackQueries == b.FallbackQueries &&
 		a.Threshold == b.Threshold && a.BatchSize == b.BatchSize
 }
@@ -150,7 +150,7 @@ func TestAttendNonFinitePackedRejectedAlone(t *testing.T) {
 	defer cl.Close()
 
 	o := rtOps(1)[0]
-	good := packedOf(serve.AttendRequest{Q: o[0], K: o[1], V: o[2], HeadDim: rtDim})
+	good := packedOf(wire.AttendRequest{Q: o[0], K: o[1], V: o[2], HeadDim: rtDim})
 	bad := good
 	badK := make([][]float32, len(o[1]))
 	copy(badK, o[1])
@@ -167,7 +167,7 @@ func TestAttendNonFinitePackedRejectedAlone(t *testing.T) {
 			var wg sync.WaitGroup
 			var badCode, goodCode int
 			var badText string
-			var together serve.AttendResponse
+			var together wire.AttendResponse
 			var badErr, goodErr error
 			wg.Add(2)
 			go func() { defer wg.Done(); badCode, _, badText, badErr = attendRaw(target.url, bad) }()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // laneGate holds a lane busy: each batch that reaches it reports its
@@ -678,12 +679,12 @@ func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	var created SessionCreateResponse
-	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/sessions", SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
+	var created wire.SessionCreateResponse
+	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/sessions", wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	rng := rand.New(rand.NewSource(testSeed))
-	app := SessionAppendRequest{}
+	app := wire.SessionAppendRequest{}
 	for i := 0; i < 8; i++ {
 		app.Keys = append(app.Keys, genVec(rng))
 		app.Values = append(app.Values, genVec(rng))
@@ -702,7 +703,7 @@ func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(Envelope{DeadlineMS: deadlineMS, Op: raw})
+		body, err := json.Marshal(wire.Envelope[json.RawMessage]{DeadlineMS: deadlineMS, Op: raw})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,12 +722,12 @@ func TestTightDeadlineServedOnIdleLane(t *testing.T) {
 		return reply
 	}
 	q := genVec(rng)
-	post("/v1/attend", AttendRequest{Q: [][]float32{q}, K: app.Keys, V: app.Values, HeadDim: testDim, Seed: testSeed})
-	post("/v1/sessions/"+created.ID+"/query", SessionQueryRequest{Q: q})
+	post("/v1/attend", wire.AttendRequest{Q: [][]float32{q}, K: app.Keys, V: app.Values, HeadDim: testDim, Seed: testSeed})
+	post("/v1/sessions/"+created.ID+"/query", wire.SessionQueryRequest{Q: q})
 	// A step wave answers 200 whatever its entries did; the entry carries
 	// the shed.
-	var wave SessionStepResponse
-	if err := json.Unmarshal(post("/v1/sessions/step", SessionStepRequest{Queries: []SessionStepQuery{{ID: created.ID, Q: q}}}), &wave); err != nil {
+	var wave wire.SessionStepResponse
+	if err := json.Unmarshal(post("/v1/sessions/step", wire.SessionStepRequest{Queries: []wire.SessionStepQuery{{ID: created.ID, Q: q}}}), &wave); err != nil {
 		t.Fatal(err)
 	}
 	if len(wave.Results) != 1 || wave.Results[0].Error != "" {

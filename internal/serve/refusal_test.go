@@ -11,12 +11,16 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
+// envelope is the v1 envelope around an op already marshaled.
+type envelope = wire.Envelope[json.RawMessage]
+
 // refusalCall sends one request straight to srv's handler, wrapping op
 // (when non-nil) in the v1 envelope env.
-func refusalCall(t *testing.T, srv *Server, method, path string, env Envelope, op any) *httptest.ResponseRecorder {
+func refusalCall(t *testing.T, srv *Server, method, path string, env envelope, op any) *httptest.ResponseRecorder {
 	t.Helper()
 	var body string
 	if op != nil {
@@ -40,19 +44,19 @@ func refusalCall(t *testing.T, srv *Server, method, path string, env Envelope, o
 // and returns its ID.
 func refusalSession(t *testing.T, srv *Server, clientID string, n int) string {
 	t.Helper()
-	rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions", Envelope{ClientID: clientID},
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed})
-	var created SessionCreateResponse
+	rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions", envelope{ClientID: clientID},
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed})
+	var created wire.SessionCreateResponse
 	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
 		t.Fatalf("create: status %d (%s)", rec.Code, rec.Body)
 	}
 	if n > 0 {
-		app := SessionAppendRequest{}
+		app := wire.SessionAppendRequest{}
 		for i := 0; i < n; i++ {
 			app.Keys = append(app.Keys, refusalVec(i))
 			app.Values = append(app.Values, refusalVec(i+1))
 		}
-		if rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+created.ID+"/append", Envelope{}, app); rec.Code != http.StatusOK {
+		if rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+created.ID+"/append", envelope{}, app); rec.Code != http.StatusOK {
 			t.Fatalf("append: status %d (%s)", rec.Code, rec.Body)
 		}
 	}
@@ -62,10 +66,10 @@ func refusalSession(t *testing.T, srv *Server, clientID string, n int) string {
 // refusalAppend appends op to a fresh one-token session of srv and
 // returns the reply, after checking that a refused append left the
 // session's length as it was.
-func refusalAppend(t *testing.T, srv *Server, op SessionAppendRequest) *httptest.ResponseRecorder {
+func refusalAppend(t *testing.T, srv *Server, op wire.SessionAppendRequest) *httptest.ResponseRecorder {
 	t.Helper()
 	id := refusalSession(t, srv, "", 1)
-	rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/append", Envelope{}, op)
+	rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/append", envelope{}, op)
 	if rec.Code != http.StatusOK {
 		s, err := srv.sessions.lookup(id)
 		if err != nil {
@@ -88,17 +92,17 @@ func refusalVec(i int) []float32 {
 
 // refusalExport returns an import request carrying an n-token session's
 // exported state, taken from a fresh default server.
-func refusalExport(t *testing.T, n int) SessionImportRequest {
+func refusalExport(t *testing.T, n int) wire.SessionImportRequest {
 	t.Helper()
 	src := New(Config{Replicas: 1})
 	defer src.Close()
 	id := refusalSession(t, src, "", n)
-	rec := refusalCall(t, src, http.MethodPost, "/v1/sessions/"+id+"/export", Envelope{}, struct{}{})
-	var exp SessionExportResponse
+	rec := refusalCall(t, src, http.MethodPost, "/v1/sessions/"+id+"/export", envelope{}, struct{}{})
+	var exp wire.SessionExportResponse
 	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &exp) != nil {
 		t.Fatalf("export: status %d (%s)", rec.Code, rec.Body)
 	}
-	return SessionImportRequest{ID: exp.ID, State: exp.State, HeadDim: exp.HeadDim, Seed: exp.Seed, P: exp.P}
+	return wire.SessionImportRequest{ID: exp.ID, State: exp.State, HeadDim: exp.HeadDim, Seed: exp.Seed, P: exp.P}
 }
 
 // refusalSet is the replica set a default exact session of refusalSession
@@ -143,7 +147,7 @@ func refusalFillQueue(t *testing.T, srv *Server) {
 // error text (a step wave answers 200 and carries the refusal in its
 // entry). This is the wire contract the handlers' error handling owes.
 func TestRefusalStatusTable(t *testing.T) {
-	attendOp := AttendRequest{Q: [][]float32{refusalVec(0)}, K: [][]float32{refusalVec(1)},
+	attendOp := wire.AttendRequest{Q: [][]float32{refusalVec(0)}, K: [][]float32{refusalVec(1)},
 		V: [][]float32{refusalVec(2)}, HeadDim: testDim, Seed: testSeed}
 	quota := Config{Replicas: 1, QuotaRPS: 0.001, QuotaBurst: 1}
 	for _, tc := range []struct {
@@ -158,7 +162,7 @@ func TestRefusalStatusTable(t *testing.T) {
 		{
 			name: "attend/400",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{}, AttendRequest{K: attendOp.K, V: attendOp.V})
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{}, wire.AttendRequest{K: attendOp.K, V: attendOp.V})
 			},
 			status: http.StatusBadRequest, text: "q must have at least one row",
 		},
@@ -166,7 +170,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "attend/429 queue",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				refusalFillQueue(t, srv)
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{}, attendOp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{}, attendOp)
 			},
 			status: http.StatusTooManyRequests, retry: true, text: "serve: dispatcher queue full",
 		},
@@ -174,7 +178,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "attend/429 deadline",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				// An idle lane charges no wait, so every lane is held.
-				set, err := srv.pool.get(attendOp.options())
+				set, err := srv.pool.get(attendEngineOptions(&attendOp))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +188,7 @@ func TestRefusalStatusTable(t *testing.T) {
 				srv.disp.mu.Lock()
 				srv.disp.svcEWMA = time.Hour.Seconds()
 				srv.disp.mu.Unlock()
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{DeadlineMS: 1000}, attendOp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{DeadlineMS: 1000}, attendOp)
 			},
 			status: http.StatusTooManyRequests, retry: true, text: "serve: deadline cannot cover estimated queue wait",
 		},
@@ -192,10 +196,10 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "attend/429 quota",
 			cfg:  quota,
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				if rec := refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{ClientID: "a"}, attendOp); rec.Code != http.StatusOK {
+				if rec := refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{ClientID: "a"}, attendOp); rec.Code != http.StatusOK {
 					t.Fatalf("first attend: status %d (%s)", rec.Code, rec.Body)
 				}
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{ClientID: "a"}, attendOp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{ClientID: "a"}, attendOp)
 			},
 			status: http.StatusTooManyRequests, retry: true, text: "client quota exhausted",
 		},
@@ -203,7 +207,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "attend/503 no workers",
 			cfg:  Config{Replicas: -1},
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{}, attendOp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{}, attendOp)
 			},
 			status: http.StatusServiceUnavailable, retry: true, text: "serve: no available workers",
 		},
@@ -211,7 +215,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "attend/503 closed",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				srv.disp.close()
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{}, attendOp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{}, attendOp)
 			},
 			status: http.StatusServiceUnavailable, text: "serve: server shutting down",
 		},
@@ -220,22 +224,22 @@ func TestRefusalStatusTable(t *testing.T) {
 			cfg:  Config{Replicas: 1, RequestTimeout: 100 * time.Millisecond},
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				refusalHold(t, srv, 0)
-				return refusalCall(t, srv, http.MethodPost, "/v1/attend", Envelope{}, attendOp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/attend", envelope{}, attendOp)
 			},
 			status: http.StatusGatewayTimeout, text: "request timed out",
 		},
 		{
 			name: "create/503 draining",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				refusalCall(t, srv, http.MethodPost, "/v1/drain", Envelope{}, nil)
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions", Envelope{}, SessionCreateRequest{HeadDim: testDim})
+				refusalCall(t, srv, http.MethodPost, "/v1/drain", envelope{}, nil)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions", envelope{}, wire.SessionCreateRequest{HeadDim: testDim})
 			},
 			status: http.StatusServiceUnavailable, retry: true, text: "serve: server draining, not accepting new sessions",
 		},
 		{
 			name: "create/400 config",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions", Envelope{}, SessionCreateRequest{})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions", envelope{}, wire.SessionCreateRequest{})
 			},
 			status: http.StatusBadRequest, text: "head_dim must be > 0",
 		},
@@ -244,7 +248,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			cfg:  quota,
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				refusalSession(t, srv, "c", 0)
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions", Envelope{ClientID: "c"}, SessionCreateRequest{HeadDim: testDim})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions", envelope{ClientID: "c"}, wire.SessionCreateRequest{HeadDim: testDim})
 			},
 			status: http.StatusTooManyRequests, retry: true, text: "client quota exhausted",
 		},
@@ -252,8 +256,8 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "import/503 draining",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				imp := refusalExport(t, 1)
-				refusalCall(t, srv, http.MethodPost, "/v1/drain", Envelope{}, nil)
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{}, imp)
+				refusalCall(t, srv, http.MethodPost, "/v1/drain", envelope{}, nil)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{}, imp)
 			},
 			status: http.StatusServiceUnavailable, retry: true, text: "serve: server draining, not accepting new sessions",
 		},
@@ -262,7 +266,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				imp := refusalExport(t, 1)
 				imp.HeadDim = 0
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{}, imp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{}, imp)
 			},
 			status: http.StatusBadRequest, text: "head_dim must be > 0",
 		},
@@ -271,11 +275,11 @@ func TestRefusalStatusTable(t *testing.T) {
 			cfg:  quota,
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				imp := refusalExport(t, 1)
-				if rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{ClientID: "i"}, imp); rec.Code != http.StatusOK {
+				if rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{ClientID: "i"}, imp); rec.Code != http.StatusOK {
 					t.Fatalf("first import: status %d (%s)", rec.Code, rec.Body)
 				}
 				imp.ID += "-2"
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{ClientID: "i"}, imp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{ClientID: "i"}, imp)
 			},
 			status: http.StatusTooManyRequests, retry: true, text: "client quota exhausted",
 		},
@@ -283,10 +287,10 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "import/409 duplicate",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				imp := refusalExport(t, 1)
-				if rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{}, imp); rec.Code != http.StatusOK {
+				if rec := refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{}, imp); rec.Code != http.StatusOK {
 					t.Fatalf("first import: status %d (%s)", rec.Code, rec.Body)
 				}
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{}, imp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{}, imp)
 			},
 			status: http.StatusConflict, text: "serve: session already exists",
 		},
@@ -294,7 +298,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			name: "import/413",
 			cfg:  Config{Replicas: 1, MaxSessionTokens: 2},
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{}, refusalExport(t, 3))
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{}, refusalExport(t, 3))
 			},
 			status: http.StatusRequestEntityTooLarge, text: "serve: session token limit reached",
 		},
@@ -303,15 +307,15 @@ func TestRefusalStatusTable(t *testing.T) {
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				imp := refusalExport(t, 1)
 				imp.State = []byte("not a stream")
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", Envelope{}, imp)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/import", envelope{}, imp)
 			},
 			status: http.StatusBadRequest, text: "import: ", prefix: true,
 		},
 		{
 			name: "append/404",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/nope/append", Envelope{},
-					SessionAppendRequest{Key: refusalVec(0), Value: refusalVec(1)})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/nope/append", envelope{},
+					wire.SessionAppendRequest{Key: refusalVec(0), Value: refusalVec(1)})
 			},
 			status: http.StatusNotFound, text: "serve: session not found",
 		},
@@ -320,16 +324,16 @@ func TestRefusalStatusTable(t *testing.T) {
 			cfg:  Config{Replicas: 1, MaxSessionTokens: 2},
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				id := refusalSession(t, srv, "", 0)
-				app := SessionAppendRequest{Keys: [][]float32{refusalVec(0), refusalVec(1), refusalVec(2)},
+				app := wire.SessionAppendRequest{Keys: [][]float32{refusalVec(0), refusalVec(1), refusalVec(2)},
 					Values: [][]float32{refusalVec(3), refusalVec(4), refusalVec(5)}}
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/append", Envelope{}, app)
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/append", envelope{}, app)
 			},
 			status: http.StatusRequestEntityTooLarge, text: "serve: session token limit reached",
 		},
 		{
 			name: "append/400 kp beside keys",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalAppend(t, srv, SessionAppendRequest{Keys: [][]float32{refusalVec(0)}, Values: [][]float32{refusalVec(1)},
+				return refusalAppend(t, srv, wire.SessionAppendRequest{Keys: [][]float32{refusalVec(0)}, Values: [][]float32{refusalVec(1)},
 					KP: client.PackRows([][]float32{refusalVec(0)}), VP: client.PackRows([][]float32{refusalVec(1)})})
 			},
 			status: http.StatusBadRequest, text: "kp/vp and key/value/keys/values are mutually exclusive",
@@ -337,14 +341,14 @@ func TestRefusalStatusTable(t *testing.T) {
 		{
 			name: "append/400 bad base64",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalAppend(t, srv, SessionAppendRequest{KP: []string{"!!!!"}, VP: client.PackRows([][]float32{refusalVec(1)})})
+				return refusalAppend(t, srv, wire.SessionAppendRequest{KP: []string{"!!!!"}, VP: client.PackRows([][]float32{refusalVec(1)})})
 			},
 			status: http.StatusBadRequest, text: "kp row 0: packed vector: illegal base64 data at input byte 0",
 		},
 		{
 			name: "append/400 partial float",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalAppend(t, srv, SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0)}), VP: []string{"AACA"}})
+				return refusalAppend(t, srv, wire.SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0)}), VP: []string{"AACA"}})
 			},
 			status: http.StatusBadRequest, text: "vp row 0: packed vector is 3 bytes, not a multiple of 4",
 		},
@@ -353,7 +357,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				bad := refusalVec(1)
 				bad[2] = float32(math.Inf(-1))
-				return refusalAppend(t, srv, SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0), bad}),
+				return refusalAppend(t, srv, wire.SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0), bad}),
 					VP: client.PackRows([][]float32{refusalVec(2), refusalVec(3)})})
 			},
 			status: http.StatusBadRequest, text: "kp row 1 element 2 is not finite (-Inf)",
@@ -361,7 +365,7 @@ func TestRefusalStatusTable(t *testing.T) {
 		{
 			name: "append/400 row counts",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalAppend(t, srv, SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0), refusalVec(1)}),
+				return refusalAppend(t, srv, wire.SessionAppendRequest{KP: client.PackRows([][]float32{refusalVec(0), refusalVec(1)}),
 					VP: client.PackRows([][]float32{refusalVec(2)})})
 			},
 			status: http.StatusBadRequest, text: "2 keys but 1 values",
@@ -369,7 +373,7 @@ func TestRefusalStatusTable(t *testing.T) {
 		{
 			name: "append/400 ragged",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalAppend(t, srv, SessionAppendRequest{Keys: [][]float32{refusalVec(0), refusalVec(1)[:2]},
+				return refusalAppend(t, srv, wire.SessionAppendRequest{Keys: [][]float32{refusalVec(0), refusalVec(1)[:2]},
 					Values: [][]float32{refusalVec(2), refusalVec(3)}})
 			},
 			status: http.StatusBadRequest, text: fmt.Sprintf("elsa: attention: stream append with dims 2/%d, engine built for %d", testDim, testDim),
@@ -377,7 +381,7 @@ func TestRefusalStatusTable(t *testing.T) {
 		{
 			name: "query/404",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/nope/query", Envelope{}, SessionQueryRequest{Q: refusalVec(0)})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/nope/query", envelope{}, wire.SessionQueryRequest{Q: refusalVec(0)})
 			},
 			status: http.StatusNotFound, text: "serve: session not found",
 		},
@@ -386,7 +390,7 @@ func TestRefusalStatusTable(t *testing.T) {
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				id := refusalSession(t, srv, "", 1)
 				refusalFillQueue(t, srv)
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/query", Envelope{}, SessionQueryRequest{Q: refusalVec(0)})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/query", envelope{}, wire.SessionQueryRequest{Q: refusalVec(0)})
 			},
 			status: http.StatusTooManyRequests, retry: true, text: "serve: dispatcher queue full",
 		},
@@ -398,7 +402,7 @@ func TestRefusalStatusTable(t *testing.T) {
 				// A queued decode step is always answered by a lane, so the
 				// lane frees after the request's budget has run out.
 				refusalHold(t, srv, 400*time.Millisecond)
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/query", Envelope{}, SessionQueryRequest{Q: refusalVec(0)})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/query", envelope{}, wire.SessionQueryRequest{Q: refusalVec(0)})
 			},
 			status: http.StatusGatewayTimeout, text: "request timed out",
 		},
@@ -407,15 +411,15 @@ func TestRefusalStatusTable(t *testing.T) {
 			cfg:  quota,
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
 				id := refusalSession(t, srv, "s", 0)
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/step", Envelope{},
-					SessionStepRequest{Queries: []SessionStepQuery{{ID: id, Q: refusalVec(0)}}})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/step", envelope{},
+					wire.SessionStepRequest{Queries: []wire.SessionStepQuery{{ID: id, Q: refusalVec(0)}}})
 			},
 			status: http.StatusOK, text: "client quota exhausted",
 		},
 		{
 			name: "export/404",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/nope/export", Envelope{}, struct{}{})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/nope/export", envelope{}, struct{}{})
 			},
 			status: http.StatusNotFound, text: "serve: session not found",
 		},
@@ -430,14 +434,14 @@ func TestRefusalStatusTable(t *testing.T) {
 				}
 				s.remote = &client.Session{}
 				defer func() { s.remote = nil }()
-				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/export", Envelope{}, struct{}{})
+				return refusalCall(t, srv, http.MethodPost, "/v1/sessions/"+id+"/export", envelope{}, struct{}{})
 			},
 			status: http.StatusConflict, text: "serve: session state not locally available for export",
 		},
 		{
 			name: "delete/404",
 			do: func(t *testing.T, srv *Server) *httptest.ResponseRecorder {
-				return refusalCall(t, srv, http.MethodDelete, "/v1/sessions/nope", Envelope{}, nil)
+				return refusalCall(t, srv, http.MethodDelete, "/v1/sessions/nope", envelope{}, nil)
 			},
 			status: http.StatusNotFound, text: "serve: session not found",
 		},

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 const (
@@ -37,13 +38,13 @@ func genOp(rng *rand.Rand, nq, nk int) (q, k, v [][]float32) {
 	return mk(nq), mk(nk), mk(nk)
 }
 
-func postAttend(t *testing.T, client *http.Client, url string, req AttendRequest) (*http.Response, []byte) {
+func postAttend(t *testing.T, client *http.Client, url string, req wire.AttendRequest) (*http.Response, []byte) {
 	t.Helper()
 	op, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(Envelope{Op: op})
+	body, err := json.Marshal(wire.Envelope[json.RawMessage]{Op: op})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 	}
 	const distinct = 8
 	type payload struct {
-		req  AttendRequest
+		req  wire.AttendRequest
 		want *elsa.Output
 	}
 	payloads := make([]payload, distinct)
@@ -94,12 +95,12 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		payloads[i] = payload{
-			req:  AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed},
+			req:  wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed},
 			want: want,
 		}
 	}
 
-	set, err := srv.pool.get(payloads[0].req.options())
+	set, err := srv.pool.get(attendEngineOptions(&payloads[0].req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 				errs <- fmt.Errorf("request %d: status %d: %s", r, resp.StatusCode, raw)
 				return
 			}
-			var got AttendResponse
+			var got wire.AttendResponse
 			if err := json.Unmarshal(raw, &got); err != nil {
 				errs <- fmt.Errorf("request %d: %v", r, err)
 				return
@@ -193,15 +194,15 @@ func TestCalibratedThresholdIsSharedAndEchoed(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(9))
 	q, k, v := genOp(rng, 4, 32)
-	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1}
+	req := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1}
 
-	var thresholds []ThresholdJSON
+	var thresholds []elsa.Threshold
 	for i := 0; i < 3; i++ {
 		resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, raw)
 		}
-		var got AttendResponse
+		var got wire.AttendResponse
 		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestCalibratedThresholdIsSharedAndEchoed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explicit threshold: status %d: %s", resp.StatusCode, raw)
 	}
-	var got AttendResponse
+	var got wire.AttendResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +243,13 @@ func TestBadRequestsAreRejected(t *testing.T) {
 	q, k, v := genOp(rng, 2, 4)
 	cases := []struct {
 		name string
-		req  AttendRequest
+		req  wire.AttendRequest
 	}{
-		{"empty q", AttendRequest{K: k, V: v}},
-		{"ragged k", AttendRequest{Q: q, K: [][]float32{k[0], k[1][:3]}, V: v[:2]}},
-		{"kv mismatch", AttendRequest{Q: q, K: k, V: v[:2]}},
-		{"negative p", AttendRequest{Q: q, K: k, V: v, P: -1}},
-		{"bad head dim", AttendRequest{Q: q, K: k, V: v, HeadDim: -3}},
+		{"empty q", wire.AttendRequest{K: k, V: v}},
+		{"ragged k", wire.AttendRequest{Q: q, K: [][]float32{k[0], k[1][:3]}, V: v[:2]}},
+		{"kv mismatch", wire.AttendRequest{Q: q, K: k, V: v[:2]}},
+		{"negative p", wire.AttendRequest{Q: q, K: k, V: v, P: -1}},
+		{"bad head dim", wire.AttendRequest{Q: q, K: k, V: v, HeadDim: -3}},
 	}
 	for _, tc := range cases {
 		resp, raw := postAttend(t, ts.Client(), ts.URL, tc.req)
@@ -286,7 +287,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	// Serve one real request so counters are non-zero.
 	rng := rand.New(rand.NewSource(13))
 	q, k, v := genOp(rng, 2, 4)
-	resp, raw := postAttend(t, ts.Client(), ts.URL, AttendRequest{Q: q, K: k, V: v})
+	resp, raw := postAttend(t, ts.Client(), ts.URL, wire.AttendRequest{Q: q, K: k, V: v})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("attend: status %d: %s", resp.StatusCode, raw)
 	}
@@ -295,7 +296,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health HealthResponse
+	var health wire.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +346,8 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	q, k, v := genOp(rng, 2, 4)
-	req := AttendRequest{Q: q, K: k, V: v}
-	set, err := srv.pool.get(req.options())
+	req := wire.AttendRequest{Q: q, K: k, V: v}
+	set, err := srv.pool.get(attendEngineOptions(&req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +375,8 @@ func TestBackpressure429(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(19))
 	q, k, v := genOp(rng, 2, 4)
-	req := AttendRequest{Q: q, K: k, V: v}
-	set, err := srv.pool.get(req.options())
+	req := wire.AttendRequest{Q: q, K: k, V: v}
+	set, err := srv.pool.get(attendEngineOptions(&req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +418,8 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(23))
 	q, k, v := genOp(rng, 2, 4)
-	req := AttendRequest{Q: q, K: k, V: v}
-	set, err := srv.pool.get(req.options())
+	req := wire.AttendRequest{Q: q, K: k, V: v}
+	set, err := srv.pool.get(attendEngineOptions(&req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 			defer wg.Done()
 			resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 			codes[i] = resp.StatusCode
-			var got AttendResponse
+			var got wire.AttendResponse
 			if resp.StatusCode == http.StatusOK {
 				if err := json.Unmarshal(raw, &got); err != nil {
 					t.Error(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -15,6 +16,7 @@ import (
 
 	"elsa"
 	"elsa/internal/serve/cluster"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
@@ -320,7 +322,7 @@ func (s *Server) Close() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := HealthResponse{
+	h := wire.HealthResponse{
 		Status:   "ok",
 		Engines:  s.pool.size(),
 		Sessions: s.sessions.active(),
@@ -374,7 +376,7 @@ func (s *Server) handleAttend(w http.ResponseWriter, r *http.Request) {
 // answered with, a rejection reason ("" when the op was served), and the
 // request's priority class.
 func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Class) {
-	var req AttendRequest
+	var req wire.AttendRequest
 	meta, packed, ok := decodeAttend(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return http.StatusBadRequest, "bad_request", meta.class
@@ -384,12 +386,12 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		return code, reason, meta.class
 	}
 
-	opts := req.options()
+	opts := attendEngineOptions(&req)
 	set, err := s.pool.get(opts)
 	if err != nil {
 		return fail(w, http.StatusBadRequest, "engine: "+err.Error()), "bad_request", meta.class
 	}
-	ov := req.overrides()
+	ov := attendOverrides(&req)
 	ov.Backend = s.exactBackend(ov.Backend, ov.P, ov.Thr != nil)
 	var thr elsa.Threshold
 	if ov.Thr != nil {
@@ -413,10 +415,10 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 	}
 	s.metrics.admission.with("admitted").add(1)
 
-	resp := AttendResponse{
+	resp := wire.AttendResponse{
 		CandidateFraction: out.CandidateFraction,
 		FallbackQueries:   out.FallbackQueries,
-		Threshold:         thresholdJSON(thr),
+		Threshold:         thr,
 		BatchSize:         batchSize,
 	}
 	if packed {
@@ -428,7 +430,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req SessionCreateRequest
+	var req wire.SessionCreateRequest
 	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
@@ -446,23 +448,23 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	resp := SessionCreateResponse{ID: sess.id}
+	resp := wire.SessionCreateResponse{ID: sess.id}
 	if sess.calibrated {
-		thr := thresholdJSON(sess.thr)
+		thr := sess.thr
 		resp.Threshold = &thr
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
-	var req SessionAppendRequest
+	var req wire.SessionAppendRequest
 	if !decodeAppend(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if s.chargeSessionQuota(w, r.PathValue("id")) != nil {
 		return
 	}
-	keys, values, err := req.rows()
+	keys, values, err := appendRows(&req)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err.Error())
 		return
@@ -472,11 +474,11 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionAppendResponse{Len: n})
+	writeJSON(w, http.StatusOK, wire.SessionAppendResponse{Len: n})
 }
 
 func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
-	var req SessionQueryRequest
+	var req wire.SessionQueryRequest
 	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
@@ -499,12 +501,12 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionQueryResponse{
+	writeJSON(w, http.StatusOK, wire.SessionQueryResponse{
 		Context:    out,
 		Candidates: stats.Candidates,
 		Fallback:   stats.Fallback,
 		Len:        n,
-		Threshold:  thresholdJSON(thr),
+		Threshold:  thr,
 		BatchSize:  batchSize,
 	})
 }
@@ -519,12 +521,12 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 // is the interface a model runner stepping N sequences uses: one HTTP
 // round trip per decode wave instead of one per token.
 func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
-	var req SessionStepRequest
+	var req wire.SessionStepRequest
 	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
 	}
-	if err := req.unpack(); err != nil {
+	if err := unpackStep(&req); err != nil {
 		fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -544,18 +546,18 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sessions.step(ctx, entries, deadline)
 
-	results := make([]SessionStepResult, len(entries))
+	results := make([]wire.SessionStepResult, len(entries))
 	for i := range entries {
 		e := &entries[i]
 		if e.Err != nil {
 			results[i].Error = e.Err.Error()
 			continue
 		}
-		results[i].SessionQueryResponse = SessionQueryResponse{
+		results[i].SessionQueryResponse = wire.SessionQueryResponse{
 			Candidates: e.Stats.Candidates,
 			Fallback:   e.Stats.Fallback,
 			Len:        e.Len,
-			Threshold:  thresholdJSON(e.Thr),
+			Threshold:  e.Thr,
 			BatchSize:  e.BatchSize,
 		}
 		if req.Packed {
@@ -564,7 +566,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 			results[i].Context = e.Out
 		}
 	}
-	writeJSON(w, http.StatusOK, SessionStepResponse{Results: results})
+	writeJSON(w, http.StatusOK, wire.SessionStepResponse{Results: results})
 }
 
 // handleSessionExport serializes a session's portable state: the stream
@@ -587,7 +589,7 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 // format version and an engine-config fingerprint, so a mismatched
 // import fails loudly instead of decoding garbage.
 func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
-	var req SessionImportRequest
+	var req wire.SessionImportRequest
 	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
 	if !ok {
 		return
@@ -603,16 +605,12 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var thr *elsa.Threshold
-	if req.Threshold != nil {
-		thr = &elsa.Threshold{P: req.Threshold.P, T: req.Threshold.T, Queries: req.Threshold.Queries}
-	}
-	n, err := s.sessions.adopt(set, opts, req.ID, req.State, req.P, thr, req.Backend, req.Capacity, meta)
+	n, err := s.sessions.adopt(set, opts, req.ID, req.State, req.P, req.Threshold, req.Backend, req.Capacity, meta)
 	if err != nil {
 		s.failErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionImportResponse{ID: req.ID, Len: n})
+	writeJSON(w, http.StatusOK, wire.SessionImportResponse{ID: req.ID, Len: n})
 }
 
 // spillLoop periodically pages idle sessions out to the state dir.
@@ -657,7 +655,7 @@ func (s *Server) mirrorLoop() {
 // first successful probe and session placements once active on the ring
 // — no frontend restart involved.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
+	var req wire.JoinRequest
 	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
@@ -667,6 +665,10 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Weight < 0 || req.HeartbeatMS < 0 {
 		fail(w, http.StatusBadRequest, "weight and heartbeat_ms must be >= 0")
+		return
+	}
+	if req.HeartbeatMS > maxHeartbeatMS {
+		fail(w, http.StatusBadRequest, fmt.Sprintf("heartbeat_ms must be <= %d", maxHeartbeatMS))
 		return
 	}
 	addr := normalizeWorkerAddr(strings.TrimSpace(req.Addr))
@@ -679,7 +681,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		s.metrics.clusterHeartbeats.add(1)
 	}
 	counts := s.cluster.table.Counts()
-	writeJSON(w, http.StatusOK, JoinResponse{
+	writeJSON(w, http.StatusOK, wire.JoinResponse{
 		State:   state.String(),
 		Members: counts[cluster.StateJoining] + counts[cluster.StateActive] + counts[cluster.StateDraining],
 		Version: s.cluster.table.Version(),
@@ -695,17 +697,17 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 	version, members := s.cluster.table.Snapshot()
 	pinned := s.sessions.pinnedCounts()
 	now := time.Now()
-	resp := ClusterResponse{
-		SchemaVersion: ClusterSchemaVersion,
+	resp := wire.ClusterResponse{
+		SchemaVersion: wire.ClusterSchemaVersion,
 		Version:       version,
-		Targets:       make([]ClusterTargetJSON, 0, len(members)),
+		Members:       make([]wire.ClusterTarget, 0, len(members)),
 	}
 	for _, m := range members {
 		age := int64(-1)
 		if !m.LastHeartbeat.IsZero() {
 			age = now.Sub(m.LastHeartbeat).Milliseconds()
 		}
-		resp.Targets = append(resp.Targets, ClusterTargetJSON{
+		resp.Members = append(resp.Members, wire.ClusterTarget{
 			Addr:           m.Addr,
 			State:          m.State.String(),
 			Static:         m.Static,
@@ -715,13 +717,13 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 			PinnedSessions: pinned[m.Addr],
 		})
 	}
-	sort.Slice(resp.Targets, func(i, j int) bool { return resp.Targets[i].Addr < resp.Targets[j].Addr })
+	sort.Slice(resp.Members, func(i, j int) bool { return resp.Members[i].Addr < resp.Members[j].Addr })
 	depths := s.metrics.QueueDepthsByClass()
 	var total int64
 	for _, n := range depths {
 		total += n
 	}
-	resp.Signals = ClusterSignalsJSON{
+	resp.Signals = wire.ClusterSignals{
 		QueueDepth:        total,
 		QueueDepthByClass: depths,
 		ShedRateByClass:   s.metrics.ShedRates(),
@@ -740,7 +742,7 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 // elsewhere stay put, so repeated rebalances converge instead of
 // thrashing.
 func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) {
-	var req ClusterRebalanceRequest
+	var req wire.ClusterRebalanceRequest
 	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
@@ -759,7 +761,7 @@ func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	moved := s.sessions.rebalance(r.Context(), addr, req.Max)
-	writeJSON(w, http.StatusOK, ClusterRebalanceResponse{
+	writeJSON(w, http.StatusOK, wire.ClusterRebalanceResponse{
 		Addr:           addr,
 		Moved:          moved,
 		PinnedSessions: s.sessions.pinnedCounts()[addr],
@@ -774,7 +776,7 @@ func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) 
 // pinned sessions completes immediately — the forward happens in the
 // background so the reply never waits on an unreachable worker.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
-	var req ClusterDrainRequest
+	var req wire.ClusterDrainRequest
 	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
 		return
 	}
@@ -812,7 +814,7 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 			wk.cli.Drain(ctx) //nolint:errcheck // best effort; frontend drain holds regardless
 		}()
 	}
-	writeJSON(w, http.StatusOK, ClusterDrainResponse{
+	writeJSON(w, http.StatusOK, wire.ClusterDrainResponse{
 		Addr:           addr,
 		State:          cluster.StateDraining.String(),
 		Forwarded:      forwarded,
@@ -831,7 +833,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
 		s.bg.Add(1)
 		go s.drainWatch()
 	}
-	writeJSON(w, http.StatusOK, DrainResponse{Draining: true, Sessions: s.sessions.active()})
+	writeJSON(w, http.StatusOK, wire.DrainResponse{Draining: true, Sessions: s.sessions.active()})
 }
 
 // drainWatch waits for the drain to complete: all sessions gone, the
@@ -1024,11 +1026,6 @@ func (s *Server) failErr(w http.ResponseWriter, err error, fallback int) (int, s
 	return fail(w, fallback, err.Error()), "internal"
 }
 
-// thresholdJSON is thr on the wire.
-func thresholdJSON(thr elsa.Threshold) ThresholdJSON {
-	return ThresholdJSON{P: thr.P, T: thr.T, Queries: thr.Queries}
-}
-
 // setRetryAfter surfaces a shed op's backoff hint in whole seconds
 // (minimum 1 — Retry-After has no sub-second form).
 func setRetryAfter(w http.ResponseWriter, wait time.Duration) {
@@ -1040,7 +1037,7 @@ func setRetryAfter(w http.ResponseWriter, wait time.Duration) {
 }
 
 func fail(w http.ResponseWriter, code int, msg string) int {
-	return writeJSON(w, code, errorResponse{Error: msg})
+	return writeJSON(w, code, wire.Error{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) int {

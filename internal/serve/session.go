@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
@@ -827,7 +828,7 @@ func (g *sessionRegistry) ensureResident(s *session) error {
 
 // export captures a session's portable state under its gate, so no
 // decode step is mid-flight over the stream being serialized.
-func (g *sessionRegistry) export(ctx context.Context, id string) (*SessionExportResponse, error) {
+func (g *sessionRegistry) export(ctx context.Context, id string) (*wire.SessionExportResponse, error) {
 	s, err := g.lookup(id)
 	if err != nil {
 		return nil, err
@@ -840,7 +841,7 @@ func (g *sessionRegistry) export(ctx context.Context, id string) (*SessionExport
 	if err != nil {
 		return nil, err
 	}
-	resp := &SessionExportResponse{
+	resp := &wire.SessionExportResponse{
 		ID:        s.id,
 		State:     blob,
 		Len:       n,
@@ -853,7 +854,7 @@ func (g *sessionRegistry) export(ctx context.Context, id string) (*SessionExport
 		Backend:   s.backend,
 	}
 	if s.calibrated {
-		thr := thresholdJSON(s.thr)
+		thr := s.thr
 		resp.Threshold = &thr
 	}
 	return resp, nil

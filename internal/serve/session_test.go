@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // doJSON sends one JSON request and decodes the reply into out (when
@@ -28,7 +29,7 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body, out any
 			t.Fatal(err)
 		}
 		if method == http.MethodPost {
-			if raw, err = json.Marshal(Envelope{Op: raw}); err != nil {
+			if raw, err = json.Marshal(wire.Envelope[json.RawMessage]{Op: raw}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -89,9 +90,9 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	var created SessionCreateResponse
+	var created wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1}, &created); code != http.StatusOK {
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1}, &created); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	if created.Threshold != nil {
@@ -119,14 +120,14 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 		}
 	}
 	// Bulk-append half, then single-append the rest, covering both shapes.
-	var app SessionAppendResponse
+	var app wire.SessionAppendResponse
 	if code := doJSON(t, client, "POST", base+"/append",
-		SessionAppendRequest{Keys: keys[:prefix/2], Values: vals[:prefix/2]}, &app); code != http.StatusOK {
+		wire.SessionAppendRequest{Keys: keys[:prefix/2], Values: vals[:prefix/2]}, &app); code != http.StatusOK {
 		t.Fatalf("bulk append: status %d", code)
 	}
 	for i := prefix / 2; i < prefix; i++ {
 		if code := doJSON(t, client, "POST", base+"/append",
-			SessionAppendRequest{Key: keys[i], Value: vals[i]}, &app); code != http.StatusOK {
+			wire.SessionAppendRequest{Key: keys[i], Value: vals[i]}, &app); code != http.StatusOK {
 			t.Fatalf("append %d: status %d", i, code)
 		}
 	}
@@ -140,7 +141,7 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 	// softmax regime the paper's approximation targets (diffuse random
 	// queries have no dominant keys for any filter to find).
 	const steps = 16
-	var thr ThresholdJSON
+	var thr elsa.Threshold
 	sumCos, minCos := 0.0, 1.0
 	for step := 0; step < steps; step++ {
 		anchor := keys[rng.Intn(len(keys))]
@@ -148,8 +149,8 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 		for j := range q {
 			q[j] = 2*anchor[j] + 0.3*float32(rng.NormFloat64())
 		}
-		var got SessionQueryResponse
-		if code := doJSON(t, client, "POST", base+"/query", SessionQueryRequest{Q: q}, &got); code != http.StatusOK {
+		var got wire.SessionQueryResponse
+		if code := doJSON(t, client, "POST", base+"/query", wire.SessionQueryRequest{Q: q}, &got); code != http.StatusOK {
 			t.Fatalf("query %d: status %d", step, code)
 		}
 		if step == 0 {
@@ -187,7 +188,7 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		if code := doJSON(t, client, "POST", base+"/append",
-			SessionAppendRequest{Key: k, Value: v}, &app); code != http.StatusOK {
+			wire.SessionAppendRequest{Key: k, Value: v}, &app); code != http.StatusOK {
 			t.Fatalf("decode append %d: status %d", step, code)
 		}
 	}
@@ -199,7 +200,7 @@ func TestSessionDecodeMatchesDirectStream(t *testing.T) {
 	if code := doJSON(t, client, "DELETE", base, nil, nil); code != http.StatusNoContent {
 		t.Errorf("delete: status %d, want 204", code)
 	}
-	if code := doJSON(t, client, "POST", base+"/query", SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
+	if code := doJSON(t, client, "POST", base+"/query", wire.SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
 		t.Errorf("query after delete: status %d, want 404", code)
 	}
 	if n := srv.metrics.sessionEvictions.with("deleted").value(); n != 1 {
@@ -217,26 +218,26 @@ func TestSessionTTLEviction(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var created SessionCreateResponse
+	var created wire.SessionCreateResponse
 	if code := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	rng := rand.New(rand.NewSource(43))
 	base := ts.URL + "/v1/sessions/" + created.ID
 	if code := doJSON(t, ts.Client(), "POST", base+"/append",
-		SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusOK {
+		wire.SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusOK {
 		t.Fatalf("append: status %d", code)
 	}
 
 	now = now.Add(59 * time.Second)
 	if code := doJSON(t, ts.Client(), "POST", base+"/append",
-		SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusOK {
+		wire.SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusOK {
 		t.Fatalf("append within TTL: status %d (touch should refresh)", code)
 	}
 	now = now.Add(61 * time.Second)
 	if code := doJSON(t, ts.Client(), "POST", base+"/query",
-		SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
+		wire.SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
 		t.Fatalf("query after TTL: status %d, want 404", code)
 	}
 	if n := srv.metrics.sessionEvictions.with("ttl").value(); n != 1 {
@@ -256,9 +257,9 @@ func TestSessionLRUEviction(t *testing.T) {
 	defer ts.Close()
 
 	create := func() string {
-		var created SessionCreateResponse
+		var created wire.SessionCreateResponse
 		if code := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions",
-			SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
+			wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
 			t.Fatalf("create: status %d", code)
 		}
 		return created.ID
@@ -266,7 +267,7 @@ func TestSessionLRUEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	touch := func(id string) int {
 		return doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/"+id+"/append",
-			SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil)
+			wire.SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil)
 	}
 
 	first, second := create(), create()
@@ -302,15 +303,15 @@ func TestConcurrentSessionAppendQuery(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	var created SessionCreateResponse
+	var created wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1}, &created); code != http.StatusOK {
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1}, &created); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	base := ts.URL + "/v1/sessions/" + created.ID
 	seedRng := rand.New(rand.NewSource(53))
 	if code := doJSON(t, client, "POST", base+"/append",
-		SessionAppendRequest{Key: genVec(seedRng), Value: genVec(seedRng)}, nil); code != http.StatusOK {
+		wire.SessionAppendRequest{Key: genVec(seedRng), Value: genVec(seedRng)}, nil); code != http.StatusOK {
 		t.Fatalf("seed append: status %d", code)
 	}
 
@@ -325,12 +326,12 @@ func TestConcurrentSessionAppendQuery(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < perWorker; i++ {
 				if code := doJSON(t, client, "POST", base+"/append",
-					SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusOK {
+					wire.SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusOK {
 					errs <- fmt.Errorf("worker %d append %d: status %d", w, i, code)
 				}
-				var got SessionQueryResponse
+				var got wire.SessionQueryResponse
 				if code := doJSON(t, client, "POST", base+"/query",
-					SessionQueryRequest{Q: genVec(rng)}, &got); code != http.StatusOK {
+					wire.SessionQueryRequest{Q: genVec(rng)}, &got); code != http.StatusOK {
 					errs <- fmt.Errorf("worker %d query %d: status %d", w, i, code)
 				} else if len(got.Context) != testDim {
 					errs <- fmt.Errorf("worker %d query %d: context dim %d", w, i, len(got.Context))
@@ -344,9 +345,9 @@ func TestConcurrentSessionAppendQuery(t *testing.T) {
 		t.Error(err)
 	}
 
-	var got SessionQueryResponse
+	var got wire.SessionQueryResponse
 	if code := doJSON(t, client, "POST", base+"/query",
-		SessionQueryRequest{Q: genVec(seedRng)}, &got); code != http.StatusOK {
+		wire.SessionQueryRequest{Q: genVec(seedRng)}, &got); code != http.StatusOK {
 		t.Fatalf("final query: status %d", code)
 	}
 	if want := 1 + workers*perWorker; got.Len != want {
@@ -368,53 +369,53 @@ func TestSessionValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{}, nil); code != http.StatusBadRequest {
+		wire.SessionCreateRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("create without head_dim: status %d, want 400", code)
 	}
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, P: -1}, nil); code != http.StatusBadRequest {
+		wire.SessionCreateRequest{HeadDim: testDim, P: -1}, nil); code != http.StatusBadRequest {
 		t.Errorf("create with negative p: status %d, want 400", code)
 	}
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/nope/append",
-		SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusNotFound {
+		wire.SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusNotFound {
 		t.Errorf("append to unknown session: status %d, want 404", code)
 	}
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions/nope/query",
-		SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
+		wire.SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusNotFound {
 		t.Errorf("query unknown session: status %d, want 404", code)
 	}
 	if code := doJSON(t, client, "DELETE", ts.URL+"/v1/sessions/nope", nil, nil); code != http.StatusNotFound {
 		t.Errorf("DELETE unknown session: status %d, want 404", code)
 	}
 
-	var created SessionCreateResponse
+	var created wire.SessionCreateResponse
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
+		wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed}, &created); code != http.StatusOK {
 		t.Fatalf("create: status %d", code)
 	}
 	base := ts.URL + "/v1/sessions/" + created.ID
 	if code := doJSON(t, client, "POST", base+"/append",
-		SessionAppendRequest{}, nil); code != http.StatusBadRequest {
+		wire.SessionAppendRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty append: status %d, want 400", code)
 	}
-	if code := doJSON(t, client, "POST", base+"/append", SessionAppendRequest{
+	if code := doJSON(t, client, "POST", base+"/append", wire.SessionAppendRequest{
 		Key: genVec(rng), Value: genVec(rng),
 		Keys: [][]float32{genVec(rng)}, Values: [][]float32{genVec(rng)},
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("append with both shapes: status %d, want 400", code)
 	}
-	if code := doJSON(t, client, "POST", base+"/append", SessionAppendRequest{
+	if code := doJSON(t, client, "POST", base+"/append", wire.SessionAppendRequest{
 		Keys: [][]float32{genVec(rng), genVec(rng)}, Values: [][]float32{genVec(rng)},
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("mismatched keys/values: status %d, want 400", code)
 	}
-	if code := doJSON(t, client, "POST", base+"/append", SessionAppendRequest{
+	if code := doJSON(t, client, "POST", base+"/append", wire.SessionAppendRequest{
 		Key: genVec(rng)[:3], Value: genVec(rng),
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("wrong-width key: status %d, want 400", code)
 	}
 	if code := doJSON(t, client, "POST", base+"/query",
-		SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusBadRequest {
+		wire.SessionQueryRequest{Q: genVec(rng)}, nil); code != http.StatusBadRequest {
 		t.Errorf("query on empty session: status %d, want 400", code)
 	}
 
@@ -423,13 +424,13 @@ func TestSessionValidation(t *testing.T) {
 	for i := range keys {
 		keys[i], vals[i] = genVec(rng), genVec(rng)
 	}
-	var app SessionAppendResponse
+	var app wire.SessionAppendResponse
 	if code := doJSON(t, client, "POST", base+"/append",
-		SessionAppendRequest{Keys: keys, Values: vals}, &app); code != http.StatusOK || app.Len != 4 {
+		wire.SessionAppendRequest{Keys: keys, Values: vals}, &app); code != http.StatusOK || app.Len != 4 {
 		t.Fatalf("append to budget: status %d, len %d", code, app.Len)
 	}
 	if code := doJSON(t, client, "POST", base+"/append",
-		SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusRequestEntityTooLarge {
+		wire.SessionAppendRequest{Key: genVec(rng), Value: genVec(rng)}, nil); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("append past budget: status %d, want 413", code)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // TestShardRoutingFairness drives many single-op batches at one engine
@@ -26,7 +27,7 @@ func TestShardRoutingFairness(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(29))
 	q, k, v := genOp(rng, 2, 8)
-	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	req := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
 
 	const requests = 30
 	var wg sync.WaitGroup
@@ -89,7 +90,7 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	thresholds := []float64{0.15, 0.75}
 	type result struct {
-		got  AttendResponse
+		got  wire.AttendResponse
 		want *elsa.Output
 		code int
 	}
@@ -106,7 +107,7 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1, T: &tv}
+			req := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1, T: &tv}
 			resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 			results[i].code = resp.StatusCode
 			if resp.StatusCode == http.StatusOK {
@@ -152,9 +153,9 @@ func TestStatePersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(37))
 	q, k, v := genOp(rng, 4, 32)
-	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1}
+	req := wire.AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1}
 
-	serveOnce := func() (AttendResponse, *Metrics) {
+	serveOnce := func() (wire.AttendResponse, *Metrics) {
 		srv := New(Config{StateDir: dir})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
@@ -163,7 +164,7 @@ func TestStatePersistenceAcrossRestart(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, raw)
 		}
-		var got AttendResponse
+		var got wire.AttendResponse
 		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"elsa/internal/wire"
 )
 
 // FuzzStepWave drives arbitrary bodies through the POST
 // /v1/sessions/step decode path exactly as the handler runs it before
-// any session is touched: decodeEnvelope, then SessionStepRequest.unpack.
+// any session is touched: decodeEnvelope, then unpackStep.
 // Every body must either pass both, leaving every entry one non-empty
 // query, or be answered 400, and none may panic. A packed query may only
 // allocate what the body pays for: four bytes of float per 5⅓ bytes of
@@ -47,7 +49,7 @@ func FuzzStepWave(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/step", bytes.NewReader(body))
 		w := httptest.NewRecorder()
-		var req SessionStepRequest
+		var req wire.SessionStepRequest
 		if _, ok := decodeEnvelope(w, r, 1<<20, &req); !ok {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("decode rejected with %d, want 400", w.Code)
@@ -58,7 +60,7 @@ func FuzzStepWave(f *testing.F) {
 		for i, q := range req.Queries {
 			packedLen[i] = len(q.QPacked)
 		}
-		if err := req.unpack(); err != nil {
+		if err := unpackStep(&req); err != nil {
 			return // the handler answers 400 with err
 		}
 		for i, q := range req.Queries {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"elsa"
+	"elsa/internal/wire"
 	"elsa/serve/client"
 )
 
@@ -30,14 +31,14 @@ func TestSessionStepWave(t *testing.T) {
 	ids := make([]string, n)
 	queries := make([][]float32, n)
 	for i := 0; i < n; i++ {
-		req := SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1}
+		req := wire.SessionCreateRequest{HeadDim: testDim, Seed: testSeed, P: 1}
 		if i%3 == 2 {
 			req.P = 0 // exact
 		} else {
 			tv := 0.25 + 0.1*float64(i)
 			req.T = &tv
 		}
-		var created SessionCreateResponse
+		var created wire.SessionCreateResponse
 		if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions", req, &created); code != http.StatusOK {
 			t.Fatalf("create %d: status %d", i, code)
 		}
@@ -47,28 +48,28 @@ func TestSessionStepWave(t *testing.T) {
 		for j := range keys {
 			keys[j], vals[j] = genVec(rng), genVec(rng)
 		}
-		var app SessionAppendResponse
+		var app wire.SessionAppendResponse
 		if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/"+ids[i]+"/append",
-			SessionAppendRequest{Keys: keys, Values: vals}, &app); code != http.StatusOK {
+			wire.SessionAppendRequest{Keys: keys, Values: vals}, &app); code != http.StatusOK {
 			t.Fatalf("append %d: status %d", i, code)
 		}
 		queries[i] = genVec(rng)
 	}
 
 	// Reference: the per-query endpoint, one session at a time.
-	want := make([]SessionQueryResponse, n)
+	want := make([]wire.SessionQueryResponse, n)
 	for i := range ids {
 		if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/"+ids[i]+"/query",
-			SessionQueryRequest{Q: queries[i]}, &want[i]); code != http.StatusOK {
+			wire.SessionQueryRequest{Q: queries[i]}, &want[i]); code != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, code)
 		}
 	}
 
 	// The wave: sessions 0..n-1 plus an unknown ID and a duplicate,
 	// alternating packed and plain vectors, packed response.
-	wave := SessionStepRequest{Packed: true}
+	wave := wire.SessionStepRequest{Packed: true}
 	for i := range ids {
-		q := SessionStepQuery{ID: ids[i]}
+		q := wire.SessionStepQuery{ID: ids[i]}
 		if i%2 == 0 {
 			q.QPacked = client.PackVec(queries[i])
 		} else {
@@ -77,8 +78,8 @@ func TestSessionStepWave(t *testing.T) {
 		wave.Queries = append(wave.Queries, q)
 	}
 	wave.Queries = append(wave.Queries,
-		SessionStepQuery{ID: "deadbeefdeadbeefdeadbeefdeadbeef", Q: queries[0]},
-		SessionStepQuery{ID: ids[0], Q: queries[0]}, // duplicate of entry 0
+		wire.SessionStepQuery{ID: "deadbeefdeadbeefdeadbeefdeadbeef", Q: queries[0]},
+		wire.SessionStepQuery{ID: ids[0], Q: queries[0]}, // duplicate of entry 0
 	)
 	// The wave enqueues every entry before it kicks the set, so on an
 	// idle server one harvest takes the whole wave as one batch.
@@ -87,7 +88,7 @@ func TestSessionStepWave(t *testing.T) {
 		defer srv.disp.mu.Unlock()
 		return srv.disp.inflight == 0
 	})
-	var got SessionStepResponse
+	var got wire.SessionStepResponse
 	if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/step", wave, &got); code != http.StatusOK {
 		t.Fatalf("step: status %d", code)
 	}
@@ -129,11 +130,11 @@ func TestSessionStepWave(t *testing.T) {
 	}
 
 	// Validation failures reject the whole wave before any decode.
-	if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/step", SessionStepRequest{}, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/step", wire.SessionStepRequest{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty wave: status %d, want 400", code)
 	}
 	if code := doJSON(t, hc, "POST", ts.URL+"/v1/sessions/step",
-		SessionStepRequest{Queries: []SessionStepQuery{{ID: ids[0], QPacked: "not base64!!"}}}, nil); code != http.StatusBadRequest {
+		wire.SessionStepRequest{Queries: []wire.SessionStepQuery{{ID: ids[0], QPacked: "not base64!!"}}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad packed vector: status %d, want 400", code)
 	}
 

@@ -148,6 +148,34 @@ func DecodeRow(dst []float32, src []byte) (out []float32, bad int, err error) {
 	return out, bad, nil
 }
 
+// DecodeRows decodes each packed row with DecodeRow into one float32
+// backing sized from the encoded lengths, so allocation is bounded by the
+// input and does not grow per row. Rows may differ in length; shape
+// checks are the caller's. A row DecodeRow refuses is an error naming
+// it, reported ahead of any row's non-finite elements; badRow and badCol
+// locate the first non-finite element, or are -1.
+func DecodeRows(packed []string) (rows [][]float32, badRow, badCol int, err error) {
+	floats := 0
+	for _, s := range packed {
+		floats += Floats(len(s))
+	}
+	backing := make([]float32, 0, floats)
+	rows = make([][]float32, len(packed))
+	badRow, badCol = -1, -1
+	for i, s := range packed {
+		start := len(backing)
+		var bad int
+		if backing, bad, err = DecodeRow(backing, []byte(s)); err != nil {
+			return nil, -1, -1, fmt.Errorf("row %d: %w", i, err)
+		}
+		if bad >= 0 && badRow < 0 {
+			badRow, badCol = i, bad
+		}
+		rows[i] = backing[start:len(backing):len(backing)]
+	}
+	return rows, badRow, badCol, nil
+}
+
 // sextet maps each base64 character of the standard alphabet to its six
 // bits and every other byte to 0xff.
 var sextet = func() (t [256]byte) {

@@ -75,20 +75,32 @@ echo "== elsaperf logic tests =="
 
 echo "== fuzz smoke: /v1/attend decoder =="
 # Ten seconds of coverage-guided inputs through the handler's decoder and
-# the encoding/json path (envelope decode, packed unpack,
-# AttendRequest.validate): both agree, accept or 400, never panic.
+# the encoding/json path (envelope decode, unpackAttend,
+# validateAttend): both agree, accept or 400, never panic.
 go test -run '^$' -fuzz '^FuzzAttendEnvelope$' -fuzztime 10s ./internal/serve/
 
 echo "== fuzz smoke: /v1/sessions/step decoder =="
 # The same for a step wave: envelope decode, then the per-entry checks
-# and packed-query decode of SessionStepRequest.unpack.
+# and packed-query decode of unpackStep.
 go test -run '^$' -fuzz '^FuzzStepWave$' -fuzztime 10s ./internal/serve/
 
 echo "== fuzz smoke: /v1/sessions/{id}/append decoder =="
 # The same for an append body: the body scanner against envelope decode
-# then SessionAppendRequest.unpack, which must agree row for row, accept
-# or 400, never panic.
+# then unpackAppend, which must agree row for row, accept or 400, never
+# panic.
 go test -run '^$' -fuzz '^FuzzSessionAppend$' -fuzztime 10s ./internal/serve/
+
+echo "== fuzz smoke: /v1/cluster/join handler =="
+# Arbitrary bodies through a frontend's join handler: 200 or 4xx, never
+# a panic, and an accepted member shows in GET /v1/cluster with the
+# weight and state it sent. Worker probes dial nothing.
+go test -run '^$' -fuzz '^FuzzClusterJoin$' -fuzztime 10s ./internal/serve/
+
+echo "== fuzz smoke: /v1/sessions/import handler =="
+# Arbitrary envelope bodies (seeded with a real export reply) through a
+# server's import handler: 4xx or 200, never a panic, and an accepted
+# session takes an append and a query.
+go test -run '^$' -fuzz '^FuzzSessionImport$' -fuzztime 10s ./internal/serve/
 
 echo "== fuzz smoke: packed-row codec =="
 # Arbitrary bytes through wire.DecodeRow, and the same bytes read as

@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // packedAttendWire is the /v1/attend op as one struct, Q/K/V packed by
-// PackRows: json.Marshal of it inside envelope is the body attendBody
+// PackRows: json.Marshal of it inside wire.Envelope is the body attendBody
 // must write byte for byte.
 type packedAttendWire struct {
 	QP        []string `json:"qp"`
@@ -28,7 +29,7 @@ type packedAttendWire struct {
 }
 
 // marshalAttend is the reference body: the whole op marshaled at once.
-func marshalAttend(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, error) {
+func marshalAttend(env wire.Envelope[any], q, k, v [][]float32, opts AttendOptions) ([]byte, error) {
 	op := packedAttendWire{
 		QP: PackRows(q), KP: PackRows(k), VP: PackRows(v),
 		P:         opts.P,
@@ -57,19 +58,19 @@ func TestAttendBodyMatchesMarshal(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		env     envelope
+		env     wire.Envelope[any]
 		q, k, v [][]float32
 		opts    AttendOptions
 	}{
 		{name: "bare", q: one, k: one, v: one},
-		{name: "client id escapes", env: envelope{ClientID: `te"n<a>n&t ünï ✓`}, q: one, k: square, v: square},
-		{name: "priority", env: envelope{Priority: "batch"}, q: one, k: one, v: one},
-		{name: "deadline", env: envelope{ClientID: "c", Priority: "background", DeadlineMS: 250}, q: one, k: one, v: one},
+		{name: "client id escapes", env: wire.Envelope[any]{ClientID: `te"n<a>n&t ünï ✓`}, q: one, k: square, v: square},
+		{name: "priority", env: wire.Envelope[any]{Priority: "batch"}, q: one, k: one, v: one},
+		{name: "deadline", env: wire.Envelope[any]{ClientID: "c", Priority: "background", DeadlineMS: 250}, q: one, k: one, v: one},
 		{name: "p", q: one, k: one, v: one, opts: AttendOptions{Overrides: elsa.Overrides{P: 1}}},
 		{name: "explicit threshold", q: one, k: one, v: one, opts: thr(2, 0.5)},
 		{name: "t = -0", q: one, k: one, v: one, opts: thr(0, math.Copysign(0, -1))},
 		{name: "backend", q: one, k: one, v: one, opts: AttendOptions{Overrides: elsa.Overrides{Backend: "linear-scan"}}},
-		{name: "quantized engine", env: envelope{DeadlineMS: 7}, q: square, k: square, v: square,
+		{name: "quantized engine", env: wire.Envelope[any]{DeadlineMS: 7}, q: square, k: square, v: square,
 			opts: AttendOptions{Overrides: elsa.Overrides{P: 0.25}, HeadDim: 2, HashBits: 12, Seed: -9, Quantized: true}},
 		{name: "ragged", q: ragged, k: ragged, v: one},
 		{name: "empty and nil", q: [][]float32{}, k: nil, v: one},
@@ -94,8 +95,8 @@ func TestAttendBodyMatchesMarshal(t *testing.T) {
 
 	// A value json.Marshal refuses fails the same way.
 	nan := AttendOptions{Overrides: elsa.Overrides{P: math.NaN()}}
-	_, err := attendBody(envelope{}, one, one, one, nan)
-	_, wantErr := marshalAttend(envelope{}, one, one, one, nan)
+	_, err := attendBody(wire.Envelope[any]{}, one, one, one, nan)
+	_, wantErr := marshalAttend(wire.Envelope[any]{}, one, one, one, nan)
 	if err == nil || wantErr == nil || err.Error() != "client: encoding op: "+wantErr.Error() {
 		t.Errorf("p = NaN: attendBody error %v, json.Marshal error %v", err, wantErr)
 	}
@@ -118,7 +119,7 @@ func BenchmarkAttendEncode(b *testing.B) {
 		return m
 	}
 	q, k, v := mk(4), mk(320), mk(320)
-	env := envelope{ClientID: "bench", DeadlineMS: 500}
+	env := wire.Envelope[any]{ClientID: "bench", DeadlineMS: 500}
 	b.ReportAllocs()
 	var body []byte
 	for i := 0; i < b.N; i++ {
@@ -138,11 +139,11 @@ func TestAppendBodyMatchesMarshal(t *testing.T) {
 	square := [][]float32{{1, 2}, {3, 4}, {5, 6}}
 	for _, tc := range []struct {
 		name         string
-		env          envelope
+		env          wire.Envelope[any]
 		keys, values [][]float32
 	}{
 		{name: "one token", keys: one, values: one},
-		{name: "prefill", env: envelope{ClientID: "c", Priority: "batch", DeadlineMS: 250}, keys: square, values: square},
+		{name: "prefill", env: wire.Envelope[any]{ClientID: "c", Priority: "batch", DeadlineMS: 250}, keys: square, values: square},
 		{name: "ragged", keys: [][]float32{{1}, {}, {2, 3}}, values: one},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,7 +185,7 @@ func BenchmarkAppendEncode(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			env := envelope{ClientID: "bench"}
+			env := wire.Envelope[any]{ClientID: "bench"}
 			b.ReportAllocs()
 			var body []byte
 			for i := 0; i < b.N; i++ {

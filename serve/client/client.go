@@ -4,9 +4,11 @@
 // the server's Retry-After hint, and exposes decode sessions as a
 // handle so callers never hand-roll endpoint JSON.
 //
-// The package deliberately defines its own wire structs rather than
-// importing the server's: the server lives under internal/ and this is
-// the supported external surface.
+// Every body it writes or reads is declared once, in internal/wire, for
+// this package and the server alike. A public reply type that is a wire
+// body as it stands (Health, ClusterInfo, QueryResult, ...) is an alias
+// of it; the option types (AttendOptions, SessionOptions, JoinRequest)
+// convert to their wire body in one place each.
 package client
 
 import (
@@ -96,16 +98,7 @@ type Result struct {
 
 // Health is the server's /v1/healthz reply. The worker/fleet fields are
 // present only on servers configured with remote workers.
-type Health struct {
-	Status         string `json:"status"`
-	Engines        int    `json:"engines"`
-	Sessions       int    `json:"sessions"`
-	Role           string `json:"role,omitempty"`
-	Workers        int    `json:"workers,omitempty"`
-	HealthyWorkers int    `json:"healthy_workers,omitempty"`
-	Members        int    `json:"members,omitempty"`
-	Draining       int    `json:"draining,omitempty"`
-}
+type Health = wire.HealthResponse
 
 // Health fetches /v1/healthz — the same probe elsaserve frontends use to
 // admit and eject remote workers.
@@ -121,47 +114,6 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	return &h, nil
 }
 
-// envelope mirrors the server's v1 request envelope. Op holds the op
-// struct itself, so a request body is marshaled in one pass.
-type envelope struct {
-	ClientID   string `json:"client_id,omitempty"`
-	Priority   string `json:"priority,omitempty"`
-	DeadlineMS int64  `json:"deadline_ms,omitempty"`
-	Op         any    `json:"op"`
-}
-
-// attendWire is the /v1/attend op's scalar fields. attendBody writes
-// Q/K/V ahead of them as packed rows (qp, kp, vp), which also makes the
-// server answer with context_packed.
-type attendWire struct {
-	P         float64  `json:"p,omitempty"`
-	T         *float64 `json:"t,omitempty"`
-	HeadDim   int      `json:"head_dim,omitempty"`
-	HashBits  int      `json:"hash_bits,omitempty"`
-	Seed      int64    `json:"seed,omitempty"`
-	Quantized bool     `json:"quantized,omitempty"`
-	Backend   string   `json:"backend,omitempty"`
-}
-
-type thresholdWire struct {
-	P       float64 `json:"p"`
-	T       float64 `json:"t"`
-	Queries int     `json:"queries,omitempty"`
-}
-
-type attendReplyWire struct {
-	Context           [][]float32   `json:"context"`
-	ContextPacked     []string      `json:"context_packed"`
-	CandidateFraction float64       `json:"candidate_fraction"`
-	FallbackQueries   int           `json:"fallback_queries"`
-	Threshold         thresholdWire `json:"threshold"`
-	BatchSize         int           `json:"batch_size"`
-}
-
-type errorWire struct {
-	Error string `json:"error"`
-}
-
 // Attend runs one self-attention op on the server. A ctx deadline is
 // forwarded as the envelope's deadline_ms, so the server can shed the op
 // up front when its queue cannot meet it. Q/K/V travel packed (base64
@@ -172,7 +124,7 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 	if err != nil {
 		return nil, err
 	}
-	var reply attendReplyWire
+	var reply wire.AttendResponse
 	if err := c.send(ctx, "/v1/attend", body, &reply); err != nil {
 		return nil, err
 	}
@@ -187,7 +139,7 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 		Context:           reply.Context,
 		CandidateFraction: reply.CandidateFraction,
 		FallbackQueries:   reply.FallbackQueries,
-		Threshold:         elsa.Threshold{P: reply.Threshold.P, T: reply.Threshold.T, Queries: reply.Threshold.Queries},
+		Threshold:         reply.Threshold,
 		BatchSize:         reply.BatchSize,
 	}, nil
 }
@@ -195,9 +147,10 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 // attendBody is the /v1/attend body for env (whose Op must be nil)
 // around the op q, k, v, opts: byte for byte what json.Marshal writes
 // for an op struct whose leading fields qp, kp and vp hold PackRows of q,
-// k and v, followed by attendWire's fields.
-func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, error) {
-	wire := attendWire{
+// k and v, followed by the other fields of wire.AttendRequest. The
+// packed rows also make the server answer with context_packed.
+func attendBody(env wire.Envelope[any], q, k, v [][]float32, opts AttendOptions) ([]byte, error) {
+	op := wire.AttendRequest{
 		P:         opts.P,
 		HeadDim:   opts.HeadDim,
 		HashBits:  opts.HashBits,
@@ -206,10 +159,10 @@ func attendBody(env envelope, q, k, v [][]float32, opts AttendOptions) ([]byte, 
 		Backend:   opts.Backend,
 	}
 	if opts.Thr != nil {
-		wire.P = opts.Thr.P
-		wire.T = &opts.Thr.T
+		op.P = opts.Thr.P
+		op.T = &opts.Thr.T
 	}
-	return packedBody(env, []packedMember{{"qp", q}, {"kp", k}, {"vp", v}}, wire)
+	return packedBody(env, []packedMember{{"qp", q}, {"kp", k}, {"vp", v}}, op)
 }
 
 // packedMember is one packed matrix of an op: its key and its rows.
@@ -226,7 +179,7 @@ type packedMember struct {
 // copied into strings and re-scanned for escapes (base64 has none to
 // escape); the envelope head and the scalar tail are short and still go
 // through json.Marshal.
-func packedBody(env envelope, members []packedMember, tail any) ([]byte, error) {
+func packedBody(env wire.Envelope[any], members []packedMember, tail any) ([]byte, error) {
 	head, err := json.Marshal(env) // ends in "op":null}
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding op: %w", err)
@@ -270,8 +223,8 @@ func packedBody(env envelope, members []packedMember, tail any) ([]byte, error) 
 
 // wrap puts op in the v1 envelope under this client's identity and
 // ctx's deadline.
-func (c *Client) wrap(ctx context.Context, op any) envelope {
-	return envelope{
+func (c *Client) wrap(ctx context.Context, op any) wire.Envelope[any] {
+	return wire.Envelope[any]{
 		ClientID:   c.clientID,
 		Priority:   c.priority,
 		DeadlineMS: deadlineMS(ctx),
@@ -356,7 +309,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
 	}
-	var ew errorWire
+	var ew wire.Error
 	if err := json.NewDecoder(resp.Body).Decode(&ew); err == nil && ew.Error != "" {
 		apiErr.Message = ew.Error
 	} else {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"elsa/internal/wire"
 )
 
 // JoinRequest registers (or heartbeats) a worker with a frontend's
@@ -30,95 +32,47 @@ type JoinRequest struct {
 	Incarnation uint64
 }
 
-// JoinReply is the frontend's answer to a Join.
-type JoinReply struct {
-	// State is the member's membership state after this join:
-	// "joining", "active", or "draining".
-	State string `json:"state"`
-	// Members counts membership entries that have not gone.
-	Members int `json:"members"`
-	// Version is the membership table version after this join.
-	Version uint64 `json:"version"`
-}
+// JoinReply is the frontend's answer to a Join: the member's state
+// ("joining", "active" or "draining"), the membership count and the
+// table version after the join.
+type JoinReply = wire.JoinResponse
 
 // MemberInfo is one cluster member as a frontend reports it (a v1
 // `targets` entry): placement state, capacity, liveness, and how many
-// sessions the frontend still holds pinned to it.
-type MemberInfo struct {
-	Addr  string `json:"addr"`
-	State string `json:"state"`
-	// Static marks members seeded from the frontend's -workers flags;
-	// a controller can drain but not scale them away.
-	Static         bool  `json:"static,omitempty"`
-	Weight         int   `json:"weight,omitempty"`
-	MaxSessions    int   `json:"max_sessions,omitempty"`
-	HeartbeatAgeMS int64 `json:"heartbeat_age_ms"`
-	PinnedSessions int   `json:"pinned_sessions"`
-}
+// sessions the frontend still holds pinned to it. Static marks members
+// seeded from the frontend's -workers flags; a controller can drain but
+// not scale them away.
+type MemberInfo = wire.ClusterTarget
 
 // ClusterSignals is the frontend's load-signal block: what an autoscale
 // controller watches. Rates are windowed (events/s over the last ~1s),
-// not lifetime averages.
-type ClusterSignals struct {
-	QueueDepth        int64            `json:"queue_depth"`
-	QueueDepthByClass map[string]int64 `json:"queue_depth_by_class"`
-	// ShedRateByClass is the windowed shed rate per priority class in
-	// events/s — nonzero means admission is already refusing work.
-	ShedRateByClass map[string]float64 `json:"shed_rate_by_class"`
-	// ShedsByClass is the cumulative lifetime shed counter, kept for
-	// dashboards; controllers should watch ShedRateByClass.
-	ShedsByClass    map[string]int64 `json:"sheds_by_class"`
-	MeanBatch       float64          `json:"mean_batch"`
-	MeanDecodeBatch float64          `json:"mean_decode_batch"`
-}
+// not lifetime averages; controllers should watch ShedRateByClass, not
+// the lifetime ShedsByClass.
+type ClusterSignals = wire.ClusterSignals
 
 // ClusterInfo is the typed GET /v1/cluster view: the versioned
-// membership table plus the signals block.
-type ClusterInfo struct {
-	// SchemaVersion is the server's reported schema (at least 1).
-	SchemaVersion int `json:"schema_version"`
-	// Version is the membership table version (bumps on every change).
-	Version uint64         `json:"version"`
-	Signals ClusterSignals `json:"signals"`
-	Members []MemberInfo   `json:"targets"`
-}
+// membership table (Members, the `targets` block) plus the signals
+// block.
+type ClusterInfo = wire.ClusterResponse
 
 // DrainStatus reports a server's own drain state (POST /v1/drain).
-type DrainStatus struct {
-	Draining bool `json:"draining"`
-	Sessions int  `json:"sessions"`
-}
+type DrainStatus = wire.DrainResponse
 
 // MemberDrainStatus reports the start of an operator-initiated drain of
-// one cluster member (POST /v1/cluster/drain).
-type MemberDrainStatus struct {
-	Addr  string `json:"addr"`
-	State string `json:"state"`
-	// Forwarded is whether the worker's own /v1/drain accepted the
-	// signal; false leaves the frontend-side drain in force regardless.
-	Forwarded bool `json:"forwarded"`
-	// PinnedSessions is how many sessions were still pinned to the
-	// member when the drain began.
-	PinnedSessions int `json:"pinned_sessions"`
-	// Relocated counts pinned sessions the frontend live-migrated onto
-	// other members before replying, instead of waiting them out.
-	Relocated int `json:"relocated,omitempty"`
-}
+// one cluster member (POST /v1/cluster/drain). Forwarded is whether the
+// worker's own /v1/drain accepted the signal; false leaves the
+// frontend-side drain in force regardless.
+type MemberDrainStatus = wire.ClusterDrainResponse
 
-type joinWire struct {
-	Addr        string `json:"addr"`
-	Weight      int    `json:"weight,omitempty"`
-	MaxSessions int    `json:"max_sessions,omitempty"`
-	HeartbeatMS int64  `json:"heartbeat_ms,omitempty"`
-	Draining    bool   `json:"draining,omitempty"`
-	Incarnation uint64 `json:"incarnation,omitempty"`
-}
+// MemberRebalanceStatus reports one proactive rebalance toward a member
+// (POST /v1/cluster/rebalance).
+type MemberRebalanceStatus = wire.ClusterRebalanceResponse
 
 // Join registers the worker described by req with the frontend this
 // client points at. Workers call it once to join and then repeatedly as
 // their heartbeat; both are the same idempotent request.
 func (c *Client) Join(ctx context.Context, req JoinRequest) (*JoinReply, error) {
-	wire := joinWire{
+	op := wire.JoinRequest{
 		Addr:        req.Addr,
 		Weight:      req.Weight,
 		MaxSessions: req.MaxSessions,
@@ -127,7 +81,7 @@ func (c *Client) Join(ctx context.Context, req JoinRequest) (*JoinReply, error) 
 		Incarnation: req.Incarnation,
 	}
 	var reply JoinReply
-	if err := c.post(ctx, "/v1/cluster/join", wire, &reply); err != nil {
+	if err := c.post(ctx, "/v1/cluster/join", op, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -169,23 +123,10 @@ func (c *Client) Drain(ctx context.Context) (*DrainStatus, error) {
 // drain signal is forwarded to the worker itself best-effort.
 func (c *Client) DrainMember(ctx context.Context, addr string) (*MemberDrainStatus, error) {
 	var status MemberDrainStatus
-	if err := c.post(ctx, "/v1/cluster/drain", struct {
-		Addr string `json:"addr"`
-	}{Addr: addr}, &status); err != nil {
+	if err := c.post(ctx, "/v1/cluster/drain", wire.ClusterDrainRequest{Addr: addr}, &status); err != nil {
 		return nil, err
 	}
 	return &status, nil
-}
-
-// MemberRebalanceStatus reports one proactive rebalance toward a member
-// (POST /v1/cluster/rebalance).
-type MemberRebalanceStatus struct {
-	Addr string `json:"addr"`
-	// Moved counts sessions live-migrated onto the member.
-	Moved int `json:"moved"`
-	// PinnedSessions is how many sessions are pinned to the member after
-	// the move.
-	PinnedSessions int `json:"pinned_sessions"`
 }
 
 // RebalanceMember asks a frontend to proactively migrate pinned sessions
@@ -195,10 +136,7 @@ type MemberRebalanceStatus struct {
 // every session placement prefers there.
 func (c *Client) RebalanceMember(ctx context.Context, addr string, max int) (*MemberRebalanceStatus, error) {
 	var status MemberRebalanceStatus
-	if err := c.post(ctx, "/v1/cluster/rebalance", struct {
-		Addr string `json:"addr"`
-		Max  int    `json:"max,omitempty"`
-	}{Addr: addr, Max: max}, &status); err != nil {
+	if err := c.post(ctx, "/v1/cluster/rebalance", wire.ClusterRebalanceRequest{Addr: addr, Max: max}, &status); err != nil {
 		return nil, err
 	}
 	return &status, nil

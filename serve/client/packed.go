@@ -2,7 +2,6 @@ package client
 
 import (
 	"encoding/base64"
-	"fmt"
 
 	"elsa/internal/wire"
 )
@@ -45,24 +44,10 @@ func PackRows(rows [][]float32) []string {
 	return out
 }
 
-// UnpackRows decodes PackRows output. Every row lands in one shared
-// backing array sized from the encoded lengths, so allocation is bounded
-// by the input and does not grow per row. Rows may differ in length;
-// shape checks are the caller's.
+// UnpackRows decodes PackRows output into one shared backing array, so
+// allocation is bounded by the input and does not grow per row. Rows may
+// differ in length; shape checks are the caller's.
 func UnpackRows(rows []string) ([][]float32, error) {
-	total := 0
-	for _, s := range rows {
-		total += wire.Floats(len(s))
-	}
-	backing := make([]float32, 0, total)
-	out := make([][]float32, len(rows))
-	for i, s := range rows {
-		start := len(backing)
-		var err error
-		if backing, _, err = wire.DecodeRow(backing, []byte(s)); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		out[i] = backing[start:len(backing):len(backing)]
-	}
-	return out, nil
+	out, _, _, err := wire.DecodeRows(rows)
+	return out, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // SessionOptions configures a server-side decode session. The embedded
@@ -30,57 +31,14 @@ type Session struct {
 	Threshold *elsa.Threshold
 }
 
-// QueryResult is one decode step's outcome.
-type QueryResult struct {
-	Context    []float32
-	Candidates int
-	Fallback   bool
-	Len        int
-	Threshold  elsa.Threshold
-	// BatchSize is how many session queries the server coalesced into
-	// the dispatch this one rode in (1 = it rode alone; 0 from servers
-	// predating decode batching).
-	BatchSize int
-}
-
-type sessionCreateWire struct {
-	HeadDim   int      `json:"head_dim"`
-	HashBits  int      `json:"hash_bits,omitempty"`
-	Seed      int64    `json:"seed,omitempty"`
-	Quantized bool     `json:"quantized,omitempty"`
-	P         float64  `json:"p,omitempty"`
-	T         *float64 `json:"t,omitempty"`
-	Capacity  int      `json:"capacity,omitempty"`
-	Backend   string   `json:"backend,omitempty"`
-}
-
-type sessionCreateReplyWire struct {
-	ID        string         `json:"id"`
-	Threshold *thresholdWire `json:"threshold,omitempty"`
-}
-
-type sessionAppendReplyWire struct {
-	Len int `json:"len"`
-}
-
-type sessionQueryWire struct {
-	Q       []float32 `json:"q"`
-	T       *float64  `json:"t,omitempty"`
-	Backend string    `json:"backend,omitempty"`
-}
-
-type sessionQueryReplyWire struct {
-	Context    []float32     `json:"context"`
-	Candidates int           `json:"candidates"`
-	Fallback   bool          `json:"fallback"`
-	Len        int           `json:"len"`
-	Threshold  thresholdWire `json:"threshold"`
-	BatchSize  int           `json:"batch_size"`
-}
+// QueryResult is one decode step's outcome. BatchSize is how many
+// session queries the server coalesced into the dispatch this one rode
+// in (1 = it rode alone; 0 from servers predating decode batching).
+type QueryResult = wire.SessionQueryResponse
 
 // NewSession creates a server-side decode session.
 func (c *Client) NewSession(ctx context.Context, opts SessionOptions) (*Session, error) {
-	wire := sessionCreateWire{
+	op := wire.SessionCreateRequest{
 		HeadDim:   opts.HeadDim,
 		HashBits:  opts.HashBits,
 		Seed:      opts.Seed,
@@ -90,18 +48,14 @@ func (c *Client) NewSession(ctx context.Context, opts SessionOptions) (*Session,
 		Backend:   opts.Backend,
 	}
 	if opts.Thr != nil {
-		wire.P = opts.Thr.P
-		wire.T = &opts.Thr.T
+		op.P = opts.Thr.P
+		op.T = &opts.Thr.T
 	}
-	var reply sessionCreateReplyWire
-	if err := c.post(ctx, "/v1/sessions", wire, &reply); err != nil {
+	var reply wire.SessionCreateResponse
+	if err := c.post(ctx, "/v1/sessions", op, &reply); err != nil {
 		return nil, err
 	}
-	s := &Session{c: c, id: reply.ID}
-	if reply.Threshold != nil {
-		s.Threshold = &elsa.Threshold{P: reply.Threshold.P, T: reply.Threshold.T, Queries: reply.Threshold.Queries}
-	}
-	return s, nil
+	return &Session{c: c, id: reply.ID, Threshold: reply.Threshold}, nil
 }
 
 // ID returns the server-assigned session ID.
@@ -123,7 +77,7 @@ func (s *Session) AppendBatch(ctx context.Context, keys, values [][]float32) (in
 	if err != nil {
 		return 0, err
 	}
-	var reply sessionAppendReplyWire
+	var reply wire.SessionAppendResponse
 	if err := s.c.send(ctx, "/v1/sessions/"+s.id+"/append", body, &reply); err != nil {
 		return 0, err
 	}
@@ -133,94 +87,39 @@ func (s *Session) AppendBatch(ctx context.Context, keys, values [][]float32) (in
 // Query attends q over the session's prefix. A non-nil Overrides.Thr
 // overrides the session threshold for this query only.
 func (s *Session) Query(ctx context.Context, q []float32, ov elsa.Overrides) (*QueryResult, error) {
-	wire := sessionQueryWire{Q: q, Backend: ov.Backend}
+	op := wire.SessionQueryRequest{Q: q, Backend: ov.Backend}
 	if ov.Thr != nil {
-		wire.T = &ov.Thr.T
+		op.T = &ov.Thr.T
 	}
-	var reply sessionQueryReplyWire
-	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/query", wire, &reply); err != nil {
+	var res QueryResult
+	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/query", op, &res); err != nil {
 		return nil, err
 	}
-	return &QueryResult{
-		Context:    reply.Context,
-		Candidates: reply.Candidates,
-		Fallback:   reply.Fallback,
-		Len:        reply.Len,
-		Threshold:  elsa.Threshold{P: reply.Threshold.P, T: reply.Threshold.T, Queries: reply.Threshold.Queries},
-		BatchSize:  reply.BatchSize,
-	}, nil
+	return &res, nil
 }
 
 // SessionState is a session's portable state: the opaque stream blob a
 // server exported plus the engine configuration and operating point
-// another server needs to adopt it bit-identically.
-type SessionState struct {
-	ID        string
-	State     []byte
-	Len       int
-	Capacity  int
-	HeadDim   int
-	HashBits  int
-	Seed      int64
-	Quantized bool
-	P         float64
-	Threshold *elsa.Threshold
-	// Backend pins the session's exact backend ("" = server default).
-	Backend string
-}
-
-// sessionStateWire mirrors the server's export reply and import request
-// (they share a shape so state forwards without re-encoding).
-type sessionStateWire struct {
-	ID        string         `json:"id"`
-	State     []byte         `json:"state"`
-	Len       int            `json:"len,omitempty"`
-	Capacity  int            `json:"capacity,omitempty"`
-	HeadDim   int            `json:"head_dim"`
-	HashBits  int            `json:"hash_bits,omitempty"`
-	Seed      int64          `json:"seed,omitempty"`
-	Quantized bool           `json:"quantized,omitempty"`
-	P         float64        `json:"p,omitempty"`
-	Threshold *thresholdWire `json:"threshold,omitempty"`
-	Backend   string         `json:"backend,omitempty"`
-}
-
-type sessionImportReplyWire struct {
-	ID  string `json:"id"`
-	Len int    `json:"len"`
-}
+// another server needs to adopt it bit-identically. Backend pins the
+// session's exact backend ("" = server default).
+type SessionState = wire.SessionExportResponse
 
 // Export fetches the session's portable state
 // (POST /v1/sessions/{id}/export): everything ImportSession needs to
 // re-create the stream bit-identically on another server.
 func (s *Session) Export(ctx context.Context) (*SessionState, error) {
-	var reply sessionStateWire
-	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/export", struct{}{}, &reply); err != nil {
+	var st SessionState
+	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/export", struct{}{}, &st); err != nil {
 		return nil, err
 	}
-	st := &SessionState{
-		ID:        reply.ID,
-		State:     reply.State,
-		Len:       reply.Len,
-		Capacity:  reply.Capacity,
-		HeadDim:   reply.HeadDim,
-		HashBits:  reply.HashBits,
-		Seed:      reply.Seed,
-		Quantized: reply.Quantized,
-		P:         reply.P,
-		Backend:   reply.Backend,
-	}
-	if reply.Threshold != nil {
-		st.Threshold = &elsa.Threshold{P: reply.Threshold.P, T: reply.Threshold.T, Queries: reply.Threshold.Queries}
-	}
-	return st, nil
+	return &st, nil
 }
 
 // ImportSession adopts an exported session on the server this client
 // points at, under its original ID — the receiving half of live
 // migration between workers (POST /v1/sessions/import).
 func (c *Client) ImportSession(ctx context.Context, st *SessionState) (*Session, error) {
-	wire := sessionStateWire{
+	op := wire.SessionImportRequest{
 		ID:        st.ID,
 		State:     st.State,
 		Capacity:  st.Capacity,
@@ -229,14 +128,14 @@ func (c *Client) ImportSession(ctx context.Context, st *SessionState) (*Session,
 		Seed:      st.Seed,
 		Quantized: st.Quantized,
 		P:         st.P,
+		Threshold: st.Threshold,
 		Backend:   st.Backend,
 	}
 	if st.Threshold != nil {
-		wire.P = st.Threshold.P
-		wire.Threshold = &thresholdWire{P: st.Threshold.P, T: st.Threshold.T, Queries: st.Threshold.Queries}
+		op.P = st.Threshold.P
 	}
-	var reply sessionImportReplyWire
-	if err := c.post(ctx, "/v1/sessions/import", wire, &reply); err != nil {
+	var reply wire.SessionImportResponse
+	if err := c.post(ctx, "/v1/sessions/import", op, &reply); err != nil {
 		return nil, err
 	}
 	s := &Session{c: c, id: reply.ID}

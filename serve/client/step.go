@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"elsa"
+	"elsa/internal/wire"
 )
 
 // StepQuery is one session's entry in a cross-session decode wave.
@@ -23,25 +24,6 @@ type StepResult struct {
 	Err error
 }
 
-type sessionStepQueryWire struct {
-	ID string   `json:"id"`
-	QP string   `json:"qp"`
-	T  *float64 `json:"t,omitempty"`
-}
-
-type sessionStepWire struct {
-	Queries []sessionStepQueryWire `json:"queries"`
-	Packed  bool                   `json:"packed"`
-}
-
-type sessionStepReplyWire struct {
-	Results []struct {
-		sessionQueryReplyWire
-		ContextPacked string `json:"context_packed"`
-		Error         string `json:"error"`
-	} `json:"results"`
-}
-
 // Step decodes one token for many sessions in a single request — the
 // client-side complement of the server's decode batching. The server
 // queues the whole wave before it dispatches any of it, so it
@@ -52,15 +34,15 @@ type sessionStepReplyWire struct {
 // align 1:1 with queries; per-entry failures land in StepResult.Err
 // without failing the wave.
 func (c *Client) Step(ctx context.Context, queries []StepQuery) ([]StepResult, error) {
-	wire := sessionStepWire{Queries: make([]sessionStepQueryWire, len(queries)), Packed: true}
+	op := wire.SessionStepRequest{Queries: make([]wire.SessionStepQuery, len(queries)), Packed: true}
 	for i, q := range queries {
-		wire.Queries[i] = sessionStepQueryWire{ID: q.Session.ID(), QP: PackVec(q.Q)}
+		op.Queries[i] = wire.SessionStepQuery{ID: q.Session.ID(), QPacked: PackVec(q.Q)}
 		if q.Thr != nil {
-			wire.Queries[i].T = &q.Thr.T
+			op.Queries[i].T = &q.Thr.T
 		}
 	}
-	var reply sessionStepReplyWire
-	if err := c.post(ctx, "/v1/sessions/step", wire, &reply); err != nil {
+	var reply wire.SessionStepResponse
+	if err := c.post(ctx, "/v1/sessions/step", op, &reply); err != nil {
 		return nil, err
 	}
 	if len(reply.Results) != len(queries) {
@@ -72,23 +54,15 @@ func (c *Client) Step(ctx context.Context, queries []StepQuery) ([]StepResult, e
 			results[i].Err = errors.New(r.Error)
 			continue
 		}
-		out := r.Context
 		if r.ContextPacked != "" {
 			vec, err := UnpackVec(r.ContextPacked)
 			if err != nil {
 				results[i].Err = err
 				continue
 			}
-			out = vec
+			r.Context = vec
 		}
-		results[i].QueryResult = QueryResult{
-			Context:    out,
-			Candidates: r.Candidates,
-			Fallback:   r.Fallback,
-			Len:        r.Len,
-			Threshold:  elsa.Threshold{P: r.Threshold.P, T: r.Threshold.T, Queries: r.Threshold.Queries},
-			BatchSize:  r.BatchSize,
-		}
+		results[i].QueryResult = r.SessionQueryResponse
 	}
 	return results, nil
 }
