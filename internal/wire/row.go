@@ -1,5 +1,6 @@
-// Package wire owns the packed-row format of the serving API: a row of
-// float32s travels as the padded standard base64 of its little-endian
+// Package wire owns the serving API's wire format: the v1 request and
+// reply bodies (schema.go), and the packed-row format inside them. A row
+// of float32s travels as the padded standard base64 of its little-endian
 // bytes, one JSON string per row (the qp/kp/vp members of an attend or
 // append op, a step wave's packed query and every context_packed reply).
 // JSON float text costs a strconv parse per element; the packed form
