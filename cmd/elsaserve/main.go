@@ -133,7 +133,7 @@ func main() {
 	join := flag.String("join", "", "frontend URL to self-register with (worker mode; requires -advertise)")
 	advertise := flag.String("advertise", "", "address the frontend dials back when joined via -join (host:port or URL)")
 	heartbeat := flag.Duration("heartbeat-interval", 5*time.Second, "re-join cadence when joined via -join (floor 1s)")
-	weight := flag.Int("weight", 1, "this worker's share of session keyspace on the frontend's hash ring")
+	weight := flag.Int("weight", 1, fmt.Sprintf("this worker's share of session keyspace on the frontend's hash ring (0-%d)", serve.MaxWeight))
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", time.Minute, "force-expire sessions still pinned this long after POST /v1/drain (negative waits forever)")
 	flag.StringVar(&cfg.ExactBackend, "exact-backend", "", "default backend for exact ops (p=0) that don't pin one: 'scores' or 'linear-scan' (empty = scores pipeline)")
 	autoscaleOn := flag.Bool("autoscale", false, "run the autoscale controller in-process: drain idle members, rebalance toward joiners, log scale-out advice")
@@ -165,6 +165,10 @@ func main() {
 		}
 	}
 
+	if *weight < 0 || *weight > serve.MaxWeight {
+		fmt.Fprintf(os.Stderr, "elsaserve: -weight must be between 0 and %d, got %d\n", serve.MaxWeight, *weight)
+		os.Exit(2)
+	}
 	hb := heartbeatConfig{interval: *heartbeat, weight: *weight}
 	if *join != "" {
 		if *workerAddrs != "" {

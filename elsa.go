@@ -2,6 +2,7 @@ package elsa
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"elsa/internal/attention"
@@ -155,11 +156,17 @@ func (e *Engine) Options() Options { return e.opts }
 func (e *Engine) Bias() float64 { return e.engine.Bias() }
 
 // toMatrix validates and converts a [][]float32 into the internal dense
-// representation.
+// representation. Rows that already are one (see viewRows) are used in
+// place; any other rows are copied. The engine never writes its input
+// matrices (Quantized mode rounds copies), so the caller's rows are
+// only read, and only during the call.
 func toMatrix(name string, rows [][]float32, wantCols int) (*tensor.Matrix, error) {
-	m, err := tensor.FromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("elsa: %s: %w", name, err)
+	m := viewRows(rows)
+	if m == nil {
+		var err error
+		if m, err = tensor.FromRows(rows); err != nil {
+			return nil, fmt.Errorf("elsa: %s: %w", name, err)
+		}
 	}
 	if wantCols > 0 && m.Cols != wantCols {
 		return nil, fmt.Errorf("elsa: %s has %d columns, engine head dim is %d", name, m.Cols, wantCols)
@@ -167,10 +174,36 @@ func toMatrix(name string, rows [][]float32, wantCols int) (*tensor.Matrix, erro
 	return m, nil
 }
 
+// viewRows returns a matrix over rows' own storage when the rows are
+// consecutive equal-length windows of one slice: row 0's capacity
+// covers every row, and row i starts i·d elements after row 0. Rows
+// decoded from a packed body qualify, as do tensor.Matrix.Row views. It
+// returns nil for anything else (strided, overlapping, reordered or
+// ragged rows, or an empty row 0).
+func viewRows(rows [][]float32) *tensor.Matrix {
+	if len(rows) == 0 {
+		return nil
+	}
+	n, d := len(rows), len(rows[0])
+	if d == 0 || cap(rows[0])/d < n {
+		return nil
+	}
+	full := rows[0][: n*d : n*d]
+	for i, r := range rows {
+		if len(r) != d || &r[0] != &full[i*d] {
+			return nil
+		}
+	}
+	return &tensor.Matrix{Rows: n, Cols: d, Data: full}
+}
+
+// fromMatrix copies m into rows the caller owns: one backing, each row
+// clipped to its own columns.
 func fromMatrix(m *tensor.Matrix) [][]float32 {
+	data := slices.Clone(m.Data[:m.Rows*m.Cols])
 	out := make([][]float32, m.Rows)
 	for i := range out {
-		out[i] = append([]float32(nil), m.Row(i)...)
+		out[i] = data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
 	}
 	return out
 }

@@ -210,22 +210,22 @@ func TestWeightedDequeueDefersBackground(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, size, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassBackground, time.Time{})
-			if err != nil {
-				t.Errorf("background op %d: %v", i, err)
+			r, _ := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassBackground, time.Time{})
+			if r.err != nil {
+				t.Errorf("background op %d: %v", i, r.err)
 			}
-			bgBatch[i] = size
+			bgBatch[i] = r.batchSize
 		}(i)
 	}
 	// All three background ops wait before the interactive op arrives.
 	waitQueued(t, d, 3)
 	size := make(chan int, 1)
 	go func() {
-		_, n, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-		if err != nil {
-			t.Error(err)
+		r, _ := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
+		if r.err != nil {
+			t.Error(r.err)
 		}
-		size <- n
+		size <- r.batchSize
 	}()
 	waitQueued(t, d, 4)
 	openAll(gates)

@@ -34,6 +34,9 @@ func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int6
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false
 	}
+	// encoding/json copies every string and raw value it keeps, so
+	// nothing aliases the body once it returns.
+	defer wire.BytePool.Put(body)
 	return decodeEnvelopeBody(w, r, body, payload)
 }
 
@@ -43,13 +46,16 @@ func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int6
 // doubling; net/http stops the body at its declared length and fails one
 // cut short with io.ErrUnexpectedEOF, as ReadAll reports it. Any other
 // body (chunked, or declared over the limit) goes through
-// http.MaxBytesReader, whose error names the limit.
+// http.MaxBytesReader, whose error names the limit. The exact-size
+// buffer comes from wire.BytePool; the caller releases the body there
+// once nothing aliases it.
 func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
 	if r.ContentLength < 0 || r.ContentLength > maxBytes {
 		return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	}
-	body := make([]byte, r.ContentLength)
+	body := wire.BytePool.Get(int(r.ContentLength))
 	if _, err := io.ReadFull(r.Body, body); err != nil {
+		wire.BytePool.Put(body)
 		return nil, err
 	}
 	return body, nil

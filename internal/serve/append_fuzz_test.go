@@ -96,7 +96,7 @@ func FuzzSessionAppend(f *testing.F) {
 		}
 
 		var sreq wire.SessionAppendRequest
-		scanned := scanEnvelope(body, &wire.Envelope[*wire.SessionAppendRequest]{Op: &sreq}, scanAppendMember, appendRequired)
+		scanned := scanEnvelope(body, &wire.Envelope[*wire.SessionAppendRequest]{Op: &sreq}, scanAppendMember, appendRequired, nil)
 
 		w := httptest.NewRecorder()
 		var req wire.SessionAppendRequest
@@ -182,7 +182,7 @@ func TestAppendScannerTakesPackedBodies(t *testing.T) {
 	} {
 		var req wire.SessionAppendRequest
 		env := wire.Envelope[*wire.SessionAppendRequest]{Op: &req}
-		if got := scanEnvelope([]byte(tc.body), &env, scanAppendMember, appendRequired); got != tc.want {
+		if got := scanEnvelope([]byte(tc.body), &env, scanAppendMember, appendRequired, nil); got != tc.want {
 			t.Errorf("scanEnvelope(%q) = %v, want %v", tc.body, got, tc.want)
 		}
 	}

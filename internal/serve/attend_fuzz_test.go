@@ -125,7 +125,9 @@ func FuzzAttendEnvelope(f *testing.F) {
 
 		w := httptest.NewRecorder()
 		var req wire.AttendRequest
-		meta, packed, ok := decodeAttend(w, post(), 1<<20, &req)
+		var bufs rowBuffers
+		defer bufs.release()
+		meta, packed, ok := decodeAttend(w, post(), 1<<20, &req, &bufs)
 		if ok != jok || w.Code != jw.Code || w.Body.String() != jw.Body.String() {
 			t.Fatalf("decoder: ok=%v %d %q; encoding/json: ok=%v %d %q",
 				ok, w.Code, w.Body.String(), jok, jw.Code, jw.Body.String())
@@ -202,7 +204,7 @@ func TestAttendScannerTakesPackedBodies(t *testing.T) {
 	} {
 		var req wire.AttendRequest
 		env := wire.Envelope[*wire.AttendRequest]{Op: &req}
-		if got := scanEnvelope([]byte(tc.body), &env, scanAttendMember, attendRequired); got != tc.want {
+		if got := scanEnvelope([]byte(tc.body), &env, scanAttendMember, attendRequired, nil); got != tc.want {
 			t.Errorf("scanEnvelope(%q) = %v, want %v", tc.body, got, tc.want)
 		}
 	}

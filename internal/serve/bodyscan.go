@@ -14,9 +14,12 @@ import (
 // op, answering 400 itself on failure, and reports whether the queries
 // arrived packed (qp), which decides the reply form: packed in, packed
 // out. On failure meta carries the class resolved so far
-// (ClassInteractive when the envelope itself failed).
-func decodeAttend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *wire.AttendRequest) (meta requestMeta, packed, ok bool) {
-	meta, scanned, ok := decodeOp(w, r, maxBytes, req, scanAttendMember, attendRequired, unpackAttend)
+// (ClassInteractive when the envelope itself failed). Packed matrices
+// the body scanner takes decode into pooled buffers recorded in bufs,
+// whatever the outcome; the caller releases them once nothing reads the
+// rows.
+func decodeAttend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *wire.AttendRequest, bufs *rowBuffers) (meta requestMeta, packed, ok bool) {
+	meta, scanned, ok := decodeOp(w, r, maxBytes, req, scanAttendMember, attendRequired, unpackAttend, bufs)
 	if !ok {
 		return meta, false, false
 	}
@@ -32,7 +35,7 @@ func decodeAttend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *w
 // decodeAppend reads and decodes a POST /v1/sessions/{id}/append body
 // into req's plain rows, answering 400 itself on failure.
 func decodeAppend(w http.ResponseWriter, r *http.Request, maxBytes int64, req *wire.SessionAppendRequest) bool {
-	_, _, ok := decodeOp(w, r, maxBytes, req, scanAppendMember, appendRequired, unpackAppend)
+	_, _, ok := decodeOp(w, r, maxBytes, req, scanAppendMember, appendRequired, unpackAppend, nil)
 	return ok
 }
 
@@ -49,16 +52,21 @@ type opMember[T any] func(s *bodyScanner, req *T, key []byte, seen *keySet) bool
 // through decodeEnvelopeBody's encoding/json path, then unpack; so every
 // status and error text is the JSON path's, whichever way a body went.
 // On failure meta carries the class resolved so far (ClassInteractive
-// when the envelope itself failed).
+// when the envelope itself failed). With bufs set, the scanner decodes
+// packed rows into pooled buffers and records them there; with bufs
+// nil it makes them.
 func decodeOp[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, req *T,
-	member opMember[T], required keySet, unpack func(*T) error) (meta requestMeta, scanned, ok bool) {
+	member opMember[T], required keySet, unpack func(*T) error, bufs *rowBuffers) (meta requestMeta, scanned, ok bool) {
 	body, err := readBody(w, r, maxBytes)
 	if err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false, false
 	}
+	// Both paths copy every string they keep, and rows decode into their
+	// own backing, so nothing aliases the body once they return.
+	defer wire.BytePool.Put(body)
 	env := wire.Envelope[*T]{Op: req}
-	if scanEnvelope(body, &env, member, required) {
+	if scanEnvelope(body, &env, member, required, bufs) {
 		meta, ok = envelopeMeta(w, r, &env)
 		return meta, true, ok
 	}
@@ -74,11 +82,45 @@ func decodeOp[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, req
 
 // bodyScanner walks one request body. Every method returns false for
 // input it does not fully recognise; the caller then hands the whole
-// body to encoding/json.
+// body to encoding/json. bufs, when set, takes rows' buffers from the
+// pools and records them.
 type bodyScanner struct {
-	b []byte
-	i int
+	b    []byte
+	i    int
+	bufs *rowBuffers
 }
+
+// rowBuffers records the pooled buffers one attend op's packed matrices
+// decoded into: a float backing and a row-header slice for each of qp,
+// kp and vp, the only members the scanner decodes rows for, each at
+// most once. Its owner releases them once no lane can read the rows.
+type rowBuffers struct {
+	floats [3][]float32
+	rows   [3][][]float32
+	n      int
+}
+
+// take gets a backing of capacity floats and n row headers from the
+// pools and records them.
+func (b *rowBuffers) take(floats, n int) ([]float32, [][]float32) {
+	f, r := wire.FloatPool.Get(floats)[:0], wire.RowPool.Get(n)
+	b.floats[b.n], b.rows[b.n] = f, r
+	b.n++
+	return f, r
+}
+
+// release returns every recorded buffer to its pool and forgets them.
+func (b *rowBuffers) release() {
+	for i := range b.n {
+		wire.FloatPool.Put(b.floats[i])
+		wire.RowPool.Put(b.rows[i])
+	}
+	b.forget()
+}
+
+// forget drops the record without releasing anything: the buffers go to
+// the GC once their last reader lets go.
+func (b *rowBuffers) forget() { *b = rowBuffers{} }
 
 // scanEnvelope decodes body into env (whose Op must be set) when body is
 // a v1 envelope it fully recognises: exact lower-case keys, each at most
@@ -91,8 +133,8 @@ type bodyScanner struct {
 // null, "QP", a repeated key, a \/ escape, a malformed body, a bad or
 // non-finite row), having possibly written to env: the caller then
 // decodes the body again through encoding/json.
-func scanEnvelope[T any](body []byte, env *wire.Envelope[*T], member opMember[T], required keySet) bool {
-	s := bodyScanner{b: body}
+func scanEnvelope[T any](body []byte, env *wire.Envelope[*T], member opMember[T], required keySet, bufs *rowBuffers) bool {
+	s := bodyScanner{b: body, bufs: bufs}
 	var seen keySet
 	ok := s.object(func(key []byte) bool {
 		switch string(key) {
@@ -354,9 +396,12 @@ func (s *bodyScanner) int(dst *int) bool {
 
 // rows scans an array of packed rows (client.PackVec strings) into one
 // float32 backing, sized before any row is decoded so that the
-// allocation count does not grow with the rows. A row holding anything
-// but base64 (an escape, a control byte, a raw CR or LF), a row of
-// partial floats and a non-finite element are all refused.
+// allocation count does not grow with the rows. Each row keeps the
+// capacity to the end of the backing, so equal-length rows are
+// consecutive windows of one slice, which the engine reads in place. A
+// row holding anything but base64 (an escape, a control byte, a raw CR
+// or LF), a row of partial floats and a non-finite element are all
+// refused.
 func (s *bodyScanner) rows(dst *[][]float32) bool {
 	if !s.next('[') {
 		return false
@@ -387,8 +432,13 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 	}
 	// Second pass: the structure is known good, so each row is the text
 	// between the next two quotes.
-	backing := make([]float32, 0, floats)
-	rows := make([][]float32, n)
+	var backing []float32
+	var rows [][]float32
+	if s.bufs != nil {
+		backing, rows = s.bufs.take(floats, n)
+	} else {
+		backing, rows = make([]float32, 0, floats), make([][]float32, n)
+	}
 	at := start
 	for i := range rows {
 		at += bytes.IndexByte(s.b[at:], '"') + 1
@@ -410,7 +460,7 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 		if 4*(len(backing)-first) != base64.StdEncoding.DecodedLen(len(src))-pad {
 			return false
 		}
-		rows[i] = backing[first:len(backing):len(backing)]
+		rows[i] = backing[first:]
 	}
 	*dst = rows
 	return true

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -20,6 +21,34 @@ const heartbeatMiss = 3
 // the expiry sweep's heartbeatMiss intervals must fit in a
 // time.Duration, or the deadline wraps and the member never expires.
 const maxHeartbeatMS = math.MaxInt64 / heartbeatMiss / int64(time.Millisecond)
+
+// MaxWeight is the largest ring weight a member may join with (and
+// elsaserve -weight accepts): cluster.DefaultVirtualNodes points per
+// unit, so at most 16,384 points per member, and every membership
+// change rebuilds the ring from all of them.
+const MaxWeight = 256
+
+// maxHeadDim and maxHashBits bound the engine a request body may ask
+// for (attend, session create and import answer 400 beyond them): the
+// time to build an engine grows steeply with its size, and a body picks
+// it. elsa.New takes about 37 ms at 64/64, 0.17 s at 128/128 and 0.87 s
+// at 256/256 on a 2-vCPU host.
+const (
+	maxHeadDim  = 128
+	maxHashBits = 256
+)
+
+// checkEngineSize refuses an engine configuration beyond maxHeadDim or
+// maxHashBits.
+func checkEngineSize(opts elsa.Options) error {
+	switch {
+	case opts.HeadDim > maxHeadDim:
+		return fmt.Errorf("head_dim must be <= %d, got %d", maxHeadDim, opts.HeadDim)
+	case opts.HashBits > maxHashBits:
+		return fmt.Errorf("hash_bits must be <= %d, got %d", maxHashBits, opts.HashBits)
+	}
+	return nil
+}
 
 // placementWalk bounds how many ring successors a placement tries before
 // falling back to rotation. Deep walks only happen when nearly the whole

@@ -44,9 +44,11 @@ func BenchmarkAttendCodec(b *testing.B) {
 				w := httptest.NewRecorder()
 				r := httptest.NewRequest("POST", "/v1/attend", bytes.NewReader(tc.body))
 				var req wire.AttendRequest
-				if _, _, ok := decodeAttend(w, r, 1<<20, &req); !ok {
+				var bufs rowBuffers
+				if _, _, ok := decodeAttend(w, r, 1<<20, &req, &bufs); !ok {
 					b.Fatal(w.Body.String())
 				}
+				bufs.release()
 			}
 			b.ReportMetric(float64(len(tc.body)), "body_B")
 		})
@@ -67,9 +69,11 @@ func TestAttendPackedDecodeAllocs(t *testing.T) {
 		run := func() {
 			rd.Reset(body)
 			var req wire.AttendRequest
-			if _, _, ok := decodeAttend(w, r, 1<<20, &req); !ok {
+			var bufs rowBuffers
+			if _, _, ok := decodeAttend(w, r, 1<<20, &req, &bufs); !ok {
 				t.Fatal(w.Body.String())
 			}
+			bufs.release()
 		}
 		allocs = testing.AllocsPerRun(20, run)
 		res := testing.Benchmark(func(b *testing.B) {
@@ -82,7 +86,9 @@ func TestAttendPackedDecodeAllocs(t *testing.T) {
 	}
 	fewAllocs, _, _ := decode(8)
 	manyAllocs, manyBytes, body := decode(512)
-	if fewAllocs != manyAllocs {
+	// Under -race sync.Pool drops buffers at random, so the pooled
+	// buffers' reuse, and the count with it, varies.
+	if fewAllocs != manyAllocs && !raceEnabled {
 		t.Errorf("packed decode makes %v allocations for 8 key rows, %v for 512: want a constant", fewAllocs, manyAllocs)
 	}
 	// The body, its floats (3/4 of the base64) and the row headers (24 B
@@ -163,7 +169,7 @@ func TestAppendPackedDecodeAllocs(t *testing.T) {
 	}
 	fewAllocs, _, _ := decode(8)
 	manyAllocs, manyBytes, body := decode(512)
-	if fewAllocs != manyAllocs {
+	if fewAllocs != manyAllocs && !raceEnabled {
 		t.Errorf("packed append decode makes %v allocations for 8 rows, %v for 512: want a constant", fewAllocs, manyAllocs)
 	}
 	if limit := 2 * float64(len(body)); manyBytes > limit {

@@ -300,20 +300,24 @@ func (d *dispatcher) enqueue(set *replicaSet, j *job, deadline time.Time) error 
 // submit runs one one-shot op with its operating point, class and
 // absolute deadline (zero = none) and blocks until its batch is
 // dispatched and computed, ctx is done, or the gate refuses it. It
-// returns the op's output, how many ops shared the dispatched batch, and
-// which shard ran it.
-func (d *dispatcher) submit(ctx context.Context, set *replicaSet, op elsa.BatchOp, thr elsa.Threshold, class Class, deadline time.Time) (*elsa.Output, int, int, error) {
+// returns the op's result: its output (or error), how many ops shared
+// the dispatched batch, and which shard ran it. done reports that the
+// dispatcher is finished with the op, so no lane reads its rows any
+// more: the gate refused it, or its result came back. When ctx ends
+// first the op may still sit in a queue or run on a lane, and done is
+// false.
+func (d *dispatcher) submit(ctx context.Context, set *replicaSet, op elsa.BatchOp, thr elsa.Threshold, class Class, deadline time.Time) (r jobResult, done bool) {
 	op.Thr = &thr
 	j := &job{ctx: ctx, op: op, class: class, result: make(chan jobResult, 1)}
 	if err := d.enqueue(set, j, deadline); err != nil {
-		return nil, 0, 0, err
+		return jobResult{err: err}, true
 	}
 	d.kick(set, false)
 	select {
 	case r := <-j.result:
-		return r.out, r.batchSize, r.shard, r.err
+		return r, true
 	case <-ctx.Done():
-		return nil, 0, 0, ctx.Err()
+		return jobResult{err: ctx.Err()}, false
 	}
 }
 

@@ -21,11 +21,13 @@ import (
 //
 // The seeds are real export replies (float and quantized engines, with
 // and without a threshold, an exact backend) wrapped as import bodies,
-// and cut or corrupted copies of one. A body asking for an engine wider
+// and cut or corrupted copies of one. A body asking for an engine
+// beyond maxHeadDim or maxHashBits must be refused with 400 before any
+// engine is built. One asking for an engine within the bounds but wider
 // than 16 dimensions or 64 hash bits is not sent: the time to build an
 // engine grows steeply with its size (on a 2-vCPU host 3 ms at d = 16,
-// 0.11 s at d = 128, 27 s at d = 1000), time the fuzzer would spend
-// there instead of on the import path.
+// 0.11 s at d = 128), time the fuzzer would spend there instead of on
+// the import path.
 //
 // The seeds run in plain `go test`; explore further with
 //
@@ -64,6 +66,10 @@ func FuzzSessionImport(f *testing.F) {
 		`{"op":` + strings.Replace(exp, `"state":"U1NMRQ`, `"state":"AAAAAA`, 1) + `}`,
 		`{"op":` + strings.Replace(exp, `"head_dim":8`, `"head_dim":4`, 1) + `}`,
 		`{"op":` + strings.Replace(exp, `"p":0.5`, `"p":-1`, 1) + `}`,
+		// Engines over the bounds; encoding/json takes a repeated key's
+		// last value.
+		`{"op":` + exp[:len(exp)-1] + `,"head_dim":1000}}`,
+		`{"op":` + exp[:len(exp)-1] + `,"hash_bits":1024}}`,
 		`{"op":{"id":"a","state":"","head_dim":8}}`,
 		`{"op":{"id":" ","state":"AAAA","head_dim":8}}`,
 		`{"op":{"id":"a","state":"AAAA"}}`,
@@ -78,11 +84,16 @@ func FuzzSessionImport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var env wire.Envelope[*wire.SessionImportRequest]
 		decoded := json.Unmarshal(body, &env) == nil && env.Op != nil
-		if decoded && (env.Op.HeadDim > 16 || env.Op.HashBits > 64) {
+		oversize := decoded && (env.Op.HeadDim > maxHeadDim || env.Op.HashBits > maxHashBits)
+		if decoded && !oversize && (env.Op.HeadDim > 16 || env.Op.HashBits > 64) {
 			return
 		}
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sessions/import", bytes.NewReader(body)))
+		if oversize && w.Code != http.StatusBadRequest {
+			t.Fatalf("import of head_dim %d, hash_bits %d answered %d, want 400: %s",
+				env.Op.HeadDim, env.Op.HashBits, w.Code, w.Body)
+		}
 		if w.Code != http.StatusOK {
 			if w.Code < 400 || w.Code > 499 {
 				t.Fatalf("import answered %d, want 200 or 4xx: %s", w.Code, w.Body)

@@ -14,8 +14,8 @@ import (
 
 // FuzzClusterJoin drives arbitrary bodies through a frontend's POST
 // /v1/cluster/join handler. Every body must be answered 200 or 4xx and
-// none may panic; a heartbeat_ms whose expiry arithmetic would overflow
-// must be refused with 400. An accepted member must then appear, alone,
+// none may panic; a heartbeat_ms whose expiry arithmetic would overflow,
+// and a weight above MaxWeight, must be refused with 400. An accepted member must then appear, alone,
 // in GET /v1/cluster with the state the reply named, the weight and
 // capacity it sent and a recorded heartbeat.
 //
@@ -39,6 +39,11 @@ func FuzzClusterJoin(f *testing.F) {
 		`{"op":{"addr":"127.0.0.1:1","heartbeat_ms":` + over + `}}`,
 		`{"op":{"addr":"127.0.0.1:1","heartbeat_ms":9223372036855}}`,
 		`{"op":{"addr":"127.0.0.1:1","heartbeat_ms":9223372036854775807}}`,
+		// The largest weight, one over it, and one whose ring would
+		// take seconds to build.
+		`{"op":{"addr":"127.0.0.1:1","weight":` + strconv.Itoa(MaxWeight) + `}}`,
+		`{"op":{"addr":"127.0.0.1:1","weight":` + strconv.Itoa(MaxWeight+1) + `}}`,
+		`{"op":{"addr":"127.0.0.1:1","weight":2147483647}}`,
 		// Refusals: no addr, negatives, wrong types, bare and malformed.
 		`{"op":{"addr":"  "}}`,
 		`{"op":{"addr":"127.0.0.1:1","weight":-1}}`,
@@ -69,6 +74,9 @@ func FuzzClusterJoin(f *testing.F) {
 		req := env.Op
 		if req.HeartbeatMS > maxHeartbeatMS && w.Code != http.StatusBadRequest {
 			t.Fatalf("heartbeat_ms %d answered %d, want 400", req.HeartbeatMS, w.Code)
+		}
+		if req.Weight > MaxWeight && w.Code != http.StatusBadRequest {
+			t.Fatalf("weight %d answered %d, want 400", req.Weight, w.Code)
 		}
 		if w.Code != http.StatusOK {
 			return

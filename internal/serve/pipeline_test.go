@@ -149,8 +149,8 @@ func occupy(t *testing.T, d *dispatcher, set *replicaSet, gates []*laneGate) <-c
 	for i := range gates {
 		q, k, v := genOp(rng, 1, 2)
 		go func() {
-			_, _, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-			errs <- err
+			r, _ := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
+			errs <- r.err
 		}()
 		waitFor(t, "a blocker to occupy a lane", func() bool { return busyLanes(d, set) == i+1 })
 	}
@@ -648,9 +648,9 @@ func TestRerouteNeverSharesALane(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				_, _, shard, err := d.submit(context.Background(), set, op, elsa.Exact(), ClassInteractive, time.Time{})
-				if err != nil || shard != 0 {
-					t.Errorf("one-shot round %d: shard %d, err %v; want success on lane 0", r, shard, err)
+				res, _ := d.submit(context.Background(), set, op, elsa.Exact(), ClassInteractive, time.Time{})
+				if res.err != nil || res.shard != 0 {
+					t.Errorf("one-shot round %d: shard %d, err %v; want success on lane 0", r, res.shard, res.err)
 					return
 				}
 			}

@@ -375,18 +375,27 @@ func (s *Server) handleAttend(w http.ResponseWriter, r *http.Request) {
 // attend runs one request end to end and returns the HTTP status it
 // answered with, a rejection reason ("" when the op was served), and the
 // request's priority class.
+//
+// The handler owns the pooled buffers the op's rows decoded into and
+// releases them when it returns, unless the op may still be queued or
+// running when it does (see dispatcher.submit): those go to the GC.
 func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Class) {
 	var req wire.AttendRequest
-	meta, packed, ok := decodeAttend(w, r, s.cfg.MaxBodyBytes, &req)
+	var bufs rowBuffers
+	defer bufs.release()
+	meta, packed, ok := decodeAttend(w, r, s.cfg.MaxBodyBytes, &req, &bufs)
 	if !ok {
 		return http.StatusBadRequest, "bad_request", meta.class
+	}
+	opts := attendEngineOptions(&req)
+	if err := checkEngineSize(opts); err != nil {
+		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
 	}
 	if err := s.admit(nil, meta.clientID); err != nil {
 		code, reason := s.failErr(w, err, http.StatusTooManyRequests)
 		return code, reason, meta.class
 	}
 
-	opts := attendEngineOptions(&req)
 	set, err := s.pool.get(opts)
 	if err != nil {
 		return fail(w, http.StatusBadRequest, "engine: "+err.Error()), "bad_request", meta.class
@@ -404,9 +413,12 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 
 	ctx, cancel, deadline := s.budget(r, meta)
 	defer cancel()
-	out, batchSize, _, err := s.disp.submit(ctx, set, elsa.BatchOp{Q: req.Q, K: req.K, V: req.V,
+	res, done := s.disp.submit(ctx, set, elsa.BatchOp{Q: req.Q, K: req.K, V: req.V,
 		Overrides: elsa.Overrides{Backend: ov.Backend}}, thr, meta.class, deadline)
-	if err != nil {
+	if !done {
+		bufs.forget()
+	}
+	if err := res.err; err != nil {
 		code, reason := s.failErr(w, err, http.StatusInternalServerError)
 		if reason == "deadline" {
 			s.metrics.admission.with("shed_deadline").add(1)
@@ -415,11 +427,12 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 	}
 	s.metrics.admission.with("admitted").add(1)
 
+	out := res.out
 	resp := wire.AttendResponse{
 		CandidateFraction: out.CandidateFraction,
 		FallbackQueries:   out.FallbackQueries,
 		Threshold:         thr,
-		BatchSize:         batchSize,
+		BatchSize:         res.batchSize,
 	}
 	if packed {
 		resp.ContextPacked = client.PackRows(out.Context)
@@ -671,6 +684,10 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, fmt.Sprintf("heartbeat_ms must be <= %d", maxHeartbeatMS))
 		return
 	}
+	if req.Weight > MaxWeight {
+		fail(w, http.StatusBadRequest, fmt.Sprintf("weight must be <= %d", MaxWeight))
+		return
+	}
 	addr := normalizeWorkerAddr(strings.TrimSpace(req.Addr))
 	interval := time.Duration(req.HeartbeatMS) * time.Millisecond
 	capacity := cluster.Capacity{Weight: req.Weight, MaxSessions: req.MaxSessions}
@@ -873,8 +890,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 
 // sessionSet checks a created or imported session's configuration and
 // resolves its replica set, answering every refusal itself: 503 while
-// draining; 400 for the caller's own invalid (when non-nil), head_dim, p
-// and backend; 429 past the creator's quota; 400 when no engine builds.
+// draining; 400 for the caller's own invalid (when non-nil), head_dim,
+// hash_bits, p and backend; 429 past the creator's quota; 400 when no
+// engine builds.
 func (s *Server) sessionSet(w http.ResponseWriter, clientID string, invalid error, opts elsa.Options, p float64, t *float64, backend string) (*replicaSet, elsa.Options, bool) {
 	if s.draining.Load() {
 		s.failErr(w, errDraining, http.StatusServiceUnavailable)
@@ -882,6 +900,9 @@ func (s *Server) sessionSet(w http.ResponseWriter, clientID string, invalid erro
 	}
 	if invalid == nil && opts.HeadDim <= 0 {
 		invalid = errors.New("head_dim must be > 0")
+	}
+	if invalid == nil {
+		invalid = checkEngineSize(opts)
 	}
 	if invalid == nil {
 		invalid = checkOperatingPoint(p, t, backend)

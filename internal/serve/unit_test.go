@@ -137,9 +137,9 @@ func TestDispatcherCanceledContext(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(3))
 	q, k, v := genOp(rng, 2, 4)
-	_, _, _, err = d.submit(ctx, set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	r, _ := d.submit(ctx, set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", r.err)
 	}
 }
 
@@ -152,9 +152,9 @@ func TestDispatcherRefusesWhenClosed(t *testing.T) {
 	d.close()
 	rng := rand.New(rand.NewSource(4))
 	q, k, v := genOp(rng, 2, 4)
-	_, _, _, err = d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	r, done := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
+	if !errors.Is(r.err, ErrClosed) || !done {
+		t.Fatalf("err = %v, done %v; want ErrClosed, done", r.err, done)
 	}
 	d.close() // idempotent
 }
@@ -176,11 +176,11 @@ func TestMaxBatchDispatchesEarly(t *testing.T) {
 	for i := 0; i < queued; i++ {
 		q, k, v := genOp(rng, 2, 4)
 		go func() {
-			_, size, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-			if err != nil {
-				t.Error(err)
+			r, _ := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
+			if r.err != nil {
+				t.Error(r.err)
 			}
-			sizes <- size
+			sizes <- r.batchSize
 		}()
 	}
 	waitQueued(t, d, queued)

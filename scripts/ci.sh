@@ -64,9 +64,14 @@ echo "== dispatch pacing under -race, repeated =="
 # wakeup would strand an op, and one -race pass sees too few
 # interleavings to find it. A reroute hands failed ops to a sibling lane
 # through the same rule. A heartbeat that crosses an operator drain must
-# not revive the drained member. Run the pacing, refusal, stranded-op,
-# reroute and stale-heartbeat tests twenty times.
-go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain)$' ./internal/serve/ ./internal/serve/cluster/
+# not revive the drained member. An attend whose deadline expires while
+# it is queued, held on a lane or on the wire to a worker must leave its
+# pooled buffers alone until no lane reads them, and a client body must
+# outlive every reader the transport takes of it; the tests poison each
+# released buffer, so a read after release races with the poisoning.
+# Run the pacing, refusal, stranded-op, reroute, stale-heartbeat and
+# buffer-lifetime tests twenty times.
+go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain|TestCancelledAttendQueued|TestCancelledAttendOnHeldLane|TestCancelledAttendRemote|TestAttendBodyOutlivesRoundTrip)$' ./internal/serve/ ./internal/serve/cluster/ ./serve/client/
 
 echo "== elsaperf logic tests =="
 # elsaperf is its own module, so ./... above does not reach it; run the
@@ -140,8 +145,11 @@ go test -run '^$' -fuzz '^FuzzExpInto$' -fuzztime 10s ./internal/tensor/
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
 # explicitly so they can never be skipped under -short, with -count=1 to
-# defeat test caching.
-go test -count=1 -run 'ZeroAlloc' ./internal/attention/ ./internal/serve/
+# defeat test caching. Beside the zero-alloc pins: the packed decodes'
+# constant allocation counts, the pooled /v1/attend path's bytes per op
+# at both ends, and the engine reading contiguous rows in place without
+# writing any backend's inputs.
+go test -count=1 -run 'ZeroAlloc|PackedDecodeAllocs|AttendSteadyAllocs|AttendBodyReused|ToMatrix|BackendsLeaveRowsUnchanged' . ./internal/attention/ ./internal/serve/ ./serve/client/
 
 echo "== perf trajectory (committed files) =="
 # Gate the committed trajectories themselves: compare the two newest

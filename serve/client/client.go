@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"elsa"
@@ -178,7 +179,8 @@ type packedMember struct {
 // appended straight into one buffer sized up front, so it is never
 // copied into strings and re-scanned for escapes (base64 has none to
 // escape); the envelope head and the scalar tail are short and still go
-// through json.Marshal.
+// through json.Marshal. The buffer comes from wire.BytePool, and send
+// returns it there.
 func packedBody(env wire.Envelope[any], members []packedMember, tail any) ([]byte, error) {
 	head, err := json.Marshal(env) // ends in "op":null}
 	if err != nil {
@@ -196,7 +198,7 @@ func packedBody(env wire.Envelope[any], members []packedMember, tail any) ([]byt
 			size += len(`"",`) + base64.StdEncoding.EncodedLen(4*len(row))
 		}
 	}
-	body := make([]byte, 0, size)
+	body := wire.BytePool.Get(size)[:0]
 	body = append(body, head...)
 	sep := byte('{')
 	for _, m := range members {
@@ -244,10 +246,16 @@ func (c *Client) post(ctx context.Context, path string, op any, out any) error {
 // send posts one encoded envelope, retrying 429/503 with the server's
 // Retry-After hint (falling back to a doubling backoff), never sleeping
 // past the context deadline. out may be nil for replies with no body.
+// send takes body over: it goes back to wire.BytePool once the last
+// request that reads it is done with it, which may be after send
+// returns.
 func (c *Client) send(ctx context.Context, path string, body []byte, out any) error {
+	sb := &sharedBody{b: body}
+	sb.refs.Store(1)
+	defer sb.release()
 	backoff := 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		apiErr, err := c.once(ctx, http.MethodPost, path, body, out)
+		apiErr, err := c.once(ctx, http.MethodPost, path, sb, out)
 		if err != nil {
 			return err
 		}
@@ -276,16 +284,20 @@ func (c *Client) send(ctx context.Context, path string, body []byte, out any) er
 
 // once performs a single HTTP exchange; a non-2xx reply comes back as a
 // *APIError so the retry loop can decide, transport failures as err.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (*APIError, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+// body may be nil (no request body).
+func (c *Client) once(ctx context.Context, method, path string, body *sharedBody, out any) (*APIError, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	if body != nil {
+		// The transport closes every body it takes, from Body and from
+		// GetBody alike, possibly after Do returns. An explicit length
+		// keeps the body off chunked encoding, so the server reads it
+		// with one exact-size read.
+		req.Body = body.reader()
+		req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
+		req.ContentLength = int64(len(body.b))
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
@@ -316,6 +328,48 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		apiErr.Message = http.StatusText(resp.StatusCode)
 	}
 	return apiErr, nil
+}
+
+// sharedBody is one encoded request body shared by its sender and every
+// reader the transport takes of it. refs counts the sender's hold and
+// each open reader; the last to let go returns the buffer to
+// wire.BytePool.
+type sharedBody struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// reader takes a new reader of the body, holding a reference until it is
+// closed.
+func (s *sharedBody) reader() *bodyReader {
+	s.refs.Add(1)
+	r := &bodyReader{s: s}
+	r.rd.Reset(s.b)
+	return r
+}
+
+// release drops one reference.
+func (s *sharedBody) release() {
+	if s.refs.Add(-1) == 0 {
+		wire.BytePool.Put(s.b)
+	}
+}
+
+// bodyReader is one read of a sharedBody. Its first Close drops its
+// reference; the transport reads nothing after closing a body.
+type bodyReader struct {
+	rd     bytes.Reader
+	s      *sharedBody
+	closed atomic.Bool
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) { return r.rd.Read(p) }
+
+func (r *bodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.s.release()
+	}
+	return nil
 }
 
 // deadlineMS converts a context deadline into the envelope's remaining
