@@ -53,7 +53,7 @@ type opMember[T any] func(s *bodyScanner, req *T, key []byte, seen *keySet) bool
 // status and error text is the JSON path's, whichever way a body went.
 // On failure meta carries the class resolved so far (ClassInteractive
 // when the envelope itself failed). With bufs set, the scanner decodes
-// packed rows into pooled buffers and records them there; with bufs
+// packed rows into pooled backings and records them there; with bufs
 // nil it makes them.
 func decodeOp[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, req *T,
 	member opMember[T], required keySet, unpack func(*T) error, bufs *rowBuffers) (meta requestMeta, scanned, ok bool) {
@@ -82,38 +82,38 @@ func decodeOp[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, req
 
 // bodyScanner walks one request body. Every method returns false for
 // input it does not fully recognise; the caller then hands the whole
-// body to encoding/json. bufs, when set, takes rows' buffers from the
-// pools and records them.
+// body to encoding/json. bufs, when set, takes rows' float backings
+// from the pool and records them.
 type bodyScanner struct {
 	b    []byte
 	i    int
 	bufs *rowBuffers
 }
 
-// rowBuffers records the pooled buffers one attend op's packed matrices
-// decoded into: a float backing and a row-header slice for each of qp,
-// kp and vp, the only members the scanner decodes rows for, each at
-// most once. Its owner releases them once no lane can read the rows.
+// rowBuffers records the pooled float backings one attend op's packed
+// matrices decoded into: one for each of qp, kp and vp, the only members
+// the scanner decodes rows for, each at most once. Its owner releases
+// them once no lane can read the rows. The row headers over them are
+// made per op: at 24 B a row they stay under the pools' 32 KiB floor
+// for any K/V the workloads send.
 type rowBuffers struct {
 	floats [3][]float32
-	rows   [3][][]float32
 	n      int
 }
 
-// take gets a backing of capacity floats and n row headers from the
-// pools and records them.
-func (b *rowBuffers) take(floats, n int) ([]float32, [][]float32) {
-	f, r := wire.FloatPool.Get(floats)[:0], wire.RowPool.Get(n)
-	b.floats[b.n], b.rows[b.n] = f, r
+// take gets an empty backing of capacity floats from the pool and
+// records it.
+func (b *rowBuffers) take(floats int) []float32 {
+	f := wire.FloatPool.Get(floats)[:0]
+	b.floats[b.n] = f
 	b.n++
-	return f, r
+	return f
 }
 
-// release returns every recorded buffer to its pool and forgets them.
+// release returns every recorded backing to the pool and forgets them.
 func (b *rowBuffers) release() {
 	for i := range b.n {
 		wire.FloatPool.Put(b.floats[i])
-		wire.RowPool.Put(b.rows[i])
 	}
 	b.forget()
 }
@@ -433,12 +433,12 @@ func (s *bodyScanner) rows(dst *[][]float32) bool {
 	// Second pass: the structure is known good, so each row is the text
 	// between the next two quotes.
 	var backing []float32
-	var rows [][]float32
 	if s.bufs != nil {
-		backing, rows = s.bufs.take(floats, n)
+		backing = s.bufs.take(floats)
 	} else {
-		backing, rows = make([]float32, 0, floats), make([][]float32, n)
+		backing = make([]float32, 0, floats)
 	}
+	rows := make([][]float32, n)
 	at := start
 	for i := range rows {
 		at += bytes.IndexByte(s.b[at:], '"') + 1

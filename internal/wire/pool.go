@@ -8,10 +8,10 @@ import (
 
 // PoisonReleased makes every Put overwrite the buffer before it is
 // pooled: BytePool's with 0xFF (neither base64 nor JSON text),
-// FloatPool's with NaN bits, RowPool's with nil rows. A read after
-// release then shows up as a refused body, a refused row or a wrong
-// answer instead of reading whatever the next owner wrote. Tests switch
-// it on in TestMain, before any buffer is taken; nothing else should.
+// FloatPool's with NaN bits. A read after release then shows up as a
+// refused body, a refused row or a wrong answer instead of reading
+// whatever the next owner wrote. Tests switch it on in TestMain, before
+// any buffer is taken; nothing else should.
 var PoisonReleased bool
 
 // The pools keep buffers of minPooled bytes or more: from 32 KiB up the
@@ -28,12 +28,10 @@ const minPooled = 32 << 10
 // about as many buffers as are in use at once. Kept per size class
 // instead, each class would hold its own, several times the memory for
 // traffic of mixed sizes. The zero value is not usable; the package's
-// BytePool, FloatPool and RowPool are the pools.
+// BytePool and FloatPool are the pools.
 type Pool[T any] struct {
-	// reset runs on every Put (nil: none); poison runs on every Put when
-	// PoisonReleased is set.
-	reset, poison func([]T)
-	pool          sync.Pool // of *[]T
+	poison func([]T) // runs on every Put when PoisonReleased is set
+	pool   sync.Pool // of *[]T
 }
 
 // BytePool pools request bodies, read and written.
@@ -50,10 +48,6 @@ var FloatPool = &Pool[float32]{poison: func(b []float32) {
 		b[i] = nan
 	}
 }}
-
-// RowPool pools the row-header slices over those backings. Put clears
-// them always, so a pooled slice keeps no backing reachable.
-var RowPool = &Pool[[]float32]{reset: func(b [][]float32) { clear(b) }}
 
 // pooled reports whether n elements come to minPooled bytes or more.
 func (p *Pool[T]) pooled(n int) bool {
@@ -79,9 +73,6 @@ func (p *Pool[T]) Get(n int) []T {
 // allocation, as many as the make of an unpooled buffer costs.
 func (p *Pool[T]) Put(b []T) {
 	b = b[:cap(b)]
-	if p.reset != nil {
-		p.reset(b)
-	}
 	if PoisonReleased && p.poison != nil {
 		p.poison(b)
 	}

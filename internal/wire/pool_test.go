@@ -40,15 +40,14 @@ func TestPoolReuse(t *testing.T) {
 	if longer := FloatPool.Get(4 * n); len(longer) != 4*n || cap(longer) != 4*n {
 		t.Errorf("Get(%d) = len %d cap %d, want a new slice of exactly that length", 4*n, len(longer), cap(longer))
 	}
-	// 48 KiB of row headers pools (2048 rows); 24 KiB does not.
-	if !RowPool.pooled(2048) || RowPool.pooled(1024) {
-		t.Error("row headers pool by their byte size")
+	// The floor is in bytes, not elements: 32 KiB of bytes pools.
+	if !BytePool.pooled(minPooled) || BytePool.pooled(minPooled-1) {
+		t.Error("bodies pool by their byte size")
 	}
 }
 
 // TestPoolPoisonsReleased checks PoisonReleased: every released buffer,
-// pooled or not, is overwritten before it can be read again, and row
-// headers never keep a backing reachable.
+// pooled or not, is overwritten before it can be read again.
 func TestPoolPoisonsReleased(t *testing.T) {
 	defer func(was bool) { PoisonReleased = was }(PoisonReleased)
 	PoisonReleased = true
@@ -64,17 +63,6 @@ func TestPoolPoisonsReleased(t *testing.T) {
 			if body[i] != 0xFF || !math.IsNaN(float64(floats[i])) {
 				t.Fatalf("n=%d: element %d reads %#x / %v after release, want 0xFF / NaN", n, i, body[i], floats[i])
 			}
-		}
-	}
-	PoisonReleased = false
-	rows := RowPool.Get(4096)
-	for i := range rows {
-		rows[i] = make([]float32, 1)
-	}
-	RowPool.Put(rows)
-	for i, r := range rows {
-		if r != nil {
-			t.Fatalf("row %d still holds its backing after release", i)
 		}
 	}
 }
