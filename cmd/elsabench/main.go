@@ -18,7 +18,7 @@
 // vs cold, whole-session moves/s over the HTTP export/import path,
 // rehydrate latency); the "autoscale" experiment measures the closed
 // autoscale loop (rebalance convergence time and migrations toward a
-// fresh joiner, plus batched shadow-mirror replay ns/token); and the
+// fresh joiner, plus shadow-mirror replay ns/token); and the
 // "exact" experiment measures the two exact attention backends (the
 // scores reference vs the linear-scan oracle) on the ViT patch-grid and
 // long-document workload families: batch ns/op, allocated bytes/op (the

@@ -38,12 +38,24 @@ func (e *Engine) State() State {
 	return st
 }
 
+// maxStateWidth bounds a restored engine's head dimension and hash bits.
+// A Kronecker batch's dimensions are the products of its factors', so a
+// few bytes of state could otherwise ask for a billion-entry cos LUT.
+const maxStateWidth = 1 << 14
+
 // NewEngineFromState reconstructs an engine without re-drawing projections
-// or re-calibrating θ_bias.
+// or re-calibrating θ_bias. State usually comes from a file, so every size
+// is checked before anything is allocated by it: d and k are at most
+// maxStateWidth, and every factor is at most as tall as it is wide (hash
+// projections have orthonormal rows), so no batch maps to more bits or
+// more dimensions than the engine has.
 func NewEngineFromState(st State) (*Engine, error) {
 	cfg := st.Config
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
+	}
+	if cfg.D > maxStateWidth || cfg.K > maxStateWidth {
+		return nil, fmt.Errorf("attention: state is d=%d k=%d, above the %d limit", cfg.D, cfg.K, maxStateWidth)
 	}
 	if math.IsNaN(st.Bias) || math.IsInf(st.Bias, 0) {
 		return nil, fmt.Errorf("attention: state has non-finite bias")
@@ -55,10 +67,15 @@ func NewEngineFromState(st State) (*Engine, error) {
 	totalK := 0
 	for bi, batch := range st.Batches {
 		var factors []*tensor.Matrix
+		d := 1
 		for fi, rows := range batch {
 			m, err := tensor.FromRows(rows)
 			if err != nil {
 				return nil, fmt.Errorf("attention: state batch %d factor %d: %w", bi, fi, err)
+			}
+			d *= m.Cols
+			if m.Rows > m.Cols || d > cfg.D {
+				return nil, fmt.Errorf("attention: state batch %d factor %d is %d×%d, not a hash factor of a d=%d engine", bi, fi, m.Rows, m.Cols, cfg.D)
 			}
 			factors = append(factors, m)
 		}

@@ -20,6 +20,9 @@ type requestMeta struct {
 	deadline time.Duration // remaining budget; 0 = none
 }
 
+// maxBodyBytes bounds every request body (32 MiB).
+const maxBodyBytes = 32 << 20
+
 // bareBodyHint is the 400 body a payload sent without the v1 envelope
 // earns: it names the fix so old clients can self-serve the migration.
 const bareBodyHint = `bare payload rejected: wrap the request body in the v1 envelope {"op": <payload>} (optionally with client_id / priority / deadline_ms)`

@@ -152,7 +152,7 @@ func TestDecodeContinuousMatchesSerial(t *testing.T) {
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						out, stats, _, _, size, err := batched.sessions.query(ctx, bf[i].id, qs[i], ovs[i], time.Time{})
+						out, stats, _, _, size, err := batched.sessions.queryInto(ctx, bf[i].id, nil, qs[i], ovs[i], time.Time{})
 						if err != nil {
 							t.Errorf("step %d session %d batched query: %v", step, i, err)
 							return

@@ -208,7 +208,7 @@ type Metrics struct {
 	sessionEvictions, sessionTokens, sessionQueries                 *family
 	sessionsSpilled, sessionsRehydrated                             *family
 	sessionsMigrated, sessionsRecovered                             *family
-	mirrorTokens, mirrorSeconds, mirrorFlushes, mirrorPending       *family
+	mirrorTokens, mirrorSeconds                                     *family
 	decodeBatches, decodeOps, decodeCoalesced, decodeBatchSize      *family
 	calibrations, thresholdLoads, thresholdCorrupt, thresholdEvicts *family
 	workerHealthy, workerEjections, workerReadmissions, remoteOps   *family
@@ -289,8 +289,6 @@ func NewMetrics() *Metrics {
 	m.sessionsRecovered = m.counter("elsa_serve_sessions_recovered_total", "", "Sessions re-placed from portable state after a worker loss.")
 	m.mirrorTokens = m.counter("elsa_serve_mirror_tokens_total", "", "Tokens replayed onto local shadow mirrors.")
 	m.mirrorSeconds = m.def("elsa_serve_mirror_seconds_total", "counter", "", "Wall time spent replaying shadow-mirror appends.", true, nil)
-	m.mirrorFlushes = m.counter("elsa_serve_mirror_flushes_total", "", "Shadow-mirror replay batches flushed.")
-	m.mirrorPending = m.gauge("elsa_serve_mirror_pending", "", "Mirror append chunks accepted remotely but not yet replayed.")
 	m.decodeBatches = m.counter("elsa_serve_decode_batches_total", "", "Decode batches dispatched to lanes.")
 	m.decodeOps = m.counter("elsa_serve_decode_batch_ops_total", "", "Session queries dispatched across all decode batches.")
 	m.decodeCoalesced = m.counter("elsa_serve_decode_coalesced_total", "", "Session queries that shared a decode batch with another session.")

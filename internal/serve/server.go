@@ -40,8 +40,6 @@ type Config struct {
 	// RequestTimeout bounds one request's queue + compute time
 	// (default 30s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 32 MiB).
-	MaxBodyBytes int64
 
 	// Replicas is how many in-process engine replicas each pooled
 	// configuration runs — micro-batches for one configuration spread
@@ -139,9 +137,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
 	}
 	if c.Replicas < 0 {
 		// Explicitly zero: a dispatch-only frontend, even with no static
@@ -261,8 +256,6 @@ func New(cfg Config) *Server {
 		s.bg.Add(1)
 		go s.spillLoop()
 	}
-	s.bg.Add(1)
-	go s.mirrorLoop()
 	s.mux.HandleFunc("POST /v1/attend", s.handleAttend)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/append", s.handleSessionAppend)
@@ -383,7 +376,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 	var req wire.AttendRequest
 	var bufs rowBuffers
 	defer bufs.release()
-	meta, packed, ok := decodeAttend(w, r, s.cfg.MaxBodyBytes, &req, &bufs)
+	meta, packed, ok := decodeAttend(w, r, maxBodyBytes, &req, &bufs)
 	if !ok {
 		return http.StatusBadRequest, "bad_request", meta.class
 	}
@@ -444,7 +437,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req wire.SessionCreateRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
+	meta, ok := decodeEnvelope(w, r, maxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -471,7 +464,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	var req wire.SessionAppendRequest
-	if !decodeAppend(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeAppend(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if s.chargeSessionQuota(w, r.PathValue("id")) != nil {
@@ -492,7 +485,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	var req wire.SessionQueryRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
+	meta, ok := decodeEnvelope(w, r, maxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -509,7 +502,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel, deadline := s.budget(r, meta)
 	defer cancel()
-	out, stats, n, thr, batchSize, err := s.sessions.query(ctx, r.PathValue("id"), req.Q, queryOverrides(req.T, req.Backend), deadline)
+	out, stats, n, thr, batchSize, err := s.sessions.queryInto(ctx, r.PathValue("id"), nil, req.Q, queryOverrides(req.T, req.Backend), deadline)
 	if err != nil {
 		s.failErr(w, err, http.StatusBadRequest)
 		return
@@ -535,7 +528,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 // round trip per decode wave instead of one per token.
 func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	var req wire.SessionStepRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
+	meta, ok := decodeEnvelope(w, r, maxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -603,7 +596,7 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 // import fails loudly instead of decoding garbage.
 func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	var req wire.SessionImportRequest
-	meta, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req)
+	meta, ok := decodeEnvelope(w, r, maxBodyBytes, &req)
 	if !ok {
 		return
 	}
@@ -647,21 +640,6 @@ func (s *Server) spillLoop() {
 	}
 }
 
-// mirrorLoop drains the registry's mirror-flush queue: each queued
-// session gets its pending worker-accepted appends replayed onto its
-// local shadow off the append critical path.
-func (s *Server) mirrorLoop() {
-	defer s.bg.Done()
-	for {
-		select {
-		case <-s.stopc:
-			return
-		case sess := <-s.sessions.mirrorc:
-			s.sessions.flushMirror(sess, s.stopc)
-		}
-	}
-}
-
 // handleClusterJoin admits or refreshes a fleet member: workers POST
 // here to register (and then keep heartbeating through the same
 // endpoint). The worker starts receiving one-shot traffic after its
@@ -669,7 +647,7 @@ func (s *Server) mirrorLoop() {
 // — no frontend restart involved.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	var req wire.JoinRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, maxBodyBytes, &req); !ok {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {
@@ -760,7 +738,7 @@ func (s *Server) handleClusterList(w http.ResponseWriter, _ *http.Request) {
 // thrashing.
 func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) {
 	var req wire.ClusterRebalanceRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, maxBodyBytes, &req); !ok {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {
@@ -794,7 +772,7 @@ func (s *Server) handleClusterRebalance(w http.ResponseWriter, r *http.Request) 
 // background so the reply never waits on an unreachable worker.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	var req wire.ClusterDrainRequest
-	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, &req); !ok {
+	if _, ok := decodeEnvelope(w, r, maxBodyBytes, &req); !ok {
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {

@@ -85,15 +85,11 @@ type session struct {
 	// of the worker-side stream: engines are seeded clones, so replaying
 	// accepted appends yields bit-identical state. It is what export,
 	// migration, and worker-loss recovery serialize without asking the
-	// worker. Nil once a mirror append ever fails (divergent state must
-	// not be served) or after the shadow is adopted as the live stream.
+	// worker. Every append the worker accepts is replayed onto it before
+	// the append returns, so it is never behind. Nil once a mirror append
+	// ever fails (divergent state must not be served) or after the shadow
+	// is adopted as the live stream.
 	shadow *elsa.Stream
-	// pendK/pendV queue worker-accepted appends not yet replayed onto the
-	// shadow; the registry's background flusher (or any shadow reader)
-	// drains them. mirrorQueued marks an entry for this session sitting in
-	// the flusher's channel. All three are owned by the gate holder.
-	pendK, pendV [][]float32
-	mirrorQueued bool
 	// spilled marks a local session whose stream has been paged out to the
 	// state dir; ensureResident brings it back before any use.
 	spilled bool
@@ -156,9 +152,6 @@ type sessionRegistry struct {
 	coldWatermark int
 	spillAfter    time.Duration
 	stateDir      string
-	// mirrorc batches shadow-mirror appends onto the server's background
-	// flusher.
-	mirrorc chan *session
 
 	mu   sync.Mutex
 	byID map[string]*session
@@ -175,7 +168,6 @@ func newSessionRegistry(maxSessions, maxTokens int, ttl time.Duration, thr *thre
 		metrics:     m,
 		byID:        make(map[string]*session),
 		lru:         list.New(),
-		mirrorc:     make(chan *session, 1024),
 	}
 }
 
@@ -493,96 +485,31 @@ func checkRows(eng *elsa.Engine, keys, values [][]float32) error {
 	return nil
 }
 
-// mirrorPendingCap bounds one session's queued-but-unreplayed mirror
-// tokens; past it the append path flushes inline rather than holding
-// arbitrarily much request memory alive.
-const mirrorPendingCap = 1024
-
-// mirror queues appends the remote worker accepted for replay onto the
-// local shadow. Replays are batched onto the server's background flusher
-// so the O(token) mirror cost stays off the remote append's critical
-// path; every shadow reader (export, migration, worker-loss recovery)
-// flushes first, so the at-most-once guarantee is unchanged — pending
-// chunks, like the shadow itself, only ever hold appends the worker
-// accepted. The caller holds the gate.
+// mirror replays appends the remote worker accepted onto the local
+// shadow, under the gate the caller holds, so every shadow reader
+// (export, migration, worker-loss recovery) finds it current. The shadow
+// only ever holds appends the worker accepted, which keeps recovery's
+// retry at-most-once. A replay failure (impossible while both sides run
+// the same engine config) drops the shadow rather than ever serving
+// divergent state from it.
 func (g *sessionRegistry) mirror(s *session, keys, values [][]float32) {
 	if s.shadow == nil {
 		return
 	}
-	s.pendK = append(s.pendK, keys...)
-	s.pendV = append(s.pendV, values...)
-	g.metrics.mirrorPending.add(int64(len(keys)))
-	if len(s.pendK) >= mirrorPendingCap {
-		g.flushMirrorHeld(s)
-		return
-	}
-	if s.mirrorQueued {
-		return
-	}
-	select {
-	case g.mirrorc <- s:
-		s.mirrorQueued = true
-	default:
-		// Flusher backlogged: replay inline rather than dropping the bound.
-		g.flushMirrorHeld(s)
-	}
-}
-
-// flushMirrorHeld replays the session's pending appends onto its shadow;
-// the caller holds the gate. A mirror failure (impossible while both
-// sides run the same engine config) drops the shadow rather than ever
-// serving divergent state from it.
-func (g *sessionRegistry) flushMirrorHeld(s *session) {
-	s.mirrorQueued = false
-	n := len(s.pendK)
-	if n == 0 {
-		return
-	}
-	if s.shadow != nil {
-		start := time.Now()
-		applied := 0
-		for i := 0; i < n; i++ {
-			if err := s.shadow.Append(s.pendK[i], s.pendV[i]); err != nil {
-				s.shadow = nil
-				break
-			}
-			applied++
-		}
-		if applied > 0 {
-			g.metrics.mirrorTokens.add(int64(applied))
-			g.metrics.mirrorNanos.Add(int64(time.Since(start)))
-			g.metrics.mirrorFlushes.add(1)
+	start := time.Now()
+	for i := range keys {
+		if err := s.shadow.Append(keys[i], values[i]); err != nil {
+			s.shadow = nil
+			return
 		}
 	}
-	for i := range s.pendK {
-		s.pendK[i], s.pendV[i] = nil, nil
-	}
-	s.pendK, s.pendV = s.pendK[:0], s.pendV[:0]
-	g.metrics.mirrorPending.add(int64(-n))
-}
-
-// flushMirror takes the session's gate (unless stopc ends the wait
-// first) and replays its pending mirror appends — the background half of
-// the batched shadow mirror.
-func (g *sessionRegistry) flushMirror(s *session, stopc <-chan struct{}) {
-	select {
-	case s.gate <- struct{}{}:
-	case <-stopc:
-		return
-	}
-	g.flushMirrorHeld(s)
-	s.release()
-}
-
-// query runs one decode step and returns an owned context vector: the
-// nil dst makes the allocation QueryWith (or the write-back) performs
-// the response copy itself.
-func (g *sessionRegistry) query(ctx context.Context, id string, q []float32, ov elsa.Overrides, deadline time.Time) ([]float32, elsa.StreamStats, int, elsa.Threshold, int, error) {
-	return g.queryInto(ctx, id, nil, q, ov, deadline)
+	g.metrics.mirrorTokens.add(int64(len(keys)))
+	g.metrics.mirrorNanos.Add(int64(time.Since(start)))
 }
 
 // queryInto runs one decode step writing the context vector into dst
-// (grown only when too small): resolve the threshold if this is the
+// (grown only when too small; a nil dst makes the result an owned
+// vector): resolve the threshold if this is the
 // session's first calibrated query, then attend over the prefix at the
 // session threshold (or the query's own override) through the
 // dispatcher, where concurrently-ready sessions coalesce into one batch. Also returns the size of the batch the query rode in.
@@ -841,7 +768,13 @@ func (g *sessionRegistry) export(ctx context.Context, id string) (*wire.SessionE
 	if err != nil {
 		return nil, err
 	}
-	resp := &wire.SessionExportResponse{
+	return s.portable(blob, n), nil
+}
+
+// portable wraps a serialized stream of n tokens in the session's
+// portable state: everything an import needs to rebuild it elsewhere.
+func (s *session) portable(blob []byte, n int) *wire.SessionExportResponse {
+	st := &wire.SessionExportResponse{
 		ID:        s.id,
 		State:     blob,
 		Len:       n,
@@ -855,9 +788,9 @@ func (g *sessionRegistry) export(ctx context.Context, id string) (*wire.SessionE
 	}
 	if s.calibrated {
 		thr := s.thr
-		resp.Threshold = &thr
+		st.Threshold = &thr
 	}
-	return resp, nil
+	return st
 }
 
 // stateHeld serializes the session's state and reports its length; the
@@ -870,7 +803,6 @@ func (g *sessionRegistry) stateHeld(s *session) ([]byte, int, error) {
 		}
 		return s.stream.Export(), s.stream.Len(), nil
 	}
-	g.flushMirrorHeld(s)
 	if s.shadow == nil {
 		return nil, 0, errNotExportable
 	}
@@ -901,23 +833,7 @@ func (g *sessionRegistry) adopt(set *replicaSet, opts elsa.Options, id string, s
 // pushState imports the session's shadow state onto worker w, returning
 // the new remote handle; the caller holds the gate.
 func (g *sessionRegistry) pushState(ctx context.Context, w *worker, s *session) (*client.Session, error) {
-	st := &client.SessionState{
-		ID:        s.id,
-		State:     s.shadow.Export(),
-		Len:       s.shadow.Len(),
-		Capacity:  s.capacity,
-		HeadDim:   s.opts.HeadDim,
-		HashBits:  s.opts.HashBits,
-		Seed:      s.opts.Seed,
-		Quantized: s.opts.Quantized,
-		P:         s.p,
-		Backend:   s.backend,
-	}
-	if s.calibrated {
-		thr := s.thr
-		st.Threshold = &thr
-	}
-	remote, err := w.cli.ImportSession(ctx, st)
+	remote, err := w.cli.ImportSession(ctx, s.portable(s.shadow.Export(), s.shadow.Len()))
 	if err != nil {
 		return nil, mapRemoteErr(w, err)
 	}
@@ -937,8 +853,6 @@ func (g *sessionRegistry) replaceHeld(ctx context.Context, s *session, avoid *wo
 	if _, w := g.place(s.set, s.id); w != nil && w != avoid && w.routable() && g.migrateHeld(ctx, s, w) {
 		return true
 	}
-	// Catch the shadow up before it goes live; a flush failure drops it.
-	g.flushMirrorHeld(s)
 	if s.shadow == nil {
 		return false
 	}
@@ -1038,7 +952,7 @@ func (g *sessionRegistry) rebalance(ctx context.Context, addr string, max int) i
 
 // migrateHeld pushes one session's state onto worker w and repins it
 // there; the caller holds the gate. A remote-pinned session ships its
-// shadow mirror (flushed first); a locally-hosted one ships its live
+// shadow mirror; a locally-hosted one ships its live
 // stream and keeps that stream as the new shadow, so the bit-identical
 // local copy survives the move. Failure leaves the session exactly where
 // it was.
@@ -1056,7 +970,6 @@ func (g *sessionRegistry) migrateHeld(ctx context.Context, s *session, w *worker
 		s.remote, s.w = remote, w
 		return true
 	}
-	g.flushMirrorHeld(s)
 	if s.shadow == nil {
 		return false
 	}

@@ -257,8 +257,6 @@ func TestMetricsHistogramRendering(t *testing.T) {
 	m.sessionsRecovered.add(1)
 	m.mirrorTokens.add(8)
 	m.mirrorNanos.Add(int64(1500 * time.Microsecond))
-	m.mirrorFlushes.add(1)
-	m.mirrorPending.add(3)
 	m.decodeBatches.add(2)
 	m.decodeOps.add(5)
 	m.decodeBatchSize.observe(1)

@@ -80,6 +80,26 @@ func TestRestoreValidation(t *testing.T) {
 	if _, err := Restore(bad); err == nil {
 		t.Error("corrupted factors should error")
 	}
+
+	// Factor shapes multiply: three 16×1 factors ask for 16³ hash bits
+	// of a d=1 engine, and fifteen 2×2 factors for d = 2^15.
+	tall := make([][]float32, 16)
+	for i := range tall {
+		tall[i] = []float32{1}
+	}
+	bad = Snapshot{Version: snapshotVersion, Options: Options{HeadDim: 1, HashBits: 16 * 16 * 16},
+		Batches: [][][][]float32{{tall, tall, tall}}}
+	if _, err := Restore(bad); err == nil || !strings.Contains(err.Error(), "not a hash factor") {
+		t.Errorf("factors taller than wide: %v", err)
+	}
+	wide := make([][][]float32, 15)
+	for i := range wide {
+		wide[i] = [][]float32{{1, 0}, {0, 1}}
+	}
+	bad = Snapshot{Version: snapshotVersion, Options: Options{HeadDim: 1 << 15}, Batches: [][][][]float32{wide}}
+	if _, err := Restore(bad); err == nil || !strings.Contains(err.Error(), "above the") {
+		t.Errorf("d = 2^15: %v", err)
+	}
 }
 
 func TestLoadEngineRejectsGarbage(t *testing.T) {

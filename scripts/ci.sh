@@ -142,6 +142,19 @@ echo "== fuzz smoke: exp kernel =="
 # bit, NaN, ±Inf, subnormal and out-of-range lanes included.
 go test -run '^$' -fuzz '^FuzzExpInto$' -fuzztime 10s ./internal/tensor/
 
+echo "== fuzz smoke: threshold file load =="
+# Arbitrary bytes (seeded with SaveThreshold output and damaged copies)
+# through LoadThreshold: never a panic, an allocation bounded by the
+# input, and an accepted threshold saves and loads back bit for bit.
+go test -run '^$' -fuzz '^FuzzLoadThreshold$' -fuzztime 10s .
+
+echo "== fuzz smoke: engine snapshot load =="
+# Arbitrary bytes (seeded with Save output, damaged copies and Kronecker
+# batches whose dimensions multiply past their data) through LoadEngine:
+# never a panic, an allocation bounded by the input, and an accepted
+# engine saves and loads back to the same snapshot.
+go test -run '^$' -fuzz '^FuzzLoadEngine$' -fuzztime 10s .
+
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
 # explicitly so they can never be skipped under -short, with -count=1 to
