@@ -1,6 +1,6 @@
 // Command elsaserve runs the ELSA attention service: a long-running HTTP
 // server that coalesces concurrent attention requests into micro-batches
-// and routes them across replicated engines (the software analogue of the
+// and routes them across dispatch lanes (the software analogue of the
 // accelerator's batch-level parallelism across replicated modules,
 // §IV-D), hosts autoregressive decode sessions over incremental
 // preprocessing state, persists calibrated thresholds across restarts,
@@ -25,7 +25,7 @@
 //
 // Cross-host sharding: `-workers host:port,...` makes this server a fleet
 // frontend — micro-batch ops route to the listed elsaserve workers
-// alongside any local replicas, with periodic health probes, ejection
+// alongside any local lanes, with periodic health probes, ejection
 // after consecutive failures, and retry-with-rerouting for idempotent
 // attend ops. `-worker` runs a plain worker serving internal traffic (the
 // same endpoints; the flag just pins worker-appropriate defaults).
@@ -111,7 +111,7 @@ func main() {
 	flag.IntVar(&cfg.MaxQueue, "queue", 256, "bounded dispatcher queue; overflow answers 429")
 	flag.IntVar(&cfg.Workers, "attend-workers", 0, "attention workers per batch (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.RequestTimeout, "timeout", 30*time.Second, "per-request queue+compute deadline")
-	flag.IntVar(&cfg.Replicas, "replicas", 0, "local engine replicas (dispatch shards) per configuration (0 = 2 standalone, dispatch-only with -workers)")
+	flag.IntVar(&cfg.Replicas, "replicas", 0, "local dispatch lanes per configuration (0 = 2 standalone, dispatch-only with -workers)")
 	flag.IntVar(&cfg.MaxEngines, "max-engines", 8, "bounded engine pool; LRU eviction beyond this many configurations")
 	flag.IntVar(&cfg.MaxSessions, "max-sessions", 1024, "bounded session registry; LRU eviction at capacity")
 	flag.DurationVar(&cfg.SessionTTL, "session-ttl", 15*time.Minute, "evict sessions idle longer than this (negative disables)")

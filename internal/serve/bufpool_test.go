@@ -158,7 +158,7 @@ func heldServer(t *testing.T) (*Server, *elsa.Engine, *batchGate) {
 	g.shardBackend = sh.backend
 	sh.backend = g
 	srv.disp.mu.Unlock()
-	return srv, set.engines[0], g
+	return srv, set.engine, g
 }
 
 // held waits for the next batch to reach the gate and returns its size.

@@ -65,7 +65,7 @@ type clusterView struct {
 	fleet      *workerSet
 	pool       *enginePool
 	metrics    *Metrics
-	local      int // local replica lanes contributed to the ring
+	local      int // local lanes contributed to the ring
 	sweepEvery time.Duration
 
 	stop chan struct{}
@@ -209,27 +209,25 @@ func (cv *clusterView) onProbe(w *worker, h *client.Health, err error) {
 	}
 }
 
-// place maps a new session's key onto the fleet via the consistent-hash
+// place maps a session's key onto the fleet via the consistent-hash
 // ring: the key's owner if routable, else the next routable successor in
-// ring order. Local replica lanes sit on the ring as "local/<i>" members
-// with weight 1. Ring misses (empty ring, every successor unroutable)
-// fall back to the legacy rotation, so a fleet mid-churn still places
-// sessions wherever capacity remains.
-func (cv *clusterView) place(set *replicaSet, key string) (*elsa.Engine, *worker) {
+// ring order, walking past avoid (nil avoids nothing). Local lanes sit on
+// the ring as "local/<i>" members with weight 1; any of them places the
+// session locally, on the set's one engine. Ring misses (empty ring,
+// every successor unroutable) fall back to the legacy rotation, so a
+// fleet mid-churn still places sessions wherever capacity remains.
+func (cv *clusterView) place(set *replicaSet, key string, avoid *worker) (w *worker, local bool) {
 	if r := cv.currentRing(); r.Len() > 0 {
 		for _, member := range r.Successors(key, placementWalk) {
-			if idx, ok := localRingIndex(member); ok {
-				if idx < len(set.engines) {
-					return set.engines[idx], nil
-				}
-				continue
+			if strings.HasPrefix(member, "local/") {
+				return nil, true
 			}
-			if w := cv.fleet.get(member); w != nil && w.routable() {
-				return nil, w
+			if w := cv.fleet.get(member); w != nil && w != avoid && w.routable() {
+				return w, false
 			}
 		}
 	}
-	return set.sessionTarget()
+	return set.sessionTarget(avoid)
 }
 
 // currentRing returns the ring for the table's current version,
@@ -247,17 +245,4 @@ func (cv *clusterView) currentRing() *cluster.Ring {
 	cv.ring = cluster.NewRing(weights, 0)
 	cv.ringVersion = version
 	return cv.ring
-}
-
-// localRingIndex parses a "local/<i>" ring member into its replica index.
-func localRingIndex(member string) (int, bool) {
-	rest, ok := strings.CutPrefix(member, "local/")
-	if !ok {
-		return 0, false
-	}
-	idx, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, false
-	}
-	return idx, true
 }

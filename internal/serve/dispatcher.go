@@ -23,8 +23,8 @@ var (
 	ErrDeadline = errors.New("serve: deadline cannot cover estimated queue wait")
 	// ErrNoWorkers means no shard of the target replica set is available
 	// — every remote worker is ejected and the frontend holds no local
-	// replicas (HTTP 503 with Retry-After, so clients back off until a
-	// probe re-admits a worker).
+	// lanes (HTTP 503 with Retry-After, so clients back off until a probe
+	// re-admits a worker).
 	ErrNoWorkers = errors.New("serve: no available workers")
 )
 
@@ -120,17 +120,17 @@ func (q *classQueue) take(dst []*job, maxBatch int, w classWeights, m *Metrics) 
 	return dst
 }
 
-// shard is one dispatch lane of a replica set: its backend — an
-// in-process engine replica or a remote worker — executes one batch at a
-// time on the lane's own goroutine, mirroring one accelerator unit. A
-// lane runs at most one batch: busy is set when a handoff gives it one
-// and cleared when that batch finishes, both under d.mu, so its queue
-// needs room for just that batch and a handoff never blocks. batch is
-// the lane's reusable handoff buffer. parked holds, per kind (index 1 =
-// decode), ops rerouted to the lane while it was busy; they run as its
-// next batch (rerouteLocked, finish). set points back at the owning
-// replica set so a finished lane can harvest its next batch and a failed
-// batch can reroute to a sibling lane.
+// shard is one dispatch lane of a replica set: its backend — the set's
+// in-process engine or a remote worker — executes one batch at a time on
+// the lane's own goroutine, mirroring one accelerator unit. A lane runs
+// at most one batch: busy is set when a handoff gives it one and cleared
+// when that batch finishes, both under d.mu, so its queue needs room for
+// just that batch and a handoff never blocks. batch is the lane's
+// reusable handoff buffer. parked holds one-shot ops rerouted to the lane
+// while it was busy; they run as its next batch (rerouteLocked, finish).
+// set points back at the owning replica set so a finished lane can
+// harvest its next batch and a failed batch can reroute to a sibling
+// lane.
 type shard struct {
 	id      int // lane index within its set; local lanes come first
 	stats   shardStats
@@ -139,7 +139,7 @@ type shard struct {
 	queue   chan []*job
 	busy    bool
 	batch   []*job
-	parked  [2][]*job
+	parked  []*job
 }
 
 func newShard(id int, set *replicaSet, backend shardBackend, m *Metrics) *shard {
@@ -155,7 +155,7 @@ func newShard(id int, set *replicaSet, backend shardBackend, m *Metrics) *shard 
 // ops to an idle eligible lane at once, and a lane that finishes a batch
 // harvests the next from the queue (kickLocked, finish), so ops batch
 // exactly when every eligible lane is busy. Per kind only lane
-// eligibility differs (replicaSet.eligible).
+// eligibility differs (replicaSet.eligible): decode runs on local lanes.
 type dispatcher struct {
 	maxBatch      int
 	maxQueue      int
@@ -357,49 +357,41 @@ func (d *dispatcher) handOffLocked(sh *shard, batch []*job) {
 	sh.queue <- batch
 }
 
-// rerouteLocked hands ops that failed on lane from with a retryable error
-// to a sibling lane by the dispatch rule, never running them on from
-// again or beside another batch on the same lane: an idle eligible
-// sibling takes them at once as its batch; when every eligible sibling
-// is busy, they park on one and run as its next batch, ahead of its next
-// harvest. With no eligible sibling they fail with ErrNoWorkers. Callers
-// hold d.mu.
+// rerouteLocked hands one-shot ops that failed on lane from with a
+// retryable error to a sibling lane by the dispatch rule, never running
+// them on from again or beside another batch on the same lane: an idle
+// eligible sibling takes them at once as its batch; when every eligible
+// sibling is busy, they park on one and run as its next batch, ahead of
+// its next harvest. With no eligible sibling they fail with ErrNoWorkers.
+// Callers hold d.mu.
 func (d *dispatcher) rerouteLocked(from *shard, jobs []*job) {
-	decode := jobs[0].dec != nil
-	switch sh := from.set.pickLane(decode, from); {
+	switch sh := from.set.pickLane(false, from); {
 	case sh == nil:
 		for _, j := range jobs {
 			j.result <- jobResult{err: d.noWorkers()}
 		}
 	case sh.busy:
-		k := 0
-		if decode {
-			k = 1
-		}
-		sh.parked[k] = append(sh.parked[k], jobs...)
+		sh.parked = append(sh.parked, jobs...)
 	default:
 		d.handOffLocked(sh, append(sh.batch[:0], jobs...))
 	}
 }
 
 // finish frees sh after a batch of the given kind and gives it its next:
-// rerouted ops parked on it first (up to MaxBatch of one kind), else a
-// harvest from the other kind's queue and then its own, so neither kind
-// starves the other on a lane both may use.
+// rerouted ops parked on it first (up to MaxBatch), else a harvest from
+// the other kind's queue and then its own, so neither kind starves the
+// other on a lane both may use.
 func (d *dispatcher) finish(sh *shard, decode bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sh.busy = false
 	d.inflight--
-	for k, jobs := range sh.parked {
-		if len(jobs) == 0 || sh.busy {
-			continue
-		}
+	if jobs := sh.parked; len(jobs) > 0 {
 		n := min(len(jobs), d.maxBatch)
 		d.handOffLocked(sh, append(sh.batch[:0], jobs[:n]...))
 		rest := copy(jobs, jobs[n:])
 		clear(jobs[rest:])
-		sh.parked[k] = jobs[:rest]
+		sh.parked = jobs[:rest]
 	}
 	d.kickLocked(sh.set, !decode)
 	d.kickLocked(sh.set, decode)
@@ -462,15 +454,14 @@ func (d *dispatcher) runBatch(sh *shard, jobs []*job) {
 }
 
 // execute runs jobs through sh's backend — attendBatch for one-shot ops,
-// decodeBatch for decode steps — and delivers results. Ops that failed
-// with a retryable worker error (transport fault, worker 5xx or
-// overload) and still have reroute budget go to a sibling lane of the
-// same set (rerouteLocked); with no sibling left they fail as
+// decodeBatch on a local lane for decode steps — and delivers results.
+// Ops that failed with a retryable worker error (transport fault, worker
+// 5xx or overload) and still have reroute budget go to a sibling lane of
+// the same set (rerouteLocked); with no sibling left they fail as
 // ErrNoWorkers. Attend ops are idempotent (pinned thresholds, no
 // server-side state), so a sibling yields the bit-identical output the
-// first lane would have. A retryable decode failure can only come off a
-// remote lane, which only float-mode sets use (see replicaSet.eligible),
-// so its sibling is safe too.
+// first lane would have. A local decode error is never a retryable
+// worker error, so decode never reroutes.
 func (d *dispatcher) execute(sh *shard, jobs []*job) {
 	sh.stats.batches.add(1)
 	sh.stats.ops.add(int64(len(jobs)))
@@ -478,7 +469,7 @@ func (d *dispatcher) execute(sh *shard, jobs []*job) {
 	var outs []*elsa.Output
 	var errs []error
 	if jobs[0].dec != nil {
-		errs = sh.backend.decodeBatch(jobs)
+		errs = sh.backend.(decoder).decodeBatch(jobs)
 	} else {
 		outs, errs = sh.backend.attendBatch(jobs)
 	}

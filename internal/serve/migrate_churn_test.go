@@ -32,7 +32,10 @@ func mcKey(i, round int) []float32 {
 // standalone servers by hand: export on A, import on B, and require the
 // decode answers to be bit-identical — the HTTP-level contract live
 // migration is built on. A duplicate import must refuse with 409 rather
-// than clobber live state.
+// than clobber live state. The same state imported onto a dispatch-only
+// frontend, which has no local lane to decode on, moves to the frontend's
+// one worker at its first query and answers bit-identically there; with
+// that worker down it answers 503 with Retry-After.
 func TestSessionExportImportRoundTrip(t *testing.T) {
 	a := servetest.NewWorker(serve.Config{Replicas: 1})
 	defer a.Close()
@@ -116,6 +119,52 @@ func TestSessionExportImportRoundTrip(t *testing.T) {
 	var api *client.APIError
 	if !errors.As(err, &api) || api.Status != http.StatusConflict {
 		t.Fatalf("duplicate import: want 409, got %v", err)
+	}
+
+	cl := servetest.NewDynamicCluster(dynamicFront())
+	defer cl.Close()
+	wk, err := cl.AddWorker(dynamicWorker(), 25*time.Millisecond, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := client.New(cl.URL())
+	s3, err := cf.ImportSession(context.Background(), st)
+	if err != nil {
+		t.Fatalf("import onto the frontend: %v", err)
+	}
+	queryFront := func(what string) error {
+		t.Helper()
+		got, err := s3.Query(context.Background(), q, elsa.Overrides{})
+		if err != nil {
+			return err
+		}
+		for j := range want.Context {
+			if got.Context[j] != want.Context[j] {
+				t.Fatalf("%s: context[%d] = %v, want %v (not bit-identical)", what, j, got.Context[j], want.Context[j])
+			}
+		}
+		return nil
+	}
+	if err := queryFront("query on the frontend"); err != nil {
+		t.Fatalf("query on the frontend: %v", err)
+	}
+	view, err := cf.Cluster(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Members) != 1 || view.Members[0].Addr != wk.URL() || view.Members[0].PinnedSessions != 1 {
+		t.Fatalf("cluster after the first query: %+v, want the session pinned to %s", view.Members, wk.URL())
+	}
+
+	// The first query after the loss recovers the session onto the
+	// frontend, which cannot decode it; the second finds it already there.
+	wk.SetDown(true)
+	for _, what := range []string{"first query after the loss", "second query after the loss"} {
+		err := queryFront(what)
+		if !errors.As(err, &api) || api.Status != http.StatusServiceUnavailable || api.RetryAfter <= 0 ||
+			api.Message != serve.ErrNoWorkers.Error() {
+			t.Fatalf("%s: want 503 %q with Retry-After, got %v", what, serve.ErrNoWorkers, err)
+		}
 	}
 }
 
@@ -360,6 +409,11 @@ func TestWorkerLossRecoversFromShadow(t *testing.T) {
 	stepAll(2)
 	if n := metricTotal(cl.Frontend.Metrics(), "elsa_serve_sessions_recovered_total"); n == 0 {
 		t.Error("recovery counter never moved despite the worker loss")
+	}
+	// Recovery moves each session onto the survivor; none of them decodes
+	// on the frontend by sending its prefix there as a one-shot attend.
+	if n := metricTotal(cl.Workers[1].Server().Metrics(), "elsa_serve_batches_total"); n != 0 {
+		t.Errorf("surviving worker ran %d one-shot batches after the loss, want 0", n)
 	}
 }
 

@@ -77,7 +77,7 @@ func (b gatedBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 
 func (b gatedBackend) decodeBatch(jobs []*job) []error {
 	b.gate.pass(len(jobs))
-	return b.shardBackend.decodeBatch(jobs)
+	return b.shardBackend.(decoder).decodeBatch(jobs)
 }
 
 // gateLanes wraps every lane of set in a gatedBackend and returns the
@@ -191,13 +191,13 @@ func (b *fakeBackend) decodeBatch(jobs []*job) []error {
 	return errs
 }
 
-// newFakeSet wires one quantized replica set with one lane per backend,
-// the first local of them local and the rest remote-style (so they never
-// take decode), with their shard loops running on d. Teardown opens every
-// hold gate, then closes d.
+// newFakeSet wires one replica set with one lane per backend, the first
+// local of them local and the rest remote-style (so they never take
+// decode), with their shard loops running on d. Teardown opens every hold
+// gate, then closes d.
 func newFakeSet(t *testing.T, d *dispatcher, local int, backends ...*fakeBackend) *replicaSet {
 	t.Helper()
-	set := &replicaSet{opts: elsa.Options{Quantized: true}, ready: make(chan struct{}), local: local}
+	set := &replicaSet{ready: make(chan struct{}), local: local}
 	close(set.ready)
 	shards := make([]*shard, len(backends))
 	for i, b := range backends {
@@ -559,17 +559,17 @@ func (b *exclusiveBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 
 func (b *exclusiveBackend) decodeBatch(jobs []*job) []error {
 	defer b.enter()()
-	return b.shardBackend.decodeBatch(jobs)
+	return b.shardBackend.(decoder).decodeBatch(jobs)
 }
 
-// TestRerouteNeverSharesALane: in a float-mode set of one real local lane
-// and one remote-style lane that fails every op with a retryable error,
-// sessions step concurrently beside one-shot ops. Decode takes the remote
-// lane whenever the local one is busy, so nearly every remote batch
-// reroutes to a busy local lane. No lane may ever run two batches at
-// once — the local backend's decode staging buffers are shared by its
-// batches — and every op must succeed on the local lane, each session
-// step bit-identical to the same step run alone. Run under -race.
+// TestRerouteNeverSharesALane: in a set of one real local lane and one
+// remote-style lane that fails every op with a retryable error, sessions
+// step concurrently beside one-shot ops. Decode runs on the local lane
+// only, so one-shot batches the remote lane fails reroute to a local lane
+// that is nearly always busy with decode. No lane may ever run two
+// batches at once — the local backend's decode staging buffers are shared
+// by its batches — and every op must succeed on the local lane, each
+// session step bit-identical to the same step run alone. Run under -race.
 func TestRerouteNeverSharesALane(t *testing.T) {
 	opts := normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim)
 	eng, err := elsa.New(opts)

@@ -1,12 +1,12 @@
 // Package serve is the long-running attention-serving subsystem: an
 // HTTP/JSON front end over the public elsa.Engine with a shard-aware
-// micro-batching dispatcher, replicated engines per configuration, a
-// session registry for autoregressive decode, bounded queueing with
-// backpressure, and Prometheus-format metrics. It is the software
-// analogue of the paper's batch-level parallelism across replicated
-// accelerator modules (§IV-D): each of a configuration's engine replicas
+// micro-batching dispatcher, one shared engine and several dispatch lanes
+// per configuration, a session registry for autoregressive decode,
+// bounded queueing with backpressure, and Prometheus-format metrics. It
+// is the software analogue of the paper's batch-level parallelism across
+// replicated accelerator modules (§IV-D): each of a configuration's lanes
 // takes the next batch as soon as it is free, and requests that arrive
-// while every replica is busy coalesce into that batch, the way
+// while every lane is busy coalesce into that batch, the way
 // SimulateBatch dispatches ops across a 12-unit fleet.
 package serve
 
@@ -37,22 +37,22 @@ func normalizeOptions(opts elsa.Options, queryWidth int) elsa.Options {
 	return opts
 }
 
-// replicaSet is one pooled configuration's engine fleet: R engines built
-// from the same resolved Options (replica 0 via elsa.New, the rest
-// restored from its snapshot, so all replicas hash and attend
-// bit-identically) each fronted by a local dispatch shard with its own
-// queue, plus one remote shard per configured worker. Remote workers
-// build their engines deterministically from the same wire options, so
-// any shard — local or remote — can serve any micro-batch for the key
-// without affecting results. engines[0] always exists (even at zero local
-// replicas) because calibration and local sessions run on it.
+// replicaSet is one pooled configuration: one engine built by elsa.New
+// from the resolved Options, shared by every local dispatch lane (an
+// Engine is immutable and safe for concurrent use), plus one remote lane
+// per configured worker. Remote workers build their engines
+// deterministically from the same wire options, so any lane — local or
+// remote — can serve any one-shot micro-batch for the key without
+// affecting results. Decode batches run on local lanes only: a session
+// decodes where its state lives. The engine exists even at zero local
+// lanes, because calibration and session shadows run on it.
 type replicaSet struct {
 	opts  elsa.Options
-	ready chan struct{} // closed once engines/err are set
+	ready chan struct{} // closed once engine/err are set
 	err   error
 
-	engines []*elsa.Engine
-	local   int // the first local shards are in-process replicas
+	engine *elsa.Engine
+	local  int // the first local shards run on engine in-process
 
 	// shardsv holds the immutable []*shard snapshot — local lanes first,
 	// then one per worker. Cluster joins append a lane by storing a new
@@ -62,7 +62,7 @@ type replicaSet struct {
 	shardsv atomic.Value
 
 	// rr is the round-robin cursor that rotates lane choice and spreads
-	// session streams across replicas and workers.
+	// session streams across local lanes and workers.
 	rr atomic.Uint64
 
 	// oneshot and decode are the set's class queues, one per kind: ops
@@ -100,47 +100,37 @@ func (s *replicaSet) remoteWorkers() []*worker {
 }
 
 // eligible reports whether lane sh may run a batch of the given kind:
-// its backend is available, and a decode batch runs on a remote lane only
-// in a float-mode set. Local lanes execute decode directly on the
-// sessions' stream state — the bit-identical path. Float-mode sets may
-// offload decode to a worker (the wire round-trips float32 exactly);
-// quantized sets never do, because a quantized worker re-quantizes key
-// norms on ingest where the stream stored them raw, and the divergence
-// would break decode's bit-identity guarantee.
+// its backend is available, and a decode batch runs on a local lane only,
+// directly on the sessions' stream state.
 func (s *replicaSet) eligible(sh *shard, decode bool) bool {
-	return sh.backend.available() && (!decode || sh.id < s.local || !s.opts.Quantized)
+	return sh.backend.available() && (!decode || sh.id < s.local)
 }
 
 // pickLane chooses an eligible lane other than skip for a batch of the
 // given kind, rotating the starting lane so an idle fleet still uses
-// every lane. An idle lane wins over a busy one, and for a decode batch a
-// local lane over a remote one; the caller dispatches only to an idle
-// pick. Returns nil when no lane qualifies. Callers hold dispatcher.mu.
+// every lane. An idle lane wins over a busy one; the caller dispatches
+// only to an idle pick. Returns nil when no lane qualifies. Callers hold
+// dispatcher.mu.
 func (s *replicaSet) pickLane(decode bool, skip *shard) *shard {
 	shards := s.shards()
 	if len(shards) == 0 {
 		return nil
 	}
 	start := int(s.rr.Add(1)) % len(shards)
-	var best *shard
-	bestRank := 0
+	var busy *shard
 	for i := range shards {
 		sh := shards[(start+i)%len(shards)]
 		if sh == skip || !s.eligible(sh, decode) {
 			continue
 		}
-		rank := 0
-		if sh.busy {
-			rank += 2
+		if !sh.busy {
+			return sh
 		}
-		if decode && sh.id >= s.local {
-			rank++
-		}
-		if best == nil || rank < bestRank {
-			best, bestRank = sh, rank
+		if busy == nil {
+			busy = sh
 		}
 	}
-	return best
+	return busy
 }
 
 // canRun reports whether any lane may run a batch of the given kind.
@@ -164,28 +154,28 @@ func (s *replicaSet) anyBusy() bool {
 	return false
 }
 
-// sessionTarget picks where a new decode session lives: a local engine
-// replica or a routable remote worker, rotating so long-lived sessions
-// also spread across the fleet. It is the placement fallback when the
-// consistent-hash ring has no members to offer. Exactly one return is
-// non-nil; both nil means nothing is available.
-func (s *replicaSet) sessionTarget() (*elsa.Engine, *worker) {
+// sessionTarget picks where a new decode session lives: local, or a
+// routable remote worker other than avoid, rotating so long-lived
+// sessions also spread across the fleet. It is the placement fallback
+// when the consistent-hash ring has no members to offer. Neither local
+// nor a worker means nothing is available.
+func (s *replicaSet) sessionTarget(avoid *worker) (w *worker, local bool) {
 	workers := s.remoteWorkers()
 	n := s.local + len(workers)
 	if n == 0 {
-		return nil, nil
+		return nil, false
 	}
 	start := int(s.rr.Add(1)) % n
 	for i := 0; i < n; i++ {
 		k := (start + i) % n
 		if k < s.local {
-			return s.engines[k], nil
+			return nil, true
 		}
-		if w := workers[k-s.local]; w.routable() {
-			return nil, w
+		if w := workers[k-s.local]; w != avoid && w.routable() {
+			return w, false
 		}
 	}
-	return nil, nil
+	return nil, false
 }
 
 // enginePool caches replica sets keyed by their resolved Options
@@ -245,7 +235,7 @@ func (p *enginePool) get(opts elsa.Options) (*replicaSet, error) {
 	p.entries[opts] = p.lru.PushFront(set)
 	p.mu.Unlock()
 
-	set.engines, set.err = p.buildReplicas(opts)
+	set.engine, set.err = elsa.New(opts)
 	if set.err == nil {
 		// The fleet snapshot, the shard snapshot, and the ready close all
 		// happen under the pool lock: attachWorker serializes against this
@@ -256,7 +246,7 @@ func (p *enginePool) get(opts elsa.Options) (*replicaSet, error) {
 		workers := p.fleet.snapshot()
 		shards := make([]*shard, 0, set.local+len(workers))
 		for i := 0; i < set.local; i++ {
-			shards = append(shards, newShard(i, set, &localBackend{eng: set.engines[i], workers: p.disp.workers}, p.metrics))
+			shards = append(shards, newShard(i, set, &localBackend{eng: set.engine, workers: p.disp.workers}, p.metrics))
 		}
 		for k, w := range workers {
 			shards = append(shards, newShard(set.local+k, set, &remoteBackend{w: w, opts: opts}, p.metrics))
@@ -322,27 +312,6 @@ func (p *enginePool) attachWorker(w *worker) {
 		set.shardsv.Store(append(next, sh))
 		p.disp.startShard(sh)
 	}
-}
-
-// buildReplicas constructs the local engines: replica 0 pays the
-// projection draw and θ_bias calibration once, the rest restore from its
-// snapshot for bit-identical behaviour at a fraction of the cost. At
-// zero local replicas (a pure dispatch frontend) one engine is still
-// built: threshold calibration and locally-hosted sessions need it.
-func (p *enginePool) buildReplicas(opts elsa.Options) ([]*elsa.Engine, error) {
-	first, err := elsa.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	engines := make([]*elsa.Engine, max(1, p.replicas))
-	engines[0] = first
-	snap := first.Snapshot()
-	for r := 1; r < len(engines); r++ {
-		if engines[r], err = elsa.Restore(snap); err != nil {
-			return nil, err
-		}
-	}
-	return engines, nil
 }
 
 // evictLRULocked retires the least-recently-used set. Its shards stay

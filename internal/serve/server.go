@@ -41,15 +41,16 @@ type Config struct {
 	// (default 30s).
 	RequestTimeout time.Duration
 
-	// Replicas is how many in-process engine replicas each pooled
-	// configuration runs — micro-batches for one configuration spread
-	// across this many dispatch shards, the software analogue of the
-	// paper's replicated accelerator modules (default 2; default 0 when
-	// WorkerAddrs is set, making the server a pure dispatch frontend).
-	// Negative means explicitly zero — a dispatch-only frontend even
-	// before any worker has joined. One engine is always built per
-	// configuration for calibration and locally-hosted sessions, even at
-	// zero replicas.
+	// Replicas is how many local dispatch lanes each pooled configuration
+	// runs — micro-batches for one configuration spread across this many
+	// lanes, all sharing the configuration's one engine, the software
+	// analogue of the paper's replicated accelerator modules (default 2;
+	// default 0 when WorkerAddrs is set, making the server a pure
+	// dispatch frontend). Negative means explicitly zero — a
+	// dispatch-only frontend even before any worker has joined. The
+	// engine is built even at zero lanes, for calibration and session
+	// shadows; decode needs a local lane, so a session on such a server
+	// lives on a worker.
 	Replicas int
 	// MaxEngines bounds resident replica sets; beyond it the
 	// least-recently-used configuration is evicted (default 8).
@@ -105,7 +106,7 @@ type Config struct {
 	ClassWeights [NumClasses]int
 
 	// WorkerAddrs lists remote elsaserve workers ("host:port" or full
-	// URLs) this server dispatches to alongside its local replicas. Empty
+	// URLs) this server dispatches to alongside its local lanes. Empty
 	// (the default) keeps serving purely in-process.
 	WorkerAddrs []string
 	// WorkerProbeInterval is how often each worker's /v1/healthz is
@@ -399,7 +400,7 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 	if ov.Thr != nil {
 		thr = *ov.Thr
 	} else if thr, err = s.thresholds.get(opts, ov.P, func() (elsa.Threshold, error) {
-		return set.engines[0].Calibrate(ov.P, []elsa.Sample{{Q: req.Q, K: req.K}})
+		return set.engine.Calibrate(ov.P, []elsa.Sample{{Q: req.Q, K: req.K}})
 	}); err != nil {
 		return fail(w, http.StatusBadRequest, "calibrate: "+err.Error()), "bad_request", meta.class
 	}

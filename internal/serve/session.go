@@ -45,9 +45,9 @@ var (
 	errNotExportable = errors.New("serve: session state not locally available for export")
 )
 
-// session is one autoregressive decode stream, held on a local engine
-// replica or pinned to a remote worker (exactly one of stream/remote is
-// set). The local stream (and its workspace) is single-goroutine by
+// session is one autoregressive decode stream, held locally on its
+// set's engine or pinned to a remote worker (exactly one of stream/remote
+// is set). The local stream (and its workspace) is single-goroutine by
 // contract, and a remote session's appends must observe each other's
 // prefix, so the gate serializes the session's own traffic either way.
 // The gate is a submit/complete handoff rather than a mutex: a query
@@ -69,10 +69,6 @@ type session struct {
 	// creator's quota at the creator's priority.
 	clientID string
 	class    Class
-	// eng is the engine this session's local state lives on: the placed
-	// replica for a local session, engines[0] for a remote one (it hosts
-	// the shadow, and rebuilds imported state after rehydrate/recovery).
-	eng *elsa.Engine
 	// capacity is the creator's requested pre-allocation, carried so an
 	// exported session re-creates with the same hint.
 	capacity int
@@ -82,13 +78,14 @@ type session struct {
 	gate   chan struct{}
 	stream *elsa.Stream
 	// shadow, for remote-pinned sessions, is a deterministic local mirror
-	// of the worker-side stream: engines are seeded clones, so replaying
-	// accepted appends yields bit-identical state. It is what export,
-	// migration, and worker-loss recovery serialize without asking the
-	// worker. Every append the worker accepts is replayed onto it before
-	// the append returns, so it is never behind. Nil once a mirror append
-	// ever fails (divergent state must not be served) or after the shadow
-	// is adopted as the live stream.
+	// of the worker-side stream on the set's engine: engines built from
+	// the same options are bit-identical, so replaying accepted appends
+	// yields bit-identical state. It is what export, migration, and
+	// worker-loss recovery serialize without asking the worker. Every
+	// append the worker accepts is replayed onto it before the append
+	// returns, so it is never behind. Nil once a mirror append ever fails
+	// (divergent state must not be served) or after the shadow is adopted
+	// as the live stream.
 	shadow *elsa.Stream
 	// spilled marks a local session whose stream has been paged out to the
 	// state dir; ensureResident brings it back before any use.
@@ -129,7 +126,7 @@ func (s *session) release() { <-s.gate }
 // sessionRegistry owns the live decode sessions: bounded in count (LRU
 // eviction at capacity), bounded per session in tokens, and expired by
 // idle TTL. It is the serving-layer analogue of a KV-cache manager —
-// each session pins one incremental ELSA preprocessing state to a replica.
+// each session pins one incremental ELSA preprocessing state to a host.
 type sessionRegistry struct {
 	maxSessions int
 	maxTokens   int
@@ -137,10 +134,10 @@ type sessionRegistry struct {
 	now         func() time.Time // injectable for TTL tests
 	thresholds  *thresholdRegistry
 	metrics     *Metrics
-	// place maps a session's ID onto a local engine or remote worker —
-	// the cluster view's consistent-hash placement. New sets it before
-	// serving.
-	place func(set *replicaSet, key string) (*elsa.Engine, *worker)
+	// place maps a session's ID onto this server or a remote worker other
+	// than avoid — the cluster view's consistent-hash placement. New sets
+	// it before serving.
+	place func(set *replicaSet, key string, avoid *worker) (w *worker, local bool)
 	// disp routes local decode queries through the dispatcher so
 	// concurrently-ready sessions coalesce into one batch. New sets it
 	// before serving.
@@ -171,8 +168,8 @@ func newSessionRegistry(maxSessions, maxTokens int, ttl time.Duration, thr *thre
 	}
 }
 
-// create registers a new session bound to one replica of set or pinned
-// to a routable remote worker. Placement hashes the fresh session ID
+// create registers a new session hosted on set's engine or pinned to a
+// routable remote worker. Placement hashes the fresh session ID
 // onto the cluster's consistent-hash ring (falling back to rotation),
 // so membership churn moves only the minimal slice of future
 // placements. The threshold is resolved eagerly when possible (explicit
@@ -186,11 +183,10 @@ func (g *sessionRegistry) create(ctx context.Context, set *replicaSet, opts elsa
 		thr = &elsa.Threshold{P: p, T: *t}
 	}
 	s := g.newSession(newSessionID(), set, opts, p, thr, backend, capacity, meta)
-	eng, w := g.place(set, s.id)
+	w, local := g.place(set, s.id, nil)
 	switch {
-	case eng != nil:
-		s.eng = eng
-		s.stream = eng.NewStreamCold(s.capacity, g.coldWatermark)
+	case local:
+		s.stream = set.engine.NewStreamCold(s.capacity, g.coldWatermark)
 	case w != nil:
 		// Pin the session to the worker by opening the worker-side stream
 		// now. A calibrated threshold travels pinned so the worker never
@@ -220,13 +216,13 @@ func (g *sessionRegistry) create(ctx context.Context, set *replicaSet, opts elsa
 			s.thr, s.calibrated = *remote.Threshold, true
 		}
 		w.recover()
-		// Shadow mirror: engines across the fleet are deterministic clones
-		// of the same resolved options, so replaying every accepted append
-		// locally keeps a bit-identical copy of the worker-side stream —
-		// the portable state that drain migration and worker-loss recovery
-		// serialize. engines[0] always exists, even at zero local replicas.
-		s.eng = set.engines[0]
-		s.shadow = s.eng.NewStreamCold(s.capacity, g.coldWatermark)
+		// Shadow mirror: engines across the fleet are built
+		// deterministically from the same resolved options, so replaying
+		// every accepted append locally keeps a bit-identical copy of the
+		// worker-side stream — the portable state that drain migration and
+		// worker-loss recovery serialize. The set's engine exists even at
+		// zero local lanes.
+		s.shadow = set.engine.NewStreamCold(s.capacity, g.coldWatermark)
 	default:
 		return nil, errWorkerLost
 	}
@@ -444,7 +440,7 @@ func (g *sessionRegistry) append(ctx context.Context, id string, keys, values []
 // worker and its shadow as they were.
 func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, values [][]float32) (int, error) {
 	if s.remote != nil {
-		if err := checkRows(s.eng, keys, values); err != nil {
+		if err := checkRows(s.set.engine, keys, values); err != nil {
 			return 0, err
 		}
 		n, err := s.remote.AppendBatch(ctx, keys, values)
@@ -462,7 +458,7 @@ func (g *sessionRegistry) appendHeld(ctx context.Context, s *session, keys, valu
 	if s.stream.Len()+len(keys) > g.maxTokens {
 		return s.stream.Len(), errSessionFull
 	}
-	if err := checkRows(s.eng, keys, values); err != nil {
+	if err := checkRows(s.set.engine, keys, values); err != nil {
 		return s.stream.Len(), err
 	}
 	for i := range keys {
@@ -507,15 +503,15 @@ func (g *sessionRegistry) mirror(s *session, keys, values [][]float32) {
 	g.metrics.mirrorNanos.Add(int64(time.Since(start)))
 }
 
-// queryInto runs one decode step writing the context vector into dst
-// (grown only when too small; a nil dst makes the result an owned
-// vector): resolve the threshold if this is the
+// queryInto runs one decode step: resolve the threshold if this is the
 // session's first calibrated query, then attend over the prefix at the
 // session threshold (or the query's own override) through the
-// dispatcher, where concurrently-ready sessions coalesce into one batch. Also returns the size of the batch the query rode in.
-// It is a step wave of one entry, without the wave's bookkeeping, so a
-// caller recycling dst across queries decodes with zero steady-state
-// allocations.
+// dispatcher, where concurrently-ready sessions coalesce into one batch.
+// It returns the context vector, written into dst when dst is large
+// enough (the /query handler passes nil and gets an owned vector), and
+// the size of the batch the query rode in. It is a step wave of one
+// entry, without the wave's bookkeeping, so a caller recycling dst
+// across queries decodes with zero steady-state allocations.
 func (g *sessionRegistry) queryInto(ctx context.Context, id string, dst []float32, q []float32, ov elsa.Overrides, deadline time.Time) ([]float32, elsa.StreamStats, int, elsa.Threshold, int, error) {
 	s, err := g.lookup(id)
 	if err == nil {
@@ -534,14 +530,21 @@ func (g *sessionRegistry) queryInto(ctx context.Context, id string, dst []float3
 }
 
 // submitHeld starts one session's decode step; the caller holds the
-// gate. A remote-pinned session's query runs to completion here. A local
-// one is prepared — made resident, its threshold and backend resolved,
-// the session's reusable decodeJob filled with the operating point
-// pinned — and queued in the set's decode class queue without a kick.
-// It reports whether the step was queued: the caller then owes the set a
-// kick and a collectHeld. Otherwise the step is over, e.Err holding any
-// failure.
+// gate. A local session on a set with no local lane (imported onto, or
+// adopted by, a dispatch-only frontend) first moves to its placed worker.
+// A remote-pinned session's query runs to completion here. A local one is
+// prepared — made resident, its threshold and backend resolved, the
+// session's reusable decodeJob filled with the operating point pinned —
+// and queued in the set's decode class queue without a kick; with no
+// local lane the queue refuses it with ErrNoWorkers. It reports whether
+// the step was queued: the caller then owes the set a kick and a
+// collectHeld. Otherwise the step is over, e.Err holding any failure.
 func (g *sessionRegistry) submitHeld(ctx context.Context, s *session, e *stepEntry, deadline time.Time) bool {
+	if s.remote == nil && s.set.local == 0 {
+		if w, _ := g.place(s.set, s.id, nil); w != nil {
+			g.migrateHeld(ctx, s, w)
+		}
+	}
 	if s.remote != nil && g.queryRemoteHeld(ctx, s, e) {
 		return false
 	}
@@ -634,7 +637,7 @@ func (g *sessionRegistry) resolveThreshold(s *session, ov elsa.Overrides) (elsa.
 		}
 		thr, err := g.thresholds.get(s.opts, s.p, func() (elsa.Threshold, error) {
 			keys := s.stream.Keys()
-			return s.set.engines[0].Calibrate(s.p, []elsa.Sample{{Q: keys, K: keys}})
+			return s.set.engine.Calibrate(s.p, []elsa.Sample{{Q: keys, K: keys}})
 		})
 		if err != nil {
 			return elsa.Threshold{}, err
@@ -742,7 +745,7 @@ func (g *sessionRegistry) ensureResident(s *session) error {
 	if err != nil {
 		return fmt.Errorf("serve: rehydrate session %s: %w", s.id, err)
 	}
-	st, err := s.eng.ImportStream(data)
+	st, err := s.set.engine.ImportStream(data)
 	if err != nil {
 		return fmt.Errorf("serve: rehydrate session %s: %w", s.id, err)
 	}
@@ -811,12 +814,12 @@ func (g *sessionRegistry) stateHeld(s *session) ([]byte, int, error) {
 
 // adopt registers a session rebuilt from exported state under its
 // original ID — the receiving half of live migration. The session is
-// hosted locally on set's engines[0] regardless of placement: the sender
-// already chose this server. Returns the rebuilt prefix length.
+// hosted locally on set's engine regardless of placement: the sender
+// already chose this server. On a set with no local lane its next query
+// moves it to a worker. Returns the rebuilt prefix length.
 func (g *sessionRegistry) adopt(set *replicaSet, opts elsa.Options, id string, state []byte, p float64, thr *elsa.Threshold, backend string, capacity int, meta requestMeta) (int, error) {
 	s := g.newSession(id, set, opts, p, thr, backend, capacity, meta)
-	s.eng = set.engines[0]
-	st, err := s.eng.ImportStream(state)
+	st, err := set.engine.ImportStream(state)
 	if err != nil {
 		return 0, fmt.Errorf("import: %w", err)
 	}
@@ -842,15 +845,16 @@ func (g *sessionRegistry) pushState(ctx context.Context, w *worker, s *session) 
 }
 
 // replaceHeld moves a remote-pinned session off the worker `avoid` while
-// its gate is held: migrate it to a freshly placed routable worker, or
-// else adopt the shadow as the live local stream (the shadow already IS
-// the exact state) and close the old worker-side session best-effort.
-// Returns false only when the session has no shadow to move.
+// its gate is held: migrate it to the routable worker placement picks
+// past avoid, or else adopt the shadow as the live local stream (the
+// shadow already IS the exact state) and close the old worker-side
+// session best-effort. Returns false only when the session has no shadow
+// to move.
 func (g *sessionRegistry) replaceHeld(ctx context.Context, s *session, avoid *worker) bool {
 	if s.remote == nil {
 		return false
 	}
-	if _, w := g.place(s.set, s.id); w != nil && w != avoid && w.routable() && g.migrateHeld(ctx, s, w) {
+	if w, _ := g.place(s.set, s.id, avoid); w != nil && g.migrateHeld(ctx, s, w) {
 		return true
 	}
 	if s.shadow == nil {
@@ -864,8 +868,9 @@ func (g *sessionRegistry) replaceHeld(ctx context.Context, s *session, avoid *wo
 
 // recoverHeld re-homes a remote-pinned session from its shadow after a
 // worker loss. A freshly-dead worker can still look routable (health
-// demotion needs consecutive faults), so the lost worker is explicitly
-// avoided; placement failing that, the shadow is adopted locally. The
+// demotion needs consecutive faults), so placement walks past the lost
+// worker to a surviving one; placement failing that, the shadow is
+// adopted locally. The
 // shadow advances only on remote success, so the recovered state never
 // contains the op that just failed — the caller's single retry is
 // at-most-once safe. Returns whether the session is usable again.
@@ -939,8 +944,8 @@ func (g *sessionRegistry) rebalance(ctx context.Context, addr string, max int) i
 		}
 		// Re-check under the gate (the session may have moved since the
 		// snapshot), then ask placement where this session lands today.
-		_, w := g.place(s.set, s.id)
-		if w != nil && w.addr == addr && w.routable() &&
+		w, _ := g.place(s.set, s.id, nil)
+		if w != nil && w.addr == addr &&
 			(s.w == nil || s.w.addr != addr) && g.migrateHeld(ctx, s, w) {
 			moved++
 			g.metrics.sessionsMigrated.add(1)

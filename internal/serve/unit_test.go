@@ -52,8 +52,13 @@ func TestEnginePoolReusesAndRetriesFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.engines) != 2 || len(a.shards()) != 2 {
-		t.Fatalf("replica set has %d engines / %d shards, want 2/2", len(a.engines), len(a.shards()))
+	if len(a.shards()) != 2 {
+		t.Fatalf("replica set has %d shards, want 2", len(a.shards()))
+	}
+	for _, sh := range a.shards() {
+		if lb, ok := sh.backend.(*localBackend); !ok || lb.eng != a.engine || a.engine == nil {
+			t.Fatalf("shard %d does not run on the set's one engine", sh.id)
+		}
 	}
 	b, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: 1}, testDim))
 	if err != nil {

@@ -313,21 +313,25 @@ type workerError struct {
 func (e *workerError) Error() string { return "worker " + e.addr + ": " + e.err.Error() }
 func (e *workerError) Unwrap() error { return e.err }
 
-// shardBackend is what a dispatch shard executes micro-batches through:
-// an in-process engine replica or a remote worker. attendBatch returns
-// one output or error per job, so a partially failed remote batch can
-// reroute only the failed ops. decodeBatch executes a continuous-decode
-// batch — every job carries a decodeJob — writing results into each job's
-// decodeJob and returning one error per job.
+// shardBackend is what a dispatch shard executes one-shot micro-batches
+// through: the set's in-process engine or a remote worker. attendBatch
+// returns one output or error per job, so a partially failed remote batch
+// can reroute only the failed ops.
 type shardBackend interface {
 	attendBatch(jobs []*job) ([]*elsa.Output, []error)
-	decodeBatch(jobs []*job) []error
 	available() bool
 	name() string
 }
 
-// localBackend runs batches on an in-process engine replica — the
-// pre-fleet behaviour, now one implementation of shardBackend.
+// decoder is what a local lane adds to shardBackend: decodeBatch executes
+// a continuous-decode batch — every job carries a decodeJob — writing
+// results into each job's decodeJob and returning one error per job.
+type decoder interface {
+	decodeBatch(jobs []*job) []error
+}
+
+// localBackend runs batches on the set's in-process engine, shared by
+// every local lane of the set.
 type localBackend struct {
 	eng     *elsa.Engine
 	workers int
@@ -395,12 +399,12 @@ func (b *localBackend) decodeBatch(jobs []*job) []error {
 	return errs
 }
 
-// remoteBackend runs batches on a remote worker by fanning the ops out as
-// concurrent /v1/attend calls (bounded by the worker's in-flight cap);
-// the worker's own dispatcher re-coalesces them into micro-batches. Every
-// op carries its threshold pinned in the wire `t`, so the worker never
-// recalibrates and results stay bit-identical to a local run of the same
-// engine options.
+// remoteBackend runs one-shot batches on a remote worker by sending the
+// ops as concurrent /v1/attend calls, each holding one of the worker's
+// in-flight slots; the worker's own dispatcher re-coalesces them into
+// micro-batches. Every op carries its threshold pinned in the wire `t`,
+// so the worker never recalibrates and results stay bit-identical to a
+// local run of the same engine options.
 type remoteBackend struct {
 	w    *worker
 	opts elsa.Options
@@ -409,62 +413,17 @@ type remoteBackend struct {
 func (b *remoteBackend) name() string    { return "remote:" + b.w.addr }
 func (b *remoteBackend) available() bool { return b.w.routable() }
 
+// attendBatch returns one output or error per job: the requester's
+// context error when it ends before a slot frees, else the call's error
+// sorted by classify. A success feeds the worker's health state.
 func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 	outs := make([]*elsa.Output, len(jobs))
-	errs := b.fanOut(jobs, func(i int, j *job) error {
-		res, err := b.w.cli.Attend(j.ctx, j.op.Q, j.op.K, j.op.V, b.attendOptions(j.op.Thr, j.op.Backend))
-		if err != nil {
-			return err
-		}
-		outs[i] = &elsa.Output{
-			Context:           res.Context,
-			CandidateFraction: res.CandidateFraction,
-			FallbackQueries:   res.FallbackQueries,
-		}
-		return nil
-	})
-	return outs, errs
-}
-
-// decodeBatch materializes each session's prefix onto the wire as a
-// one-query /v1/attend op with the session's pinned threshold, so a
-// decode batch a lane harvested rides the existing remote worker
-// protocol — fleet mode batches too. Rows() aliases the stream's storage
-// without copying elements, which is safe here because the session's
-// submit/complete handoff blocks appends while the query is in flight.
-// Only float-mode sets ever offload decode (see replicaSet.eligible): a
-// quantized worker re-quantizes key norms on ingest where the stream
-// stored them unquantized, which would break decode's bit-identity
-// guarantee.
-func (b *remoteBackend) decodeBatch(jobs []*job) []error {
-	return b.fanOut(jobs, func(_ int, j *job) error {
-		dec := j.dec
-		keys, values := dec.stream.Rows()
-		res, err := b.w.cli.Attend(j.ctx, [][]float32{dec.q}, keys, values, b.attendOptions(&dec.thr, dec.backend))
-		if err != nil {
-			return err
-		}
-		dec.out = append(dec.out[:0], res.Context[0]...)
-		dec.stats = elsa.StreamStats{
-			Candidates: int(res.CandidateFraction*float64(dec.stream.Len()) + 0.5),
-			Fallback:   res.FallbackQueries > 0,
-		}
-		return nil
-	})
-}
-
-// fanOut runs call once per job as concurrent requests to the worker,
-// each holding one of its in-flight slots, and returns one error per
-// job: the requester's context error when it ends before a slot frees,
-// else call's error sorted by classify. A success feeds the worker's
-// health state.
-func (b *remoteBackend) fanOut(jobs []*job, call func(i int, j *job) error) []error {
 	errs := make([]error, len(jobs))
 	b.w.stats.remoteOps.add(int64(len(jobs)))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
-		go func(i int, j *job) {
+		go func() {
 			defer wg.Done()
 			select {
 			case b.w.inflight <- struct{}{}:
@@ -473,38 +432,36 @@ func (b *remoteBackend) fanOut(jobs []*job, call func(i int, j *job) error) []er
 				return
 			}
 			defer func() { <-b.w.inflight }()
-			if err := call(i, j); err != nil {
+			res, err := b.w.cli.Attend(j.ctx, j.op.Q, j.op.K, j.op.V, b.attendOptions(&j.op))
+			if err != nil {
 				errs[i] = b.classify(err)
 				return
 			}
+			outs[i] = &elsa.Output{
+				Context:           res.Context,
+				CandidateFraction: res.CandidateFraction,
+				FallbackQueries:   res.FallbackQueries,
+			}
 			b.w.recover()
-		}(i, j)
+		}()
 	}
 	wg.Wait()
-	return errs
+	return outs, errs
 }
 
 // attendOptions is the wire form of one remote op: the set's engine
-// options and the op's operating point.
-func (b *remoteBackend) attendOptions(thr *elsa.Threshold, backend string) client.AttendOptions {
-	return client.AttendOptions{
-		Overrides: wireOverrides(thr, backend),
-		HeadDim:   b.opts.HeadDim,
-		HashBits:  b.opts.HashBits,
-		Seed:      b.opts.Seed,
-		Quantized: b.opts.Quantized,
+// options and the op's operating point — its pinned threshold, or for an
+// op pinned to an exact backend the backend alone. The wire rejects t
+// beside backend, and a backend implies p = 0, which the worker resolves
+// to the exact threshold by itself.
+func (b *remoteBackend) attendOptions(op *elsa.BatchOp) client.AttendOptions {
+	o := client.AttendOptions{HeadDim: b.opts.HeadDim, HashBits: b.opts.HashBits, Seed: b.opts.Seed, Quantized: b.opts.Quantized}
+	if op.Backend != elsa.BackendAuto {
+		o.Backend = op.Backend
+	} else {
+		o.Thr = op.Thr
 	}
-}
-
-// wireOverrides is the operating point a remote op carries: its pinned
-// threshold, or for an op pinned to an exact backend the backend alone.
-// The wire rejects t beside backend, and a backend implies p = 0, which
-// the worker resolves to the exact threshold by itself.
-func wireOverrides(thr *elsa.Threshold, backend string) elsa.Overrides {
-	if backend != elsa.BackendAuto {
-		return elsa.Overrides{Backend: backend}
-	}
-	return elsa.Overrides{Thr: thr}
+	return o
 }
 
 // classify sorts one remote failure into the dispatcher's retry
