@@ -69,12 +69,13 @@ echo "== dispatch pacing under -race, repeated =="
 # pooled buffers alone until no lane reads them, and a client body must
 # outlive every reader the transport takes of it; the tests poison each
 # released buffer, so a read after release races with the poisoning.
+# Run the pacing, refusal, stranded-op, reroute, stale-heartbeat and
+# buffer-lifetime tests twenty times.
+go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain|TestCancelledAttendQueued|TestCancelledAttendOnHeldLane|TestCancelledAttendRemote|TestAttendBodyOutlivesRoundTrip)$' ./internal/serve/ ./internal/serve/cluster/ ./serve/client/
 # Worker-loss recovery and a dispatch-only frontend's import move a
 # session to a worker under its gate while probes flip worker health on
-# other goroutines. Run the pacing, refusal, stranded-op, reroute,
-# stale-heartbeat, buffer-lifetime, recovery and import tests twenty
-# times.
-go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain|TestCancelledAttendQueued|TestCancelledAttendOnHeldLane|TestCancelledAttendRemote|TestAttendBodyOutlivesRoundTrip|TestWorkerLossRecoversFromShadow|TestSessionExportImportRoundTrip)$' ./internal/serve/ ./internal/serve/cluster/ ./serve/client/
+# other goroutines; run both twenty times too, in their own process.
+go test -race -count=20 -run '^(TestWorkerLossRecoversFromShadow|TestSessionExportImportRoundTrip)$' ./internal/serve/
 
 echo "== elsaperf logic tests =="
 # elsaperf is its own module, so ./... above does not reach it; run the
