@@ -166,6 +166,33 @@ func TestSessionExportImportRoundTrip(t *testing.T) {
 			t.Fatalf("%s: want 503 %q with Retry-After, got %v", what, serve.ErrNoWorkers, err)
 		}
 	}
+
+	// The revived worker still holds the copy it was given, under the same
+	// ID: the frontend could not close it while the worker was down. Once
+	// the worker passes probes again, the next query replaces that stale
+	// copy and the session decodes there again.
+	wk.SetDown(false)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h, err := cf.Health(context.Background())
+		if err == nil && h.HealthyWorkers == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("revived worker never passed probes: %+v, %v", h, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := queryFront("query after the revival"); err != nil {
+		t.Fatalf("query after the revival: %v", err)
+	}
+	view, err = cf.Cluster(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Members) != 1 || view.Members[0].PinnedSessions != 1 {
+		t.Fatalf("cluster after the revival: %+v, want the session pinned to %s", view.Members, wk.URL())
+	}
 }
 
 // TestSessionSpillRehydrateBitIdentical lets an idle session spill out

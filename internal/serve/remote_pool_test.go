@@ -90,19 +90,24 @@ func checkAll(t *testing.T, c *client.Client, ops []remoteOp) {
 // read a released op's rows would race with its next owner.
 func TestCancelledAttendRemote(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		workers int
-		setup   func(cl *servetest.Cluster)
-		undo    func(cl *servetest.Cluster)
+		name     string
+		workers  int
+		maxBatch int
+		setup    func(cl *servetest.Cluster)
+		undo     func(cl *servetest.Cluster)
 	}{
 		// One worker, one op on the wire at a time, each held 300 ms:
 		// the expiring ops wait for the slot or hold it.
-		{"held", 1,
+		{"held", 1, 0,
 			func(cl *servetest.Cluster) { cl.Workers[0].SetLatency(300 * time.Millisecond) },
 			func(cl *servetest.Cluster) { cl.Workers[0].SetLatency(0) }},
 		// Worker 0 fails its first ops with a 500, so they reroute to
-		// worker 1, which holds each 300 ms.
-		{"reroute", 2,
+		// worker 1, which holds each 300 ms. One op per batch: four ops
+		// queued before the first kick would otherwise ride one batch
+		// onto whichever lane the rotation starts from, and on worker 1's
+		// lane none would meet worker 0. Singly, the first kick hands
+		// each idle lane an op, so worker 0 always sees one.
+		{"reroute", 2, 1,
 			func(cl *servetest.Cluster) {
 				cl.Workers[0].InjectErrors(2)
 				cl.Workers[1].SetLatency(300 * time.Millisecond)
@@ -112,6 +117,7 @@ func TestCancelledAttendRemote(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			front, workerCfg := fastCluster()
 			front.WorkerInFlight = 1
+			front.MaxBatch = tc.maxBatch
 			cl := servetest.NewCluster(tc.workers, front, workerCfg)
 			defer cl.Close()
 			c := client.New(cl.URL())

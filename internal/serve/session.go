@@ -834,9 +834,20 @@ func (g *sessionRegistry) adopt(set *replicaSet, opts elsa.Options, id string, s
 }
 
 // pushState imports the session's shadow state onto worker w, returning
-// the new remote handle; the caller holds the gate.
+// the new remote handle; the caller holds the gate. A 409 means w still
+// holds an earlier copy under this ID, one it was given before the
+// session was moved off it while it was unreachable: the state under the
+// gate is the live one, so the stale copy is closed and the import
+// retried once.
 func (g *sessionRegistry) pushState(ctx context.Context, w *worker, s *session) (*client.Session, error) {
-	remote, err := w.cli.ImportSession(ctx, s.portable(s.shadow.Export(), s.shadow.Len()))
+	st := s.portable(s.shadow.Export(), s.shadow.Len())
+	remote, err := w.cli.ImportSession(ctx, st)
+	var api *client.APIError
+	if errors.As(err, &api) && api.Status == http.StatusConflict {
+		if err = w.cli.CloseSession(ctx, s.id); err == nil {
+			remote, err = w.cli.ImportSession(ctx, st)
+		}
+	}
 	if err != nil {
 		return nil, mapRemoteErr(w, err)
 	}

@@ -147,20 +147,18 @@ func (c *Client) ImportSession(ctx context.Context, st *SessionState) (*Session,
 }
 
 // Close deletes the session server-side.
-func (s *Session) Close(ctx context.Context) error {
-	_, err := s.c.delete(ctx, "/v1/sessions/"+s.id)
-	return err
-}
+func (s *Session) Close(ctx context.Context) error { return s.c.CloseSession(ctx, s.id) }
 
-// delete issues a DELETE with no body or retry (deletion is idempotent
-// enough that a caller can simply re-issue it).
-func (c *Client) delete(ctx context.Context, path string) (*APIError, error) {
-	apiErr, err := c.once(ctx, "DELETE", path, nil, nil)
+// CloseSession deletes the session with the given ID server-side, with no
+// retry (deletion is idempotent enough that a caller can simply re-issue
+// it).
+func (c *Client) CloseSession(ctx context.Context, id string) error {
+	apiErr, err := c.once(ctx, "DELETE", "/v1/sessions/"+id, nil, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if apiErr != nil {
-		return apiErr, apiErr
+		return apiErr
 	}
-	return nil, nil
+	return nil
 }
