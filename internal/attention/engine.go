@@ -658,42 +658,45 @@ func scaleWeights(w []float64, s float64) {
 	}
 }
 
-// addWeightedRows adds float32(w[i]·V_i[j]) to out[j] for each row i in
-// order, where V_i is vals[(rows[i]-base)·d:] and d = len(out). Per
-// element that is the sum a row-at-a-time loop computes, in the same
-// order. Where the CPU has AVX2, weightedRowsAVX2 sums the first d - d mod
-// 4 columns; the Go loops below sum the rest, or every column elsewhere.
-// They hold the sums of 8 columns at a time in registers across all rows;
-// the d mod 8 columns left over accumulate in out directly.
+// addWeightedRows adds float32(float32(w[i])·V_i[j]) to out[j] for each
+// row i in order, where V_i is vals[(rows[i]-base)·d:] and d = len(out):
+// each weight is rounded to float32 once, and the product and the sum stay
+// in float32. Per element that is the sum a row-at-a-time loop computes,
+// in the same order. Where the CPU has AVX2, weightedRowsAVX2 sums the
+// first d - d mod 8 columns; the Go loops below sum the rest, or every
+// column elsewhere. They hold the sums of 8 columns at a time in registers
+// across all rows; the d mod 8 columns left over accumulate in out
+// directly. Each product is converted explicitly, so no compiler fuses it
+// into the sum and every architecture gets the kernel's bits.
 func addWeightedRows(out []float32, w []float64, vals []float32, rows []int, base int) {
 	d := len(out)
 	w = w[:len(rows)]
 	j := 0
-	if tensor.HasAVX2 && d >= 4 && len(rows) > 0 {
+	if tensor.HasAVX2 && d >= 8 && len(rows) > 0 {
 		nv := len(vals) / d
 		for _, y := range rows {
 			if uint(y-base) >= uint(nv) {
 				panic(fmt.Sprintf("attention: value row %d outside %d rows from %d", y, nv, base))
 			}
 		}
-		j = d &^ 3
+		j = d &^ 7
 		weightedRowsAVX2(&out[0], j, &w[0], &vals[0], &rows[0], len(rows), base, d)
 	}
 	for ; j+8 <= d; j += 8 {
 		o := out[j : j+8]
 		s0, s1, s2, s3, s4, s5, s6, s7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
 		for i, y := range rows {
-			wy := w[i]
+			wy := float32(w[i])
 			off := (y-base)*d + j
 			v := vals[off : off+8]
-			s0 += float32(wy * float64(v[0]))
-			s1 += float32(wy * float64(v[1]))
-			s2 += float32(wy * float64(v[2]))
-			s3 += float32(wy * float64(v[3]))
-			s4 += float32(wy * float64(v[4]))
-			s5 += float32(wy * float64(v[5]))
-			s6 += float32(wy * float64(v[6]))
-			s7 += float32(wy * float64(v[7]))
+			s0 += float32(wy * v[0])
+			s1 += float32(wy * v[1])
+			s2 += float32(wy * v[2])
+			s3 += float32(wy * v[3])
+			s4 += float32(wy * v[4])
+			s5 += float32(wy * v[5])
+			s6 += float32(wy * v[6])
+			s7 += float32(wy * v[7])
 		}
 		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
@@ -702,10 +705,10 @@ func addWeightedRows(out []float32, w []float64, vals []float32, rows []int, bas
 	}
 	o := out[j:]
 	for i, y := range rows {
-		wy := w[i]
+		wy := float32(w[i])
 		off := (y-base)*d + j
 		for k, x := range vals[off : off+len(o)] {
-			o[k] += float32(wy * float64(x))
+			o[k] += float32(wy * x)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package attention
 
 // weightedRowsAVX2 is addWeightedRows' AVX2 kernel for the first cols
-// columns, cols a multiple of 4; n >= 1 and d is the row length. Each
-// value goes VCVTPS2PD, VMULPD by the broadcast weight, VCVTPD2PS and
-// VADDPS into its column's float32 sum: the three roundings of
-// s += float32(wy*float64(v)), rows in order.
+// columns, cols a multiple of 8; n >= 1 and d is the row length. Each
+// row's weight is rounded to float32 once (VCVTSD2SS) and broadcast; each
+// value then goes VMULPS by it and VADDPS into its column's float32 sum:
+// s += float32(float32(w)·v), rows in order, with no conversion per value.
 //
 //go:noescape
 func weightedRowsAVX2(out *float32, cols int, w *float64, vals *float32, rows *int, n int, base int, d int)

@@ -1,19 +1,20 @@
 #include "textflag.h"
 
 // The two accumulate kernels, weightedRowsAVX2 and scanTileAVX2, hold a
-// block of columns in registers across every row: 32 columns in eight
-// registers, then 4 columns in one. A column's sum sees the rows in
-// order, so each register lane runs the scalar loop's operations for its
-// own column and no instruction mixes two lanes.
+// block of columns in registers across every row, eight registers wide:
+// 64 float32 columns (weightedRowsAVX2) or 32 float64 columns
+// (scanTileAVX2), then one register of 8 or 4 columns at a time. A
+// column's sum sees the rows in order, so each register lane runs the
+// scalar loop's operations for its own column and no instruction mixes
+// two lanes.
 // R10 points at the current row's first column of the block; Y8 holds
 // the row's weight in every lane.
 
-// WACC adds float32(w·float64(v)) for the 4 values at off(R10) into acc.
-#define WACC(off, acc, ty, tx) \
-	VCVTPS2PD  off(R10), ty; \
-	VMULPD     Y8, ty, ty; \
-	VCVTPD2PSY ty, tx; \
-	VADDPS     tx, acc, acc
+// WACC adds float32(w·v) for the 8 values at off(R10) into acc: one
+// VMULPS by the float32 weight, then VADDPS, never FMA.
+#define WACC(off, acc, t) \
+	VMULPS off(R10), Y8, t; \
+	VADDPS t, acc, acc
 
 // SACC adds w·float64(v) for the 4 values at off(R10) into acc: VMULPD
 // then VADDPD, never FMA.
@@ -23,9 +24,10 @@
 	VADDPD    t, acc, acc
 
 // WROW points R10 at row rows[BX] of vals (R9), minus base (R13), at the
-// block's column byte offset R12, and broadcasts w[BX] into Y8.
+// block's column byte offset R12, and broadcasts float32(w[BX]) into Y8.
 #define WROW \
-	VBROADCASTSD (R8)(BX*8), Y8; \
+	VCVTSD2SS    (R8)(BX*8), X8, X8; \
+	VBROADCASTSS X8, Y8; \
 	MOVQ         (SI)(BX*8), R10; \
 	SUBQ         R13, R10; \
 	IMULQ        DX, R10; \
@@ -47,59 +49,59 @@ TEXT ·weightedRowsAVX2(SB), NOSPLIT, $0-64
 	XORQ R12, R12
 
 wide:
-	LEAQ    128(R12), AX
+	LEAQ    256(R12), AX
 	CMPQ    AX, R11
 	JGT     narrow
-	VMOVUPS 0(DI)(R12*1), X0
-	VMOVUPS 16(DI)(R12*1), X1
-	VMOVUPS 32(DI)(R12*1), X2
-	VMOVUPS 48(DI)(R12*1), X3
-	VMOVUPS 64(DI)(R12*1), X4
-	VMOVUPS 80(DI)(R12*1), X5
-	VMOVUPS 96(DI)(R12*1), X6
-	VMOVUPS 112(DI)(R12*1), X7
+	VMOVUPS 0(DI)(R12*1), Y0
+	VMOVUPS 32(DI)(R12*1), Y1
+	VMOVUPS 64(DI)(R12*1), Y2
+	VMOVUPS 96(DI)(R12*1), Y3
+	VMOVUPS 128(DI)(R12*1), Y4
+	VMOVUPS 160(DI)(R12*1), Y5
+	VMOVUPS 192(DI)(R12*1), Y6
+	VMOVUPS 224(DI)(R12*1), Y7
 	XORQ    BX, BX
 
 widerow:
 	WROW
-	WACC(0, X0, Y9, X9)
-	WACC(16, X1, Y10, X10)
-	WACC(32, X2, Y11, X11)
-	WACC(48, X3, Y12, X12)
-	WACC(64, X4, Y9, X9)
-	WACC(80, X5, Y10, X10)
-	WACC(96, X6, Y11, X11)
-	WACC(112, X7, Y12, X12)
+	WACC(0, Y0, Y9)
+	WACC(32, Y1, Y10)
+	WACC(64, Y2, Y11)
+	WACC(96, Y3, Y12)
+	WACC(128, Y4, Y9)
+	WACC(160, Y5, Y10)
+	WACC(192, Y6, Y11)
+	WACC(224, Y7, Y12)
 	INCQ BX
 	CMPQ BX, CX
 	JLT  widerow
 
-	VMOVUPS X0, 0(DI)(R12*1)
-	VMOVUPS X1, 16(DI)(R12*1)
-	VMOVUPS X2, 32(DI)(R12*1)
-	VMOVUPS X3, 48(DI)(R12*1)
-	VMOVUPS X4, 64(DI)(R12*1)
-	VMOVUPS X5, 80(DI)(R12*1)
-	VMOVUPS X6, 96(DI)(R12*1)
-	VMOVUPS X7, 112(DI)(R12*1)
+	VMOVUPS Y0, 0(DI)(R12*1)
+	VMOVUPS Y1, 32(DI)(R12*1)
+	VMOVUPS Y2, 64(DI)(R12*1)
+	VMOVUPS Y3, 96(DI)(R12*1)
+	VMOVUPS Y4, 128(DI)(R12*1)
+	VMOVUPS Y5, 160(DI)(R12*1)
+	VMOVUPS Y6, 192(DI)(R12*1)
+	VMOVUPS Y7, 224(DI)(R12*1)
 	MOVQ    AX, R12
 	JMP     wide
 
 narrow:
-	LEAQ    16(R12), AX
+	LEAQ    32(R12), AX
 	CMPQ    AX, R11
 	JGT     wdone
-	VMOVUPS (DI)(R12*1), X0
+	VMOVUPS (DI)(R12*1), Y0
 	XORQ    BX, BX
 
 narrowrow:
 	WROW
-	WACC(0, X0, Y9, X9)
+	WACC(0, Y0, Y9)
 	INCQ BX
 	CMPQ BX, CX
 	JLT  narrowrow
 
-	VMOVUPS X0, (DI)(R12*1)
+	VMOVUPS Y0, (DI)(R12*1)
 	MOVQ    AX, R12
 	JMP     narrow
 

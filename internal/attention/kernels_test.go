@@ -12,9 +12,10 @@ import (
 )
 
 // refWeightedSumFloat is the row-at-a-time float softmax·V loop the
-// blocked weightedSum kernel replaced: every candidate's value row is
-// added into out element by element. The blocked kernel must match it bit
-// for bit.
+// blocked weightedSum kernel replaced: each candidate's weight is rounded
+// to float32 once, and its value row is added into out element by element
+// as o += float32(float32(w)·v), candidates ascending. The blocked kernel
+// must match it bit for bit.
 func refWeightedSumFloat(out []float32, cand []int, scores []float64, p *Preprocessed, ws *Workspace) {
 	for j := range out {
 		out[j] = 0
@@ -33,10 +34,10 @@ func refWeightedSumFloat(out []float32, cand []int, scores []float64, p *Preproc
 	}
 	inv := 1 / sumexp
 	for ci, y := range cand {
-		wy := w[ci] * inv
+		wy := float32(w[ci] * inv)
 		vrow := p.valueRow(y, ws)
 		for j := range out {
-			out[j] += float32(wy * float64(vrow[j]))
+			out[j] += float32(wy * vrow[j])
 		}
 	}
 }
@@ -130,17 +131,28 @@ func kernelStream(t *testing.T, e *Engine, rng *rand.Rand, q []float32, n, water
 	return st
 }
 
+// kernelDims are the head dimensions the kernel tests run: every one
+// from 1 to 96, so every column remainder mod 8 below and above one
+// 64-column block, then 100 (a block, four 8-column steps and a 4-column
+// tail), 127 and 136 (two blocks and one step).
+func kernelDims() []int {
+	var dims []int
+	for d := 1; d <= 96; d++ {
+		dims = append(dims, d)
+	}
+	return append(dims, 100, 127, 136)
+}
+
 // TestKernelsMatchReference pins the blocked softmax·V kernel and the
 // tiled linear scan to the row-at-a-time loops they replaced, bit for
-// bit, for every head dimension from 1 to 96 (so every column remainder
-// mod 8), over resident streams and ones with a one-token and a
+// bit, for every head dimension kernelDims lists, over resident streams and ones with a one-token and a
 // mid-sequence cold prefix, with random and strictly ascending logits,
 // and with candidate lists from a single key (the filter's fallback) to
 // every key.
 func TestKernelsMatchReference(t *testing.T) {
 	const n = 75 // two full 32-key tiles and a partial one
 	rng := rand.New(rand.NewSource(41))
-	for d := 1; d <= 96; d++ {
+	for _, d := range kernelDims() {
 		e := newTestEngine(t, Config{D: d, Seed: int64(d), BiasSamples: 32})
 		ws := NewWorkspace(e)
 		out, want := make([]float32, d), make([]float32, d)
@@ -471,8 +483,8 @@ func checkScoreKernels(t *testing.T, e *Engine, p *Preprocessed, q []float32, ca
 	}
 }
 
-// TestScoreKernelsMatchGeneric runs every head dimension from 1 to 96
-// (every remainder mod 4 and mod 32) over resident streams and ones with
+// TestScoreKernelsMatchGeneric runs every head dimension kernelDims
+// lists (every remainder mod 4, mod 8 and mod 32) over resident streams and ones with
 // a one-token and a mid-sequence cold prefix, with planted signed zeros,
 // subnormals and overflowing products, and candidate lists of no key, one
 // key, a count that is not a multiple of 4, and every key.
@@ -486,7 +498,7 @@ func TestScoreKernelsMatchGeneric(t *testing.T) {
 	for y := range all {
 		all[y] = y
 	}
-	for d := 1; d <= 96; d++ {
+	for _, d := range kernelDims() {
 		e := newTestEngine(t, Config{D: d, Seed: int64(d), BiasSamples: 32})
 		for _, watermark := range []int{0, 1, n / 4} {
 			p := plantedStream(t, e, rng, n, watermark).snapshot()
@@ -503,15 +515,16 @@ func TestScoreKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
-// FuzzScoreKernels draws the head dimension, key count, cold watermark
-// and candidate density from the input, and lets its bytes overwrite keys,
+// FuzzScoreKernels draws the head dimension (1 to 136: up to two
+// 64-column blocks, and every tail), key count, cold watermark and
+// candidate density from the input, and lets its bytes overwrite keys,
 // values and the query with arbitrary finite float32 bit patterns.
 func FuzzScoreKernels(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(40), uint8(0), uint8(128), []byte{})
 	f.Add(int64(2), uint8(63), uint8(9), uint8(1), uint8(255), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
 	f.Add(int64(3), uint8(20), uint8(70), uint8(2), uint8(30), []byte{0xff, 0xff, 0x7f, 0x7f})
 	f.Fuzz(func(t *testing.T, seed int64, dRaw, nRaw, wmRaw, fracRaw uint8, bits []byte) {
-		d := int(dRaw)%96 + 1
+		d := int(dRaw)%136 + 1
 		n := int(nRaw)%80 + 1
 		watermark := []int{0, 1, n / 3}[int(wmRaw)%3]
 		rng := rand.New(rand.NewSource(seed))
