@@ -2,6 +2,7 @@ package attention
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -304,6 +305,78 @@ func FuzzExactThresholdMatchesLinearScan(f *testing.F) {
 		}
 		assertWithinBound(t, res.Output, scan.Output, v)
 	})
+}
+
+// TestExactThresholdMatchesLinearScanAtScale holds the float32 softmax·V
+// sum to the linear-scan oracle's float64 one at lengths the fuzz suite
+// does not reach: n = 512, 2048 and 4096 keys, d = 64 (whole 64-column
+// blocks) and 68 (a block and a 4-column tail). Each case runs AttendWith
+// at ExactThresholdNoApprox and a resident stream's QueryWith at the same
+// threshold, and both must stay within WithinLinearScanBound of
+// ExactLinearScan. The value rows are normal draws, draws scaled to 1e30
+// (large |V|), 1000 plus a normal draw (every float32 partial sum grows
+// in one direction, where rounding drift adds up), and rows of ±1000
+// alternating by key plus a normal draw, whose weighted sum nearly
+// cancels.
+func TestExactThresholdMatchesLinearScanAtScale(t *testing.T) {
+	const nq = 4
+	families := []struct {
+		name  string
+		value func(rng *rand.Rand, y int) float32
+	}{
+		{"normal", func(rng *rand.Rand, y int) float32 { return float32(rng.NormFloat64()) }},
+		{"large", func(rng *rand.Rand, y int) float32 { return float32(rng.NormFloat64() * 1e30) }},
+		{"offset", func(rng *rand.Rand, y int) float32 { return float32(1000 + rng.NormFloat64()) }},
+		{"cancelling", func(rng *rand.Rand, y int) float32 {
+			return float32(float64(1-2*(y%2))*1000 + rng.NormFloat64())
+		}},
+	}
+	for _, d := range []int{64, 68} {
+		e := newTestEngine(t, Config{D: d, Seed: int64(d), BiasSamples: 32})
+		ws := NewWorkspace(e)
+		for _, n := range []int{512, 2048, 4096} {
+			for fi, fam := range families {
+				rng := rand.New(rand.NewSource(int64(n*d + fi)))
+				q := tensor.RandomNormal(rng, nq, d)
+				k := tensor.RandomNormal(rng, n, d)
+				v := tensor.New(n, d)
+				for y := 0; y < n; y++ {
+					for j := range v.Row(y) {
+						v.Row(y)[j] = fam.value(rng, y)
+					}
+				}
+				scan := ExactLinearScan(q, k, v, e.cfg.Scale)
+
+				p, err := e.Preprocess(k, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.AttendWith(ws, q, p, ExactThresholdNoApprox)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(fmt.Sprintf("d=%d/n=%d/%s/AttendWith", d, n, fam.name), func(t *testing.T) {
+					assertWithinBound(t, res.Output, scan, v)
+				})
+
+				st := e.NewStream(n)
+				for y := 0; y < n; y++ {
+					if err := st.Append(k.Row(y), v.Row(y)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				out := tensor.New(nq, d)
+				for i := 0; i < nq; i++ {
+					if _, _, err := st.QueryWith(out.Row(i), q.Row(i), ExactThresholdNoApprox); err != nil {
+						t.Fatal(err)
+					}
+				}
+				t.Run(fmt.Sprintf("d=%d/n=%d/%s/QueryWith", d, n, fam.name), func(t *testing.T) {
+					assertWithinBound(t, out, scan, v)
+				})
+			}
+		}
+	}
 }
 
 // TestExactThresholdZeroAlloc pins the exact scores backend's steady

@@ -28,14 +28,14 @@ import (
 // Differential bound between the two exact backends. Logits are computed
 // bit-identically (same blocked float32 dot product, same float32 scale
 // multiply), so divergence comes only from arithmetic order: the scores
-// path rounds each softmax weight to float32 and accumulates the weighted
-// sum in float32, while the linear scan keeps weights and accumulator in
-// float64 until the final store. Both are within ~n·2⁻²⁴ of the true
-// value, so their distance is bounded by twice that. Elements are
-// compared in float32 ULPs with an absolute floor proportional to the
-// value magnitudes in play, because a convex combination of values can
-// land arbitrarily close to zero (catastrophic cancellation) where a pure
-// ULP distance is unbounded.
+// path rounds each softmax weight to float32, multiplies and accumulates
+// the weighted sum in float32, while the linear scan keeps weights and
+// accumulator in float64 until the final store. Both are within ~n·2⁻²⁴
+// of the true value, so their distance is bounded by twice that.
+// Elements are compared in float32 ULPs with an absolute floor
+// proportional to the value magnitudes in play, because a convex
+// combination of values can land arbitrarily close to zero (catastrophic
+// cancellation) where a pure ULP distance is unbounded.
 const (
 	// LinearScanULPBound is the pinned maximum float32 ULP distance
 	// between ExactLinearScan and ExactWithScores outputs, for elements

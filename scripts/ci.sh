@@ -133,6 +133,13 @@ echo "== fuzz smoke: score kernels =="
 # loops match tensor.Dot and the row-wise references bit for bit.
 go test -run '^$' -fuzz '^FuzzScoreKernels$' -fuzztime 10s ./internal/attention/
 
+echo "== fuzz smoke: exact threshold against the linear scan =="
+# The two exact oracles against each other: AttendWith at the exact
+# threshold (the float32 softmax·V sum) and AttendLinearScanWith (the
+# float64 online-softmax accumulate), over degenerate softmax regimes,
+# all-zero keys and a single non-zero key, within WithinLinearScanBound.
+go test -run '^$' -fuzz '^FuzzExactThresholdMatchesLinearScan$' -fuzztime 10s ./internal/attention/
+
 echo "== fuzz smoke: stream state import =="
 # Arbitrary session blobs (seeded with float and Quantized exports, hot
 # and cold, and their truncations) through ImportStream: never a panic,
