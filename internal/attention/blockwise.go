@@ -3,142 +3,88 @@ package attention
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"elsa/internal/srp"
 	"elsa/internal/tensor"
 )
 
 // BlockwiseAttend runs approximate attention over a sequence longer than
 // one hardware invocation can hold by decomposing the keys/values into
-// blocks of at most blockSize rows, filtering and computing per block, and
-// merging the per-block partial softmax results exactly with log-sum-exp
-// renormalization.
+// blocks of at most blockSize rows. Each block filters its keys as one
+// ordinary invocation would, against a cut from its own key-norm maximum,
+// and a query's output is the softmax over the union of every block's
+// candidates.
 //
 // §V-E notes ELSA composes with the long-sequence decompositions of
 // Longformer/Blockwise/BigBird, which reduce a very large attention to a
-// sequence of conventional-sized ones; this function is that composition:
-// the result equals running ELSA once over the union of the per-block
-// candidate sets, so with the filter disabled it is exactly full-length
-// attention.
+// sequence of conventional-sized ones; this function is that composition.
+// All K/V are resident, so the keys are preprocessed once and each block's
+// filter scans its window of the packed hash arena and norms; the union
+// is then scored and summed by the same kernels Attend runs. One block
+// therefore gives Attend's output bit for bit, and with the filter
+// disabled the result is exactly full-length attention. A query that no
+// block selects for falls back to the best approximate key overall.
 func (e *Engine) BlockwiseAttend(q, keys, values *tensor.Matrix, blockSize int, t float64) (*Result, error) {
 	if blockSize < 1 {
 		return nil, fmt.Errorf("attention: block size must be positive, got %d", blockSize)
 	}
-	if keys.Rows != values.Rows || keys.Cols != values.Cols {
-		return nil, fmt.Errorf("attention: blockwise key/value shape mismatch %dx%d vs %dx%d",
-			keys.Rows, keys.Cols, values.Rows, values.Cols)
+	if err := e.checkQuery(q); err != nil {
+		return nil, err
 	}
-	if q.Cols != e.cfg.D {
-		return nil, fmt.Errorf("attention: query dim %d, engine built for %d", q.Cols, e.cfg.D)
+	p, err := e.Preprocess(keys, values)
+	if err != nil {
+		return nil, err
 	}
-	n := keys.Rows
-	nq := q.Rows
-	res := &Result{
-		Output:          tensor.New(nq, e.cfg.D),
-		CandidateCounts: make([]int, nq),
-		Candidates:      make([][]int, nq),
+	if t == ExactThresholdNoApprox {
+		// Every block selects all its keys, so the union is every key.
+		return e.Attend(q, p, t)
 	}
-	// Per-query running log-sum-exp merge state.
-	maxScore := make([]float64, nq)
-	sumExp := make([]float64, nq)
-	acc := tensor.New(nq, e.cfg.D)
-	for i := range maxScore {
-		maxScore[i] = math.Inf(-1)
+	// Each block's window of the hash arena and norms, with the norm
+	// maximum an invocation over that block alone would compute.
+	n, packed := p.Packed.N, p.Packed
+	var blocks []Preprocessed
+	for lo := 0; lo < n; lo += blockSize {
+		hi := min(lo+blockSize, n)
+		blocks = append(blocks, Preprocessed{
+			Packed:  &srp.PackedHashes{K: packed.K, W: packed.W, N: hi - lo, Words: packed.Words[lo*packed.W : hi*packed.W]},
+			Norms:   p.Norms[lo:hi],
+			MaxNorm: slices.Max(p.Norms[lo:hi]),
+		})
 	}
 
 	ws := e.getWorkspace()
 	defer e.putWorkspace(ws)
-	for lo := 0; lo < n; lo += blockSize {
-		hi := lo + blockSize
-		if hi > n {
-			hi = n
-		}
-		kb := &tensor.Matrix{Rows: hi - lo, Cols: keys.Cols, Data: keys.Data[lo*keys.Cols : hi*keys.Cols]}
-		vb := &tensor.Matrix{Rows: hi - lo, Cols: values.Cols, Data: values.Data[lo*values.Cols : hi*values.Cols]}
-		pre, err := e.Preprocess(kb, vb)
-		if err != nil {
-			return nil, err
-		}
-		for qi := 0; qi < nq; qi++ {
-			qrow := q.Row(qi)
-			e.HashVectorInto(ws.hashWords, qrow, ws)
-			scratch, _ := e.selectKeys(ws.hashWords, pre, pre.Packed.N, t*pre.MaxNorm, ws.cand[:0])
-			ws.cand = scratch
-			if len(scratch) == 0 {
-				// A block contributing nothing is fine as long as some
-				// block contributes; track the best key as a last-resort
-				// fallback only when every block comes up empty (handled
-				// after the loop via sumExp == 0).
-				continue
-			}
-			res.CandidateCounts[qi] += len(scratch)
-			res.TotalCandidates += len(scratch)
-			for _, y := range scratch {
-				res.Candidates[qi] = append(res.Candidates[qi], lo+y)
-			}
-			mergeBlock(e, ws, qrow, scratch, pre, acc.Row(qi), &maxScore[qi], &sumExp[qi])
-		}
+	qm := ws.stageQuery(e, q)
+	res := &Result{
+		Output:          tensor.New(q.Rows, e.cfg.D),
+		CandidateCounts: make([]int, q.Rows),
 	}
-	// Normalize; queries no block selected fall back to the single best
-	// approximate key over the whole sequence.
-	full, err := e.Preprocess(keys, values)
-	if err != nil {
-		return nil, err
-	}
-	for qi := 0; qi < nq; qi++ {
-		if sumExp[qi] == 0 {
+	var flat []int
+	for i := 0; i < qm.Rows; i++ {
+		qrow := qm.Row(i)
+		e.HashVectorInto(ws.hashWords, qrow, ws)
+		ws.cand = ws.cand[:0]
+		for b := range blocks {
+			win, from := &blocks[b], len(ws.cand)
+			ws.cand, _ = e.selectKeys(ws.hashWords, win, win.Packed.N, t*win.MaxNorm, ws.cand)
+			for c := from; c < len(ws.cand); c++ {
+				ws.cand[c] += b * blockSize
+			}
+		}
+		if len(ws.cand) == 0 {
 			res.FallbackQueries++
-			e.HashVectorInto(ws.hashWords, q.Row(qi), ws)
 			// Nothing exceeds an infinite cut; the scan still finds the
 			// best key.
-			_, best := e.selectKeys(ws.hashWords, full, full.Packed.N, math.Inf(1), ws.cand[:0])
-			copy(res.Output.Row(qi), values.Row(best))
-			res.Candidates[qi] = append(res.Candidates[qi], best)
-			res.CandidateCounts[qi] = 1
-			res.TotalCandidates++
-			continue
+			_, best := e.selectKeys(ws.hashWords, p, n, math.Inf(1), ws.cand)
+			ws.cand = append(ws.cand, best)
 		}
-		inv := 1 / sumExp[qi]
-		out := res.Output.Row(qi)
-		for j, v := range acc.Row(qi) {
-			out[j] = float32(float64(v) * inv)
-		}
+		res.CandidateCounts[i] = len(ws.cand)
+		res.TotalCandidates += len(ws.cand)
+		flat = append(flat, ws.cand...)
+		e.scoreCandidates(ws, qrow, p)
+		e.weightedSum(res.Output.Row(i), ws.cand, ws.scores, p, ws)
 	}
+	res.Candidates = candidateViews(nil, res.CandidateCounts, flat)
 	return res, nil
-}
-
-// mergeBlock folds one block's candidates into the query's running
-// log-sum-exp state: on a new maximum, previously accumulated sums are
-// rescaled by e^{oldMax-newMax}.
-func mergeBlock(e *Engine, ws *Workspace, qrow []float32, cand []int, pre *Preprocessed, acc []float32, maxScore, sumExp *float64) {
-	// Block-local scores, staged in the workspace.
-	if cap(ws.scores) < len(cand) {
-		ws.scores = make([]float64, len(cand))
-	}
-	scores := ws.scores[:len(cand)]
-	blockMax := math.Inf(-1)
-	for ci, y := range cand {
-		scores[ci] = float64(tensor.Dot(qrow, pre.Keys.Row(y))) * e.cfg.Scale
-		if scores[ci] > blockMax {
-			blockMax = scores[ci]
-		}
-	}
-	if blockMax > *maxScore {
-		// Rescale previous accumulation into the new reference frame.
-		if *sumExp > 0 {
-			scale := math.Exp(*maxScore - blockMax)
-			*sumExp *= scale
-			for j := range acc {
-				acc[j] = float32(float64(acc[j]) * scale)
-			}
-		}
-		*maxScore = blockMax
-	}
-	for ci, y := range cand {
-		w := math.Exp(scores[ci] - *maxScore)
-		*sumExp += w
-		vrow := pre.Values.Row(y)
-		for j := range acc {
-			acc[j] += float32(w * float64(vrow[j]))
-		}
-	}
 }

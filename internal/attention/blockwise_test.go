@@ -3,6 +3,7 @@ package attention
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,34 +31,54 @@ func TestBlockwiseNoApproxEqualsExact(t *testing.T) {
 	}
 }
 
-func TestBlockwiseSingleBlockEqualsAttend(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	e := newTestEngine(t, Config{D: 16, Seed: 2})
-	q, k, v, _ := clustered(rng, 12, 30, 16, 1.5)
-	pre, err := e.Preprocess(k, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const thr = 0.15
-	direct, err := e.Attend(q, pre, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, err := e.BlockwiseAttend(q, k, v, 30, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same single block, same candidates: outputs match except for
-	// fallback queries (Attend falls back per call; blockwise after all
-	// blocks).
-	for i := 0; i < q.Rows; i++ {
-		if direct.CandidateCounts[i] == 0 {
-			continue
+// assertSameResult fails unless got and want agree bit for bit in every
+// output element, candidate list and tally.
+func assertSameResult(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	for i := 0; i < want.Output.Rows; i++ {
+		assertBitsEqual(t, what, got.Output.Row(i), want.Output.Row(i))
+		if !slices.Equal(got.Candidates[i], want.Candidates[i]) {
+			t.Fatalf("%s: query %d candidates %v, want %v", what, i, got.Candidates[i], want.Candidates[i])
 		}
-		for j := range direct.Output.Row(i) {
-			if math.Abs(float64(direct.Output.At(i, j)-block.Output.At(i, j))) > 1e-5 {
-				t.Fatalf("query %d diverges between Attend and single-block BlockwiseAttend", i)
+	}
+	if !slices.Equal(got.CandidateCounts, want.CandidateCounts) ||
+		got.TotalCandidates != want.TotalCandidates || got.FallbackQueries != want.FallbackQueries {
+		t.Fatalf("%s: tallies differ: got %d candidates, %d fallbacks; want %d, %d", what,
+			got.TotalCandidates, got.FallbackQueries, want.TotalCandidates, want.FallbackQueries)
+	}
+}
+
+// One block is one ordinary invocation: in float and Quantized mode, at a
+// selective threshold, at one no key passes (every query falls back) and
+// at the exact threshold, the output is Attend's bit for bit.
+func TestBlockwiseSingleBlockEqualsAttend(t *testing.T) {
+	for _, quantized := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(2))
+		e := newTestEngine(t, Config{D: 16, Seed: 2, Quantized: quantized})
+		q, k, v, _ := clustered(rng, 12, 30, 16, 1.5)
+		// Unclustered queries select fewer keys, so some fall back at 0.15.
+		q = &tensor.Matrix{Rows: 18, Cols: 16, Data: append(q.Data, tensor.RandomNormal(rng, 6, 16).Data...)}
+		pre, err := e.Preprocess(k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawFallback := false
+		for _, thr := range []float64{0.15, 0.6, 10, ExactThresholdNoApprox} {
+			direct, err := e.Attend(q, pre, thr)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, bs := range []int{30, 31, 1 << 20} {
+				block, err := e.BlockwiseAttend(q, k, v, bs, thr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, "single block", block, direct)
+			}
+			sawFallback = sawFallback || direct.FallbackQueries > 0
+		}
+		if !sawFallback {
+			t.Fatal("no threshold made a query fall back")
 		}
 	}
 }
@@ -74,6 +95,13 @@ func TestBlockwiseValidation(t *testing.T) {
 	}
 	if _, err := e.BlockwiseAttend(tensor.New(2, 8), k, k.Clone(), 4, 0); err == nil {
 		t.Error("wrong query dim should error")
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		qb := q.Clone()
+		qb.Set(1, 3, bad)
+		if _, err := e.BlockwiseAttend(qb, k, k.Clone(), 4, 0.1); err == nil {
+			t.Errorf("query holding %v should error", bad)
+		}
 	}
 }
 
@@ -103,8 +131,8 @@ func TestBlockwiseFallbackWhenNothingSelected(t *testing.T) {
 	}
 }
 
-// Property: the blockwise merge is block-size invariant — any partition of
-// the keys yields the same output with filtering disabled.
+// Property: with filtering disabled the output does not depend on the
+// partition of the keys, bit for bit.
 func TestBlockwiseBlockSizeInvariance(t *testing.T) {
 	e := newTestEngine(t, Config{D: 16, Seed: 5})
 	f := func(seed int64, bsRaw uint8) bool {
@@ -122,33 +150,96 @@ func TestBlockwiseBlockSizeInvariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tensor.MaxAbsDiff(a.Output, b.Output) < 1e-4
+		for i, x := range a.Output.Data {
+			if math.Float32bits(x) != math.Float32bits(b.Output.Data[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Candidate indices from blockwise runs must be globally indexed and
-// within range.
+// At the exact threshold every key is a candidate, even when every key is
+// zero and so no approximate similarity exceeds any cut.
+func TestBlockwiseExactAttendsZeroKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	e := newTestEngine(t, Config{D: 16, Seed: 7})
+	q := tensor.RandomNormal(rng, 4, 16)
+	k := tensor.New(12, 16)
+	v := tensor.RandomNormal(rng, 12, 16)
+	want := Exact(q, k, v, e.Config().Scale)
+	for _, bs := range []int{1, 5, 12} {
+		res, err := e.BlockwiseAttend(q, k, v, bs, ExactThresholdNoApprox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalCandidates != 4*12 || res.FallbackQueries != 0 {
+			t.Fatalf("block size %d: %d candidates, %d fallbacks; want every key, none",
+				bs, res.TotalCandidates, res.FallbackQueries)
+		}
+		if d := tensor.MaxAbsDiff(want, res.Output); d > 1e-5 {
+			t.Errorf("block size %d: diverges from the value mean by %g", bs, d)
+		}
+	}
+}
+
+// Each block filters its window as one ordinary invocation over that
+// block alone would, and the output is the softmax over the union of the
+// blocks' candidates, globally indexed and ascending.
 func TestBlockwiseCandidateIndexing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e := newTestEngine(t, Config{D: 16, Seed: 6})
 	q, k, v, _ := clustered(rng, 8, 40, 16, 1.5)
-	res, err := e.BlockwiseAttend(q, k, v, 13, 0.1)
+	const bs, thr = 13, 0.1
+	res, err := e.BlockwiseAttend(q, k, v, bs, thr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scale := e.Config().Scale
 	for qi, cand := range res.Candidates {
-		seen := map[int]bool{}
+		var want []int
+		for lo := 0; lo < 40; lo += bs {
+			hi := min(lo+bs, 40)
+			pre, err := e.Preprocess(rowsOf(k, lo, hi), rowsOf(v, lo, hi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, y := range e.SelectCandidates(e.HashVector(q.Row(qi)), pre, thr, nil) {
+				want = append(want, lo+y)
+			}
+		}
+		if len(want) == 0 {
+			continue // a fallback query; TestBlockwiseFallbackWhenNothingSelected
+		}
+		if !slices.Equal(cand, want) {
+			t.Fatalf("query %d: candidates %v, want the per-block union %v", qi, cand, want)
+		}
+		// Reference softmax over the union, in float64.
+		maxs := math.Inf(-1)
 		for _, y := range cand {
-			if y < 0 || y >= 40 {
-				t.Fatalf("query %d: candidate %d out of range", qi, y)
+			maxs = max(maxs, float64(tensor.Dot(q.Row(qi), k.Row(y)))*scale)
+		}
+		ref := make([]float64, 16)
+		sum := 0.0
+		for _, y := range cand {
+			w := math.Exp(float64(tensor.Dot(q.Row(qi), k.Row(y)))*scale - maxs)
+			sum += w
+			for j, x := range v.Row(y) {
+				ref[j] += w * float64(x)
 			}
-			if seen[y] {
-				t.Fatalf("query %d: duplicate candidate %d", qi, y)
+		}
+		for j, got := range res.Output.Row(qi) {
+			if d := math.Abs(float64(got) - ref[j]/sum); d > 1e-5 {
+				t.Fatalf("query %d col %d: %v, union softmax %v", qi, j, got, ref[j]/sum)
 			}
-			seen[y] = true
 		}
 	}
+}
+
+// rowsOf returns a view of rows [lo, hi) of m.
+func rowsOf(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	return &tensor.Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }

@@ -41,15 +41,12 @@ func ExactCausal(q, k, v *tensor.Matrix, scale float64) *tensor.Matrix {
 // compared against the running prefix maximum key norm, matching the
 // norm-computation module's state after ingesting i+1 keys.
 func (e *Engine) AttendCausal(q *tensor.Matrix, p *Preprocessed, t float64) (*Result, error) {
-	if q.Cols != e.cfg.D {
-		return nil, fmt.Errorf("attention: query dim %d, engine built for %d", q.Cols, e.cfg.D)
+	if err := e.checkQuery(q); err != nil {
+		return nil, err
 	}
 	if q.Rows != p.N() {
 		return nil, fmt.Errorf("attention: causal attention needs one query per key (%d vs %d)",
 			q.Rows, p.N())
-	}
-	if err := validateFinite("query matrix", q); err != nil {
-		return nil, err
 	}
 	ws := e.getWorkspace()
 	qm := ws.stageQuery(e, q)

@@ -501,8 +501,8 @@ func (e *Engine) checkQuery(q *tensor.Matrix) error {
 // row i into out.Row(i) and its candidate count into counts[i]. When collect
 // is set the selected indices are appended to ws.candFlat in row order. It
 // returns the candidate total and fallback count for the processed rows.
-// Attend, AttendWith and each AttendParallel worker all route through this
-// one loop, so their outputs are bit-identical by construction.
+// Attend and AttendWith both route through this one loop, so their
+// outputs are bit-identical by construction.
 //
 // At t = ExactThresholdNoApprox every query's candidates are all keys
 // 0..n-1, so the query is not hashed and the filter does not run; p may

@@ -254,10 +254,14 @@ func TestExactThresholdZeroNormKeys(t *testing.T) {
 // FuzzExactThresholdMatchesLinearScan is the engine-level differential
 // suite between the two exact backends as callers reach them: AttendWith
 // at ExactThresholdNoApprox over Preprocess output against
-// AttendLinearScanWith over PreprocessExact output. Beyond the free-
-// function generators of FuzzLinearScanMatchesScores it adds all-zero
-// keys (mode 5) and a single non-zero key (mode 6), the inputs where the
-// filter's zero-norm cut used to drop every key.
+// AttendLinearScanWith over PreprocessExact output, within
+// WithinLinearScanBound. AttendWith, AttendCausal and a resident
+// stream's QueryWith, all at the exact threshold, must also stay within
+// the worst-case error budget (n+2)·u·S_j + 2u·|o_j| of ExactLinearScan
+// (assertRowWithinBudget). Beyond the free-function generators of
+// FuzzLinearScanMatchesScores it adds all-zero keys (mode 5) and a single
+// non-zero key (mode 6), the inputs where the filter's zero-norm cut used
+// to drop every key.
 func FuzzExactThresholdMatchesLinearScan(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(4), uint8(16), uint8(8))
 	f.Add(uint8(4), int64(2), uint8(2), uint8(40), uint8(7))
@@ -265,6 +269,9 @@ func FuzzExactThresholdMatchesLinearScan(f *testing.F) {
 	f.Add(uint8(5), int64(4), uint8(1), uint8(1), uint8(1))
 	f.Add(uint8(6), int64(5), uint8(3), uint8(9), uint8(16))
 	f.Add(uint8(6), int64(6), uint8(2), uint8(1), uint8(5))
+	// Logits near −200, where the two backends' logits differ by the
+	// linear scan's float32 rounding of dot·scale.
+	f.Add(uint8(3), int64(4), uint8(1), uint8(84), uint8(82))
 	f.Fuzz(func(t *testing.T, mode uint8, seed int64, nqRaw, nRaw, dRaw uint8) {
 		nq := int(nqRaw)%8 + 1
 		n := int(nRaw)%64 + 1
@@ -304,6 +311,36 @@ func FuzzExactThresholdMatchesLinearScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertWithinBound(t, res.Output, scan.Output, v)
+
+		worst := float64(n + 2)
+		oracle := ExactLinearScan(q, k, v, e.cfg.Scale)
+		st := e.NewStream(n)
+		for y := 0; y < n; y++ {
+			if err := st.Append(k.Row(y), v.Row(y)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := make([]float32, d)
+		for i := 0; i < nq; i++ {
+			assertRowWithinBudget(t, "AttendWith", res.Output.Row(i), oracle.Row(i), q.Row(i), k, v, n, e.cfg.Scale, worst)
+			if _, _, err := st.QueryWith(out, q.Row(i), ExactThresholdNoApprox); err != nil {
+				t.Fatal(err)
+			}
+			assertRowWithinBudget(t, "QueryWith", out, oracle.Row(i), q.Row(i), k, v, n, e.cfg.Scale, worst)
+		}
+		// Causal query i, the fuzzed queries in turn, attends keys 0..i.
+		qc := tensor.New(n, d)
+		for i := 0; i < n; i++ {
+			copy(qc.Row(i), q.Row(i%nq))
+		}
+		causal, err := e.AttendCausal(qc, p, ExactThresholdNoApprox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			want := ExactLinearScan(rowsOf(qc, i, i+1), rowsOf(k, 0, i+1), rowsOf(v, 0, i+1), e.cfg.Scale)
+			assertRowWithinBudget(t, "AttendCausal", causal.Output.Row(i), want.Row(0), qc.Row(i), k, v, i+1, e.cfg.Scale, float64(i+3))
+		}
 	})
 }
 
@@ -313,11 +350,16 @@ func FuzzExactThresholdMatchesLinearScan(f *testing.F) {
 // blocks) and 68 (a block and a 4-column tail). Each case runs AttendWith
 // at ExactThresholdNoApprox and a resident stream's QueryWith at the same
 // threshold, and both must stay within WithinLinearScanBound of
-// ExactLinearScan. The value rows are normal draws, draws scaled to 1e30
-// (large |V|), 1000 plus a normal draw (every float32 partial sum grows
-// in one direction, where rounding drift adds up), and rows of ±1000
-// alternating by key plus a normal draw, whose weighted sum nearly
-// cancels.
+// ExactLinearScan, and within two error budgets (assertRowWithinBudget):
+// the worst case, c = n+2, and the tighter c = 4√n. The worst element
+// uses at most 3.5% of the first and 19% of the second; a copy that
+// truncates each softmax weight to 9 mantissa bits right after
+// scaleWeights fails the √n budget in all 48 cases, by 1.8× at the
+// least, and the worst-case one in 28. The value rows are normal draws,
+// draws scaled to 1e30 (large |V|), 1000 plus a normal draw (every
+// float32 partial sum grows in one direction, where rounding drift adds
+// up), and rows of ±1000 alternating by key plus a normal draw, whose
+// weighted sum nearly cancels.
 func TestExactThresholdMatchesLinearScanAtScale(t *testing.T) {
 	const nq = 4
 	families := []struct {
@@ -357,6 +399,7 @@ func TestExactThresholdMatchesLinearScanAtScale(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("d=%d/n=%d/%s/AttendWith", d, n, fam.name), func(t *testing.T) {
 					assertWithinBound(t, res.Output, scan, v)
+					assertBudgets(t, res.Output, scan, q, k, v, e.cfg.Scale)
 				})
 
 				st := e.NewStream(n)
@@ -373,9 +416,22 @@ func TestExactThresholdMatchesLinearScanAtScale(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("d=%d/n=%d/%s/QueryWith", d, n, fam.name), func(t *testing.T) {
 					assertWithinBound(t, out, scan, v)
+					assertBudgets(t, out, scan, q, k, v, e.cfg.Scale)
 				})
 			}
 		}
+	}
+}
+
+// assertBudgets holds every row of out to the same row of the linear-scan
+// output scan within the worst-case budget (n+2)·u·S_j + 2u·|o_j| and
+// the √n budget 4√n·u·S_j + 2u·|o_j| over all n keys.
+func assertBudgets(t *testing.T, out, scan, q, k, v *tensor.Matrix, scale float64) {
+	t.Helper()
+	n := k.Rows
+	for i := 0; i < q.Rows; i++ {
+		assertRowWithinBudget(t, "worst-case budget", out.Row(i), scan.Row(i), q.Row(i), k, v, n, scale, float64(n+2))
+		assertRowWithinBudget(t, "√n budget", out.Row(i), scan.Row(i), q.Row(i), k, v, n, scale, 4*math.Sqrt(float64(n)))
 	}
 }
 

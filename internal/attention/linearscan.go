@@ -342,12 +342,3 @@ func addScanTile(acc []float64, w, r []float64, vals []float32) {
 		}
 	}
 }
-
-// LinearScanFLOPs returns the cost of the linear-scan exact operator: the
-// same n²d MACs and n² exponents as the two-pass reference (each key's
-// weight is exponentiated exactly once; max-rescales add at most n_q·n
-// more in the adversarial ascending-logit order), but with O(d) live
-// state per query instead of an n-wide score row.
-func LinearScanFLOPs(nq, n, d int) FLOPs {
-	return ExactFLOPs(nq, n, d)
-}

@@ -38,6 +38,58 @@ func assertWithinBound(t *testing.T, scores, scan *tensor.Matrix, v *tensor.Matr
 	}
 }
 
+// unitRoundoff is float32's unit roundoff u = 2⁻²⁴.
+const unitRoundoff = 0x1p-24
+
+// assertRowWithinBudget holds got, one exact-backend output row for query
+// qrow over keys and values 0..n-1, to want, the linear-scan oracle's row
+// for the same query, within an error budget per column j:
+//
+//	c·u·S_j + 2u·|o_j| + 2u·T_j
+//
+// with S_j = Σ_y w_y·|V_yj| and T_j = Σ_y w_y·(|l_y| + Σ_z w_z·|l_z|)·|V_yj|,
+// the logits l_y and softmax weights w_y taken in float64 from the
+// float32 dot products both backends share. The first term covers the
+// float32 accumulate; c = n + 2 is its first-order worst case over n
+// weighted rows, and the at-scale test also passes c = 4√n. The second
+// covers the two outputs' final roundings. The third covers the one
+// place the logits differ: the linear scan rounds dot·scale to float32,
+// moving each logit by up to 2u·|l_y|, while the scores path keeps it in
+// float64; it matters only where logits are large (near −200 in the
+// fuzz suite's mode 3).
+func assertRowWithinBudget(t *testing.T, what string, got, want, qrow []float32, k, v *tensor.Matrix, n int, scale, c float64) {
+	t.Helper()
+	logits, w := make([]float64, n), make([]float64, n)
+	m := math.Inf(-1)
+	for y := range logits {
+		logits[y] = float64(tensor.Dot(qrow, k.Row(y))) * scale
+		m = max(m, logits[y])
+	}
+	sum := 0.0
+	for y, l := range logits {
+		w[y] = math.Exp(l - m)
+		sum += w[y]
+	}
+	meanAbsLogit := 0.0
+	for y := range w {
+		w[y] /= sum
+		meanAbsLogit += w[y] * math.Abs(logits[y])
+	}
+	for j, o := range want {
+		s, tj := 0.0, 0.0
+		for y, wy := range w {
+			a := wy * math.Abs(float64(v.At(y, j)))
+			s += a
+			tj += a * (math.Abs(logits[y]) + meanAbsLogit)
+		}
+		budget := c*unitRoundoff*s + 2*unitRoundoff*math.Abs(float64(o)) + 2*unitRoundoff*tj
+		if gap := math.Abs(float64(got[j]) - float64(o)); !(gap <= budget) {
+			t.Fatalf("%s col %d: %v against linear scan %v: gap %g over budget %g (S_j=%g, T_j=%g, c=%g)",
+				what, j, got[j], o, gap, budget, s, tj, c)
+		}
+	}
+}
+
 // buildFuzzCase deterministically expands fuzz inputs into a Q/K/V
 // triple. mode selects a generator family so the corpus covers the
 // degenerate softmax regimes, not just Gaussian logits:

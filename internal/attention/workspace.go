@@ -13,7 +13,7 @@ import (
 // indices, scores, softmax weights, the quantized accumulator — plus a
 // reusable Result, so steady-state AttendWith performs zero heap
 // allocations. A Workspace is owned by one goroutine at a time; Engines keep
-// a sync.Pool of them so Attend, AttendParallel and the serving layer reuse
+// a sync.Pool of them so Attend, BlockwiseAttend and the serving layer reuse
 // warm buffers instead of re-allocating per call.
 type Workspace struct {
 	// CollectCandidates controls whether AttendWith records the per-query

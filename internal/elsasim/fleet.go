@@ -75,10 +75,9 @@ func (h accelHeap) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
-func (h accelHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *accelHeap) Push(x any)      { *h = append(*h, x.(accelState)) }
-func (h *accelHeap) Pop() any        { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h accelHeap) Peek() accelState { return h[0] }
+func (h accelHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *accelHeap) Push(x any)   { *h = append(*h, x.(accelState)) }
+func (h *accelHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // Dispatch assigns operations (given by their cycle counts, e.g.
 // Result.TotalCycles() from per-op simulations) to accelerators

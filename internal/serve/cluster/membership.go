@@ -105,8 +105,9 @@ func (t *Table) Seed(addrs []string) {
 }
 
 // Upsert records a join or heartbeat from addr and returns the member's
-// resulting state plus whether this call created (or revived) it — the
-// signal for the caller to wire up a probe loop and dispatch lane.
+// resulting state, the table version that state belongs to, and whether
+// this call created (or revived) it — the signal for the caller to wire
+// up a probe loop and dispatch lane.
 // A draining announcement is authoritative: the worker knows it is
 // shutting down before any probe does. A heartbeat without draining from
 // a gone member is a rejoin and starts over at joining, so a restarted
@@ -115,7 +116,7 @@ func (t *Table) Seed(addrs []string) {
 // incarnation differs from the one the member last carried, or it names
 // none (0). A heartbeat the same process sent before an operator drain
 // reached it therefore leaves the drain in force.
-func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draining bool, incarnation uint64) (State, bool) {
+func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draining bool, incarnation uint64) (State, uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
@@ -135,7 +136,7 @@ func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draini
 			incarnation:       incarnation,
 		}
 		t.version++
-		return state, true
+		return state, t.version, true
 	}
 	restarted := incarnation == 0 || incarnation != m.incarnation
 	if incarnation != 0 {
@@ -173,7 +174,7 @@ func (t *Table) Upsert(addr string, cap Capacity, interval time.Duration, draini
 		t.version++
 		revived = true
 	}
-	return m.State, revived
+	return m.State, t.version, revived
 }
 
 // Touch refreshes a member's liveness deadline without any state

@@ -125,11 +125,10 @@ func TestTableLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tb.now = func() time.Time { return now }
 
-	state, created := tb.Upsert("http://w1", Capacity{Weight: 1, MaxSessions: 64}, 50*time.Millisecond, false, 0)
-	if !created || state != StateJoining {
-		t.Fatalf("first Upsert = (%v, %v), want (joining, true)", state, created)
+	state, v1, created := tb.Upsert("http://w1", Capacity{Weight: 1, MaxSessions: 64}, 50*time.Millisecond, false, 0)
+	if !created || state != StateJoining || v1 != tb.Version() {
+		t.Fatalf("first Upsert = (%v, %d, %v), want (joining, %d, true)", state, v1, created, tb.Version())
 	}
-	v1 := tb.Version()
 	if _, weights := tb.ActiveWeights(); len(weights) != 0 {
 		t.Fatalf("joining member already on ring: %v", weights)
 	}
@@ -148,14 +147,14 @@ func TestTableLifecycle(t *testing.T) {
 
 	// A heartbeat refreshes without bumping version or state.
 	v2 := tb.Version()
-	state, created = tb.Upsert("http://w1", Capacity{Weight: 1}, 50*time.Millisecond, false, 0)
-	if created || state != StateActive || tb.Version() != v2 {
-		t.Fatalf("steady heartbeat = (%v, %v) version %d, want (active, false) version %d",
-			state, created, tb.Version(), v2)
+	state, v, created := tb.Upsert("http://w1", Capacity{Weight: 1}, 50*time.Millisecond, false, 0)
+	if created || state != StateActive || tb.Version() != v2 || v != v2 {
+		t.Fatalf("steady heartbeat = (%v, %d, %v) at table version %d, want (active, %d, false)",
+			state, v, created, tb.Version(), v2)
 	}
 
 	// The worker announces draining: authoritative, leaves the ring.
-	state, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true, 0)
+	state, _, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true, 0)
 	if state != StateDraining {
 		t.Fatalf("draining heartbeat state = %v, want draining", state)
 	}
@@ -164,7 +163,7 @@ func TestTableLifecycle(t *testing.T) {
 	}
 
 	// A non-draining heartbeat afterwards is a restart: back to joining.
-	state, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 0)
+	state, _, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 0)
 	if state != StateJoining || !revived {
 		t.Fatalf("post-drain heartbeat = (%v, %v), want (joining, true)", state, revived)
 	}
@@ -205,7 +204,7 @@ func TestTableSweepExpiresDynamicOnly(t *testing.T) {
 	}
 
 	// A gone member rejoining starts over at joining.
-	state, revived := tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false, 0)
+	state, _, revived := tb.Upsert("http://dyn", Capacity{Weight: 1}, 100*time.Millisecond, false, 0)
 	if state != StateJoining || !revived {
 		t.Fatalf("rejoin after gone = (%v, %v), want (joining, true)", state, revived)
 	}
@@ -279,7 +278,7 @@ func TestTableStaleHeartbeatKeepsOperatorDrain(t *testing.T) {
 	}
 	v := tb.Version()
 
-	state, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 7)
+	state, _, revived := tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 7)
 	if state != StateDraining || revived || tb.Version() != v {
 		t.Fatalf("stale heartbeat = (%v, %v) version %d, want (draining, false) version %d",
 			state, revived, tb.Version(), v)
@@ -287,11 +286,11 @@ func TestTableStaleHeartbeatKeepsOperatorDrain(t *testing.T) {
 	if _, weights := tb.ActiveWeights(); len(weights) != 0 {
 		t.Fatalf("drained member back on the ring: %v", weights)
 	}
-	if state, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true, 7); state != StateDraining {
+	if state, _, _ = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, true, 7); state != StateDraining {
 		t.Fatalf("draining heartbeat state = %v, want draining", state)
 	}
 
-	state, revived = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 8)
+	state, _, revived = tb.Upsert("http://w1", Capacity{}, 50*time.Millisecond, false, 8)
 	if state != StateJoining || !revived {
 		t.Fatalf("heartbeat of a new incarnation = (%v, %v), want (joining, true)", state, revived)
 	}

@@ -139,15 +139,17 @@ func (cv *clusterView) sweep() {
 // join processes one POST /v1/cluster/join (a registration or a
 // heartbeat): upsert the membership entry, admit the worker into the
 // fleet, and — for a brand-new worker — give every live replica set a
-// dispatch lane to it. Returns the member's state and whether this call
-// changed membership (created or revived a member).
-func (cv *clusterView) join(addr string, capacity cluster.Capacity, interval time.Duration, draining bool, incarnation uint64) (cluster.State, bool) {
-	state, changed := cv.table.Upsert(addr, capacity, interval, draining, incarnation)
+// dispatch lane to it. Returns the member's state, the table version the
+// upsert wrote it at, and whether this call changed membership (created
+// or revived a member). The version is read inside the upsert: the probe
+// launched below may change the table before the caller replies.
+func (cv *clusterView) join(addr string, capacity cluster.Capacity, interval time.Duration, draining bool, incarnation uint64) (cluster.State, uint64, bool) {
+	state, version, changed := cv.table.Upsert(addr, capacity, interval, draining, incarnation)
 	w, created := cv.fleet.add(addr)
 	if w == nil {
 		// The fleet is closed: the server is shutting down. Report the
 		// table's answer; nothing routes anymore anyway.
-		return state, changed
+		return state, version, changed
 	}
 	if created {
 		cv.pool.attachWorker(w)
@@ -167,7 +169,7 @@ func (cv *clusterView) join(addr string, capacity cluster.Capacity, interval tim
 		// activation should take one round-trip, not one probe interval.
 		go cv.fleet.probeOnce(w)
 	}
-	return state, changed
+	return state, version, changed
 }
 
 // markDraining is the operator-initiated drain of one member (POST

@@ -670,7 +670,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	addr := normalizeWorkerAddr(strings.TrimSpace(req.Addr))
 	interval := time.Duration(req.HeartbeatMS) * time.Millisecond
 	capacity := cluster.Capacity{Weight: req.Weight, MaxSessions: req.MaxSessions}
-	state, changed := s.cluster.join(addr, capacity, interval, req.Draining, req.Incarnation)
+	state, version, changed := s.cluster.join(addr, capacity, interval, req.Draining, req.Incarnation)
 	if changed {
 		s.metrics.clusterJoins.add(1)
 	} else {
@@ -680,7 +680,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.JoinResponse{
 		State:   state.String(),
 		Members: counts[cluster.StateJoining] + counts[cluster.StateActive] + counts[cluster.StateDraining],
-		Version: s.cluster.table.Version(),
+		Version: version,
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package servetest provides an in-process fake fleet for exercising the
 // cross-host dispatch path: each Worker wraps a real serve.Server behind
-// an httptest listener and a programmable fault layer (dead host, drop
-// rate, added latency, 5xx bursts, hang-until-cancel), and Cluster wires
+// an httptest listener and a programmable fault layer (dead host, added
+// latency, 5xx bursts, hang-until-cancel), and Cluster wires
 // N workers behind a frontend. Tests kill, throttle, and revive workers
 // without processes or real sockets, so the whole suite runs under -race.
 package servetest
@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -33,21 +32,16 @@ type Worker struct {
 
 	mu       sync.Mutex
 	down     bool
-	dropRate float64
 	latency  time.Duration
 	errBurst int // answer 500 for this many more requests
 	hang     bool
-	rng      *rand.Rand
 
 	beater *serve.Heartbeater
 }
 
 // NewWorker starts a worker running cfg behind the fault layer.
 func NewWorker(cfg serve.Config) *Worker {
-	w := &Worker{
-		srv: serve.New(cfg),
-		rng: rand.New(rand.NewSource(1)),
-	}
+	w := &Worker{srv: serve.New(cfg)}
 	w.ts = httptest.NewServer(http.HandlerFunc(w.handle))
 	return w
 }
@@ -69,14 +63,6 @@ func (w *Worker) SetDown(down bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.down = down
-}
-
-// SetDropRate severs the given fraction of requests (0 disables),
-// simulating a flapping network path.
-func (w *Worker) SetDropRate(rate float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.dropRate = rate
 }
 
 // SetLatency adds fixed delay before each request is served.
@@ -150,7 +136,6 @@ func (w *Worker) handle(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	down, hang := w.down, w.hang
 	latency := w.latency
-	dropped := w.dropRate > 0 && w.rng.Float64() < w.dropRate
 	burst := w.errBurst > 0 && r.URL.Path != "/v1/healthz"
 	if burst {
 		w.errBurst--
@@ -158,7 +143,7 @@ func (w *Worker) handle(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 
 	switch {
-	case down, dropped:
+	case down:
 		// Sever the connection with no response: the client's transport
 		// surfaces an EOF/reset, as from a killed process.
 		panic(http.ErrAbortHandler)

@@ -123,11 +123,10 @@ func MatMulT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulTRow fills orow with arow·bᵀ. Shared by the serial and parallel
-// MatMulT so their floating-point summation order — and hence their outputs —
-// stay bitwise identical. Each block of four b-rows uses the same strided
-// four-accumulator order as Dot, with each product rounded on its own as
-// Dot rounds it, so partial blocks (handled by Dot directly) also match.
+// matMulTRow fills orow with arow·bᵀ. Each block of four b-rows uses the
+// same strided four-accumulator order as Dot, with each product rounded on
+// its own as Dot rounds it, so every element equals Dot's bit for bit and
+// partial blocks (handled by Dot directly) match full ones.
 func matMulTRow(orow, arow []float32, b *Matrix) {
 	j := 0
 	for ; j+4 <= b.Rows; j += 4 {

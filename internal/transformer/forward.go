@@ -2,8 +2,6 @@ package transformer
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"elsa/internal/attention"
 	"elsa/internal/tensor"
@@ -102,21 +100,6 @@ func (s ForwardStats) CandidateFraction() float64 {
 // Forward runs the encoder stack on x (n×hidden) with the given attention
 // backend and returns the final representations plus work statistics.
 func (m *Model) Forward(x *tensor.Matrix, b Backend) (*tensor.Matrix, ForwardStats, error) {
-	return m.forward(x, b, 1)
-}
-
-// ForwardParallel runs each layer's heads concurrently across up to
-// `workers` goroutines (workers <= 0 selects GOMAXPROCS). The backend must
-// be safe for concurrent use; ExactBackend, ELSABackend and the
-// calibration backend all are.
-func (m *Model) ForwardParallel(x *tensor.Matrix, b Backend, workers int) (*tensor.Matrix, ForwardStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return m.forward(x, b, workers)
-}
-
-func (m *Model) forward(x *tensor.Matrix, b Backend, workers int) (*tensor.Matrix, ForwardStats, error) {
 	if x.Cols != m.Spec.Hidden {
 		return nil, ForwardStats{}, fmt.Errorf("transformer: input width %d, model hidden %d", x.Cols, m.Spec.Hidden)
 	}
@@ -135,52 +118,22 @@ func (m *Model) forward(x *tensor.Matrix, b Backend, workers int) (*tensor.Matri
 		addBias(v, layer.Bv)
 
 		merged := tensor.New(h.Rows, m.Spec.Hidden)
-		type headOut struct {
-			out *tensor.Matrix
-			hs  HeadStats
-			err error
-		}
-		results := make([]headOut, m.Spec.Heads)
-		runHead := func(head int) {
-			qh := splitHead(q, head, headDim)
-			kh := splitHead(k, head, headDim)
-			vh := splitHead(v, head, headDim)
-			out, hs, err := b.Attend(li, head, qh, kh, vh)
-			results[head] = headOut{out: out, hs: hs, err: err}
-		}
-		if workers <= 1 || m.Spec.Heads == 1 {
-			for head := 0; head < m.Spec.Heads; head++ {
-				runHead(head)
-			}
-		} else {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, workers)
-			for head := 0; head < m.Spec.Heads; head++ {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(head int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					runHead(head)
-				}(head)
-			}
-			wg.Wait()
-		}
 		var layerCand, layerPairs int64
-		for head, r := range results {
-			if r.err != nil {
-				return nil, ForwardStats{}, fmt.Errorf("transformer: layer %d head %d: %w", li, head, r.err)
+		for head := 0; head < m.Spec.Heads; head++ {
+			out, hs, err := b.Attend(li, head, splitHead(q, head, headDim), splitHead(k, head, headDim), splitHead(v, head, headDim))
+			if err != nil {
+				return nil, ForwardStats{}, fmt.Errorf("transformer: layer %d head %d: %w", li, head, err)
 			}
-			if r.out.Rows != h.Rows || r.out.Cols != headDim {
+			if out.Rows != h.Rows || out.Cols != headDim {
 				return nil, ForwardStats{}, fmt.Errorf("transformer: layer %d head %d: backend returned %dx%d, want %dx%d",
-					li, head, r.out.Rows, r.out.Cols, h.Rows, headDim)
+					li, head, out.Rows, out.Cols, h.Rows, headDim)
 			}
-			mergeHead(merged, r.out, head, headDim)
+			mergeHead(merged, out, head, headDim)
 			stats.Heads++
-			stats.TotalCandidates += int64(r.hs.Candidates)
-			stats.TotalPairs += int64(r.hs.Queries) * int64(r.hs.Keys)
-			layerCand += int64(r.hs.Candidates)
-			layerPairs += int64(r.hs.Queries) * int64(r.hs.Keys)
+			stats.TotalCandidates += int64(hs.Candidates)
+			stats.TotalPairs += int64(hs.Queries) * int64(hs.Keys)
+			layerCand += int64(hs.Candidates)
+			layerPairs += int64(hs.Queries) * int64(hs.Keys)
 		}
 		attnOut := tensor.MatMul(merged, layer.Wo)
 		addBias(attnOut, layer.Bo)
@@ -241,20 +194,14 @@ func (m *Model) Calibrate(engine *attention.Engine, p float64, inputs []*tensor.
 }
 
 // calibrationBackend computes exact attention while feeding every
-// sub-layer's Q/K to its threshold trainer. Safe for concurrent use: each
-// trainer only ever receives one sub-layer's observations, and a mutex
-// guards its accumulation.
+// sub-layer's Q/K to its threshold trainer.
 type calibrationBackend struct {
-	mu       sync.Mutex
 	trainers map[Sublayer]*attention.ThresholdTrainer
 }
 
 func (c *calibrationBackend) Attend(layer, head int, q, k, v *tensor.Matrix) (*tensor.Matrix, HeadStats, error) {
 	if tt, ok := c.trainers[Sublayer{layer, head}]; ok {
-		c.mu.Lock()
-		err := tt.Observe(q, k)
-		c.mu.Unlock()
-		if err != nil {
+		if err := tt.Observe(q, k); err != nil {
 			return nil, HeadStats{}, err
 		}
 	}

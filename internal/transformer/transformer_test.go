@@ -320,36 +320,3 @@ func TestForwardStatsEdge(t *testing.T) {
 		t.Error("empty forward stats fraction should be 0")
 	}
 }
-
-func TestForwardParallelMatchesSerial(t *testing.T) {
-	m := newTinyModel(t, 20)
-	eng := newTinyEngine(t, 20)
-	rng := rand.New(rand.NewSource(20))
-	x := testInput(rng, 24, 32)
-	be := &ELSABackend{Engine: eng, Default: attention.ExactThresholdNoApprox}
-	serial, ss, err := m.Forward(x, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		par, ps, err := m.ForwardParallel(x, be, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tensor.MaxAbsDiff(serial, par) != 0 {
-			t.Fatalf("workers=%d: parallel forward differs", workers)
-		}
-		if ps.TotalCandidates != ss.TotalCandidates || ps.Heads != ss.Heads {
-			t.Fatalf("workers=%d: stats differ", workers)
-		}
-	}
-}
-
-func TestForwardParallelPropagatesErrors(t *testing.T) {
-	m := newTinyModel(t, 21)
-	rng := rand.New(rand.NewSource(21))
-	x := testInput(rng, 8, 32)
-	if _, _, err := m.ForwardParallel(x, badBackend{}, 4); err == nil {
-		t.Error("backend errors must propagate from parallel heads")
-	}
-}

@@ -334,7 +334,9 @@ type JoinResponse struct {
 	State string `json:"state"`
 	// Members counts membership entries that have not gone.
 	Members int `json:"members"`
-	// Version is the membership table version after this join.
+	// Version is the membership table version this join's own update
+	// wrote: the version State belongs to, even if a probe or another
+	// join has changed the table since.
 	Version uint64 `json:"version"`
 }
 

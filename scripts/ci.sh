@@ -69,9 +69,12 @@ echo "== dispatch pacing under -race, repeated =="
 # pooled buffers alone until no lane reads them, and a client body must
 # outlive every reader the transport takes of it; the tests poison each
 # released buffer, so a read after release races with the poisoning.
-# Run the pacing, refusal, stranded-op, reroute, stale-heartbeat and
-# buffer-lifetime tests twenty times.
-go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain|TestCancelledAttendQueued|TestCancelledAttendOnHeldLane|TestCancelledAttendRemote|TestAttendBodyOutlivesRoundTrip)$' ./internal/serve/ ./internal/serve/cluster/ ./serve/client/
+# A join reply must carry the table version its own upsert wrote, even
+# when another join or the new member's first probe changes the table
+# before the reply is written; the wire goldens pin that reply. Run the
+# pacing, refusal, stranded-op, reroute, stale-heartbeat,
+# buffer-lifetime, join-version and wire-golden tests twenty times.
+go test -race -count=20 -run '^(TestIdleLaneTakesLoneOp|TestHeldLanesHarvestWeightedBatch|TestNoStrandedOps|TestRerouteNeverSharesALane|TestPipelineRefusals|TestTightDeadlineServedOnIdleLane|TestWeightedDequeueDefersBackground|TestStepWavePreemptsBackground|TestMaxBatchDispatchesEarly|TestGracefulCloseDrainsPending|TestTableStaleHeartbeatKeepsOperatorDrain|TestCancelledAttendQueued|TestCancelledAttendOnHeldLane|TestCancelledAttendRemote|TestAttendBodyOutlivesRoundTrip|TestConcurrentJoinRepliesCarryDistinctVersions|TestWireGolden)$' ./internal/serve/ ./internal/serve/cluster/ ./serve/client/
 # Worker-loss recovery and a dispatch-only frontend's import move a
 # session to a worker under its gate while probes flip worker health on
 # other goroutines; run both twenty times too, in their own process.

@@ -131,7 +131,7 @@ func (s *Stream) QueryOverrides(dst []float32, q []float32, ov Overrides, fallba
 // QueryLinearScan attends q over the current prefix through the exact
 // linear-scan backend: online softmax in one pass over hot and cold rows,
 // no filter, no n×n state. The answer is bit-identical to one-shot
-// AttendLinearScan over the materialized prefix (Rows()), including
+// AttendLinearScan over the appended keys and values, including
 // across cold-watermark demotions, and a decode loop that recycles dst
 // allocates nothing in steady state.
 func (s *Stream) QueryLinearScan(dst []float32, q []float32) ([]float32, StreamStats, error) {
@@ -147,18 +147,12 @@ func (s *Stream) QueryLinearScan(dst []float32, q []float32) ([]float32, StreamS
 // (Calibrate with Q = K = Keys()). Not intended for the decode hot path.
 func (s *Stream) Keys() [][]float32 { return s.inner.Keys() }
 
-// Rows returns per-token views of the appended key and value vectors,
-// aliasing the stream's storage (already quantized in quantized mode).
-// The views are valid only until the next Append — they exist so a
-// serving layer can materialize a session's prefix onto the wire (an
-// Attend op against a remote worker) without copying every element.
-func (s *Stream) Rows() (keys, values [][]float32) { return s.inner.Rows() }
-
 // AttendBlockwise runs approximate attention over sequences longer than
 // one hardware invocation by decomposing the keys into blocks of at most
-// blockSize and merging the per-block softmax results exactly — the
-// composition with Longformer/BigBird-style decompositions that the
-// paper's §V-E describes.
+// blockSize, each filtered against its own key-norm maximum, and taking
+// one softmax over the union of the blocks' candidates — the composition
+// with Longformer/BigBird-style decompositions that the paper's §V-E
+// describes. One block gives Attend's output bit for bit.
 func (e *Engine) AttendBlockwise(q, k, v [][]float32, blockSize int, thr Threshold) (*Output, error) {
 	qm, err := toMatrix("queries", q, e.opts.HeadDim)
 	if err != nil {

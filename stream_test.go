@@ -84,6 +84,10 @@ func TestPublicBlockwiseErrors(t *testing.T) {
 	if _, err := e.AttendBlockwise(nil, k, v, 8, Exact()); err == nil {
 		t.Error("nil queries should error")
 	}
+	q[1][5] = float32(math.NaN())
+	if _, err := e.AttendBlockwise(q, k, v, 8, Threshold{T: 0.1}); err == nil {
+		t.Error("a NaN query should error")
+	}
 }
 
 func TestPublicStreamQueryWithAndKeys(t *testing.T) {
